@@ -47,10 +47,3 @@ def panel_table(lo, hi, breakpoints=(), order=64, max_freq=0.0, osc_budget=40.0)
                 weights.append(tw * 2.0 * tau)
     return np.concatenate(nodes), np.concatenate(weights)
 
-
-def fourier_weights(nodes, weights, values, zeta):
-    """sum_j w_j v_j exp(i t_j zeta) for scalar or array-valued complex zeta."""
-    zeta = np.asarray(zeta)
-    if zeta.ndim == 0:
-        return complex(np.sum(weights * values * np.exp(1j * nodes * complex(zeta))))
-    return np.exp(1j * np.outer(zeta, nodes)) @ (weights * values)

@@ -14,6 +14,7 @@ from covario.covariogram import CAP_PREFACTOR, FitFailed, cross_covariogram_grid
 from covario.fourier_laplace import (
     autocorr_transform_table,
     build_context,
+    contour_winding,
     kobayashi_center,
     track_zero,
 )
@@ -151,6 +152,9 @@ def zero_union_check(body, u: Direction, m_range, order=64,
     nodes, weights, ac = autocorr_transform_table(body, u, max_zeta, order=order)
     wa = weights * ac
 
+    def g_many(zs):
+        return np.exp(1j * np.outer(zs, nodes)) @ wa
+
     def g_t(z):
         return complex(np.sum(wa * np.exp(1j * nodes * z)))
 
@@ -161,7 +165,6 @@ def zero_union_check(body, u: Direction, m_range, order=64,
         return complex(np.sum(wa * (1j * nodes) ** 2 * np.exp(1j * nodes * z)))
 
     sq_area = area(body) ** 2
-    x_gl, w_gl = gauss_legendre(order)
     rows = []
     for m in m_list:
         branch = track_zero(ctx, m)
@@ -185,19 +188,7 @@ def zero_union_check(body, u: Direction, m_range, order=64,
         half_im = 0.5 / ctx.body_width
         if abs(f.imag) >= 0.5 * half_im:
             half_im = 1.2 * abs(f.imag)
-        corners = [f + complex(half_re, half_im), f + complex(-half_re, half_im),
-                   f + complex(-half_re, -half_im), f + complex(half_re, -half_im)]
-        pts = []
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            pts.append(np.array([a]))
-            for k in range(4):
-                lo = a + (b - a) * k / 4.0
-                hi = a + (b - a) * (k + 1) / 4.0
-                pts.append(lo + (hi - lo) * 0.5 * (x_gl + 1.0))
-        pts.append(np.array([corners[0]]))
-        zs = np.concatenate(pts)
-        vals = np.exp(1j * np.outer(zs, nodes)) @ wa
-        mult = int(round(float(np.sum(np.angle(vals[1:] / vals[:-1]))) / (2 * math.pi)))
+        mult = contour_winding(g_many, f, half_re, half_im)
         rows.append(ZeroUnionRow(m, f, tuple(located), mult, resid))
     return ZeroUnionReport(body_hash(body), u.theta, tuple(rows),
                            match_tol, residual_tol)

@@ -61,9 +61,21 @@ def _write_csv(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_safe(obj):
+    """obj with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_safe(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(val) for val in obj]
+    return obj
+
+
 def _emit(report, as_json):
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True, default=str))
+        print(json.dumps(_json_safe(report), indent=2, sort_keys=True, default=str,
+                         allow_nan=False))
     else:
         for key, val in report.items():
             if key == "schema_version":
@@ -170,7 +182,7 @@ def cmd_kobayashi(args):
     }
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(_json_safe(report), fh, indent=2, sort_keys=True, allow_nan=False)
     _emit(report if args.json else {"schema_version": SCHEMA_VERSION,
                                     "decay_exponent": rep.decay_exponent,
                                     "flags": list(rep.flags)}, args.json)

@@ -13,6 +13,9 @@ from covario.radon import chord_autocorrelation_batch, chord_function
 
 IM_CAP_FACTOR = 12.0
 OSC_BUDGET = 40.0
+CONTOUR_START = 8
+MAX_ARG_STEP = math.pi / 4.0
+MAX_REFINE_ROUNDS = 12
 
 
 class PrecisionLoss(Exception):
@@ -115,28 +118,42 @@ class ZeroBranch:
         return abs(self.zeta - self.predicted_center)
 
 
-def winding_number(ctx, center, half_re, half_im, panels_per_side=4):
-    """Winding of the transform around a rectangle, from the argument increment."""
-    corners = [center + complex(half_re, half_im), center + complex(-half_re, half_im),
-               center + complex(-half_re, -half_im), center + complex(half_re, -half_im)]
-    x, w = np.polynomial.legendre.leggauss(ctx.order)
-    pts = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        pts.append(np.array([a]))
-        for k in range(panels_per_side):
-            lo = a + (b - a) * k / panels_per_side
-            hi = a + (b - a) * (k + 1) / panels_per_side
-            pts.append(lo + (hi - lo) * 0.5 * (x + 1.0))
-    pts.append(np.array([corners[0]]))
-    vals = flt_ray_many(ctx, np.concatenate(pts))
-    if np.any(vals == 0):
-        raise ValidationFailed("transform vanishes on the validation contour")
-    total = np.sum(np.angle(vals[1:] / vals[:-1]))
-    winding = total / (2.0 * math.pi)
+def contour_winding(f_many, center, half_re, half_im):
+    """Winding of the vectorized f_many around center +- half_re +- i half_im.
+
+    Starts from CONTOUR_START equispaced points per side and bisects every step
+    whose argument change exceeds MAX_ARG_STEP until none does.  Exact unless a
+    step turns f by 2 pi - MAX_ARG_STEP or more, which aliases to a small one.
+    """
+    corners = center + np.array([complex(half_re, half_im), complex(-half_re, half_im),
+                                 complex(-half_re, -half_im), complex(half_re, -half_im)])
+    frac = np.arange(CONTOUR_START) / CONTOUR_START
+    z = np.concatenate([a + (b - a) * frac for a, b in zip(corners, np.roll(corners, -1))]
+                       + [corners[:1]])
+    vals = f_many(z)
+    for rounds in range(MAX_REFINE_ROUNDS + 1):
+        if not np.all(np.isfinite(vals) & (vals != 0)):
+            raise ValidationFailed("transform vanishes or is not finite on the validation contour")
+        steps = np.angle(vals[1:] / vals[:-1])
+        coarse = np.flatnonzero(np.abs(steps) > MAX_ARG_STEP)
+        if coarse.size == 0:
+            break
+        if rounds == MAX_REFINE_ROUNDS:
+            raise ValidationFailed(
+                f"contour unresolved after {MAX_REFINE_ROUNDS} refinement rounds")
+        mid = 0.5 * (z[coarse] + z[coarse + 1])
+        z = np.insert(z, coarse + 1, mid)
+        vals = np.insert(vals, coarse + 1, f_many(mid))
+    winding = np.sum(steps) / (2.0 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) > 0.1:
         raise ValidationFailed(f"ambiguous winding {winding:.3f}")
     return int(nearest)
+
+
+def winding_number(ctx, center, half_re, half_im):
+    """Winding of the transform around a rectangle, from the argument increment."""
+    return contour_winding(lambda z: flt_ray_many(ctx, z), center, half_re, half_im)
 
 
 def track_zero(ctx, m, start=None, max_iter=50, strict=True):

@@ -295,15 +295,6 @@ def reflect(body):
     raise TypeError(f"not a body: {body!r}")
 
 
-def transform(body, op, vec=None):
-    """Apply op in {"translate", "reflect"} to the body."""
-    if op == "translate":
-        return translate(body, vec)
-    if op == "reflect":
-        return reflect(body)
-    raise ValueError(f"unknown transform {op!r}")
-
-
 def convex_hull(points):
     """Convex hull vertices (CCW) of a point cloud, by monotone chain."""
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
@@ -530,6 +521,9 @@ def body_from_spec(spec):
     unknown = set(spec) - _SPEC_KEYS[kind]
     if unknown:
         raise ValueError(f"unknown keys for {kind!r} body: {sorted(unknown)}")
+    for key, value in spec.items():
+        if key != "kind" and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"non-finite number in {key!r} of {kind!r} body")
     if kind == "polygon":
         return Polygon(spec["vertices"])
     if kind == "disk":

@@ -54,6 +54,25 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "disk", "center": [0, 0], "radius": float("nan")},
+    {"kind": "disk", "center": [0, 0], "radius": float("inf")},
+    {"kind": "support2d", "a0": 1.0, "coeffs": [[0, 0], [0, 0], [float("nan"), 0]]},
+])
+def test_non_finite_body_rejected(tmp_path, spec, capsys):
+    path = write_body(tmp_path, "bad.json", spec)
+    assert main(["body-validate", "--body", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
+
+
 def test_missing_file(capsys):
     assert main(["body-validate", "--body", "/nonexistent/body.json"]) == 2
 
@@ -117,6 +136,16 @@ def test_kobayashi_command(tmp_path, disk_file, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert -1.3 <= rep["decay_exponent"] <= -0.7
     assert json.loads(out.read_text())["schema_version"] == 1
+
+
+def test_kobayashi_single_m_writes_strict_json(tmp_path, disk_file, capsys):
+    # one m leaves the decay exponent undefined (NaN), which JSON writes as null
+    out = tmp_path / "k1.json"
+    assert main(["kobayashi", "--body", disk_file, "--m", "4", "--u-grid", "1",
+                 "--out", str(out), "--json"]) == 0
+    rep = _strict_json(capsys.readouterr().out)
+    assert rep["decay_exponent"] is None and rep["decay_fit_residual"] is None
+    assert _strict_json(out.read_text())["decay_exponent"] is None
 
 
 def test_kobayashi_bad_thread_count_is_usage_error(disk_file, capsys, monkeypatch):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from covario.fourier_laplace import (
+    MAX_REFINE_ROUNDS,
     PrecisionLoss,
+    ValidationFailed,
     branch_sweep,
     build_context,
+    contour_winding,
     flt_ray,
     flt_ray_derivative,
     kobayashi_center,
@@ -96,6 +99,50 @@ def test_winding_number_counts(unit_disk):
     mid = 0.5 * (j1 + j2)
     assert winding_number(ctx, complex(mid, 0.0), 0.7 * (j2 - j1), 0.3) == 2
     assert winding_number(ctx, complex(mid, 0.0), 0.2, 0.2) == 0
+
+
+def test_contour_winding_counts_powers():
+    for k in range(4):
+        assert contour_winding(lambda z, k=k: z ** k, 0j, 1.0, 1.0) == k
+
+
+def test_contour_winding_refines_coarse_steps():
+    evaluated = []
+
+    def f(z):
+        evaluated.append(len(z))
+        return z ** 5
+
+    # on an 8 x 2 rectangle z**5 turns by about 4 rad across each starting step
+    # next to the imaginary axis, so the count needs bisection
+    assert contour_winding(f, 0j, 4.0, 1.0) == 5
+    assert evaluated[0] == 33 and len(evaluated) > 1
+
+
+def test_contour_winding_zero_on_contour():
+    # the first corner 1 + 1j is a contour point
+    with pytest.raises(ValidationFailed, match="vanishes"):
+        contour_winding(lambda z: z - (1.0 + 1.0j), 0j, 1.0, 1.0)
+
+
+def test_contour_winding_unresolved_raises():
+    evaluated = []
+
+    def jump(z):
+        evaluated.append(len(z))
+        return np.where(z.real > 0.3, 1.0, -1.0).astype(complex)
+
+    # the sign jump at Re z = 0.3 stays a step of pi however fine the contour
+    with pytest.raises(ValidationFailed, match="unresolved"):
+        contour_winding(jump, 0j, 1.0, 1.0)
+    assert len(evaluated) == 1 + MAX_REFINE_ROUNDS
+
+
+def test_winding_disk_first_five_bessel_zeros(unit_disk):
+    ctx = build_context(unit_disk, E1, max_abs_zeta=30.0)
+    lo, hi = bessel_j1_zero(1) - 1.0, bessel_j1_zero(5) + 1.0
+    assert hi < bessel_j1_zero(6)
+    assert winding_number(ctx, complex(0.5 * (lo + hi), 0.0), 0.5 * (hi - lo), 0.5) == 5
 
 
 def test_branch_sweep_disk_constant(unit_disk):

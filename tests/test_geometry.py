@@ -219,6 +219,20 @@ def test_body_spec_round_trip(unit_square, unit_disk, cw3):
         body_from_spec({"kind": "banana"})
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "disk", "center": [0, 0], "radius": math.nan},
+    {"kind": "disk", "center": [0, 0], "radius": math.inf},
+    {"kind": "disk", "center": [math.nan, 0], "radius": 1.0},
+    {"kind": "support2d", "a0": math.nan, "coeffs": []},
+    {"kind": "support2d", "a0": 1.0, "coeffs": [[0, 0], [0, 0], [math.nan, 0]]},
+    {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, math.inf], [0, 1]]},
+    {"kind": "zonogon", "center": [0, 0], "generators": [[[-1, 0], [1, 0]], [[0, -1], [0, math.nan]]]},
+])
+def test_body_spec_rejects_non_finite(spec):
+    with pytest.raises(ValueError, match="non-finite"):
+        body_from_spec(spec)
+
+
 def test_polygon_canonicalization():
     # collinear vertex dropped, clockwise input reversed, start at lexicographic min
     p = Polygon([(1, 1), (0, 1), (0, 0), (0.5, 0.0), (1, 0)])
