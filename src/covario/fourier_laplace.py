@@ -41,7 +41,6 @@ class RayTransformContext:
 
     body: object
     u: Direction
-    order: int
     max_abs_zeta: float
     im_cap: float
     lo: float
@@ -61,7 +60,7 @@ def build_context(body, u: Direction, order=64, max_abs_zeta=200.0):
     cf = chord_function(body, u)
     nodes, weights = panel_table(cf.lo, cf.hi, cf.breakpoints, order=order,
                                  max_freq=max_abs_zeta, osc_budget=OSC_BUDGET)
-    return RayTransformContext(body, u, order, max_abs_zeta, IM_CAP_FACTOR / cf.width,
+    return RayTransformContext(body, u, max_abs_zeta, IM_CAP_FACTOR / cf.width,
                                cf.lo, cf.hi, nodes, weights, cf(nodes))
 
 
@@ -152,8 +151,15 @@ def contour_winding(f_many, center, half_re, half_im):
 
 
 def winding_number(ctx, center, half_re, half_im):
-    """Winding of the transform around a rectangle, from the argument increment."""
-    return contour_winding(lambda z: flt_ray_many(ctx, z), center, half_re, half_im)
+    """Winding of the transform around a rectangle, from the argument increment.
+
+    The transform of a body whose support on u has midpoint c carries the factor
+    exp(i c zeta), which turns by c per unit of Re zeta but has no zeros; it is
+    divided out so that the contour's step count does not grow with translation.
+    """
+    shift = 0.5 * (ctx.lo + ctx.hi)
+    return contour_winding(lambda z: flt_ray_many(ctx, z) * np.exp(-1j * shift * z),
+                           center, half_re, half_im)
 
 
 def track_zero(ctx, m, start=None, max_iter=50, strict=True):

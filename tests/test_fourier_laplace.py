@@ -18,7 +18,7 @@ from covario.fourier_laplace import (
     verify_reflection_identity,
     winding_number,
 )
-from covario.geometry import Direction, area
+from covario.geometry import Direction, Disk, area
 from covario.oracles import bessel_j1, bessel_j1_zero
 from covario.radon import chord_autocorrelation
 
@@ -142,6 +142,18 @@ def test_winding_disk_first_five_bessel_zeros(unit_disk):
     ctx = build_context(unit_disk, E1, max_abs_zeta=30.0)
     lo, hi = bessel_j1_zero(1) - 1.0, bessel_j1_zero(5) + 1.0
     assert hi < bessel_j1_zero(6)
+    assert winding_number(ctx, complex(0.5 * (lo + hi), 0.0), 0.5 * (hi - lo), 0.5) == 5
+
+
+@pytest.mark.parametrize("cx", [10.0, 28.0, 30.0])
+def test_winding_translated_disk(cx):
+    # translation multiplies the transform by exp(i cx zeta), which turns by cx
+    # per unit of Re zeta but moves no zero
+    ctx = build_context(Disk((cx, 0.0), 1.0), E1, max_abs_zeta=30.0)
+    for m in range(1, 6):
+        # the rectangle track_zero validates with: half-sides pi/(2w), 0.5/w
+        assert winding_number(ctx, complex(bessel_j1_zero(m), 0.0), math.pi / 4.0, 0.25) == 1
+    lo, hi = bessel_j1_zero(1) - 1.0, bessel_j1_zero(5) + 1.0
     assert winding_number(ctx, complex(0.5 * (lo + hi), 0.0), 0.5 * (hi - lo), 0.5) == 5
 
 
