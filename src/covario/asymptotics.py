@@ -26,6 +26,7 @@ from covario.geometry import (
     curvature,
     example_pair,
     reflect,
+    slice_table,
     steiner_point,
     width,
 )
@@ -387,25 +388,17 @@ def _blackbox_pair(g, radial, thetas, u: Direction, cfg: DeterminationConfig):
     return low, high
 
 
-def _segment_extent(radial, thetas, u, t):
-    """Tangential extent of supp g on the line <x, u> = t, from the radial polygon."""
+def _segment_extents(radial, thetas, u, ts):
+    """Padded extents (smin, smax) of supp g along the lines <x, u> = t, t in ts,
+    from the (convex) radial polygon, and the mask of lines that miss it."""
     pts = radial[:, None] * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    d = pts @ u
-    s = pts @ np.array([-u[1], u[0]])
-    n = len(thetas)
-    svals = []
-    for i in range(n):
-        j = (i + 1) % n
-        a, b = d[i] - t, d[j] - t
-        if a == 0.0:
-            svals.append(s[i])
-        if (a < 0 < b) or (b < 0 < a):
-            w = a / (a - b)
-            svals.append(s[i] + w * (s[j] - s[i]))
-    if not svals:
-        return None
-    pad = 0.02 * (max(svals) - min(svals) + 1e-9)
-    return min(svals) - pad, max(svals) + pad
+    knots, (a, da, b, db) = slice_table(np.stack([pts @ u, pts @ np.array([-u[1], u[0]])],
+                                                 axis=1))
+    k = np.searchsorted(knots[1:-1], ts, side="right")
+    smin = a[k] + da[k] * (ts - knots[k])
+    smax = b[k] + db[k] * (ts - knots[k])
+    pad = 0.02 * (smax - smin + 1e-9)
+    return smin - pad, smax + pad, (ts < knots[0]) | (ts > knots[-1])
 
 
 def _line_integral(g, uv, perp, t, extent, order):
@@ -435,10 +428,10 @@ def _gtransform_im(g, radial, thetas, u: Direction, w_u, im_guess, cfg):
     t_nodes, t_weights = panel_table(0.0, w_u, [], order=cfg.t_order,
                                      max_freq=zeta_c + 2.0, osc_budget=30.0)
     r_vals = np.zeros_like(t_nodes)
+    smin, smax, miss = _segment_extents(radial, thetas, uv, t_nodes)
     for i, t in enumerate(t_nodes):
-        ext = _segment_extent(radial, thetas, uv, t)
-        if ext is not None:
-            r_vals[i] = _line_integral(g, uv, perp, t, ext, cfg.s_order)
+        if not miss[i]:
+            r_vals[i] = _line_integral(g, uv, perp, t, (smin[i], smax[i]), cfg.s_order)
     wa = t_weights * r_vals
 
     def gt(z):

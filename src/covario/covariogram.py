@@ -1,4 +1,4 @@
-"""Covariograms and cross-covariograms of planar convex bodies, by exact clipping."""
+"""Covariograms and cross-covariograms of planar convex bodies, by exact chord slicing."""
 
 from __future__ import annotations
 
@@ -21,166 +21,74 @@ from covario.geometry import (
     minkowski_sum_polygons,
     polygonal_approximation,
     reflect,
+    slice_table,
     support,
     width,
 )
 
 APPROX_BOUNDARY_POINTS = 4096
-SMALL_POLYGON_LIMIT = 64
 
 
 class FitFailed(Exception):
     """Raised when the covariogram cap fit cannot recover a curvature pair."""
 
 
-def clip_convex(subject, clip):
-    """Sutherland-Hodgman clip of convex subject polygon by convex clip polygon."""
-    output = [tuple(p) for p in subject]
-    n = len(clip)
-    for j in range(n):
-        if not output:
-            return []
-        cx, cy = clip[j]
-        dx, dy = clip[(j + 1) % n]
-        ex, ey = dx - cx, dy - cy
-        inp = output
-        output = []
-        sx, sy = inp[-1]
-        s_in = ex * (sy - cy) - ey * (sx - cx) >= 0.0
-        for px, py in inp:
-            p_in = ex * (py - cy) - ey * (px - cx) >= 0.0
-            if p_in != s_in:
-                num = ex * (sy - cy) - ey * (sx - cx)
-                den = num - (ex * (py - cy) - ey * (px - cx))
-                t = num / den
-                output.append((sx + t * (px - sx), sy + t * (py - sy)))
-            if p_in:
-                output.append((px, py))
-            sx, sy, s_in = px, py, p_in
-    return output
-
-
-def _poly_area(points):
-    if len(points) < 3:
-        return 0.0
-    s = 0.0
-    n = len(points)
-    for i in range(n):
-        x0, y0 = points[i]
-        x1, y1 = points[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return 0.5 * abs(s)
-
-
 @lru_cache(maxsize=64)
 def _clip_fan(body, n=APPROX_BOUNDARY_POINTS):
-    """Half-plane fan {z : <z, n_j> <= c_j} of the (approximating) polygon."""
-    poly = polygonal_approximation(body, n)
-    v = poly.vertices
-    edges = np.roll(v, -1, axis=0) - v
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-    offsets = np.einsum("ij,ij->i", normals, v)
-    angles = np.arctan2(normals[:, 1], normals[:, 0])
-    order = np.argsort(angles, kind="stable")
-    return normals[order], offsets[order], angles[order]
+    """slice_table of the body's (approximating) polygon."""
+    return slice_table(polygonal_approximation(body, n).vertices)
 
 
-def _halfplane_intersection_area(normals, offsets):
-    """Area of {z : <z, n_j> <= c_j} for half-planes sorted by normal angle."""
-    from collections import deque
+def _slice_areas(table_a, table_b, xs):
+    """area(A intersect (B + x)) for every row x of xs, from the slice tables of A and B.
 
-    nx = normals[:, 0].tolist()
-    ny = normals[:, 1].tolist()
-    c = offsets.tolist()
-    n = len(c)
-
-    def crossing(i, j):
-        det = nx[i] * ny[j] - ny[i] * nx[j]
-        if abs(det) < 1e-300:
-            return None
-        return ((c[i] * ny[j] - c[j] * ny[i]) / det,
-                (nx[i] * c[j] - nx[j] * c[i]) / det)
-
-    def bad(i, j, k):
-        p = crossing(i, j)
-        if p is None:
-            return True
-        return nx[k] * p[0] + ny[k] * p[1] > c[k]
-
-    dq = deque()
-    for k in range(n):
-        while len(dq) >= 2 and bad(dq[-2], dq[-1], k):
-            dq.pop()
-        while len(dq) >= 2 and bad(dq[1], dq[0], k):
-            dq.popleft()
-        dq.append(k)
-    changed = True
-    while changed and len(dq) >= 3:
-        changed = False
-        if bad(dq[-2], dq[-1], dq[0]):
-            dq.pop()
-            changed = True
-        elif bad(dq[1], dq[0], dq[-1]):
-            dq.popleft()
-            changed = True
-    if len(dq) < 3:
-        return 0.0
-    idx = list(dq)
-    pts = []
-    for a, b in zip(idx, idx[1:] + idx[:1]):
-        p = crossing(a, b)
-        if p is None:
-            return 0.0
-        pts.append(p)
-    ar = _poly_area(pts)
-    # reject phantom polygons produced by an empty intersection
-    cxm = sum(p[0] for p in pts) / len(pts)
-    cym = sum(p[1] for p in pts) / len(pts)
-    viol = np.max(normals @ np.array([cxm, cym]) - offsets)
-    if viol > 1e-7 * max(1.0, np.abs(offsets).max()):
-        return 0.0
-    return ar
+    On each vertical line the bodies meet in the segment from max(a_A, a_B + y)
+    to min(b_A, b_B + y), a and b the lower and upper boundaries.  Between knots
+    of A and B + x its length is linear except where the lower or the upper
+    boundaries cross, so its positive part integrates exactly piece by piece.
+    """
+    (knots_a, lines_a), (knots_b, lines_b) = table_a, table_b
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    dx, dy = xs[:, :1], xs[:, 1:]
+    knots = np.sort(np.concatenate(
+        [np.broadcast_to(knots_a, (xs.shape[0], knots_a.size)), knots_b + dx], axis=1), axis=1)
+    # knots outside the common x-range collapse onto its ends, all of them
+    # onto one point when the ranges are disjoint
+    knots = np.minimum(np.maximum(knots, np.maximum(knots_a[0], knots_b[0] + dx)),
+                       np.minimum(knots_a[-1], knots_b[-1] + dx))
+    ends = np.stack([knots[:, :-1], knots[:, 1:]])
+    mid = 0.5 * (ends[0] + ends[1])
+    ka = np.searchsorted(knots_a[1:-1], mid, side="right")
+    kb = np.searchsorted(knots_b[1:-1], mid - dx, side="right")
+    # (lower, upper) x (left, right end) of every interval, for A and for B + x
+    la, lb = lines_a[:, ka], lines_b[:, kb]
+    va = la[0::2, None] + la[1::2, None] * (ends - knots_a[ka])
+    vb = lb[0::2, None] + lb[1::2, None] * (ends - dx - knots_b[kb]) + dy
+    d = va - vb
+    # fractions of each interval where the lower and the upper boundaries cross
+    cross = np.divide(d[:, 0], d[:, 0] - d[:, 1], out=np.zeros_like(d[:, 0]),
+                      where=d[:, 0] * d[:, 1] < 0.0)
+    s = np.stack([np.zeros_like(mid), np.minimum(*cross), np.maximum(*cross),
+                  np.ones_like(mid)])
+    fa = va[:, :1] + s * (va[:, 1:] - va[:, :1])
+    fb = vb[:, :1] + s * (vb[:, 1:] - vb[:, :1])
+    length = np.minimum(fa[1], fb[1]) - np.maximum(fa[0], fb[0])
+    p, q = length[:-1], length[1:]
+    # mean of the positive part of the linear function running from p to q
+    den = 2.0 * (np.abs(p) + np.abs(q))
+    mean = np.divide((np.maximum(p, 0.0) + np.maximum(q, 0.0)) ** 2, den,
+                     out=np.zeros_like(den), where=den > 0.0)
+    return np.sum((ends[1] - ends[0]) * np.sum((s[1:] - s[:-1]) * mean, axis=0), axis=1)
 
 
 def polygon_intersection_area(p: Polygon, q: Polygon):
     """Exact area of the intersection of two convex polygons."""
-    if p.vertices.shape[0] + q.vertices.shape[0] <= SMALL_POLYGON_LIMIT:
-        return _poly_area(clip_convex(p.vertices, q.vertices))
-    n1, c1, a1 = _clip_fan(p)
-    n2, c2, a2 = _clip_fan(q)
-    return _merged_fan_area(n1, c1, a1, n2, c2, a2)
-
-
-def _merged_fan_area(n1, c1, a1, n2, c2, a2):
-    normals = np.vstack([n1, n2])
-    offsets = np.concatenate([c1, c2])
-    angles = np.concatenate([a1, a2])
-    order = np.argsort(angles, kind="stable")
-    normals, offsets, angles = normals[order], offsets[order], angles[order]
-    # collapse duplicate directions, keeping the tighter constraint
-    keep_n, keep_c = [normals[0]], [offsets[0]]
-    for i in range(1, angles.shape[0]):
-        if angles[i] - angles[i - 1] < 1e-14:
-            keep_c[-1] = min(keep_c[-1], offsets[i])
-        else:
-            keep_n.append(normals[i])
-            keep_c.append(offsets[i])
-    return _halfplane_intersection_area(np.array(keep_n), np.array(keep_c))
+    return _pair_area(p, q, (0.0, 0.0))
 
 
 def _pair_area(bodyA, bodyB, x, n=APPROX_BOUNDARY_POINTS):
-    """lambda_2(A intersect (B + x)) on the clipping representations."""
-    if isinstance(bodyA, Polygon) and isinstance(bodyB, Polygon) \
-            and bodyA.vertices.shape[0] + bodyB.vertices.shape[0] <= SMALL_POLYGON_LIMIT:
-        return _poly_area(clip_convex(bodyA.vertices, bodyB.vertices + np.asarray(x)))
-    if bodyA is bodyB or bodyA == bodyB:
-        normals, offsets, _ = _clip_fan(bodyA, n)
-        shift = normals @ np.asarray(x, dtype=float)
-        return _halfplane_intersection_area(normals, np.minimum(offsets, offsets + shift))
-    n1, c1, a1 = _clip_fan(bodyA, n)
-    n2, c2, a2 = _clip_fan(bodyB, n)
-    return _merged_fan_area(n1, c1, a1, n2, c2 + n2 @ np.asarray(x, dtype=float), a2)
+    """lambda_2(A intersect (B + x)), smooth bodies replaced by their inscribed n-gons."""
+    return float(_slice_areas(_clip_fan(bodyA, n), _clip_fan(bodyB, n), x)[0])
 
 
 def covariogram(body, x):
@@ -203,54 +111,8 @@ def cross_covariogram(bodyA, bodyB, x):
 
 
 def clip_areas_batch(subject_vertices, clip_vertices, xs):
-    """Areas of subject ∩ (clip + x) for every translation x, vectorized.
-
-    Sutherland-Hodgman against each clip edge, carried out simultaneously
-    for all translations with padded vertex buffers.
-    """
-    sv = np.asarray(subject_vertices, dtype=float)
-    cv = np.asarray(clip_vertices, dtype=float)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    g = xs.shape[0]
-    edges = np.roll(cv, -1, axis=0) - cv
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)  # inner side: <n, z> <= c
-    offsets = np.einsum("ij,ij->i", normals, cv)
-    cap = sv.shape[0] + cv.shape[0] + 4
-    verts = np.zeros((g, cap, 2))
-    verts[:, :sv.shape[0]] = sv
-    counts = np.full(g, sv.shape[0])
-    idx = np.arange(cap)
-    for j in range(cv.shape[0]):
-        live = np.maximum(counts, 1)
-        nxt = (idx[None, :] + 1) % live[:, None]
-        d = verts @ normals[j] - (offsets[j] + xs @ normals[j])[:, None]
-        d_nxt = np.take_along_axis(d, nxt, axis=1)
-        v_nxt = np.take_along_axis(verts, nxt[:, :, None], axis=1)
-        valid = idx[None, :] < counts[:, None]
-        inside = d <= 0.0
-        inside_nxt = d_nxt <= 0.0
-        crossing = (inside != inside_nxt) & valid
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(crossing, d / (d - d_nxt), 0.0)
-        xpt = verts + t[:, :, None] * (v_nxt - verts)
-        out = np.empty((g, 2 * cap, 2))
-        ok = np.empty((g, 2 * cap), dtype=bool)
-        out[:, 0::2] = xpt
-        out[:, 1::2] = v_nxt
-        ok[:, 0::2] = crossing
-        ok[:, 1::2] = inside_nxt & valid
-        order = np.argsort(~ok, axis=1, kind="stable")
-        out = np.take_along_axis(out, order[:, :cap, None], axis=1)
-        counts = ok.sum(axis=1)
-        verts = out
-    valid = idx[None, :] < counts[:, None]
-    live = np.maximum(counts, 1)
-    nxt = (idx[None, :] + 1) % live[:, None]
-    v_nxt = np.take_along_axis(verts, nxt[:, :, None], axis=1)
-    contrib = (verts[:, :, 0] * v_nxt[:, :, 1] - v_nxt[:, :, 0] * verts[:, :, 1]) * valid
-    areas = 0.5 * np.abs(contrib.sum(axis=1))
-    areas[counts < 3] = 0.0
-    return areas
+    """Areas of subject intersect (clip + x) for every row x of xs, in one vectorized pass."""
+    return _slice_areas(slice_table(subject_vertices), slice_table(clip_vertices), xs)
 
 
 @dataclass(frozen=True)
@@ -313,15 +175,14 @@ def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
     xg = x0 + dx * np.arange(nx)
     yg = y0 + dy * np.arange(ny)
     exact = isinstance(bodyH, Polygon) and isinstance(bodyK, Polygon)
-    small = exact and (bodyH.vertices.shape[0] + bodyK.vertices.shape[0]
-                       <= SMALL_POLYGON_LIMIT)
     xsv, ysv = np.meshgrid(xg, yg)
     pts = np.stack([xsv.ravel(), ysv.ravel()], axis=1)
-    if small:
-        vals = clip_areas_batch(bodyH.vertices, bodyK.vertices, pts)
-    else:
-        vals = np.array([cross_covariogram(bodyH, bodyK, p) for p in pts])
-    values = vals.reshape(ny, nx)
+    vh = polygonal_approximation(bodyH, APPROX_BOUNDARY_POINTS).vertices
+    vk = polygonal_approximation(bodyK, APPROX_BOUNDARY_POINTS).vertices
+    # the kernel holds a few dozen arrays of (points x knots) floats
+    chunk = max(1, 2 ** 15 // (vh.shape[0] + vk.shape[0]))
+    values = np.concatenate([clip_areas_batch(vh, vk, pts[i:i + chunk])
+                             for i in range(0, pts.shape[0], chunk)]).reshape(ny, nx)
     method = "exact-clip" if exact else "polyline-approx"
     return CovariogramGrid((float(x0), float(y0)), (float(dx), float(dy)), nx, ny,
                            values, method, (body_hash(bodyH), body_hash(bodyK)))
@@ -437,9 +298,7 @@ def curvature_pair_from_covariogram(body, u: Direction, depth_range=(1e-4, 1e-2)
     p = boundary_point(body, u) - boundary_point(body, u.antipode())
     uv, tan = u.u, u.perp
 
-    def sample(x):
-        return _pair_area(body, body, x, n=FIT_BOUNDARY_POINTS)
-
+    sample = covariogram_evaluator(body, n=FIT_BOUNDARY_POINTS)
     depths = np.geomspace(depth_range[0], depth_range[1], depth_count)
     gvals = np.array([sample(p - t * uv) for t in depths])
     if np.any(gvals <= 0):

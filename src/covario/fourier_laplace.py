@@ -165,19 +165,23 @@ def winding_number(ctx, center, half_re, half_im):
 def track_zero(ctx, m, start=None, max_iter=50, strict=True):
     """Newton-track the m-th zero branch from the predicted center.
 
-    Validation encloses the converged zeta in a rectangle of half-sides
-    (pi/(2w), 0.5/w) and requires winding number 1.
+    Newton runs on exp(-i c zeta) F, c the midpoint of the support on u, which
+    has F's zeros but does not turn as the body moves: the step is
+    F / (F' - i c F) and damping compares exp(c Im zeta) |F|.  Validation
+    encloses the converged zeta in a rectangle of half-sides (pi/(2w), 0.5/w)
+    and requires winding number 1.
     """
     w = ctx.body_width
+    c = 0.5 * (ctx.lo + ctx.hi)
     predicted = kobayashi_center(ctx.body, m, ctx.u) if start is None else complex(start)
     z = predicted
     fz = flt_ray(ctx, z)
     converged = False
     for _ in range(max_iter):
-        dfz = flt_ray_derivative(ctx, z)
-        if dfz == 0:
+        denom = flt_ray_derivative(ctx, z) - 1j * c * fz
+        if denom == 0:
             raise NewtonDiverged(f"zero derivative at {z}")
-        step = fz / dfz
+        step = fz / denom
         lam = 1.0
         z_new, f_new = z, fz
         for _ in range(30):
@@ -186,7 +190,7 @@ def track_zero(ctx, m, start=None, max_iter=50, strict=True):
                 lam *= 0.5
                 continue
             f_cand = flt_ray(ctx, cand)
-            if abs(f_cand) < abs(fz) or lam < 1e-6:
+            if abs(f_cand) * math.exp(c * (cand.imag - z.imag)) < abs(fz) or lam < 1e-6:
                 z_new, f_new = cand, f_cand
                 break
             lam *= 0.5

@@ -491,6 +491,33 @@ def polygonal_approximation(body, n=4096):
     raise TypeError(f"not a body: {body!r}")
 
 
+def slice_table(vertices):
+    """Lower and upper boundary of a convex CCW polygon, as lines between x-knots.
+
+    Returns the sorted distinct vertex abscissae x, shape (m,), and rows
+    (a, a', b, b'), shape (4, m - 1): on [x[k], x[k+1]] the polygon is
+    a[k] + a'[k] (t - x[k]) <= y <= b[k] + b'[k] (t - x[k]).  The chains run
+    between the vertices of least and greatest x by argmin/argmax, not from the
+    canonical start, which can be the top end of a near-vertical edge.  Each
+    chain's edge is read at the interval's midpoint, never at a knot, so a
+    chain that jumps at a vertical edge gives its limits from inside.
+    """
+    v = np.asarray(vertices, dtype=float)
+    n = v.shape[0]
+    lo, hi = int(np.argmin(v[:, 0])), int(np.argmax(v[:, 0]))
+    knots = np.unique(v[:, 0])
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    lines = []
+    for chain in (v[(lo + np.arange((hi - lo) % n + 1)) % n],   # lower: counterclockwise
+                  v[(lo - np.arange((lo - hi) % n + 1)) % n]):  # upper: clockwise
+        x, y = chain[:, 0], chain[:, 1]
+        k = np.searchsorted(x[1:-1], mid, side="right")
+        dx = x[k + 1] - x[k]
+        slope = (y[k + 1] - y[k]) / np.where(dx > 0.0, dx, np.inf)
+        lines += [y[k] + slope * (knots[:-1] - x[k]), slope]
+    return knots, np.array(lines)
+
+
 def body_to_spec(body):
     """JSON-serializable specification dict for a body."""
     if isinstance(body, Polygon):

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from covario._quadrature import panel_table
-from covario.geometry import Direction, Disk, Polygon, SupportBody, curvature
+from covario.geometry import Direction, Disk, Polygon, SupportBody, curvature, slice_table
 
 
 @dataclass(frozen=True)
@@ -34,38 +34,15 @@ class ChordFunction:
         return self.hi - self.lo
 
 
-def _polygon_chord_at(vertices, u, perp, t):
-    """Exact chord length of a convex polygon at one offset."""
-    p = vertices @ u
-    s = vertices @ perp
-    n = p.shape[0]
-    svals = []
-    for i in range(n):
-        j = (i + 1) % n
-        a, b = p[i] - t, p[j] - t
-        if a == 0.0:
-            svals.append(s[i])
-        if (a < 0.0 < b) or (b < 0.0 < a):
-            w = a / (a - b)
-            svals.append(s[i] + w * (s[j] - s[i]))
-    if not svals:
-        return 0.0
-    return max(svals) - min(svals)
-
-
-def _polygon_profile(body, u: Direction):
-    uv, perp = u.u, u.perp
-    proj = body.vertices @ uv
-    knots = np.unique(proj)
-    vals = np.array([_polygon_chord_at(body.vertices, uv, perp, t) for t in knots])
-    return knots, vals
-
-
 @lru_cache(maxsize=256)
 def chord_function(body, u: Direction):
     """ChordFunction for the body in direction u (exact for polygons)."""
     if isinstance(body, Polygon):
-        knots, vals = _polygon_profile(body, u)
+        v = body.vertices
+        knots, (a, da, b, db) = slice_table(np.stack([v @ u.u, v @ u.perp], axis=1))
+        # exact chords at the knots; the last one is the limit from inside
+        last = (b[-1] - a[-1]) + (db[-1] - da[-1]) * (knots[-1] - knots[-2])
+        vals = np.maximum(np.append(b - a, last), 0.0)
         lo, hi = float(knots[0]), float(knots[-1])
 
         def ev(t):

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,7 +175,11 @@ def test_verify_exit_codes(capsys):
 
 
 def test_console_entry_point():
+    # the child sees src/ whether or not the package is installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     proc = subprocess.run([sys.executable, "-m", "covario.cli", "verify",
-                           "matrix-identities"], capture_output=True, text=True)
+                           "matrix-identities"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clip_oracle import oracle_area
+from covario.cli import _random_family_params
 from covario.covariogram import (
     FitFailed,
+    _pair_area,
     clip_areas_batch,
     covariogram,
     covariogram_evaluator,
@@ -29,6 +32,7 @@ from covario.geometry import (
     convex_hull,
     curvature,
     example_pair,
+    polygonal_approximation,
     reflect,
     translate,
     width,
@@ -97,27 +101,55 @@ def test_cross_covariogram_examples(unit_square):
     assert abs(cross_covariogram(h1, k1, x) - cross_covariogram(h2, k2, x)) < 1e-12
 
 
-def test_batched_clipper_matches_scalar(make_polygon):
+def test_batched_kernel_matches_clip_oracle(make_polygon):
     rng = np.random.default_rng(3)
     p = make_polygon(rng, 7)
     q = make_polygon(rng, 5)
     xs = rng.uniform(-2.5, 2.5, (64, 2))
     batch = clip_areas_batch(p.vertices, q.vertices, xs)
-    scalar = np.array([cross_covariogram(p, q, x) for x in xs])
-    assert np.abs(batch - scalar).max() < 1e-12
+    oracle = np.array([oracle_area(p.vertices, q.vertices + x) for x in xs])
+    assert np.abs(batch - oracle).max() < 1e-12
 
 
-def test_dense_fan_matches_small_clipper(unit_disk):
-    # same polygon fed through both kernels
-    from covario.geometry import polygonal_approximation
+def test_256gon_matches_clip_oracle(unit_disk):
     poly = polygonal_approximation(unit_disk, 256)
-    small = Polygon(poly.vertices[::8])  # 32-gon: small-polygon path
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        x = rng.uniform(-1.5, 1.5, 2)
-        a = polygon_intersection_area(small, translate(small, x))
-        b = covariogram(small, x)
-        assert abs(a - b) < 1e-12
+    for x in rng.uniform(-1.5, 1.5, (10, 2)):
+        assert abs(covariogram(poly, x) - oracle_area(poly.vertices, poly.vertices + x)) < 1e-12
+
+
+def test_ulp_vertical_edge_pair():
+    # the third family-2 pair of criterion 1: K's left edge is vertical up to
+    # one ulp, and its canonical (lexicographic) start is the top end
+    rng = np.random.default_rng(101)
+    for _ in range(3):
+        params = _random_family_params(1, rng)
+    h, k = example_pair(2, **params)
+    assert 0.0 < k.vertices[1, 0] - k.vertices[0, 0] < 1e-15
+    assert k.vertices[0, 1] > k.vertices[1, 1]
+    xs = np.random.default_rng(7).uniform(-3.0, 3.0, (200, 2))
+    batch = clip_areas_batch(h.vertices, k.vertices, xs)
+    oracle = np.array([oracle_area(h.vertices, k.vertices + x) for x in xs])
+    assert np.abs(batch - oracle).max() < 1e-12
+    assert np.count_nonzero(oracle) > 50
+
+
+def test_disjoint_and_touching_are_exactly_zero(unit_square):
+    # apart, sharing an edge, sharing a corner
+    xs = [(5.0, 0.0), (0.3, -2.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.4), (1.0, 1.0), (-1.0, -1.0)]
+    assert np.all(clip_areas_batch(unit_square.vertices, unit_square.vertices, xs) == 0.0)
+    assert all(covariogram(unit_square, x) == 0.0 for x in xs)
+    # sharing the slanted edge x + y = 2
+    tri = Polygon([(0, 0), (2, 0), (0, 2)])
+    assert polygon_intersection_area(tri, Polygon([(2, 0), (2, 2), (0, 2)])) == 0.0
+
+
+def test_chunked_smooth_grid_matches_points(cw3):
+    # a 4096-gon pair is split into several kernel calls
+    grid = covariogram_grid(cw3, nx=5, ny=5)
+    xg, yg = grid.points()
+    points = np.array([[_pair_area(cw3, cw3, (x, y)) for x in xg] for y in yg])
+    assert np.abs(grid.values - points).max() <= 1e-14
 
 
 @settings(deadline=None, max_examples=25)

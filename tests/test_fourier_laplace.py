@@ -83,6 +83,17 @@ def test_track_zero_disk(unit_disk):
     assert abs(track_zero(ctx, 1).deviation - 0.0953) < 1e-3
 
 
+@pytest.mark.parametrize("cx", [28.0, 50.0, 100.0])
+def test_track_zero_translated_disk(cx):
+    # Newton on the uncentred transform exp(i cx zeta) F0 diverged here for
+    # the first m = 2, 4 and 8 branches
+    ctx = build_context(Disk((cx, 0.0), 1.0), E1, max_abs_zeta=40.0)
+    for m in range(1, 9):
+        br = track_zero(ctx, m)
+        assert abs(br.zeta - bessel_j1_zero(m)) < 1e-9
+        assert br.validated
+
+
 def test_track_zero_square_control(centered_square):
     # non-C2+ control case: zeros of the separable sinc at exactly 2 pi m
     ctx = build_context(centered_square, E1, max_abs_zeta=70.0)
