@@ -34,16 +34,21 @@ def panel_table(lo, hi, breakpoints=(), order=64, max_freq=0.0, osc_budget=40.0)
     for a, b in zip(cuts[:-1], cuts[1:]):
         n_sub = max(1, int(np.ceil((b - a) / max_len)))
         edges.append(np.linspace(a, b, n_sub + 1))
-    x, w = gauss_legendre(order)
-    nodes, weights = [], []
-    for seg in edges:
-        for a, b in zip(seg[:-1], seg[1:]):
-            mid = 0.5 * (a + b)
-            for end, sgn in ((a, 1.0), (b, -1.0)):
-                r = np.sqrt(abs(mid - end))
-                tau = 0.5 * r * (x + 1.0)
-                tw = 0.5 * r * w
-                nodes.append(end + sgn * tau * tau)
-                weights.append(tw * 2.0 * tau)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return panel_nodes(np.concatenate([seg[:-1] for seg in edges]),
+                       np.concatenate([seg[1:] for seg in edges]), order)
 
+
+def panel_nodes(lo, hi, order=64):
+    """Nodes and weights of the panels [lo[i], hi[i]], panel after panel.
+
+    Each panel is halved and mapped through t = end +/- tau^2 from its two
+    ends, which absorbs square-root behavior at either end; the order-point
+    Gauss-Legendre rule runs in tau on each half.
+    """
+    x, w = gauss_legendre(order)
+    ends = np.stack([lo, hi], axis=1)
+    half_r = 0.5 * np.sqrt(np.abs(0.5 * (ends[:, :1] + ends[:, 1:]) - ends))[..., None]
+    tau = half_r * (x + 1.0)
+    nodes = ends[..., None] + np.array([[1.0], [-1.0]]) * tau * tau
+    weights = half_r * w * 2.0 * tau
+    return nodes.ravel(), weights.ravel()

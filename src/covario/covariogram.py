@@ -111,8 +111,15 @@ def cross_covariogram(bodyA, bodyB, x):
 
 
 def clip_areas_batch(subject_vertices, clip_vertices, xs):
-    """Areas of subject intersect (clip + x) for every row x of xs, in one vectorized pass."""
-    return _slice_areas(slice_table(subject_vertices), slice_table(clip_vertices), xs)
+    """Areas of subject intersect (clip + x) for every row x of xs, in vectorized chunks."""
+    tables = slice_table(subject_vertices), slice_table(clip_vertices)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    # the kernel holds a few dozen arrays of (points x knots) floats
+    chunk = max(1, 2 ** 15 // (len(subject_vertices) + len(clip_vertices)))
+    out = np.empty(xs.shape[0])
+    for i in range(0, xs.shape[0], chunk):
+        out[i:i + chunk] = _slice_areas(*tables, xs[i:i + chunk])
+    return out
 
 
 @dataclass(frozen=True)
@@ -179,10 +186,7 @@ def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
     pts = np.stack([xsv.ravel(), ysv.ravel()], axis=1)
     vh = polygonal_approximation(bodyH, APPROX_BOUNDARY_POINTS).vertices
     vk = polygonal_approximation(bodyK, APPROX_BOUNDARY_POINTS).vertices
-    # the kernel holds a few dozen arrays of (points x knots) floats
-    chunk = max(1, 2 ** 15 // (vh.shape[0] + vk.shape[0]))
-    values = np.concatenate([clip_areas_batch(vh, vk, pts[i:i + chunk])
-                             for i in range(0, pts.shape[0], chunk)]).reshape(ny, nx)
+    values = clip_areas_batch(vh, vk, pts).reshape(ny, nx)
     method = "exact-clip" if exact else "polyline-approx"
     return CovariogramGrid((float(x0), float(y0)), (float(dx), float(dy)), nx, ny,
                            values, method, (body_hash(bodyH), body_hash(bodyK)))

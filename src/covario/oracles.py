@@ -28,6 +28,9 @@ def _rng(seed, stream):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
 
 
+_MC_CHUNK_ROWS = 2 ** 16
+
+
 def mc_area(membership, bbox, n, seed, streams=1):
     """Monte Carlo measure of {x : membership(x)} inside the box bbox.
 
@@ -43,10 +46,11 @@ def mc_area(membership, bbox, n, seed, streams=1):
     hits = 0
     total = 0
     for i, ni in enumerate(per):
-        if ni == 0:
-            continue
-        pts = _rng(seed, i).random((ni, bbox.shape[0])) * (hi - lo) + lo
-        hits += int(np.count_nonzero(membership(pts)))
+        rng = _rng(seed, i)
+        # rows are drawn in order, so the chunks see the points of one big draw
+        for start in range(0, ni, _MC_CHUNK_ROWS):
+            pts = rng.random((min(_MC_CHUNK_ROWS, ni - start), bbox.shape[0])) * (hi - lo) + lo
+            hits += int(np.count_nonzero(membership(pts)))
         total += ni
     p = hits / total
     se = vol * math.sqrt(max(p * (1.0 - p), 1e-300) / total)
@@ -149,8 +153,8 @@ def paraboloid_volume(a, b, q, t, n_samples, seed):
         x = pts[:, :d]
         xp = pts[:, d]
         dq = x - q
-        f1 = t - 0.5 * np.einsum("ij,jk,ik->i", dq, a, dq)
-        f2 = 0.5 * np.einsum("ij,jk,ik->i", x, b, x)
+        f1 = t - 0.5 * np.sum((dq @ a) * dq, axis=1)
+        f2 = 0.5 * np.sum((x @ b) * x, axis=1)
         return (f2 <= xp) & (xp <= f1)
 
     est = mc_area(member, bbox, n_samples, seed)

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from covario._quadrature import panel_table
+from covario._quadrature import panel_nodes
 from covario.geometry import Direction, Disk, Polygon, SupportBody, curvature, slice_table
 
 
@@ -106,30 +106,36 @@ def radon(body, u: Direction, t):
 
 
 def chord_autocorrelation_batch(body, u: Direction, s_values, order=64):
-    """integral S(t) S(t + s) dt for every s in s_values."""
+    """integral S(t) S(t + s) dt for every s in s_values.
+
+    For each shift the overlap [a, b] of [lo, hi] and [lo - s, hi - s] is cut
+    at the breakpoints, the shifted breakpoints and the four chord ends that
+    fall strictly inside it; every panel between two cuts gets panel_nodes.
+    Shifts go in chunks of at most about 2**18 nodes, so memory stays bounded.
+    """
     cf = chord_function(body, u)
     s_values = np.asarray(s_values, dtype=float)
-    nodes_all, weights_all, rows = [], [], []
-    for i, s in enumerate(s_values):
-        a = max(cf.lo, cf.lo - s)
-        b = min(cf.hi, cf.hi - s)
-        if b <= a:
-            continue
-        brk = list(cf.breakpoints)
-        brk += [x - s for x in cf.breakpoints]
-        brk += [cf.lo, cf.hi, cf.lo - s, cf.hi - s]
-        nodes, weights = panel_table(a, b, brk, order=order)
-        nodes_all.append(nodes)
-        weights_all.append(weights)
-        rows.append(np.full(nodes.shape[0], i))
-    if not nodes_all:
-        return np.zeros_like(s_values)
-    nodes = np.concatenate(nodes_all)
-    weights = np.concatenate(weights_all)
-    rows = np.concatenate(rows)
-    shifts = s_values[rows]
-    integrand = weights * cf(nodes) * cf(nodes + shifts)
-    return np.bincount(rows, weights=integrand, minlength=s_values.shape[0])
+    fixed = np.append(np.asarray(cf.breakpoints, dtype=float), (cf.lo, cf.hi))
+    out = np.zeros_like(s_values)
+    # a row holds a, b and the candidate cuts fixed and fixed - s
+    panels = 2 * fixed.size + 1
+    chunk = max(1, 2 ** 18 // (panels * 2 * order))
+    for start in range(0, s_values.shape[0], chunk):
+        s = s_values[start:start + chunk]
+        a = np.maximum(cf.lo, cf.lo - s)
+        b = np.minimum(cf.hi, cf.hi - s)
+        rows = np.nonzero(b > a)[0]
+        s, a, b = s[rows, None], a[rows, None], b[rows, None]
+        cand = np.concatenate([np.broadcast_to(fixed, (rows.size, fixed.size)), fixed - s], axis=1)
+        inside = (a + 1e-14 * (b - a) < cand) & (cand < b - 1e-14 * (b - a))
+        # cuts outside the open margin collapse onto a, leaving zero-length panels
+        cuts = np.sort(np.concatenate([a, b, np.where(inside, cand, a)], axis=1), axis=1)
+        keep = cuts[:, 1:] > cuts[:, :-1]
+        nodes, weights = panel_nodes(cuts[:, :-1][keep], cuts[:, 1:][keep], order)
+        node_rows = np.repeat(np.nonzero(keep)[0], 2 * order)
+        integrand = weights * cf(nodes) * cf(nodes + s[node_rows, 0])
+        out[start + rows] = np.bincount(node_rows, weights=integrand, minlength=rows.size)
+    return out
 
 
 def chord_autocorrelation(body, u: Direction, s, order=64):

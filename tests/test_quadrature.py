@@ -1,0 +1,31 @@
+import numpy as np
+from quadrature_reference import loop_panel_table
+
+from covario._quadrature import panel_table
+from covario.fourier_laplace import OSC_BUDGET
+from covario.geometry import Direction
+from covario.radon import chord_function
+
+
+def _assert_same(table, reference):
+    assert np.array_equal(table[0], reference[0])
+    assert np.array_equal(table[1], reference[1])
+
+
+def test_panel_table_equals_loop_build_context(cw3):
+    # the table build_context(cw3, u, max_abs_zeta=130) integrates on
+    cf = chord_function(cw3, Direction(0.4))
+    args = (cf.lo, cf.hi, cf.breakpoints)
+    kwargs = dict(order=64, max_freq=130.0, osc_budget=OSC_BUDGET)
+    table = panel_table(*args, **kwargs)
+    assert table[0].size == 896
+    _assert_same(table, loop_panel_table(*args, **kwargs))
+
+
+def test_panel_table_equals_loop_breakpoints():
+    # interior, duplicate, end and outside breakpoints, with and without subdivision
+    brk = [0.0, 0.5, 0.5, 1.7, -1.0, 2.0, 3.0, -1.0 + 1e-16]
+    for order, max_freq in ((32, 0.0), (64, 77.0), (16, 5.0)):
+        _assert_same(panel_table(-1.0, 2.0, brk, order=order, max_freq=max_freq),
+                     loop_panel_table(-1.0, 2.0, brk, order=order, max_freq=max_freq))
+    assert panel_table(1.0, 1.0)[0].size == 0

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
+from quadrature_reference import loop_chord_autocorrelation_batch
 
 from covario._quadrature import panel_table
 from covario.covariogram import covariogram
+from covario.fourier_laplace import OSC_BUDGET
 from covario.geometry import (
     Direction,
     Disk,
@@ -89,6 +92,66 @@ def test_autocorrelation_matches_radon_of_covariogram(unit_disk):
     nodes, weights = panel_table(-ext, ext, [0.0])
     vals = np.array([covariogram(unit_disk, (s, float(t))) for t in nodes])
     assert abs(direct - float(np.sum(weights * vals))) < 1e-5
+
+
+def _verify_polygon_shifts():
+    """The polygon and outer nodes of `verify factorization --seed 39`."""
+    rng = np.random.default_rng(39)  # as cli.suite_factorization
+    poly = Polygon(convex_hull(rng.uniform(-1.0, 1.0, size=(9, 2))))
+    u = Direction(0.7)
+    cf = chord_function(poly, u)
+    knots = np.concatenate([[cf.lo], cf.breakpoints, [cf.hi]])
+    brks = [0.0, *(knots[None, :] - knots[:, None]).ravel()]
+    nodes, _ = panel_table(-cf.width, cf.width, brks, max_freq=50.0, osc_budget=OSC_BUDGET)
+    return poly, u, nodes
+
+
+def _edge_shifts(body, u):
+    """s = 0, +-width, shifts past the width and every breakpoint difference."""
+    cf = chord_function(body, u)
+    knots = np.concatenate([[cf.lo], cf.breakpoints, [cf.hi]])
+    w = cf.width
+    return np.concatenate([[0.0, w, -w, 1.5 * w, -2.0 * w, np.nextafter(w, 0.0)],
+                           (knots[None, :] - knots[:, None]).ravel()])
+
+
+def test_autocorrelation_batch_equals_loop(unit_disk, unit_square):
+    poly, u, outer = _verify_polygon_shifts()
+    cases = [(unit_disk, E1, np.linspace(-2.5, 2.5, 101)),
+             (unit_square, E1, np.linspace(-1.5, 1.5, 101)),
+             (unit_square, Direction(0.3), np.linspace(-1.5, 1.5, 101)),
+             (poly, u, outer)]
+    for body, v, shifts in cases:
+        shifts = np.concatenate([shifts, _edge_shifts(body, v)])
+        batch = chord_autocorrelation_batch(body, v, shifts)
+        assert np.array_equal(batch, loop_chord_autocorrelation_batch(body, v, shifts))
+    edge = chord_autocorrelation_batch(poly, u, _edge_shifts(poly, u)[:5])
+    assert edge[0] > 0.0 and np.all(edge[1:] == 0.0)
+
+
+def test_autocorrelation_batch_equals_loop_smooth(cw3):
+    shifts = np.array([0.0, 0.3, -1.1, 1.99, 2.5])
+    assert np.array_equal(chord_autocorrelation_batch(cw3, Direction(0.2), shifts),
+                          loop_chord_autocorrelation_batch(cw3, Direction(0.2), shifts))
+
+
+def test_autocorrelation_batch_empty(unit_square):
+    out = chord_autocorrelation_batch(unit_square, E1, [])
+    assert out.shape == (0,) and out.dtype == float
+
+
+def test_autocorrelation_batch_memory_bounded():
+    # building the whole table at once peaks at 179 MiB on these shifts
+    poly, u, outer = _verify_polygon_shifts()
+    assert outer.size == 3840
+    chord_autocorrelation_batch(poly, u, outer[:1])
+    tracemalloc.start()
+    try:
+        chord_autocorrelation_batch(poly, u, outer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_leading_coefficients(unit_disk, cw3):
