@@ -280,42 +280,30 @@ class DeterminationVerdict:
     details: dict
 
 
-def _radial_extent(g, udir, hint=1.0):
-    lo, hi = 0.0, None
-    if hint > 0:
-        a, b = 0.85 * hint, 1.18 * hint
-        if g(a * udir) > 0:
-            lo = a
-            if g(b * udir) <= 0:
-                hi = b
-    if hi is None:
-        hi = max(hint, 1e-6)
-        if g(hi * udir) > 0:
-            lo = hi
-            for _ in range(60):
-                hi *= 2.0
-                if g(hi * udir) <= 0:
-                    break
-                lo = hi
-            else:
-                raise Inconclusive("covariogram support appears unbounded")
-    while hi - lo > 1e-7 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if g(mid * udir) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _radial_table(g, thetas):
-    out = []
-    hint = 1.0
-    for th in thetas:
-        r = _radial_extent(g, np.array([math.cos(th), math.sin(th)]), hint)
-        hint = r
-        out.append(r)
-    return np.asarray(out)
+    """Radial extent of supp g along each direction, all bisected together."""
+    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    # the bracket starts at 1.18, not at 1: doubling 1 probes g(2u), which sits
+    # on the boundary of supp g for a body of constant width 2 and has the sign
+    # of its round-off
+    lo, hi = np.zeros(len(thetas)), np.full(len(thetas), 1.18)
+    grow = np.ones(len(thetas), dtype=bool)
+    for _ in range(60):
+        grow[grow] = g(hi[grow, None] * dirs[grow]) > 0
+        if not grow.any():
+            break
+        lo[grow] = hi[grow]
+        hi[grow] *= 2.0
+    else:
+        raise Inconclusive("covariogram support appears unbounded")
+    while True:
+        active = hi - lo > 1e-7 * np.maximum(hi, 1.0)
+        if not active.any():
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[active] + hi[active])
+        inside = g(mid[:, None] * dirs[active]) > 0
+        lo[active] = np.where(inside, mid, lo[active])
+        hi[active] = np.where(inside, hi[active], mid)
 
 
 def _support_from_radial(radial, thetas, u):
@@ -346,7 +334,7 @@ def _blackbox_pair(g, radial, thetas, u: Direction, cfg: DeterminationConfig):
     uv, tan = u.u, u.perp
     h, anchor = _support_from_radial(radial, thetas, uv)
     depths = h * np.geomspace(cfg.depth_lo, cfg.depth_hi, cfg.n_depth)
-    g0 = np.array([g(anchor - t * uv) for t in depths])
+    g0 = g(anchor - depths[:, None] * uv)
     if np.any(g0 <= 0):
         raise FitFailed("empty cap on the depth ladder")
     design = np.stack([np.ones_like(depths), 2.0 * depths], axis=1)
@@ -357,19 +345,15 @@ def _blackbox_pair(g, radial, thetas, u: Direction, cfg: DeterminationConfig):
     t_star = depths[-1]
     q_max = 0.7 * math.sqrt(4.0 * t_star / d0)
     qs = np.linspace(-q_max, q_max, cfg.n_offsets)
-    pts, ys = [], []
-    for t in (0.5 * t_star, t_star):
-        for q in qs:
-            val = g(anchor + q * tan - t * uv)
-            if val > 0:
-                pts.append((t, q))
-                ys.append(val ** (2.0 / 3.0))
-    if len(ys) < 8:
+    tarr = np.repeat([0.5 * t_star, t_star], qs.size)
+    qarr = np.tile(qs, 2)
+    vals = g(anchor + qarr[:, None] * tan - tarr[:, None] * uv)
+    inside = vals > 0
+    if np.count_nonzero(inside) < 8:
         raise FitFailed("stencil mostly outside the cap")
-    tarr = np.array([p[0] for p in pts])
-    qarr = np.array([p[1] for p in pts])
+    tarr, qarr = tarr[inside], qarr[inside]
     basis = np.stack([np.ones_like(tarr), 2.0 * tarr, qarr, qarr * qarr], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, np.array(ys), rcond=None)
+    coef, *_ = np.linalg.lstsq(basis, vals[inside] ** (2.0 / 3.0), rcond=None)
     alpha, beta_q2 = coef[1], coef[3]
     if alpha <= 0:
         raise FitFailed("non-positive fitted depth coefficient")
@@ -401,19 +385,21 @@ def _segment_extents(radial, thetas, u, ts):
     return smin - pad, smax + pad, (ts < knots[0]) | (ts > knots[-1])
 
 
-def _line_integral(g, uv, perp, t, extent, order):
-    """integral of g along <x, u> = t, with panels split at the origin kink."""
-    smin, smax = extent
-    cuts = sorted({smin, smax} | {s for s in (-2.0 * abs(t), 0.0, 2.0 * abs(t))
-                                  if smin < s < smax})
+def _line_integrals(g, uv, perp, ts, smin, smax, order):
+    """integrals of g along the lines <x, u> = t, t in ts, over [smin, smax],
+    in one evaluator call; the panels split at the kinks s = 0, +-2|t|."""
+    kinks = np.abs(ts)[:, None] * np.array([-2.0, 0.0, 2.0])
+    cuts = np.sort(np.concatenate(
+        [smin[:, None], np.clip(kinks, smin[:, None], smax[:, None]), smax[:, None]], axis=1),
+        axis=1)
+    line, panel = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+    a, b = cuts[line, panel], cuts[line, panel + 1]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x_gl, w_gl = gauss_legendre(order)
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = t * uv[None, :] + (mid + half * x_gl)[:, None] * perp[None, :]
-        gv = np.array([g(p) for p in pts])
-        total += half * float(np.sum(w_gl * gv))
-    return total
+    s = mid[:, None] + half[:, None] * x_gl
+    pts = ts[line, None, None] * uv + s[:, :, None] * perp
+    gv = g(pts.reshape(-1, 2)).reshape(s.shape)
+    return np.bincount(line, weights=half * np.sum(w_gl * gv, axis=1), minlength=ts.size)
 
 
 def _gtransform_im(g, radial, thetas, u: Direction, w_u, im_guess, cfg):
@@ -427,11 +413,10 @@ def _gtransform_im(g, radial, thetas, u: Direction, w_u, im_guess, cfg):
     zeta_c = math.pi * (4 * cfg.sign_m + 1) / (2.0 * w_u)
     t_nodes, t_weights = panel_table(0.0, w_u, [], order=cfg.t_order,
                                      max_freq=zeta_c + 2.0, osc_budget=30.0)
-    r_vals = np.zeros_like(t_nodes)
     smin, smax, miss = _segment_extents(radial, thetas, uv, t_nodes)
-    for i, t in enumerate(t_nodes):
-        if not miss[i]:
-            r_vals[i] = _line_integral(g, uv, perp, t, (smin[i], smax[i]), cfg.s_order)
+    r_vals = np.zeros_like(t_nodes)
+    r_vals[~miss] = _line_integrals(g, uv, perp, t_nodes[~miss], smin[~miss], smax[~miss],
+                                    cfg.s_order)
     wa = t_weights * r_vals
 
     def gt(z):
@@ -471,8 +456,27 @@ def _contiguous_regions(mask):
     return regions
 
 
+def _checked_batches(g):
+    """g, with its (k, 2) -> (k,) contract checked on every call."""
+
+    def evaluate(points):
+        values = np.asarray(g(points))
+        if values.shape != points.shape[:1]:
+            raise ValueError(f"covariogram evaluator returned shape {values.shape} "
+                             f"for {points.shape[0]} points, expected ({points.shape[0]},)")
+        return values
+
+    return evaluate
+
+
 def determination_experiment(g_a, g_b, u_grid=None, config=None):
     """Re-enact the uniqueness pipeline on two black-box covariogram evaluators.
+
+    Each evaluator takes a batch of points, an array of shape (k, 2), and
+    returns g at those points, an array of shape (k,); any other shape raises
+    ValueError.  Points are sent in batches: the radial extents of all
+    directions bisect together, each cap fit takes one call for its depth
+    ladder and one for its stencil, and each region's line integrals one.
 
     Recovers the support and the per-direction curvature pairs from each
     evaluator, then compares the sign structure of the g-transform zero
@@ -481,6 +485,7 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
     equal inputs always resolve to identical-up-to-translation.
     """
     cfg = config or DeterminationConfig()
+    g_a, g_b = _checked_batches(g_a), _checked_batches(g_b)
     if u_grid is None:
         thetas = np.linspace(0.0, 2.0 * math.pi, cfg.n_dirs, endpoint=False)
     else:

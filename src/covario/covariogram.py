@@ -27,6 +27,9 @@ from covario.geometry import (
 )
 
 APPROX_BOUNDARY_POINTS = 4096
+# the slicing kernel holds a few dozen arrays of (points x knots) values;
+# batches run in chunks of about this many knots, which keep them in cache
+CHUNK_KNOTS = 2 ** 11
 
 
 class FitFailed(Exception):
@@ -48,37 +51,65 @@ def _slice_areas(table_a, table_b, xs):
     boundaries cross, so its positive part integrates exactly piece by piece.
     """
     (knots_a, lines_a), (knots_b, lines_b) = table_a, table_b
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xs = np.asarray(xs, dtype=float).reshape(-1, 2)
+    rows = np.arange(xs.shape[0])[:, None]
     dx, dy = xs[:, :1], xs[:, 1:]
-    knots = np.sort(np.concatenate(
-        [np.broadcast_to(knots_a, (xs.shape[0], knots_a.size)), knots_b + dx], axis=1), axis=1)
+    shifted = knots_b + dx
+    # merge without sorting: each knot of B + x goes right after the knots of A
+    # at or left of it, and A's knots fill the other places in order
+    at_b = knots_a.searchsorted(shifted, side="right") + np.arange(knots_b.size)
+    is_a = np.ones((xs.shape[0], knots_a.size + knots_b.size), dtype=bool)
+    is_a[rows, at_b] = False
+    knots = np.empty(is_a.shape)
+    knots[is_a] = np.tile(knots_a, xs.shape[0])
+    knots[rows, at_b] = shifted
+    # the lines of A and of B + x on the interval right of each knot, from the
+    # number of A's knots up to it
+    n_a = is_a[:, :-1].cumsum(axis=1)
+    ka = np.minimum(np.maximum(n_a - 1, 0), knots_a.size - 2)
+    kb = np.minimum(np.maximum(np.arange(n_a.shape[1]) - n_a, 0), knots_b.size - 2)
     # knots outside the common x-range collapse onto its ends, all of them
     # onto one point when the ranges are disjoint
-    knots = np.minimum(np.maximum(knots, np.maximum(knots_a[0], knots_b[0] + dx)),
-                       np.minimum(knots_a[-1], knots_b[-1] + dx))
-    ends = np.stack([knots[:, :-1], knots[:, 1:]])
-    mid = 0.5 * (ends[0] + ends[1])
-    ka = np.searchsorted(knots_a[1:-1], mid, side="right")
-    kb = np.searchsorted(knots_b[1:-1], mid - dx, side="right")
-    # (lower, upper) x (left, right end) of every interval, for A and for B + x
+    knots = np.minimum(np.maximum(knots, np.maximum(knots_a[0], shifted[:, :1])),
+                       np.minimum(knots_a[-1], shifted[:, -1:]))
+    # (lower, upper) x (left, right end) of every interval, for A and for B + x,
+    # each read on the interval's own line: a near-vertical edge is a line too
+    # steep to read anywhere but on its own ulp-wide interval
+    ends = np.array([knots[:, :-1], knots[:, 1:]])
     la, lb = lines_a[:, ka], lines_b[:, kb]
     va = la[0::2, None] + la[1::2, None] * (ends - knots_a[ka])
     vb = lb[0::2, None] + lb[1::2, None] * (ends - dx - knots_b[kb]) + dy
+    width = ends[1] - ends[0]
+    p, q = np.minimum(va[1], vb[1]) - np.maximum(va[0], vb[0])
+    areas = width * _positive_mean(p, q)
+    # the length is linear on an interval unless the lower or the upper
+    # boundaries cross inside it: split only those intervals, at the crossings
     d = va - vb
-    # fractions of each interval where the lower and the upper boundaries cross
-    cross = np.divide(d[:, 0], d[:, 0] - d[:, 1], out=np.zeros_like(d[:, 0]),
-                      where=d[:, 0] * d[:, 1] < 0.0)
-    s = np.stack([np.zeros_like(mid), np.minimum(*cross), np.maximum(*cross),
-                  np.ones_like(mid)])
-    fa = va[:, :1] + s * (va[:, 1:] - va[:, :1])
-    fb = vb[:, :1] + s * (vb[:, 1:] - vb[:, :1])
-    length = np.minimum(fa[1], fb[1]) - np.maximum(fa[0], fb[0])
-    p, q = length[:-1], length[1:]
-    # mean of the positive part of the linear function running from p to q
-    den = 2.0 * (np.abs(p) + np.abs(q))
-    mean = np.divide((np.maximum(p, 0.0) + np.maximum(q, 0.0)) ** 2, den,
-                     out=np.zeros_like(den), where=den > 0.0)
-    return np.sum((ends[1] - ends[0]) * np.sum((s[1:] - s[:-1]) * mean, axis=0), axis=1)
+    turns = d[:, 0] * d[:, 1] < 0.0
+    i, j = ((turns[0] | turns[1]) & (width > 0.0)).nonzero()
+    if i.size:
+        va, vb = va[:, :, i, j], vb[:, :, i, j]
+        d = va - vb
+        s = np.zeros((4, i.size))
+        np.divide(d[:, 0], d[:, 0] - d[:, 1], out=s[1:3], where=turns[:, i, j])
+        s[1:3].sort(axis=0)
+        s[3] = 1.0
+        fa = va[:, :1] + s * (va[:, 1:] - va[:, :1])
+        fb = vb[:, :1] + s * (vb[:, 1:] - vb[:, :1])
+        cut = np.minimum(fa[1], fb[1]) - np.maximum(fa[0], fb[0])
+        pieces = (s[1:] - s[:-1]) * _positive_mean(cut[:-1], cut[1:])
+        areas[i, j] = width[i, j] * pieces.sum(axis=0)
+    return areas.sum(axis=1)
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _positive_mean(p, q):
+    """Mean of the positive part of the linear function running from p to q."""
+    span, total = np.abs(p) + np.abs(q), p + q
+    # max(p, 0) + max(q, 0) = (total + span) / 2; span = 0 only where p = q = 0
+    return (total + span) ** 2 / (8.0 * np.maximum(span, _TINY))
 
 
 def polygon_intersection_area(p: Polygon, q: Polygon):
@@ -97,10 +128,15 @@ def covariogram(body, x):
 
 
 def covariogram_evaluator(body, n=APPROX_BOUNDARY_POINTS):
-    """Black-box point -> g_K(point) callable (the determination-experiment contract)."""
+    """Black-box g_K (the determination-experiment contract): a point of shape
+    (2,) gives a float, a batch of shape (k, 2) an array of shape (k,)."""
 
     def evaluate(x):
-        return _pair_area(body, body, x, n=n)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return _pair_area(body, body, x, n=n)
+        table = _clip_fan(body, n)
+        return _chunked_areas(table, table, x)
 
     return evaluate
 
@@ -112,13 +148,16 @@ def cross_covariogram(bodyA, bodyB, x):
 
 def clip_areas_batch(subject_vertices, clip_vertices, xs):
     """Areas of subject intersect (clip + x) for every row x of xs, in vectorized chunks."""
-    tables = slice_table(subject_vertices), slice_table(clip_vertices)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    # the kernel holds a few dozen arrays of (points x knots) floats
-    chunk = max(1, 2 ** 15 // (len(subject_vertices) + len(clip_vertices)))
+    return _chunked_areas(slice_table(subject_vertices), slice_table(clip_vertices), xs)
+
+
+def _chunked_areas(table_a, table_b, xs):
+    """_slice_areas over the rows of xs, in chunks of about CHUNK_KNOTS knots."""
+    xs = np.asarray(xs, dtype=float).reshape(-1, 2)
+    chunk = max(1, CHUNK_KNOTS // (table_a[0].size + table_b[0].size))
     out = np.empty(xs.shape[0])
     for i in range(0, xs.shape[0], chunk):
-        out[i:i + chunk] = _slice_areas(*tables, xs[i:i + chunk])
+        out[i:i + chunk] = _slice_areas(table_a, table_b, xs[i:i + chunk])
     return out
 
 
@@ -304,7 +343,7 @@ def curvature_pair_from_covariogram(body, u: Direction, depth_range=(1e-4, 1e-2)
 
     sample = covariogram_evaluator(body, n=FIT_BOUNDARY_POINTS)
     depths = np.geomspace(depth_range[0], depth_range[1], depth_count)
-    gvals = np.array([sample(p - t * uv) for t in depths])
+    gvals = sample(p - depths[:, None] * uv)
     if np.any(gvals <= 0):
         raise FitFailed("covariogram vanished on the depth ladder")
     consts = np.log(gvals) - 1.5 * np.log(depths)
@@ -315,7 +354,7 @@ def curvature_pair_from_covariogram(body, u: Direction, depth_range=(1e-4, 1e-2)
     d_sum = 8.0 * CAP_PREFACTOR ** 2 / math.exp(2.0 * c0)
     q_max = 0.8 * math.sqrt(4.0 * t_star / d_sum)
     qs = np.linspace(-q_max, q_max, q_count)
-    g2 = np.array([sample(p + q * tan - t_star * uv) for q in qs])
+    g2 = sample(p + qs[:, None] * tan - t_star * uv)
     if np.any(g2 <= 0):
         raise FitFailed("covariogram vanished on the tangential stencil")
     y = g2 ** (2.0 / 3.0)

@@ -126,6 +126,42 @@ def test_determination_same_and_reflected(cw3):
     assert abs(pair0[1] - 1 / 0.6) / (1 / 0.6) < 0.1
 
 
+def test_determination_batches_evaluator_calls(cw3):
+    # the benchmark's configuration; a per-point evaluator gives the same values
+    cfg = DeterminationConfig(n_dirs=4, extent_dirs=32, t_order=16, s_order=8,
+                              max_regions_checked=1)
+    evaluators = [covariogram_evaluator(cw3, n=256), covariogram_evaluator(reflect(cw3), n=256)]
+    calls = []
+
+    def counted(g):
+        def evaluate(points):
+            calls.append(len(points))
+            return g(points)
+        return evaluate
+
+    def per_point(g):
+        return lambda points: np.array([g(x) for x in points])
+
+    verdict = determination_experiment(*map(counted, evaluators), config=cfg)
+    assert len(calls) <= 100
+    assert verdict.outcome == "identical-up-to-translation"
+    assert verdict.region_relations == (1,)
+    reference = determination_experiment(*map(per_point, evaluators), config=cfg)
+    assert reference.outcome == verdict.outcome
+    assert reference.region_relations == verdict.region_relations
+    assert reference.pairs_a == verdict.pairs_a and reference.pairs_b == verdict.pairs_b
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda points: 1.0,                          # the scalar contract
+    lambda points: np.ones((len(points), 1)),    # a column
+    lambda points: np.ones(len(points) + 1),
+])
+def test_determination_rejects_evaluator_shape(wrong):
+    with pytest.raises(ValueError, match="expected"):
+        determination_experiment(wrong, wrong, config=DeterminationConfig(n_dirs=4))
+
+
 def test_determination_distinct_disks():
     cfg = DeterminationConfig(n_dirs=8, extent_dirs=48, max_regions_checked=0)
     g_a = covariogram_evaluator(Disk((0.0, 0.0), 1.0), n=512)

@@ -1,5 +1,6 @@
-"""The benchmark's tracer binds covario functions and caches by name; a rename
-must fail here rather than silently break a traced benchmark run."""
+"""The benchmark's tracer binds covario functions and caches by name, and its
+workloads call covario with fixed arguments; a rename or a contract change
+must fail here rather than silently break a benchmark run."""
 
 import importlib
 import importlib.util
@@ -7,14 +8,18 @@ from pathlib import Path
 
 import covario.cli  # noqa: F401  (imports every covario module, as the benchmark does)
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _load("tracing")
 
 
 def test_trace_targets_resolve():
@@ -29,3 +34,16 @@ def test_traced_caches_have_cache_info():
     for mod_name, attr, _ in _tracing().CACHES:
         assert callable(getattr(importlib.import_module(mod_name), attr).cache_info), \
             f"{mod_name}.{attr}"
+
+
+def test_determination_workload_contract():
+    from covario.covariogram import covariogram_evaluator
+    from covario.geometry import SupportBody
+
+    workloads = _load("workloads")
+    cw3 = SupportBody(1.0, ((0.0, 0.0), (0.0, 0.0), (0.05, 0.0)))
+    assert covariogram_evaluator(cw3, n=workloads.Determination.N)((0.5, 0.0)) > 0.0
+    workload = workloads.Determination(seed=1, tiny=True, perturb=0.0,
+                                       tracer=_tracing().NullTracer())
+    attempted, failed, detail = workload.solve()
+    assert (attempted, failed) == (1, 0), detail

@@ -134,6 +134,23 @@ def test_ulp_vertical_edge_pair():
     assert np.count_nonzero(oracle) > 50
 
 
+def test_tied_knots_match_clip_oracle(unit_square):
+    # knots of A and of B + x coincide: lattice polygons under integer and
+    # half-integer shifts, and squares sharing an edge or half of one
+    rng = np.random.default_rng(11)
+    steps = np.arange(-3.0, 3.5, 0.5)
+    xs = np.stack(np.meshgrid(steps, steps), axis=-1).reshape(-1, 2)
+    for _ in range(10):
+        p = convex_hull(rng.integers(-2, 3, (8, 2)).astype(float))
+        q = convex_hull(rng.integers(-2, 3, (8, 2)).astype(float))
+        batch = clip_areas_batch(p, q, xs)
+        oracle = np.array([oracle_area(p, q + x) for x in xs])
+        assert np.abs(batch - oracle).max() < 1e-12
+    sq = unit_square.vertices
+    for x in [(1.0, 0.0), (0.5, 0.0), (0.0, 1.0)]:
+        assert abs(covariogram(unit_square, x) - oracle_area(sq, sq + x)) < 1e-15
+
+
 def test_disjoint_and_touching_are_exactly_zero(unit_square):
     # apart, sharing an edge, sharing a corner
     xs = [(5.0, 0.0), (0.3, -2.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.4), (1.0, 1.0), (-1.0, -1.0)]
@@ -313,3 +330,23 @@ def test_covariogram_evaluator_contract(cw3):
     ev = covariogram_evaluator(cw3, n=512)
     assert abs(ev(np.zeros(2)) - area(cw3)) < 1e-3
     assert ev(np.array([10.0, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize("body", ["cw3", "disk", "polygon"])
+def test_covariogram_evaluator_batch_matches_points(body, cw3, unit_disk, make_polygon):
+    body = {"cw3": cw3, "disk": unit_disk,
+            "polygon": make_polygon(np.random.default_rng(8), 9)}[body]
+    ev = covariogram_evaluator(body, n=512)
+    # the origin, two points on the boundary of supp g (the extreme x- and
+    # y-differences of the n-gon), points outside it, and the rest at random,
+    # over several kernel chunks
+    v = polygonal_approximation(body, 512).vertices
+    rim = [v[v[:, k].argmax()] - v[v[:, k].argmin()] for k in (0, 1)]
+    xs = np.concatenate([np.zeros((1, 2)), rim, [(10.0, 0.0), (0.0, -7.5)],
+                         np.random.default_rng(9).uniform(-2.5, 2.5, (40, 2))])
+    batch = ev(xs)
+    assert batch.shape == (xs.shape[0],)
+    assert np.abs(batch - np.array([ev(x) for x in xs])).max() <= 1e-15
+    assert abs(batch[0] - polygon_intersection_area(Polygon(v), Polygon(v))) < 1e-12
+    assert np.all(np.abs(batch[1:3]) < 1e-12) and np.all(batch[3:5] == 0.0)
+    assert ev(np.zeros((0, 2))).shape == (0,)
