@@ -456,10 +456,13 @@ def _contiguous_regions(mask):
     return regions
 
 
-def _checked_batches(g):
-    """g, with its (k, 2) -> (k,) contract checked on every call."""
+def _checked_batches(g, tally):
+    """g, with its (k, 2) -> (k,) contract checked on every call; tally counts
+    the calls and the points sent, as [calls, points]."""
 
     def evaluate(points):
+        tally[0] += 1
+        tally[1] += points.shape[0]
         values = np.asarray(g(points))
         if values.shape != points.shape[:1]:
             raise ValueError(f"covariogram evaluator returned shape {values.shape} "
@@ -483,9 +486,19 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
     branches region by region, requiring a single global relation.  Since the
     covariogram itself is invariant under reflection of the body, pointwise
     equal inputs always resolve to identical-up-to-translation.
+
+    details carries g_calls and g_points, the calls made to each evaluator
+    and the points sent to it, as [for g_a, for g_b].
     """
     cfg = config or DeterminationConfig()
-    g_a, g_b = _checked_batches(g_a), _checked_batches(g_b)
+    tally_a, tally_b = [0, 0], [0, 0]
+    g_a, g_b = _checked_batches(g_a, tally_a), _checked_batches(g_b, tally_b)
+
+    def verdict(outcome, *fields, **extra):
+        details.update(extra, g_calls=[tally_a[0], tally_b[0]],
+                       g_points=[tally_a[1], tally_b[1]])
+        return DeterminationVerdict(outcome, tuple(thetas), *fields, details)
+
     if u_grid is None:
         thetas = np.linspace(0.0, 2.0 * math.pi, cfg.n_dirs, endpoint=False)
     else:
@@ -496,8 +509,7 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
     scale = max(rad_a.max(), rad_b.max())
     details = {"radial_max_dev": float(np.abs(rad_a - rad_b).max() / scale)}
     if details["radial_max_dev"] > cfg.radial_tol:
-        return DeterminationVerdict("distinct", tuple(thetas), (), (), (),
-                                    {**details, "reason": "support mismatch"})
+        return verdict("distinct", (), (), (), reason="support mismatch")
     pairs_a, pairs_b = [], []
     failures = 0
     for th in thetas:
@@ -521,9 +533,8 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
         ratios[i] = math.log(pa[1] / pa[0])
     details["pair_max_dev"] = float(pair_dev)
     if pair_dev > cfg.pair_rel_tol:
-        return DeterminationVerdict("distinct", tuple(thetas), tuple(pairs_a),
-                                    tuple(pairs_b), (),
-                                    {**details, "reason": "curvature pairs mismatch"})
+        return verdict("distinct", tuple(pairs_a), tuple(pairs_b), (),
+                       reason="curvature pairs mismatch")
     regions = _contiguous_regions(ratios > cfg.ratio_threshold)
     regions = regions[: cfg.max_regions_checked]
     relations = []
@@ -545,5 +556,4 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
         raise Inconclusive("mixed sign assignment across regions")
     else:
         outcome = "identical-up-to-translation"
-    return DeterminationVerdict(outcome, tuple(thetas), tuple(pairs_a),
-                                tuple(pairs_b), tuple(relations), details)
+    return verdict(outcome, tuple(pairs_a), tuple(pairs_b), tuple(relations))

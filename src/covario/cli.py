@@ -304,38 +304,37 @@ def suite_kobayashi_disk(tol_zero=1e-6):
     return rows
 
 def suite_properties(seed=0):
+    # each check sends its points to the covariogram in one batch; the random
+    # draws keep the order of a point-by-point loop
     rows = []
     rng = np.random.default_rng(seed)
     sq = geometry.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
+    def g(body, xs):
+        return covariogram.covariogram_evaluator(body)(xs)
+
     worst = 0.0
     for _ in range(5):
         poly = geometry.Polygon(geometry.convex_hull(rng.uniform(-1, 1, size=(8, 2))))
-        for _ in range(20):
-            x = rng.uniform(-1.5, 1.5, 2)
-            worst = max(worst, abs(covariogram.covariogram(poly, x)
-                                   - covariogram.covariogram(poly, -x)))
+        xs = rng.uniform(-1.5, 1.5, (20, 2))
+        worst = max(worst, float(np.abs(g(poly, xs) - g(poly, -xs)).max()))
     rows.append(("covariogram-evenness", worst <= 1e-12, f"max |g(x)-g(-x)| = {worst:.2e}"))
 
     poly = geometry.Polygon(geometry.convex_hull(rng.uniform(-1, 1, size=(8, 2))))
     shift = rng.uniform(-2, 2, 2)
     moved = geometry.translate(poly, shift)
     refl = geometry.reflect(poly)
-    worst_t = worst_r = 0.0
-    for _ in range(30):
-        x = rng.uniform(-1.5, 1.5, 2)
-        g0 = covariogram.covariogram(poly, x)
-        worst_t = max(worst_t, abs(covariogram.covariogram(moved, x) - g0))
-        worst_r = max(worst_r, abs(covariogram.covariogram(refl, x) - g0))
+    xs = rng.uniform(-1.5, 1.5, (30, 2))
+    g0 = g(poly, xs)
+    worst_t = float(np.abs(g(moved, xs) - g0).max())
+    worst_r = float(np.abs(g(refl, xs) - g0).max())
     rows.append(("covariogram-translation-invariance", worst_t <= 1e-12, f"{worst_t:.2e}"))
     rows.append(("covariogram-reflection-invariance", worst_r <= 1e-12, f"{worst_r:.2e}"))
 
-    mono_ok = True
-    for _ in range(10):
-        th = rng.uniform(0, 2 * math.pi)
-        v = np.array([math.cos(th), math.sin(th)])
-        vals = [covariogram.covariogram(poly, t * v) for t in np.linspace(0, 3, 40)]
-        mono_ok &= all(b <= a + 1e-12 for a, b in zip(vals[:-1], vals[1:]))
+    dirs = np.array([[math.cos(th), math.sin(th)] for th in rng.uniform(0, 2 * math.pi, 10)])
+    rays = np.linspace(0, 3, 40)[None, :, None] * dirs[:, None]
+    vals = g(poly, rays.reshape(-1, 2)).reshape(10, 40)
+    mono_ok = bool(np.all(vals[:, 1:] <= vals[:, :-1] + 1e-12))
     rows.append(("covariogram-ray-monotonicity", mono_ok, "sampled rays non-increasing"))
 
     from covario._quadrature import panel_table
@@ -354,11 +353,9 @@ def suite_properties(seed=0):
     rep = fourier_laplace.verify_reflection_identity(poly, n_samples=50, seed=seed)
     rows.append(("reflection-identity", rep.passed, f"max deviation {rep.max_deviation:.2e}"))
 
-    worst_sq = 0.0
-    for _ in range(50):
-        x = rng.uniform(-0.999, 0.999, 2)
-        expected = (1 - abs(x[0])) * (1 - abs(x[1]))
-        worst_sq = max(worst_sq, abs(covariogram.covariogram(sq, x) - expected))
+    xs = rng.uniform(-0.999, 0.999, (50, 2))
+    expected = (1 - np.abs(xs[:, 0])) * (1 - np.abs(xs[:, 1]))
+    worst_sq = float(np.abs(g(sq, xs) - expected).max())
     rows.append(("square-product-formula", worst_sq <= 1e-12, f"{worst_sq:.2e}"))
     return rows
 

@@ -1,4 +1,9 @@
-"""Covariograms and cross-covariograms of planar convex bodies, by exact chord slicing."""
+"""Covariograms and cross-covariograms of planar convex bodies.
+
+Polygon pairs go through exact chord slicing; the auto-covariogram of a smooth
+body (a SupportBody or a Disk) through the strip-area identity, integrated
+in closed form.
+"""
 
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ from covario.geometry import (
     width,
 )
 
+# inscribed n-gon standing in for a smooth body met by another body
 APPROX_BOUNDARY_POINTS = 4096
 # the slicing kernel holds a few dozen arrays of (points x knots) values;
 # batches run in chunks of about this many knots, which keep them in cache
@@ -37,9 +43,9 @@ class FitFailed(Exception):
 
 
 @lru_cache(maxsize=64)
-def _clip_fan(body, n=APPROX_BOUNDARY_POINTS):
+def _clip_fan(body):
     """slice_table of the body's (approximating) polygon."""
-    return slice_table(polygonal_approximation(body, n).vertices)
+    return slice_table(polygonal_approximation(body, APPROX_BOUNDARY_POINTS).vertices)
 
 
 def _slice_areas(table_a, table_b, xs):
@@ -117,26 +123,45 @@ def polygon_intersection_area(p: Polygon, q: Polygon):
     return _pair_area(p, q, (0.0, 0.0))
 
 
-def _pair_area(bodyA, bodyB, x, n=APPROX_BOUNDARY_POINTS):
-    """lambda_2(A intersect (B + x)), smooth bodies replaced by their inscribed n-gons."""
-    return float(_slice_areas(_clip_fan(bodyA, n), _clip_fan(bodyB, n), x)[0])
+def _pair_area(bodyA, bodyB, x):
+    """lambda_2(A intersect (B + x)) at one point (see _areas)."""
+    return float(_areas(bodyA, bodyB, np.reshape(np.asarray(x, dtype=float), (1, 2)))[0])
+
+
+def _smooth_self_pair(bodyA, bodyB):
+    return isinstance(bodyA, (SupportBody, Disk)) and bodyA == bodyB
+
+
+def _areas(bodyA, bodyB, xs):
+    """lambda_2(A intersect (B + x)) for every row x of xs.
+
+    Exact for polygon pairs and for a smooth body with itself; a smooth body
+    met by another body is replaced by its inscribed APPROX_BOUNDARY_POINTS-gon.
+    """
+    if _smooth_self_pair(bodyA, bodyB):
+        return _smooth_covariogram(bodyA, xs)
+    return _chunked_areas(_clip_fan(bodyA), _clip_fan(bodyB), xs)
 
 
 def covariogram(body, x):
-    """g_K(x) = area(K intersect (K + x)); exact for polygons."""
+    """g_K(x) = area(K intersect (K + x)); exact for polygons and smooth bodies."""
     return _pair_area(body, body, x)
 
 
-def covariogram_evaluator(body, n=APPROX_BOUNDARY_POINTS):
+def covariogram_evaluator(body, n=None):
     """Black-box g_K (the determination-experiment contract): a point of shape
-    (2,) gives a float, a batch of shape (k, 2) an array of shape (k,)."""
+    (2,) gives a float, a batch of shape (k, 2) an array of shape (k,).
+
+    Every body is evaluated exactly: polygons by chord slicing, smooth bodies
+    by the strip-area identity.  n, a polygon resolution that callers may
+    still pass, is accepted and has no effect.
+    """
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return _pair_area(body, body, x, n=n)
-        table = _clip_fan(body, n)
-        return _chunked_areas(table, table, x)
+            return _pair_area(body, body, x)
+        return _areas(body, body, x)
 
     return evaluate
 
@@ -159,6 +184,258 @@ def _chunked_areas(table_a, table_b, xs):
     for i in range(0, xs.shape[0], chunk):
         out[i:i + chunk] = _slice_areas(table_a, table_b, xs[i:i + chunk])
     return out
+
+
+# the Newton iterations below stop on residuals of this size relative to the
+# body; a chord still unsettled after MAX_STEPS steps is bisected instead
+_RESIDUAL_TOL = 64.0 * np.finfo(float).eps
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_MAX_STEPS = 64
+
+
+@dataclass(frozen=True)
+class _Harmonics:
+    """c0 + sum_k (a_k cos k t + b_k sin k t) over the harmonics k present."""
+
+    c0: float
+    k: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def terms(self, t):
+        """The series, its derivative and the series plus its second derivative at t."""
+        kt = t[..., None] * self.k
+        c, s = np.cos(kt), np.sin(kt)
+        f = c * self.a + s * self.b
+        return (self.c0 + f.sum(-1), ((c * self.b - s * self.a) * self.k).sum(-1),
+                self.c0 + (f * (1.0 - self.k * self.k)).sum(-1))
+
+    def integral(self, s, e):
+        """Integral of the series over [s, e], from differences taken as products."""
+        half, mid = 0.5 * (e - s), 0.5 * (e + s)
+        kh, km = half[..., None] * self.k, mid[..., None] * self.k
+        f = np.sin(kh) / self.k * (self.a * np.cos(km) + self.b * np.sin(km))
+        return 2.0 * (self.c0 * half + f.sum(-1))
+
+
+def _harmonics(c0, k, a, b):
+    keep = (a != 0.0) | (b != 0.0)
+    return _Harmonics(float(c0), k[keep], a[keep], b[keep])
+
+
+@dataclass(frozen=True)
+class _StripSeries:
+    support: _Harmonics   # h, so terms() gives h, h' and rho = h + h''
+    width: _Harmonics     # w(t) = h(t) + h(t + pi): the even harmonics, doubled
+    h_rho: _Harmonics     # h * rho, of degree at most 2 KMAX
+    area: float
+
+
+@lru_cache(maxsize=64)
+def _strip_series(body):
+    """The harmonics the strip-area identity needs for a SupportBody.
+
+    h * rho comes from one convolution of the complex Fourier coefficients of
+    h and of rho = h + h''.
+    """
+    ab = np.array(body.coeffs, dtype=float).reshape(-1, 2)
+    m = ab.shape[0]
+    k = np.arange(1.0, m + 1.0)
+    even = k % 2.0 == 0.0
+    half = 0.5 * (ab[:, 0] - 1j * ab[:, 1])
+    coef = np.concatenate([np.conj(half[::-1]), [body.a0], half])  # harmonics -m..m
+    ks = np.arange(-m, m + 1.0)
+    prod = np.convolve(coef, (1.0 - ks * ks) * coef)[2 * m:]          # harmonics 0..2m
+    return _StripSeries(_harmonics(body.a0, k, ab[:, 0], ab[:, 1]),
+                        _harmonics(2.0 * body.a0, k[even], 2.0 * ab[even, 0], 2.0 * ab[even, 1]),
+                        _harmonics(prod[0].real, np.arange(1.0, 2 * m + 1.0),
+                                   2.0 * prod[1:].real, -2.0 * prod[1:].imag),
+                        area(body))
+
+
+def _smooth_covariogram(body, xs):
+    """Exact g_K at every row of xs for a Disk or a SupportBody.
+
+    g is even and translation invariant, so each x is first folded into the
+    upper half-plane (g(x) and g(-x) are then one computation) and the
+    body's center is never read.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(-1, 2)
+    flip = (xs[:, 1] < 0.0) | ((xs[:, 1] == 0.0) & (xs[:, 0] < 0.0))
+    xs = np.where(flip[:, None], -xs, xs)
+    r = np.hypot(xs[:, 0], xs[:, 1])
+    if isinstance(body, Disk):
+        return _lens(body.radius, r)
+    return _strip_covariogram(_strip_series(body), xs, r)
+
+
+def _lens(radius, r):
+    """The lens area of two disks of the given radius whose centers are r apart."""
+    chord = np.sqrt(np.maximum((2.0 * radius - r) * (2.0 * radius + r), 0.0))
+    return 2.0 * radius ** 2 * np.arctan2(chord, r) - 0.5 * r * chord
+
+
+def _strip_covariogram(series, xs, r):
+    """g_K(x) = A_K(t1, t2) - |x| (t2 - t1) for a SupportBody (Matheron's slicing).
+
+    With v = x / |x|, t1 < t2 are the offsets across v of the two chords
+    parallel to v of length |x|, and A_K(t1, t2) is the area of K between
+    them.  Both chords exist for 0 < |x| < R*, the longest chord parallel to
+    v; g vanishes from there on.  The four chord ends span a parallelogram of
+    area |x| (t2 - t1), so g is the sum of the two caps that the arcs of K
+    between the chords cut off it (_caps).
+    """
+    alpha = np.arctan2(xs[:, 1], xs[:, 0])
+    theta, r_max = _longest_chord(series.width, alpha)
+    out = np.zeros(r.size)
+    out[r == 0.0] = series.area
+    # g = area - |x| w(v perp) + O(|x|^3): below sqrt(eps) R* the rest is rounding
+    near = (r > 0.0) & (r <= _SQRT_EPS * r_max)
+    out[near] = series.area - r[near] * series.width.terms(alpha[near] + 0.5 * math.pi)[0]
+    i = np.nonzero((r > _SQRT_EPS * r_max) & (r < r_max))[0]
+    if i.size:
+        out[i] = _caps(series, xs[i], r[i], alpha[i], theta[i], r_max[i])
+    return out
+
+
+def _longest_chord(width, alpha):
+    """Normal angle theta* and length R* of the longest chord of K parallel to
+    (cos alpha, sin alpha).
+
+    Its ends p(theta*) and p(theta* + pi) have opposite normals, so it is
+    p_D(theta*) = w n + w' n', the boundary point of K - K with normal
+    theta*.  The angle of p_D(theta) relative to alpha, theta - alpha +
+    atan(w'/w), increases with theta and changes sign on alpha -+ pi/2: a
+    Newton iteration on it is safeguarded by bisection on that bracket.
+    """
+    theta = alpha.copy()
+    lo, hi = alpha - 0.5 * math.pi, alpha + 0.5 * math.pi
+    todo = np.arange(alpha.size)
+    for _ in range(_MAX_STEPS):
+        if not todo.size:
+            w, w1, _ = width.terms(theta)
+            return theta, np.hypot(w, w1)
+        t = theta[todo]
+        w, w1, rho = width.terms(t)
+        f = t - alpha[todo] + np.arctan(w1 / w)
+        lo[todo] = np.where(f < 0.0, t, lo[todo])
+        hi[todo] = np.where(f > 0.0, t, hi[todo])
+        new = t - f * (w * w + w1 * w1) / (w * rho)
+        inside = (new >= lo[todo]) & (new <= hi[todo])
+        theta[todo] = np.where(inside, new, 0.5 * (lo[todo] + hi[todo]))
+        todo = todo[np.abs(f) > _RESIDUAL_TOL]
+    raise ArithmeticError("longest-chord iteration did not converge")
+
+
+def _caps(series, xs, r, alpha, theta, r_max):
+    """g at points strictly inside supp g, from the ends of their two chords.
+
+    A chord runs from p(phi_a) to p(phi_b) = p(phi_a) + x; one lies on the
+    side of the normal alpha + pi/2, the other on the opposite side.  Each
+    end lies in a bracket between its normal on the longest chord, theta*
+    or theta* + pi, and the normal alpha -+ pi/2 of the support line, where
+    the chord shrinks to a point.  The seeds are the disk's chord ends
+    theta* -+ arccos(|x| / R*), mapped onto the brackets.
+
+    The 2x2 Newton iteration on E = p(phi_b) - p(phi_a) - x has Jacobian
+    columns -rho(phi_a) n'(phi_a) and rho(phi_b) n'(phi_b), which are
+    independent inside the brackets.  A step goes at most halfway to a
+    bracket's end, and one that does not lower |E| is retried at half the
+    length, so the iteration cannot cycle.  It stops where |E| is at
+    rounding level, or where no step can lower it any further.  Only next
+    to a near-corner (rho close to 0), where the normal angle is a poor
+    coordinate, does a chord stop short of rounding level or run out of
+    MAX_STEPS steps; such chords are bisected instead (_bisected_chords).
+    """
+    top = alpha + 0.5 * math.pi
+    # rows (phi_a, phi_b); columns the chords above, then those below
+    longest = np.array([np.tile(theta + math.pi, 2), np.tile(theta, 2)])
+    short = np.array([np.concatenate([top, top + math.pi]), np.concatenate([top, top - math.pi])])
+    lo, hi = np.minimum(longest, short), np.maximum(longest, short)
+    phi = longest + np.tile(np.arccos(r / r_max) / (0.5 * math.pi), 2) * (short - longest)
+    x, y, tol = (np.tile(z, 2) for z in (xs[:, 0], xs[:, 1], _RESIDUAL_TOL * r_max))
+    base, step = phi.copy(), np.zeros_like(phi)
+    length, best = np.ones(x.size), np.full(x.size, np.inf)
+    todo = np.arange(x.size)
+    for _ in range(_MAX_STEPS):
+        if not todo.size:
+            break
+        # one evaluation of the boundary p = h n + h' n' at both ends
+        h, h1, rho = series.support.terms(phi[:, todo])
+        c, s = np.cos(phi[:, todo]), np.sin(phi[:, todo])
+        px, py = h * c - h1 * s, h * s + h1 * c
+        ex, ey = px[1] - px[0] - x[todo], py[1] - py[0] - y[todo]
+        res = np.hypot(ex, ey)
+        lower = res < best[todo]
+        # a trial that does not lower |E| is retried at half the length
+        k = todo[~lower]
+        length[k] *= 0.5
+        phi[:, k] = base[:, k] + length[k] * step[:, k]
+        k = todo[lower]
+        best[k], base[:, k] = res[lower], phi[:, k]
+        ex, ey, (ca, cb), (sa, sb), (ra, rb) = (z[..., lower] for z in (ex, ey, c, s, rho))
+        sin_ab = sa * cb - ca * sb
+        d = -np.array([(ex * cb + ey * sb) / (ra * sin_ab), (ex * ca + ey * sa) / (rb * sin_ab)])
+        with np.errstate(divide="ignore"):
+            room = np.where(d > 0.0, hi[:, k] - base[:, k], base[:, k] - lo[:, k]) / np.abs(d)
+        step[:, k], length[k] = d, np.minimum(1.0, 0.5 * room.min(axis=0))
+        phi[:, k] = base[:, k] + length[k] * d
+        todo = todo[(best[todo] > tol[todo]) & (length[todo] > _SQRT_EPS)]
+    stuck = np.nonzero(best > tol)[0]
+    if stuck.size:
+        phi[:, stuck] = _bisected_chords(series.support, np.tile(alpha, 2)[stuck],
+                                         np.tile(r, 2)[stuck], longest[:, stuck], short[:, stuck])
+    (a_above, a_below), (b_above, b_below) = phi.reshape(2, 2, -1)
+    # the front arc runs counterclockwise from the lower chord's end to the
+    # upper one's, the back arc from the upper chord's start to the lower one's
+    g = _cap(series, b_below, b_above) + _cap(series, a_above, a_below)
+    return np.maximum(g, 0.0)
+
+
+def _bisected_chords(support, alpha, r, longest, short):
+    """(phi_a, phi_b) of chords of length r parallel to (cos alpha, sin alpha),
+    by bisection between the ends of the longest chord and of the point-chord
+    at the support line (the brackets of _caps).
+
+    Along the chord's offset s = <p, u> the length falls from above r at the
+    longest chord to 0 at the support line.  Each probed offset bisects the
+    two ends on <p(phi), u> = s, between the ends found at the two offsets
+    that bracket the chord so far.
+    """
+
+    def offsets(phi):
+        """<p(phi), u> and <p(phi), v>, with v = (cos alpha, sin alpha)."""
+        h, h1, _ = support.terms(phi)
+        c, s = np.cos(phi - alpha), np.sin(phi - alpha)
+        return h * s + h1 * c, h * c - h1 * s
+
+    s_long, s_short = offsets(longest)[0][1], offsets(short)[0][1]
+    for _ in range(64):
+        s = 0.5 * (s_long + s_short)
+        a, b = longest.copy(), short.copy()
+        for _ in range(64):
+            mid = 0.5 * (a + b)
+            toward_long = (offsets(mid)[0] > s) == (s_long > s)
+            a, b = np.where(toward_long, mid, a), np.where(toward_long, b, mid)
+        ends = 0.5 * (a + b)
+        along = offsets(ends)[1]
+        longer = along[1] - along[0] > r
+        s_long, s_short = np.where(longer, s, s_long), np.where(longer, s_short, s)
+        longest, short = np.where(longer, ends, longest), np.where(longer, short, ends)
+    return 0.5 * (longest + short)
+
+
+def _cap(series, s, e):
+    """Area between the arc of the boundary from normal s to normal e and its chord.
+
+    Green's theorem: half the integral of p x p' = h rho over the arc, less
+    half of p(s) x p(e); with p = h n + h' n' the latter is
+    (h_s h_e + h'_s h'_e) sin(e - s) + (h_s h'_e - h'_s h_e) cos(e - s).
+    """
+    hs, h1s, _ = series.support.terms(s)
+    he, h1e, _ = series.support.terms(e)
+    cross = (hs * he + h1s * h1e) * np.sin(e - s) + (hs * h1e - h1s * he) * np.cos(e - s)
+    return 0.5 * (series.h_rho.integral(s, e) - cross)
 
 
 @dataclass(frozen=True)
@@ -211,7 +488,11 @@ def _support_bbox(bodyH, bodyK):
 
 
 def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
-    """CovariogramGrid of g_{H,K} over the support bounding box."""
+    """CovariogramGrid of g_{H,K} over the support bounding box.
+
+    method is "exact-clip" for polygon pairs, "exact-strip" for a smooth body
+    with itself and "polyline-approx" for any other pair with a smooth body.
+    """
     if bbox is None:
         (x0, x1), (y0, y1) = _support_bbox(bodyH, bodyK)
     else:
@@ -220,13 +501,17 @@ def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
     dy = (y1 - y0) / (ny - 1)
     xg = x0 + dx * np.arange(nx)
     yg = y0 + dy * np.arange(ny)
-    exact = isinstance(bodyH, Polygon) and isinstance(bodyK, Polygon)
     xsv, ysv = np.meshgrid(xg, yg)
     pts = np.stack([xsv.ravel(), ysv.ravel()], axis=1)
-    vh = polygonal_approximation(bodyH, APPROX_BOUNDARY_POINTS).vertices
-    vk = polygonal_approximation(bodyK, APPROX_BOUNDARY_POINTS).vertices
-    values = clip_areas_batch(vh, vk, pts).reshape(ny, nx)
-    method = "exact-clip" if exact else "polyline-approx"
+    if _smooth_self_pair(bodyH, bodyK):
+        values, method = _smooth_covariogram(bodyH, pts), "exact-strip"
+    else:
+        vh = polygonal_approximation(bodyH, APPROX_BOUNDARY_POINTS).vertices
+        vk = polygonal_approximation(bodyK, APPROX_BOUNDARY_POINTS).vertices
+        values = clip_areas_batch(vh, vk, pts)
+        exact = isinstance(bodyH, Polygon) and isinstance(bodyK, Polygon)
+        method = "exact-clip" if exact else "polyline-approx"
+    values = values.reshape(ny, nx)
     return CovariogramGrid((float(x0), float(y0)), (float(dx), float(dy)), nx, ny,
                            values, method, (body_hash(bodyH), body_hash(bodyK)))
 
@@ -321,27 +606,27 @@ class CurvaturePair:
         return (self.low, self.high)
 
 
-FIT_BOUNDARY_POINTS = 32768  # finer fan for cap sampling at depths down to 1e-4
-
-
 def curvature_pair_from_covariogram(body, u: Direction, depth_range=(1e-4, 1e-2),
                                     depth_count=12, t_star=1e-3, q_count=9,
                                     residual_tol=0.25, disc_tol=5e-3):
     """Recover {tau(u), tau(-u)} from covariogram samples near the support point p.
 
-    Stage one fits the depth law g = c (2t)^{3/2} / sqrt(D) at zero tangential
-    offset on a geometric depth ladder (exponent 3/2 asserted, not fitted) to
-    get D = tau(u) + tau(-u).  Stage two fixes t = t_star and fits g^{2/3}
-    linearly against q^2 to get Q with Q*D = tau(u)*tau(-u).  The pair is the
-    sorted root set of z^2 - D z + Q D; discriminants within disc_tol * D^2 of
-    zero collapse to the equal pair (the noise floor of the pinned ladder).
+    The samples are exact values of g_K (the strip-area identity), so the
+    fit sees the cap law itself down to the smallest depth, with no polygon
+    error.  Stage one fits the depth law g = c (2t)^{3/2} / sqrt(D) at zero
+    tangential offset on a geometric depth ladder (exponent 3/2 asserted, not
+    fitted) to get D = tau(u) + tau(-u).  Stage two fixes t = t_star and fits
+    g^{2/3} linearly against q^2 to get Q with Q*D = tau(u)*tau(-u).  The pair
+    is the sorted root set of z^2 - D z + Q D; discriminants within
+    disc_tol * D^2 of zero collapse to the equal pair (the noise floor of the
+    pinned ladder).
     """
     if not isinstance(body, (SupportBody, Disk)):
         raise FitFailed("cap asymptotics require a smooth body")
     p = boundary_point(body, u) - boundary_point(body, u.antipode())
     uv, tan = u.u, u.perp
 
-    sample = covariogram_evaluator(body, n=FIT_BOUNDARY_POINTS)
+    sample = covariogram_evaluator(body)
     depths = np.geomspace(depth_range[0], depth_range[1], depth_count)
     gvals = sample(p - depths[:, None] * uv)
     if np.any(gvals <= 0):

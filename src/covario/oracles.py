@@ -49,7 +49,9 @@ def mc_area(membership, bbox, n, seed, streams=1):
         rng = _rng(seed, i)
         # rows are drawn in order, so the chunks see the points of one big draw
         for start in range(0, ni, _MC_CHUNK_ROWS):
-            pts = rng.random((min(_MC_CHUNK_ROWS, ni - start), bbox.shape[0])) * (hi - lo) + lo
+            pts = rng.random((min(_MC_CHUNK_ROWS, ni - start), bbox.shape[0]))
+            pts *= hi - lo
+            pts += lo
             hits += int(np.count_nonzero(membership(pts)))
         total += ni
     p = hits / total
@@ -129,19 +131,16 @@ class ParaboloidReport:
     z_statement_level: float
 
 
-def paraboloid_volume(a, b, q, t, n_samples, seed):
-    """Monte Carlo volume of {f2(x) <= x' <= f1(x)} against both candidate constants.
+def paraboloid_region(a, b, q, t):
+    """Membership test and bounding box of {f2(x) <= x' <= f1(x)} in R^{d+1}.
 
-    f1(x) = t - <A(x-q), x-q>/2 and f2(x) = <Bx, x>/2.  The closed form carries
-    the proof-consistent constant; statement_level is that value times
-    2^{(n+1)/2}, the extra factor rejected by this oracle.
+    f1(x) = t - <A(x-q), x-q>/2 and f2(x) = <Bx, x>/2; the test takes an
+    (n, d + 1) array of points (x, x').
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
     d = a.shape[0]
-    n = d + 1
-    closed = paraboloid_cap_volume_closed_form(a, b, q, t)
     # bounding box: f1 - f2 >= 0 is the ellipsoid <(A+B)(x-x0), x-x0> <= 2s
     apb = a + b
     x0 = np.linalg.solve(apb, a @ q)
@@ -149,14 +148,40 @@ def paraboloid_volume(a, b, q, t, n_samples, seed):
     half = np.sqrt(2.0 * s * np.diag(np.linalg.inv(apb)))
     bbox = [(x0[i] - half[i], x0[i] + half[i]) for i in range(d)] + [(0.0, t)]
 
+    def quadratic_form(m, cols):
+        # <M y, y> one column at a time: d is 1 to 3, too narrow for a matmul
+        total = np.zeros_like(cols[0])
+        for i in range(d):
+            row = m[i, 0] * cols[0]
+            for j in range(1, d):
+                row += m[i, j] * cols[j]
+            row *= cols[i]
+            total += row
+        return total
+
     def member(pts):
-        x = pts[:, :d]
+        xs = [pts[:, i] for i in range(d)]
+        f1 = quadratic_form(a, [x - qi for x, qi in zip(xs, q)])
+        f1 *= -0.5
+        f1 += t
+        f2 = quadratic_form(b, xs)
+        f2 *= 0.5
         xp = pts[:, d]
-        dq = x - q
-        f1 = t - 0.5 * np.sum((dq @ a) * dq, axis=1)
-        f2 = 0.5 * np.sum((x @ b) * x, axis=1)
         return (f2 <= xp) & (xp <= f1)
 
+    return member, bbox
+
+
+def paraboloid_volume(a, b, q, t, n_samples, seed):
+    """Monte Carlo volume of {f2(x) <= x' <= f1(x)} against both candidate constants.
+
+    f1(x) = t - <A(x-q), x-q>/2 and f2(x) = <Bx, x>/2.  The closed form carries
+    the proof-consistent constant; statement_level is that value times
+    2^{(n+1)/2}, the extra factor rejected by this oracle.
+    """
+    n = np.atleast_2d(np.asarray(a, dtype=float)).shape[0] + 1
+    closed = paraboloid_cap_volume_closed_form(a, b, q, t)
+    member, bbox = paraboloid_region(a, b, q, t)
     est = mc_area(member, bbox, n_samples, seed)
     alt = closed * 2.0 ** ((n + 1) / 2.0)
     return ParaboloidReport(est, closed, alt, est.z_score(closed), est.z_score(alt))

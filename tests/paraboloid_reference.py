@@ -1,0 +1,36 @@
+"""Matrix form of the paraboloid Monte Carlo that `oracles.paraboloid_region`
+evaluates column by column.
+
+`reference_hits` draws the points as `mc_area` does, scales them out of
+place and tests them with matmuls and row sums; the tests require the same
+hit count.
+"""
+
+import numpy as np
+
+from covario.oracles import _MC_CHUNK_ROWS, _rng
+
+
+def reference_member(a, b, q, t):
+    d = a.shape[0]
+
+    def member(pts):
+        x = pts[:, :d]
+        xp = pts[:, d]
+        dq = x - q
+        f1 = t - 0.5 * np.sum((dq @ a) * dq, axis=1)
+        f2 = 0.5 * np.sum((x @ b) * x, axis=1)
+        return (f2 <= xp) & (xp <= f1)
+
+    return member
+
+
+def reference_hits(member, bbox, n, seed):
+    bbox = np.asarray(bbox, dtype=float)
+    lo, hi = bbox[:, 0], bbox[:, 1]
+    rng = _rng(seed, 0)
+    hits = 0
+    for start in range(0, n, _MC_CHUNK_ROWS):
+        pts = rng.random((min(_MC_CHUNK_ROWS, n - start), bbox.shape[0])) * (hi - lo) + lo
+        hits += int(np.count_nonzero(member(pts)))
+    return hits

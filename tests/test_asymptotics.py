@@ -152,6 +152,31 @@ def test_determination_batches_evaluator_calls(cw3):
     assert reference.pairs_a == verdict.pairs_a and reference.pairs_b == verdict.pairs_b
 
 
+def test_determination_counts_evaluator_calls_and_points(cw3):
+    cfg = DeterminationConfig(n_dirs=4, extent_dirs=32, t_order=16, s_order=8,
+                              max_regions_checked=1)
+    sent = ([], [])
+
+    def counted(g, log):
+        def evaluate(points):
+            log.append(len(points))
+            return g(points)
+        return evaluate
+
+    g_a = counted(covariogram_evaluator(cw3), sent[0])
+    g_b = counted(covariogram_evaluator(reflect(cw3)), sent[1])
+    verdict = determination_experiment(g_a, g_b, config=cfg)
+    assert verdict.details["g_calls"] == [len(sent[0]), len(sent[1])]
+    assert verdict.details["g_points"] == [sum(sent[0]), sum(sent[1])]
+    assert min(verdict.details["g_calls"]) > 0
+    # an early verdict counts too
+    disks = determination_experiment(covariogram_evaluator(Disk((0.0, 0.0), 1.0)),
+                                     covariogram_evaluator(Disk((0.0, 0.0), 1.05)),
+                                     config=DeterminationConfig(n_dirs=4, extent_dirs=16))
+    assert disks.outcome == "distinct"
+    assert disks.details["g_calls"][0] > 0 and disks.details["g_points"][1] > 0
+
+
 @pytest.mark.parametrize("wrong", [
     lambda points: 1.0,                          # the scalar contract
     lambda points: np.ones((len(points), 1)),    # a column

@@ -29,6 +29,7 @@ from covario.geometry import (
     Segment,
     SupportBody,
     area,
+    boundary_point,
     convex_hull,
     curvature,
     example_pair,
@@ -42,6 +43,11 @@ from covario.oracles import mc_area
 
 E1 = Direction(0.0)
 LENS_AT_1 = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
+# no symmetry at all: all 8 harmonics present, off-center; the normal of its
+# longest chord in a direction turns up to 0.2 rad away from that direction
+LOPSIDED = SupportBody(1.0, ((0.1, -0.05), (0.04, -0.06), (0.03, 0.02), (-0.01, 0.008),
+                             (0.003, -0.002), (0.001, 0.001), (-0.0005, 0.0008),
+                             (0.0004, -0.0002)), center=(0.3, -0.2))
 
 
 def test_intersection_area_examples(unit_square):
@@ -83,13 +89,112 @@ def test_covariogram_square_product_formula(unit_square):
 
 def test_covariogram_disk_lens(unit_disk):
     g = covariogram(unit_disk, (1.0, 0.0))
-    assert abs(g - LENS_AT_1) < 2e-6  # polygonal approximation error O(N^-2)
-    assert abs(covariogram(unit_disk, (0.0, 0.0)) - math.pi) < 1e-5
+    assert abs(g - LENS_AT_1) < 1e-14
+    assert abs(covariogram(unit_disk, (0.0, 0.0)) - math.pi) < 1e-14
 
 
 def test_covariogram_at_origin_is_area(unit_square, cw3):
     assert abs(covariogram(unit_square, (0.0, 0.0)) - 1.0) < 1e-14
-    assert abs(covariogram(cw3, (0.0, 0.0)) - area(cw3)) < 1e-5
+    assert abs(covariogram(cw3, (0.0, 0.0)) - area(cw3)) < 1e-13
+
+
+def _lens(radius, r):
+    """The textbook lens area of two disks of the given radius r apart."""
+    return 2.0 * radius ** 2 * math.acos(r / (2.0 * radius)) - 0.5 * r * math.sqrt(
+        4.0 * radius ** 2 - r * r)
+
+
+@pytest.mark.parametrize("body", [SupportBody(1.3, center=(0.4, -0.2)), Disk((0.4, -0.2), 1.3)])
+def test_exact_covariogram_disk_lens(body):
+    # a support body with h = 1.3 goes through the strip-area identity
+    rng = np.random.default_rng(21)
+    r = np.concatenate([[0.0, 1e-9, 1e-5], np.linspace(0.01, 0.99 * 2.6, 60)])
+    ang = rng.uniform(0.0, 2.0 * math.pi, r.size)
+    xs = r[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    lens = np.array([_lens(1.3, t) for t in r])
+    assert np.abs(covariogram_evaluator(body)(xs) - lens).max() < 1e-14
+    outside = np.array([[2.6, 0.0], [0.0, -2.6], [3.0, 1.0]])
+    assert np.all(covariogram_evaluator(body)(outside) == 0.0)
+
+
+@pytest.mark.parametrize("name", ["cw3", "lopsided"])
+def test_exact_covariogram_near_origin(name, cw3):
+    # g(0) = area; g(x) = area - |x| w(v perp) + O(|x|^3), on both sides of the
+    # switch from the chord iteration to that expansion at sqrt(eps) |x|
+    body = {"cw3": cw3, "lopsided": LOPSIDED}[name]
+    g = covariogram_evaluator(body)
+    assert abs(g(np.zeros(2)) - area(body)) < 1e-13
+    for th in np.linspace(0.1, 2.0 * math.pi, 7):
+        v = Direction(float(th))
+        w_perp = width(body, Direction(v.theta + math.pi / 2.0))
+        for r in (1e-12, 1e-9, 1e-7, 1e-6):
+            assert abs(g(r * v.u) - (area(body) - r * w_perp)) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["cw3", "lopsided", "disk"])
+def test_exact_covariogram_symmetries(name, cw3, unit_disk):
+    body = {"cw3": cw3, "lopsided": LOPSIDED, "disk": unit_disk}[name]
+    xs = np.random.default_rng(22).uniform(-2.3, 2.3, (400, 2))
+    g = covariogram_evaluator(body)(xs)
+    assert np.abs(g - covariogram_evaluator(body)(-xs)).max() <= 1e-15
+    assert np.abs(g - covariogram_evaluator(reflect(body))(xs)).max() < 1e-14
+    moved = covariogram_evaluator(translate(body, (-1.7, 0.6)))(xs)
+    assert np.abs(g - moved).max() <= 1e-15
+    assert np.all((g >= 0.0) & (g <= area(body)))
+
+
+@pytest.mark.parametrize("name", ["cw3", "lopsided", "disk"])
+def test_exact_covariogram_support_boundary(name, cw3, unit_disk):
+    # supp g = K - K: its boundary point with normal theta is p(theta) - p(theta + pi)
+    body = {"cw3": cw3, "lopsided": LOPSIDED, "disk": unit_disk}[name]
+    g = covariogram_evaluator(body)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 97)
+    rim = np.array([boundary_point(body, Direction(t)) - boundary_point(body, Direction(t + math.pi))
+                    for t in thetas])
+    assert np.all(g(rim * (1.0 + 1e-12)) == 0.0)
+    assert np.all(g(rim * 1.5) == 0.0)
+    assert np.all(g(rim * (1.0 - 1e-7)) > 0.0)
+    assert np.abs(g(rim)).max() < 1e-15
+
+
+@pytest.mark.parametrize("name", ["cw3", "lopsided"])
+def test_exact_covariogram_rays_decrease(name, cw3):
+    body = {"cw3": cw3, "lopsided": LOPSIDED}[name]
+    ts = np.linspace(0.0, 2.3, 400)
+    for th in np.linspace(0.0, math.pi, 13):
+        vals = covariogram_evaluator(body)(ts[:, None] * Direction(float(th)).u)
+        assert np.all(np.diff(vals) <= 0.0)
+        assert vals[0] == area(body) and vals[-1] == 0.0
+
+
+def test_exact_covariogram_next_to_near_corners():
+    # rho = 1 - 3 c cos(2 (theta - 0.1)) falls to 1e-4: two near-corners,
+    # where the chords of the points below end and the normal angle is a
+    # poor coordinate for the chord ends
+    c = (1.0 - 1e-4) / 3.0
+    body = SupportBody(1.0, ((0.0, 0.0), (c * math.cos(0.2), c * math.sin(0.2))))
+    thetas = np.linspace(0.0, 0.2, 9)
+    rim = np.array([boundary_point(body, Direction(t)) - boundary_point(body, Direction(t + math.pi))
+                    for t in thetas])
+    xs = np.concatenate([rim * (1.0 - depth) for depth in (1e-1, 1e-3, 1e-5, 1e-7)])
+    v = polygonal_approximation(body, 32768).vertices
+    assert np.abs(covariogram_evaluator(body)(xs) - clip_areas_batch(v, v, xs)).max() < 1e-8
+
+
+@pytest.mark.parametrize("name", ["cw3", "lopsided"])
+def test_inscribed_polygons_converge_to_exact_covariogram(name, cw3):
+    # the n-gon's error is O(N^-2): going from 4096 to 32768 vertices divides it by 64
+    body = {"cw3": cw3, "lopsided": LOPSIDED}[name]
+    rng = np.random.default_rng(23)
+    ang = rng.uniform(0.0, 2.0 * math.pi, 8)
+    xs = rng.uniform(0.2, 1.6, 8)[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    exact = covariogram_evaluator(body)(xs)
+    errors = []
+    for n in (4096, 32768):
+        v = polygonal_approximation(body, n).vertices
+        errors.append(np.abs(clip_areas_batch(v, v, xs) - exact).max())
+    assert 40.0 < errors[0] / errors[1] < 90.0
+    assert errors[0] < 2e-6
 
 
 def test_cross_covariogram_examples(unit_square):
@@ -162,8 +267,9 @@ def test_disjoint_and_touching_are_exactly_zero(unit_square):
 
 
 def test_chunked_smooth_grid_matches_points(cw3):
-    # a 4096-gon pair is split into several kernel calls
+    # the grid's one batch and the single points give the same values
     grid = covariogram_grid(cw3, nx=5, ny=5)
+    assert grid.method == "exact-strip"
     xg, yg = grid.points()
     points = np.array([[_pair_area(cw3, cw3, (x, y)) for x in xg] for y in yg])
     assert np.abs(grid.values - points).max() <= 1e-14
@@ -338,15 +444,19 @@ def test_covariogram_evaluator_batch_matches_points(body, cw3, unit_disk, make_p
             "polygon": make_polygon(np.random.default_rng(8), 9)}[body]
     ev = covariogram_evaluator(body, n=512)
     # the origin, two points on the boundary of supp g (the extreme x- and
-    # y-differences of the n-gon), points outside it, and the rest at random,
+    # y-differences of the body), points outside it, and the rest at random,
     # over several kernel chunks
-    v = polygonal_approximation(body, 512).vertices
-    rim = [v[v[:, k].argmax()] - v[v[:, k].argmin()] for k in (0, 1)]
+    if isinstance(body, Polygon):
+        v = body.vertices
+        rim = [v[v[:, k].argmax()] - v[v[:, k].argmin()] for k in (0, 1)]
+    else:
+        rim = [boundary_point(body, Direction(t)) - boundary_point(body, Direction(t + math.pi))
+               for t in (0.0, math.pi / 2.0)]
     xs = np.concatenate([np.zeros((1, 2)), rim, [(10.0, 0.0), (0.0, -7.5)],
                          np.random.default_rng(9).uniform(-2.5, 2.5, (40, 2))])
     batch = ev(xs)
     assert batch.shape == (xs.shape[0],)
     assert np.abs(batch - np.array([ev(x) for x in xs])).max() <= 1e-15
-    assert abs(batch[0] - polygon_intersection_area(Polygon(v), Polygon(v))) < 1e-12
+    assert abs(batch[0] - area(body)) < 1e-12
     assert np.all(np.abs(batch[1:3]) < 1e-12) and np.all(batch[3:5] == 0.0)
     assert ev(np.zeros((0, 2))).shape == (0,)

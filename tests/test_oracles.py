@@ -12,9 +12,11 @@ from covario.oracles import (
     matrix_identities,
     mc_area,
     paraboloid_cap_volume_closed_form,
+    paraboloid_region,
     paraboloid_volume,
     random_spd,
 )
+from paraboloid_reference import reference_hits, reference_member
 
 # published reference values (Abramowitz & Stegun table 9.5)
 J1_ZEROS = [3.8317059702075123, 7.0155866698156188, 10.173468135062722,
@@ -99,6 +101,27 @@ def test_paraboloid_monte_carlo_agreement():
     rep2 = paraboloid_volume(np.eye(2), np.eye(2), np.zeros(2), 1.0, 400_000, seed=1)
     assert abs(rep2.closed_form - math.pi / 2) < 1e-14
     assert rep2.z_closed_form <= 3.0
+
+
+def test_paraboloid_hits_match_matrix_form():
+    # the instances of `verify paraboloid --seed 0`: the reference cap, then
+    # ten random ones drawn as the suite draws them
+    instances = [(np.eye(1), np.eye(1), np.zeros(1), 1.0, 0)]
+    rng = np.random.default_rng(1)
+    for i in range(10):
+        d = int(rng.integers(1, 4))
+        a = random_spd(d, rng, (0.5, 3.0))
+        b = random_spd(d, rng, (0.5, 3.0))
+        q = rng.uniform(-0.3, 0.3, size=d)
+        instances.append((a, b, q, rng.uniform(0.5, 1.5), 2 + i))
+    n = 2 ** 17
+    for a, b, q, t, seed in instances:
+        member, bbox = paraboloid_region(a, b, q, t)
+        est = paraboloid_volume(a, b, q, t, n, seed).estimate
+        hits = reference_hits(reference_member(a, b, q, t), bbox, n, seed)
+        volume = float(np.prod([hi - lo for lo, hi in bbox]))
+        assert est.mean == volume * (hits / n)
+        assert mc_area(member, bbox, n, seed).mean == est.mean
 
 
 def test_paraboloid_invalid_cap():
