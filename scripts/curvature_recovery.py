@@ -2,7 +2,9 @@
 """Recover curvature pairs of a support-function body from its covariogram.
 
 Sweeps a direction grid, fits the cap model at each direction and compares the
-recovered unordered pair with the closed-form curvatures.
+recovered unordered pair with the closed-form curvatures.  Exits 1 when the
+worst relative pair error exceeds MAX_REL_ERR, criterion 6's 5%, so the sweep
+serves as a check.
 
 Usage: python scripts/curvature_recovery.py [n_dirs] [out.csv]
 """
@@ -14,6 +16,8 @@ import numpy as np
 
 from covario.covariogram import curvature_pair_from_covariogram
 from covario.geometry import Direction, SupportBody, curvature
+
+MAX_REL_ERR = 0.05
 
 
 def main(n_dirs="12", out_path="curvature_recovery.csv"):
@@ -31,7 +35,8 @@ def main(n_dirs="12", out_path="curvature_recovery.csv"):
     with open(out_path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {out_path}; worst relative pair error {worst:.4f}")
+    return 0 if worst <= MAX_REL_ERR else 1
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    sys.exit(main(*sys.argv[1:]))

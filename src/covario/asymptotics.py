@@ -10,7 +10,7 @@ import numpy as np
 
 from covario._parallel import parallel_map
 from covario._quadrature import gauss_legendre, panel_table
-from covario.covariogram import CAP_PREFACTOR, FitFailed, cross_covariogram_grid
+from covario.covariogram import FitFailed, cap_pair, cross_covariogram_grid
 from covario.fourier_laplace import (
     autocorr_transform_table,
     build_context,
@@ -253,17 +253,16 @@ def crosscov_counterexample(family, params=None, grid=(41, 41), tol=1e-9):
 
 @dataclass(frozen=True)
 class DeterminationConfig:
+    """Settings of determination_experiment.  The curvature pairs come from
+    covariogram.cap_pair with t_star = 2e-2 h(u), h the support of supp g,
+    which has no settings of its own."""
+
     n_dirs: int = 24
     extent_dirs: int = 128          # radial-table resolution for anchors/extents
     radial_tol: float = 5e-3        # relative support mismatch -> distinct
     pair_rel_tol: float = 0.15      # relative curvature-pair mismatch -> distinct
     ratio_threshold: float = 0.3    # min |ln(high/low)| for a sign region
     sign_m: int = 5
-    depth_lo: float = 2e-3          # fit depths relative to the support scale
-    depth_hi: float = 2e-2
-    n_depth: int = 6
-    n_offsets: int = 7
-    disc_tol: float = 0.02
     fit_fail_frac: float = 0.05
     t_order: int = 24
     s_order: int = 16
@@ -323,53 +322,6 @@ def _support_from_radial(radial, thetas, u):
               + 0.5 * delta * delta * (pts[jp] - 2.0 * pts[j] + pts[jm]))
     h = y0 - 0.25 * (ym - yp) * delta
     return float(h), anchor
-
-
-def _blackbox_pair(g, radial, thetas, u: Direction, cfg: DeterminationConfig):
-    """Curvature pair from a black-box covariogram by a linear cap-model fit.
-
-    Around a boundary anchor of supp g, g^{2/3} is linear in {1, t, q, q^2};
-    the t-coefficient gives D = tau(u) + tau(-u) and the q^2/t ratio gives Q.
-    """
-    uv, tan = u.u, u.perp
-    h, anchor = _support_from_radial(radial, thetas, uv)
-    depths = h * np.geomspace(cfg.depth_lo, cfg.depth_hi, cfg.n_depth)
-    g0 = g(anchor - depths[:, None] * uv)
-    if np.any(g0 <= 0):
-        raise FitFailed("empty cap on the depth ladder")
-    design = np.stack([np.ones_like(depths), 2.0 * depths], axis=1)
-    (_, slope), *_ = np.linalg.lstsq(design, g0 ** (2.0 / 3.0), rcond=None)
-    if slope <= 0:
-        raise FitFailed("non-positive depth slope")
-    d0 = (CAP_PREFACTOR ** (2.0 / 3.0) / slope) ** 3
-    t_star = depths[-1]
-    q_max = 0.7 * math.sqrt(4.0 * t_star / d0)
-    qs = np.linspace(-q_max, q_max, cfg.n_offsets)
-    tarr = np.repeat([0.5 * t_star, t_star], qs.size)
-    qarr = np.tile(qs, 2)
-    vals = g(anchor + qarr[:, None] * tan - tarr[:, None] * uv)
-    inside = vals > 0
-    if np.count_nonzero(inside) < 8:
-        raise FitFailed("stencil mostly outside the cap")
-    tarr, qarr = tarr[inside], qarr[inside]
-    basis = np.stack([np.ones_like(tarr), 2.0 * tarr, qarr, qarr * qarr], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, vals[inside] ** (2.0 / 3.0), rcond=None)
-    alpha, beta_q2 = coef[1], coef[3]
-    if alpha <= 0:
-        raise FitFailed("non-positive fitted depth coefficient")
-    d_sum = (CAP_PREFACTOR ** (2.0 / 3.0) / alpha) ** 3
-    q_curv = -beta_q2 / alpha
-    disc = d_sum * d_sum - 4.0 * q_curv * d_sum
-    if disc < -0.25 * d_sum * d_sum:
-        raise FitFailed("strongly negative discriminant")
-    if abs(disc) <= cfg.disc_tol * d_sum * d_sum:
-        disc = 0.0
-    disc = max(disc, 0.0)
-    root = math.sqrt(disc)
-    low, high = 0.5 * (d_sum - root), 0.5 * (d_sum + root)
-    if low <= 0:
-        raise FitFailed("non-positive curvature root")
-    return low, high
 
 
 def _segment_extents(radial, thetas, u, ts):
@@ -510,13 +462,18 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
     details = {"radial_max_dev": float(np.abs(rad_a - rad_b).max() / scale)}
     if details["radial_max_dev"] > cfg.radial_tol:
         return verdict("distinct", (), (), (), reason="support mismatch")
+
+    def pair(g, radial, u):
+        h, anchor = _support_from_radial(radial, fine, u.u)
+        return cap_pair(g, anchor, u, 2e-2 * h).values
+
     pairs_a, pairs_b = [], []
     failures = 0
     for th in thetas:
         u = Direction(float(th))
         try:
-            pairs_a.append(_blackbox_pair(g_a, rad_a, fine, u, cfg))
-            pairs_b.append(_blackbox_pair(g_b, rad_b, fine, u, cfg))
+            pairs_a.append(pair(g_a, rad_a, u))
+            pairs_b.append(pair(g_b, rad_b, u))
         except FitFailed:
             failures += 1
             pairs_a.append(None)

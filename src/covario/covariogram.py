@@ -606,55 +606,69 @@ class CurvaturePair:
         return (self.low, self.high)
 
 
-def curvature_pair_from_covariogram(body, u: Direction, depth_range=(1e-4, 1e-2),
-                                    depth_count=12, t_star=1e-3, q_count=9,
-                                    residual_tol=0.25, disc_tol=5e-3):
-    """Recover {tau(u), tau(-u)} from covariogram samples near the support point p.
+def cap_pair(g, anchor, u: Direction, t_star):
+    """Unordered curvature pair {tau(u), tau(-u)} from g_K near the point anchor
+    of the boundary of supp g_K = K - K with outer normal u.
 
-    The samples are exact values of g_K (the strip-area identity), so the
-    fit sees the cap law itself down to the smallest depth, with no polygon
-    error.  Stage one fits the depth law g = c (2t)^{3/2} / sqrt(D) at zero
-    tangential offset on a geometric depth ladder (exponent 3/2 asserted, not
-    fitted) to get D = tau(u) + tau(-u).  Stage two fixes t = t_star and fits
-    g^{2/3} linearly against q^2 to get Q with Q*D = tau(u)*tau(-u).  The pair
-    is the sorted root set of z^2 - D z + Q D; discriminants within
-    disc_tol * D^2 of zero collapse to the equal pair (the noise floor of the
-    pinned ladder).
+    At depth t below anchor along -u and offset q along u perp, the cap law
+    reads g^{2/3} = alpha (2t - Q q^2) + ..., with alpha =
+    CAP_PREFACTOR^{2/3} / D^{1/3}, D = tau(u) + tau(-u) and Q D =
+    tau(u) tau(-u).  A six-point depth ladder on [t_star/10, t_star], fitted
+    as b0 + alpha 2t, sizes the stencil; one least-squares fit of g^{2/3} on
+    {1, 2t, q, q^2} over t in {t_star/2, t_star} and seven offsets with
+    |q| <= 0.7 sqrt(4 t_star / D) then gives D, Q and the roots of
+    z^2 - D z + Q D.  The fit takes the anchor as found: its offset along u
+    and u perp lands in the 1 and q terms.  A negative discriminant is
+    clipped to 0 (an equal pair); one below -D^2/4 raises FitFailed.
+
+    g maps points of shape (k, 2) to values of shape (k,).  fit_residual is
+    the largest residual of the stencil fit relative to the largest g^{2/3}
+    on the stencil.
     """
-    if not isinstance(body, (SupportBody, Disk)):
-        raise FitFailed("cap asymptotics require a smooth body")
-    p = boundary_point(body, u) - boundary_point(body, u.antipode())
     uv, tan = u.u, u.perp
-
-    sample = covariogram_evaluator(body)
-    depths = np.geomspace(depth_range[0], depth_range[1], depth_count)
-    gvals = sample(p - depths[:, None] * uv)
-    if np.any(gvals <= 0):
-        raise FitFailed("covariogram vanished on the depth ladder")
-    consts = np.log(gvals) - 1.5 * np.log(depths)
-    c0 = float(np.mean(consts))
-    resid = float(np.max(np.abs(consts - c0)))
-    if resid > residual_tol:
-        raise FitFailed(f"depth-law residual {resid:.3g} exceeds {residual_tol}")
-    d_sum = 8.0 * CAP_PREFACTOR ** 2 / math.exp(2.0 * c0)
-    q_max = 0.8 * math.sqrt(4.0 * t_star / d_sum)
-    qs = np.linspace(-q_max, q_max, q_count)
-    g2 = sample(p + qs[:, None] * tan - t_star * uv)
-    if np.any(g2 <= 0):
-        raise FitFailed("covariogram vanished on the tangential stencil")
-    y = g2 ** (2.0 / 3.0)
-    design = np.stack([np.ones_like(qs), qs * qs], axis=1)
-    (b0, b1), *_ = np.linalg.lstsq(design, y, rcond=None)
-    if b0 <= 0:
-        raise FitFailed("degenerate tangential fit")
-    q_curv = -b1 * (2.0 * t_star) / b0
+    depths = np.geomspace(0.1 * t_star, t_star, 6)
+    g0 = g(anchor - depths[:, None] * uv)
+    if np.any(g0 <= 0):
+        raise FitFailed("empty cap on the depth ladder")
+    design = np.stack([np.ones_like(depths), 2.0 * depths], axis=1)
+    (_, slope), *_ = np.linalg.lstsq(design, g0 ** (2.0 / 3.0), rcond=None)
+    if slope <= 0:
+        raise FitFailed("non-positive depth slope")
+    d0 = (CAP_PREFACTOR ** (2.0 / 3.0) / slope) ** 3
+    q_max = 0.7 * math.sqrt(4.0 * t_star / d0)
+    qs = np.linspace(-q_max, q_max, 7)
+    tarr = np.repeat([0.5 * t_star, t_star], qs.size)
+    qarr = np.tile(qs, 2)
+    vals = g(anchor + qarr[:, None] * tan - tarr[:, None] * uv)
+    inside = vals > 0
+    if np.count_nonzero(inside) < 8:
+        raise FitFailed("stencil mostly outside the cap")
+    tarr, qarr, y = tarr[inside], qarr[inside], vals[inside] ** (2.0 / 3.0)
+    basis = np.stack([np.ones_like(tarr), 2.0 * tarr, qarr, qarr * qarr], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    alpha, beta_q2 = coef[1], coef[3]
+    if alpha <= 0:
+        raise FitFailed("non-positive fitted depth coefficient")
+    d_sum = (CAP_PREFACTOR ** (2.0 / 3.0) / alpha) ** 3
+    q_curv = -beta_q2 / alpha
     disc = d_sum * d_sum - 4.0 * q_curv * d_sum
-    if disc < -disc_tol * d_sum * d_sum:
-        raise FitFailed(f"negative discriminant {disc:.3g} beyond tolerance")
-    if abs(disc) <= disc_tol * d_sum * d_sum:
-        disc = 0.0
-    root = math.sqrt(disc)
+    if disc < -0.25 * d_sum * d_sum:
+        raise FitFailed(f"discriminant {disc:.3g} below -D^2/4")
+    root = math.sqrt(max(disc, 0.0))
     low, high = 0.5 * (d_sum - root), 0.5 * (d_sum + root)
     if low <= 0:
         raise FitFailed("non-positive curvature root")
-    return CurvaturePair(low, high, u, resid, depth_count + q_count)
+    resid = float(np.abs(basis @ coef - y).max() / y.max())
+    return CurvaturePair(float(low), float(high), u, resid, depths.size + qarr.size)
+
+
+def curvature_pair_from_covariogram(body, u: Direction):
+    """Recover {tau(u), tau(-u)} of a smooth body from its exact covariogram.
+
+    cap_pair at the exact anchor p(u) - p(-u) with t_star = 5e-4 w(u), a depth
+    relative to the width, so the recovered pair scales as 1 / size.
+    """
+    if not isinstance(body, (SupportBody, Disk)):
+        raise FitFailed("cap asymptotics require a smooth body")
+    anchor = boundary_point(body, u) - boundary_point(body, u.antipode())
+    return cap_pair(covariogram_evaluator(body), anchor, u, 5e-4 * width(body, u))

@@ -139,7 +139,8 @@ class SupportBody:
     """Body given by a truncated Fourier series support function h(theta).
 
     h(theta) = a0 + sum_k (a_k cos k theta + b_k sin k theta), k <= KMAX,
-    with the C2+ condition rho = h + h'' > 0 checked on a dense grid.
+    with the C2+ condition rho = h + h'' > 0 checked on a dense grid and at
+    its local minima, refined between the grid points.
     The optional center translates the body.
     """
 
@@ -154,11 +155,30 @@ class SupportBody:
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         theta = np.linspace(0.0, 2.0 * math.pi, C2PLUS_GRID, endpoint=False)
         h = self.h(theta)
-        rho = self.rho(theta)
-        if rho.min() <= C2PLUS_MARGIN:
-            raise NotC2Plus(f"min(h + h'') = {rho.min():.3e} <= {C2PLUS_MARGIN}")
+        rho = self._least_rho(theta)
+        if rho <= C2PLUS_MARGIN:
+            raise NotC2Plus(f"min(h + h'') = {rho:.3e} <= {C2PLUS_MARGIN}")
         if h.min() <= 0.0:
             raise NotC2Plus("support function must be positive (origin inside body)")
+
+    def _least_rho(self, grid):
+        """Least rho on the grid and at its local minima, each refined by Newton
+        steps on rho' = 0 with the series' exact rho' and rho'' and kept inside
+        the grid cells next to it, so a dip narrower than a cell shows."""
+        rho = self.rho(grid)
+        t = grid[(rho < np.roll(rho, 1)) & (rho <= np.roll(rho, -1))]
+        if not t.size:
+            return float(rho.min())
+        step = grid[1] - grid[0]
+        lo, hi = t - step, t + step
+        k = np.arange(1.0, len(self.coeffs) + 1.0)
+        c = (1.0 - k * k) * np.array([a - 1j * b for a, b in self.coeffs])
+        for _ in range(4):
+            e = c * np.exp(1j * np.outer(t, k))
+            d1, d2 = (e * 1j * k).real.sum(1), -(e * k * k).real.sum(1)
+            newton = np.where(d2 > 0.0, d1 / np.where(d2 > 0.0, d2, 1.0), 0.0)
+            t = np.clip(t - newton, lo, hi)
+        return float(min(rho.min(), self.rho(t).min()))
 
     def _series(self, theta, weight):
         theta = np.asarray(theta, dtype=float)

@@ -17,6 +17,7 @@ from covario.geometry import (
     Direction,
     Disk,
     area,
+    curvature,
     example_pair,
     reflect,
     translate,
@@ -185,6 +186,18 @@ def test_determination_counts_evaluator_calls_and_points(cw3):
 def test_determination_rejects_evaluator_shape(wrong):
     with pytest.raises(ValueError, match="expected"):
         determination_experiment(wrong, wrong, config=DeterminationConfig(n_dirs=4))
+
+
+def test_determination_pairs_on_240_directions(cw3):
+    # the black-box fit, every direction within criterion 6's 5%, also where
+    # the pair is close to equal
+    g = covariogram_evaluator(cw3)
+    cfg = DeterminationConfig(n_dirs=240, max_regions_checked=0)
+    verdict = determination_experiment(g, g, config=cfg)
+    for th, pair in zip(verdict.thetas, verdict.pairs_a):
+        u = Direction(float(th))
+        truth = sorted((curvature(cw3, u), curvature(cw3, u.antipode())))
+        assert max(abs(pair[0] - truth[0]) / truth[0], abs(pair[1] - truth[1]) / truth[1]) < 0.05, th
 
 
 def test_determination_distinct_disks():

@@ -41,6 +41,17 @@ def test_body_validate_all_kinds(tmp_path, square_file, disk_file, cw3_file, cap
         assert out["schema_version"] == 1 and out["valid"]
 
 
+def test_body_validate_rejects_dip_between_grid_points(tmp_path, capsys):
+    # rho = h + h'' dips to -1.1e-7 between two points of the 4096-point grid
+    path = write_body(tmp_path, "dip.json", {
+        "kind": "support2d", "a0": 1.0,
+        "coeffs": [[0.0, 0.0], [0.26798323176795624, 0.1982324978644922]]})
+    assert main(["body-validate", "--body", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "h + h''" in captured.err
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "polygon",\n vertices: []}')

@@ -405,6 +405,35 @@ def test_curvature_pair_cw3(cw3):
     assert 0 < pair.low <= pair.high
 
 
+def _pair_error(pair, body, u):
+    truth = sorted((curvature(body, u), curvature(body, u.antipode())))
+    return max(abs(pair.low - truth[0]) / truth[0], abs(pair.high - truth[1]) / truth[1])
+
+
+def test_curvature_pair_cw3_near_equal_pair(cw3):
+    # |cos 3 theta| = 0.15: the pair differs by 12%, close enough to equal
+    # for a collapse tolerance to erase it
+    u = Direction(math.acos(0.15) / 3.0)
+    assert _pair_error(curvature_pair_from_covariogram(cw3, u), cw3, u) < 0.05
+
+
+def test_curvature_pair_sweep_cw3_and_disk(cw3, unit_disk):
+    for th in np.linspace(0.0, 2.0 * math.pi, 240, endpoint=False):
+        u = Direction(float(th))
+        assert _pair_error(curvature_pair_from_covariogram(cw3, u), cw3, u) < 0.05, th
+    pair = curvature_pair_from_covariogram(unit_disk, Direction(0.7))
+    assert max(abs(pair.low - 1.0), abs(pair.high - 1.0)) < 0.05
+
+
+def test_curvature_pair_scale_equivariant(cw3):
+    # the fit's depths are relative to the width, so 10 cw3 gives the pair / 10
+    big = SupportBody(10.0, ((0, 0), (0, 0), (0.5, 0)))
+    u = Direction(0.3)
+    small, large = curvature_pair_from_covariogram(cw3, u), curvature_pair_from_covariogram(big, u)
+    assert large.low == pytest.approx(small.low / 10.0, rel=1e-9)
+    assert large.high == pytest.approx(small.high / 10.0, rel=1e-9)
+
+
 def test_curvature_pair_rejects_polygon(unit_square):
     with pytest.raises(FitFailed):
         curvature_pair_from_covariogram(unit_square, E1)

@@ -92,6 +92,18 @@ def test_support_body_validation():
         SupportBody(1.0, tuple((0.0, 0.0) for _ in range(40)))
 
 
+def test_support_body_rejects_dip_between_grid_points():
+    # rho dips to -1.1e-7 between two points of the 4096-point grid, where it
+    # stays above the margin; cw3, LOPSIDED and the near-corner body of
+    # test_covariogram, all positive, still construct
+    a0, coeffs = 1.0, ((0.0, 0.0), (0.26798323176795624, 0.1982324978644922))
+    theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    assert (a0 + sum((1 - k * k) * (a * np.cos(k * theta) + b * np.sin(k * theta))
+                     for k, (a, b) in enumerate(coeffs, start=1))).min() > 1e-9
+    with pytest.raises(NotC2Plus, match="-1.1"):
+        SupportBody(a0, coeffs)
+
+
 def test_zonogon_square_and_errors():
     z = zonogon((0, 0), [Segment((-1, 0), (1, 0)), Segment((0, -1), (0, 1))])
     assert np.allclose(sorted(map(tuple, z.vertices)), [(-1, -1), (-1, 1), (1, -1), (1, 1)])
