@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 GL_CACHE = {}
+# Gauss-Legendre points per half-panel of the chord and autocorrelation tables
+PANEL_ORDER = 64
 
 
 def gauss_legendre(order):
@@ -13,7 +15,7 @@ def gauss_legendre(order):
     return GL_CACHE[order]
 
 
-def panel_table(lo, hi, breakpoints=(), order=64, max_freq=0.0, osc_budget=40.0):
+def panel_table(lo, hi, breakpoints=(), order=PANEL_ORDER, max_freq=0.0, osc_budget=40.0):
     """Quadrature nodes/weights on [lo, hi] for integrands with sqrt endpoints.
 
     Panels are split at the given interior breakpoints and further subdivided
@@ -38,7 +40,7 @@ def panel_table(lo, hi, breakpoints=(), order=64, max_freq=0.0, osc_budget=40.0)
                        np.concatenate([seg[1:] for seg in edges]), order)
 
 
-def panel_nodes(lo, hi, order=64):
+def panel_nodes(lo, hi, order=PANEL_ORDER):
     """Nodes and weights of the panels [lo[i], hi[i]], panel after panel.
 
     Each panel is halved and mapped through t = end +/- tau^2 from its two

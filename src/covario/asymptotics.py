@@ -56,13 +56,13 @@ class KobayashiReport:
     branches: tuple = field(default=(), repr=False)
 
 
-def _track_direction(body, m_list, order, max_zeta, u):
+def _track_direction(body, m_list, max_zeta, u):
     """Branches m_list along u; module level so that worker processes can unpickle it."""
-    ctx = build_context(body, u, order=order, max_abs_zeta=max_zeta)
+    ctx = build_context(body, u, max_abs_zeta=max_zeta)
     return [track_zero(ctx, m) for m in m_list]
 
 
-def kobayashi_report(body, m_range, u_grid, order=64):
+def kobayashi_report(body, m_range, u_grid):
     """Track branches over (m, u), compare with predicted centers, fit the decay."""
     if isinstance(body, Polygon):
         return KobayashiReport(body_hash(body), (), (), np.zeros((0, 0)),
@@ -71,7 +71,7 @@ def kobayashi_report(body, m_range, u_grid, order=64):
     m_list = list(m_range)
     u_list = list(u_grid)
     max_zeta = max(abs(kobayashi_center(body, max(m_list), u)) for u in u_list) + 10.0
-    columns = parallel_map(partial(_track_direction, body, m_list, order, max_zeta), u_list)
+    columns = parallel_map(partial(_track_direction, body, m_list, max_zeta), u_list)
     dev = np.zeros((len(m_list), len(u_list)))
     im_err = np.zeros_like(dev)
     re_err = np.zeros_like(dev)
@@ -139,8 +139,7 @@ class ZeroUnionReport:
         return all(r.multiplicity >= 1 for r in self.rows)
 
 
-def zero_union_check(body, u: Direction, m_range, order=64,
-                     match_tol=1e-6, residual_tol=1e-8):
+def zero_union_check(body, u: Direction, m_range, match_tol=1e-6, residual_tol=1e-8):
     """Zeros of the g_K ray transform against the branch set {F_m, conj F_m}.
 
     The transform of g_K on the ray factors as flt(zeta) * conj(flt(conj zeta)),
@@ -149,8 +148,8 @@ def zero_union_check(body, u: Direction, m_range, order=64,
     """
     m_list = list(m_range)
     max_zeta = abs(kobayashi_center(body, max(m_list), u)) + 10.0
-    ctx = build_context(body, u, order=order, max_abs_zeta=max_zeta)
-    nodes, weights, ac = autocorr_transform_table(body, u, max_zeta, order=order)
+    ctx = build_context(body, u, max_abs_zeta=max_zeta)
+    nodes, weights, ac = autocorr_transform_table(body, u, max_zeta)
     wa = weights * ac
 
     def g_many(zs):
@@ -251,6 +250,14 @@ def crosscov_counterexample(family, params=None, grid=(41, 41), tol=1e-9):
     return CounterexampleReport(family, dev, tol, triv, tuple(grid))
 
 
+# determination_experiment's decision thresholds
+RADIAL_TOL = 5e-3        # relative support mismatch -> distinct
+PAIR_REL_TOL = 0.15      # relative curvature-pair mismatch -> distinct
+RATIO_THRESHOLD = 0.3    # min |ln(high/low)| for a sign region
+SIGN_M = 5               # branch whose g-transform zero signs a region
+FIT_FAIL_FRAC = 0.05     # largest share of directions whose pair fit may fail
+
+
 @dataclass(frozen=True)
 class DeterminationConfig:
     """Settings of determination_experiment.  The curvature pairs come from
@@ -259,11 +266,6 @@ class DeterminationConfig:
 
     n_dirs: int = 24
     extent_dirs: int = 128          # radial-table resolution for anchors/extents
-    radial_tol: float = 5e-3        # relative support mismatch -> distinct
-    pair_rel_tol: float = 0.15      # relative curvature-pair mismatch -> distinct
-    ratio_threshold: float = 0.3    # min |ln(high/low)| for a sign region
-    sign_m: int = 5
-    fit_fail_frac: float = 0.05
     t_order: int = 24
     s_order: int = 16
     max_regions_checked: int = 4
@@ -355,14 +357,14 @@ def _line_integrals(g, uv, perp, ts, smin, smax, order):
 
 
 def _gtransform_im(g, radial, thetas, u: Direction, w_u, im_guess, cfg):
-    """Imaginary part of the g-transform zero near branch sign_m along u.
+    """Imaginary part of the g-transform zero near branch SIGN_M along u.
 
     R_g(u, t) is even in t, so the transform is assembled as a cosine sum over
     the half-line table.
     """
     uv = u.u
     perp = u.perp
-    zeta_c = math.pi * (4 * cfg.sign_m + 1) / (2.0 * w_u)
+    zeta_c = math.pi * (4 * SIGN_M + 1) / (2.0 * w_u)
     t_nodes, t_weights = panel_table(0.0, w_u, [], order=cfg.t_order,
                                      max_freq=zeta_c + 2.0, osc_budget=30.0)
     smin, smax, miss = _segment_extents(radial, thetas, uv, t_nodes)
@@ -460,7 +462,7 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
     rad_b = _radial_table(g_b, fine)
     scale = max(rad_a.max(), rad_b.max())
     details = {"radial_max_dev": float(np.abs(rad_a - rad_b).max() / scale)}
-    if details["radial_max_dev"] > cfg.radial_tol:
+    if details["radial_max_dev"] > RADIAL_TOL:
         return verdict("distinct", (), (), (), reason="support mismatch")
 
     def pair(g, radial, u):
@@ -478,7 +480,7 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
             failures += 1
             pairs_a.append(None)
             pairs_b.append(None)
-    if failures > cfg.fit_fail_frac * len(thetas):
+    if failures > FIT_FAIL_FRAC * len(thetas):
         raise Inconclusive(f"curvature fit failed on {failures}/{len(thetas)} directions")
     pair_dev = 0.0
     ratios = np.zeros(len(thetas))
@@ -489,10 +491,10 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
                        abs(pa[0] - pb[0]) / pb[0], abs(pa[1] - pb[1]) / pb[1])
         ratios[i] = math.log(pa[1] / pa[0])
     details["pair_max_dev"] = float(pair_dev)
-    if pair_dev > cfg.pair_rel_tol:
+    if pair_dev > PAIR_REL_TOL:
         return verdict("distinct", tuple(pairs_a), tuple(pairs_b), (),
                        reason="curvature pairs mismatch")
-    regions = _contiguous_regions(ratios > cfg.ratio_threshold)
+    regions = _contiguous_regions(ratios > RATIO_THRESHOLD)
     regions = regions[: cfg.max_regions_checked]
     relations = []
     for run in regions:

@@ -38,9 +38,24 @@ def _load_body(path):
 def _parse_grid(text):
     try:
         nx, ny = text.lower().split("x")
-        return int(nx), int(ny)
+        nx, ny = int(nx), int(ny)
     except ValueError:
         raise UsageError(f"grid must look like 41x41, got {text!r}")
+    if min(nx, ny) < 2:
+        raise UsageError(f"grid sides must be at least 2, got {text!r}")
+    return nx, ny
+
+
+def _check_options(args):
+    """Reject a non-finite --u or --xi-max and a --num or --u-grid below 1."""
+    for name in ("u", "xi_max"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    for name in ("num", "u_grid"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
 
 
 def _parse_range(text):
@@ -124,7 +139,7 @@ def cmd_radon(args):
     u = Direction(args.u)
     cf = radon.chord_function(body, u)
     ts = np.linspace(cf.lo, cf.hi, args.num)
-    _write_csv(args.out, "t,chord", [(float(t), float(cf(t))) for t in ts])
+    _write_csv(args.out, "t,chord", zip(ts.tolist(), cf(ts).tolist()))
     _emit({"schema_version": SCHEMA_VERSION, "command": "radon", "out": args.out,
            "domain": [cf.lo, cf.hi], "method": cf.method}, args.json)
     return 0
@@ -474,6 +489,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except (UsageError, ThreadCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)

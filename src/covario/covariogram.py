@@ -17,6 +17,7 @@ import numpy as np
 from covario.geometry import (
     Direction,
     Disk,
+    Harmonics,
     Polygon,
     SupportBody,
     area,
@@ -194,40 +195,10 @@ _MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
-class _Harmonics:
-    """c0 + sum_k (a_k cos k t + b_k sin k t) over the harmonics k present."""
-
-    c0: float
-    k: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    def terms(self, t):
-        """The series, its derivative and the series plus its second derivative at t."""
-        kt = t[..., None] * self.k
-        c, s = np.cos(kt), np.sin(kt)
-        f = c * self.a + s * self.b
-        return (self.c0 + f.sum(-1), ((c * self.b - s * self.a) * self.k).sum(-1),
-                self.c0 + (f * (1.0 - self.k * self.k)).sum(-1))
-
-    def integral(self, s, e):
-        """Integral of the series over [s, e], from differences taken as products."""
-        half, mid = 0.5 * (e - s), 0.5 * (e + s)
-        kh, km = half[..., None] * self.k, mid[..., None] * self.k
-        f = np.sin(kh) / self.k * (self.a * np.cos(km) + self.b * np.sin(km))
-        return 2.0 * (self.c0 * half + f.sum(-1))
-
-
-def _harmonics(c0, k, a, b):
-    keep = (a != 0.0) | (b != 0.0)
-    return _Harmonics(float(c0), k[keep], a[keep], b[keep])
-
-
-@dataclass(frozen=True)
 class _StripSeries:
-    support: _Harmonics   # h, so terms() gives h, h' and rho = h + h''
-    width: _Harmonics     # w(t) = h(t) + h(t + pi): the even harmonics, doubled
-    h_rho: _Harmonics     # h * rho, of degree at most 2 KMAX
+    support: Harmonics   # h, so terms() gives h, h' and rho = h + h''
+    width: Harmonics     # w(t) = h(t) + h(t + pi): the even harmonics, doubled
+    h_rho: Harmonics     # h * rho, of degree at most 2 KMAX
     area: float
 
 
@@ -238,18 +209,17 @@ def _strip_series(body):
     h * rho comes from one convolution of the complex Fourier coefficients of
     h and of rho = h + h''.
     """
+    h = body.series
+    even = h.k % 2.0 == 0.0
     ab = np.array(body.coeffs, dtype=float).reshape(-1, 2)
     m = ab.shape[0]
-    k = np.arange(1.0, m + 1.0)
-    even = k % 2.0 == 0.0
     half = 0.5 * (ab[:, 0] - 1j * ab[:, 1])
     coef = np.concatenate([np.conj(half[::-1]), [body.a0], half])  # harmonics -m..m
     ks = np.arange(-m, m + 1.0)
     prod = np.convolve(coef, (1.0 - ks * ks) * coef)[2 * m:]          # harmonics 0..2m
-    return _StripSeries(_harmonics(body.a0, k, ab[:, 0], ab[:, 1]),
-                        _harmonics(2.0 * body.a0, k[even], 2.0 * ab[even, 0], 2.0 * ab[even, 1]),
-                        _harmonics(prod[0].real, np.arange(1.0, 2 * m + 1.0),
-                                   2.0 * prod[1:].real, -2.0 * prod[1:].imag),
+    return _StripSeries(h, Harmonics(2.0 * h.c0, h.k[even], 2.0 * h.a[even], 2.0 * h.b[even]),
+                        Harmonics.of(prod[0].real, np.arange(1.0, 2 * m + 1.0),
+                                     2.0 * prod[1:].real, -2.0 * prod[1:].imag),
                         area(body))
 
 
@@ -397,29 +367,19 @@ def _bisected_chords(support, alpha, r, longest, short):
     by bisection between the ends of the longest chord and of the point-chord
     at the support line (the brackets of _caps).
 
-    Along the chord's offset s = <p, u> the length falls from above r at the
-    longest chord to 0 at the support line.  Each probed offset bisects the
-    two ends on <p(phi), u> = s, between the ends found at the two offsets
-    that bracket the chord so far.
+    Along the chord's offset s = <p, e>, e the normal alpha + pi/2, the length
+    falls from above r at the longest chord to 0 at the support line.  Each
+    probed offset finds the two ends on <p(phi), e> = s between the ends
+    found at the two offsets that bracket the chord so far.
     """
-
-    def offsets(phi):
-        """<p(phi), u> and <p(phi), v>, with v = (cos alpha, sin alpha)."""
-        h, h1, _ = support.terms(phi)
-        c, s = np.cos(phi - alpha), np.sin(phi - alpha)
-        return h * s + h1 * c, h * c - h1 * s
-
-    s_long, s_short = offsets(longest)[0][1], offsets(short)[0][1]
+    e = alpha + 0.5 * math.pi
+    s_long, s_short = support.offsets(longest[1], e)[0], support.offsets(short[1], e)[0]
     for _ in range(64):
         s = 0.5 * (s_long + s_short)
-        a, b = longest.copy(), short.copy()
-        for _ in range(64):
-            mid = 0.5 * (a + b)
-            toward_long = (offsets(mid)[0] > s) == (s_long > s)
-            a, b = np.where(toward_long, mid, a), np.where(toward_long, b, mid)
-        ends = 0.5 * (a + b)
-        along = offsets(ends)[1]
-        longer = along[1] - along[0] > r
+        ends = support.normal_at_offset(s, e, longest, short)
+        # e perp points along -(cos alpha, sin alpha), from p(phi_b) to p(phi_a)
+        along = support.offsets(ends, e)[1]
+        longer = along[0] - along[1] > r
         s_long, s_short = np.where(longer, s, s_long), np.where(longer, s_short, s)
         longest, short = np.where(longer, ends, longest), np.where(longer, short, ends)
     return 0.5 * (longest + short)
@@ -577,11 +537,7 @@ def sum_reciprocal_curvatures_from_width(body: SupportBody, u: Direction):
     """w(theta) + w''(theta), which equals 1/tau(u) + 1/tau(-u) (checked to 1e-10)."""
     if not isinstance(body, SupportBody):
         raise TypeError("closed-form width differentiation needs a SupportBody")
-    th = u.theta
-    val = 2.0 * body.a0
-    for k, (a, b) in enumerate(body.coeffs, start=1):
-        if k % 2 == 0:
-            val += 2.0 * (1.0 - k * k) * (a * math.cos(k * th) + b * math.sin(k * th))
+    val = float(_strip_series(body).width.terms(u.theta)[2])
     target = 1.0 / curvature(body, u) + 1.0 / curvature(body, u.antipode())
     if abs(val - target) > 1e-10:
         raise AssertionError(f"width/curvature mismatch: {val} vs {target}")

@@ -35,8 +35,8 @@ class RayTransformContext:
     """Quadrature table for zeta -> integral of S_K(u, t) exp(i t zeta) dt.
 
     The panel layout is fixed at construction for |zeta| <= max_abs_zeta, and
-    the chord values at the nodes are precomputed, so each evaluation is a
-    single vectorized sum.
+    the amplitudes, each node's weight times its chord value, are precomputed,
+    so each evaluation is a single vectorized sum.
     """
 
     body: object
@@ -46,22 +46,19 @@ class RayTransformContext:
     lo: float
     hi: float
     nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    chord_values: np.ndarray = field(repr=False)
+    amplitudes: np.ndarray = field(repr=False)
 
     @property
     def body_width(self):
         return self.hi - self.lo
 
 
-def build_context(body, u: Direction, order=64, max_abs_zeta=200.0):
-    if order < 32:
-        raise ValueError("per-panel quadrature order must be at least 32")
+def build_context(body, u: Direction, max_abs_zeta=200.0):
     cf = chord_function(body, u)
-    nodes, weights = panel_table(cf.lo, cf.hi, cf.breakpoints, order=order,
-                                 max_freq=max_abs_zeta, osc_budget=OSC_BUDGET)
+    nodes, weights = panel_table(cf.lo, cf.hi, cf.breakpoints, max_freq=max_abs_zeta,
+                                 osc_budget=OSC_BUDGET)
     return RayTransformContext(body, u, max_abs_zeta, IM_CAP_FACTOR / cf.width,
-                               cf.lo, cf.hi, nodes, weights, cf(nodes))
+                               cf.lo, cf.hi, nodes, weights * cf(nodes))
 
 
 def _check_zeta(ctx, zeta):
@@ -73,13 +70,13 @@ def _check_zeta(ctx, zeta):
 def flt_ray(ctx, zeta):
     """Transform value at complex zeta; equals area(K) at zeta = 0."""
     _check_zeta(ctx, zeta)
-    return complex(np.sum(ctx.weights * ctx.chord_values * np.exp(1j * ctx.nodes * zeta)))
+    return complex(np.sum(ctx.amplitudes * np.exp(1j * ctx.nodes * zeta)))
 
 
 def flt_ray_derivative(ctx, zeta):
     """d/dzeta of the ray transform: the transform of i t S_K(u, t)."""
     _check_zeta(ctx, zeta)
-    w = ctx.weights * ctx.chord_values * ctx.nodes
+    w = ctx.amplitudes * ctx.nodes
     return 1j * complex(np.sum(w * np.exp(1j * ctx.nodes * zeta)))
 
 
@@ -87,7 +84,7 @@ def flt_ray_many(ctx, zetas):
     """Vectorized transform values for an array of complex zetas."""
     zetas = np.asarray(zetas, dtype=complex)
     _check_zeta(ctx, zetas)
-    return np.exp(1j * np.outer(zetas, ctx.nodes)) @ (ctx.weights * ctx.chord_values)
+    return np.exp(1j * np.outer(zetas, ctx.nodes)) @ ctx.amplitudes
 
 
 def kobayashi_center(body, m, u: Direction, n=2):
@@ -219,7 +216,7 @@ def track_zero(ctx, m, start=None, max_iter=50, strict=True):
     return ZeroBranch(m, ctx.u, z, residual, validated, predicted)
 
 
-def branch_sweep(body, u_grid, m_range, order=64, strict=True):
+def branch_sweep(body, u_grid, m_range, strict=True):
     """Validated ZeroBranch table over (m, u) with a branch-continuity check.
 
     Consecutive grid directions must move each branch by less than half the
@@ -231,7 +228,7 @@ def branch_sweep(body, u_grid, m_range, order=64, strict=True):
     rows = []
     per_m = {m: [] for m in m_list}
     for u in u_list:
-        ctx = build_context(body, u, order=order, max_abs_zeta=max_zeta)
+        ctx = build_context(body, u, max_abs_zeta=max_zeta)
         for m in m_list:
             try:
                 br = track_zero(ctx, m, strict=strict)
@@ -280,7 +277,7 @@ def verify_reflection_identity(body, n_samples=50, seed=0, tol_factor=1e-9):
     return IdentityReport(worst, tol_factor, n_samples)
 
 
-def autocorr_transform_table(body, u: Direction, max_freq, order=64):
+def autocorr_transform_table(body, u: Direction, max_freq):
     """Quadrature table (nodes, weights, values) for the transform of g_K on the ray u.
 
     The integrand is the chord autocorrelation, whose transform equals
@@ -293,19 +290,18 @@ def autocorr_transform_table(body, u: Direction, max_freq, order=64):
         knots = np.concatenate([[cf.lo], np.asarray(cf.breakpoints), [cf.hi]])
         diffs = (knots[None, :] - knots[:, None]).ravel()
         brks.extend(diffs.tolist())
-    nodes, weights = panel_table(-w, w, brks, order=order, max_freq=max_freq,
-                                 osc_budget=OSC_BUDGET)
-    values = chord_autocorrelation_batch(body, u, nodes, order=order)
+    nodes, weights = panel_table(-w, w, brks, max_freq=max_freq, osc_budget=OSC_BUDGET)
+    values = chord_autocorrelation_batch(body, u, nodes)
     return nodes, weights, values
 
 
-def verify_factorization(body, u: Direction, xi_grid, tol_factor=1e-6, order=64):
+def verify_factorization(body, u: Direction, xi_grid, tol_factor=1e-6):
     """Check FT(autocorrelation)(xi) = |flt_ray(xi)|^2 on a real xi grid."""
     xi = np.asarray(xi_grid, dtype=float)
     max_xi = float(np.abs(xi).max())
-    nodes, weights, ac = autocorr_transform_table(body, u, max_xi, order=order)
+    nodes, weights, ac = autocorr_transform_table(body, u, max_xi)
     lhs = np.exp(1j * np.outer(xi, nodes)) @ (weights * ac)
-    ctx = build_context(body, u, order=order, max_abs_zeta=max_xi)
+    ctx = build_context(body, u, max_abs_zeta=max_xi)
     rhs = np.abs(flt_ray_many(ctx, xi.astype(complex))) ** 2
     dev = float(np.abs(lhs - rhs).max())
     scale = area(body) ** 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,6 +134,68 @@ class Polygon:
         return f"Polygon({self.vertices.shape[0]} vertices)"
 
 
+# halvings of a bisection bracket: 60 take a bracket of length pi to 3e-18
+BISECTION_STEPS = 60
+
+
+@dataclass(frozen=True, eq=False)
+class Harmonics:
+    """f(t) = c0 + sum_k (a_k cos k t + b_k sin k t) over the harmonics k present.
+
+    Read as a support function, f has the boundary point p = f n + f' n' at
+    the normal n = (cos t, sin t), n' = (-sin t, cos t), and the radius of
+    curvature f + f'' there.
+    """
+
+    c0: float
+    k: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    @staticmethod
+    def of(c0, k, a, b):
+        """The series with its zero harmonics dropped."""
+        keep = (a != 0.0) | (b != 0.0)
+        return Harmonics(float(c0), k[keep], a[keep], b[keep])
+
+    def terms(self, t):
+        """The series, its derivative and the series plus its second derivative at t."""
+        kt = np.asarray(t, dtype=float)[..., None] * self.k
+        c, s = np.cos(kt), np.sin(kt)
+        f = c * self.a + s * self.b
+        return (self.c0 + f.sum(-1), ((c * self.b - s * self.a) * self.k).sum(-1),
+                self.c0 + (f * (1.0 - self.k * self.k)).sum(-1))
+
+    def integral(self, s, e):
+        """Integral of the series over [s, e], from differences taken as products."""
+        half, mid = 0.5 * (e - s), 0.5 * (e + s)
+        kh, km = half[..., None] * self.k, mid[..., None] * self.k
+        f = np.sin(kh) / self.k * (self.a * np.cos(km) + self.b * np.sin(km))
+        return 2.0 * (self.c0 * half + f.sum(-1))
+
+    def offsets(self, phi, e):
+        """(<p(phi), e>, <p(phi), e perp>) for the unit vector e of angle e and
+        e perp, e turned by +90 degrees."""
+        f, f1, _ = self.terms(phi)
+        c, s = np.cos(phi - e), np.sin(phi - e)
+        return f * c - f1 * s, f * s + f1 * c
+
+    def normal_at_offset(self, s, e, a, b):
+        """The normal angle phi between a and b with <p(phi), e> = s.
+
+        <p(phi), e> must be monotone on [a, b] and s lie between its values
+        at the ends; every argument broadcasts, so one call bisects many
+        brackets together.
+        """
+        fa = self.offsets(a, e)[0] - s
+        for _ in range(BISECTION_STEPS):
+            mid = 0.5 * (a + b)
+            fm = self.offsets(mid, e)[0] - s
+            left = fa * fm <= 0.0
+            a, b, fa = np.where(left, a, mid), np.where(left, mid, b), np.where(left, fa, fm)
+        return 0.5 * (a + b)
+
+
 @dataclass(frozen=True)
 class SupportBody:
     """Body given by a truncated Fourier series support function h(theta).
@@ -141,77 +203,61 @@ class SupportBody:
     h(theta) = a0 + sum_k (a_k cos k theta + b_k sin k theta), k <= KMAX,
     with the C2+ condition rho = h + h'' > 0 checked on a dense grid and at
     its local minima, refined between the grid points.
-    The optional center translates the body.
+    The optional center translates the body.  series holds h as Harmonics;
+    every quantity of the body reads it.
     """
 
     a0: float
     coeffs: tuple = ()
     center: tuple = (0.0, 0.0)
+    series: Harmonics = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) > KMAX:
             raise NotC2Plus(f"at most {KMAX} harmonics supported")
         object.__setattr__(self, "coeffs", tuple((float(a), float(b)) for a, b in self.coeffs))
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        ab = np.array(self.coeffs, dtype=float).reshape(-1, 2)
+        object.__setattr__(self, "series", Harmonics.of(
+            self.a0, np.arange(1.0, ab.shape[0] + 1.0), ab[:, 0], ab[:, 1]))
         theta = np.linspace(0.0, 2.0 * math.pi, C2PLUS_GRID, endpoint=False)
-        h = self.h(theta)
         rho = self._least_rho(theta)
         if rho <= C2PLUS_MARGIN:
             raise NotC2Plus(f"min(h + h'') = {rho:.3e} <= {C2PLUS_MARGIN}")
-        if h.min() <= 0.0:
+        if self.h(theta).min() <= 0.0:
             raise NotC2Plus("support function must be positive (origin inside body)")
 
     def _least_rho(self, grid):
         """Least rho on the grid and at its local minima, each refined by Newton
         steps on rho' = 0 with the series' exact rho' and rho'' and kept inside
         the grid cells next to it, so a dip narrower than a cell shows."""
-        rho = self.rho(grid)
+        h = self.series
+        rho_series = Harmonics(h.c0, h.k, (1.0 - h.k * h.k) * h.a, (1.0 - h.k * h.k) * h.b)
+        rho = rho_series.terms(grid)[0]
         t = grid[(rho < np.roll(rho, 1)) & (rho <= np.roll(rho, -1))]
         if not t.size:
             return float(rho.min())
         step = grid[1] - grid[0]
         lo, hi = t - step, t + step
-        k = np.arange(1.0, len(self.coeffs) + 1.0)
-        c = (1.0 - k * k) * np.array([a - 1j * b for a, b in self.coeffs])
         for _ in range(4):
-            e = c * np.exp(1j * np.outer(t, k))
-            d1, d2 = (e * 1j * k).real.sum(1), -(e * k * k).real.sum(1)
+            r, d1, r_plus_d2 = rho_series.terms(t)
+            d2 = r_plus_d2 - r
             newton = np.where(d2 > 0.0, d1 / np.where(d2 > 0.0, d2, 1.0), 0.0)
             t = np.clip(t - newton, lo, hi)
-        return float(min(rho.min(), self.rho(t).min()))
-
-    def _series(self, theta, weight):
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        for k, (a, b) in enumerate(self.coeffs, start=1):
-            w = weight(k)
-            out = out + w * (a * np.cos(k * theta) + b * np.sin(k * theta))
-        return out
+        return float(min(rho.min(), rho_series.terms(t)[0].min()))
 
     def h(self, theta):
         """Support function of the untranslated shape."""
-        return self.a0 + self._series(theta, lambda k: 1.0)
-
-    def h1(self, theta):
-        """First derivative h'(theta)."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta)
-        for k, (a, b) in enumerate(self.coeffs, start=1):
-            out = out + k * (-a * np.sin(k * theta) + b * np.cos(k * theta))
-        return out
+        return self.series.terms(theta)[0]
 
     def rho(self, theta):
-        """Radius of curvature rho = h + h'' (spectral form)."""
-        return self.a0 + self._series(theta, lambda k: 1.0 - k * k)
+        """Radius of curvature rho = h + h''."""
+        return self.series.terms(theta)[2]
 
     def boundary(self, theta):
         """Boundary point with outer normal angle theta, shape (..., 2)."""
-        theta = np.asarray(theta, dtype=float)
-        h = self.h(theta)
-        h1 = self.h1(theta)
-        x = h * np.cos(theta) - h1 * np.sin(theta) + self.center[0]
-        y = h * np.sin(theta) + h1 * np.cos(theta) + self.center[1]
-        return np.stack([x, y], axis=-1)
+        x, y = self.series.offsets(theta, 0.0)
+        return np.stack([x + self.center[0], y + self.center[1]], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from covario._quadrature import panel_nodes
+from covario._quadrature import PANEL_ORDER, panel_nodes
 from covario.geometry import Direction, Disk, Polygon, SupportBody, curvature, slice_table
 
 
@@ -68,34 +68,14 @@ def _support_chord_function(body, u: Direction):
     hu = float(body.h(th))
     hmu = float(body.h(th + math.pi))
     lo, hi = -hmu + shift, hu + shift
-
-    def height(phi):
-        # signed offset <x(phi), u> of the untranslated boundary point
-        return body.h(phi) * np.cos(phi - th) - body.h1(phi) * np.sin(phi - th)
-
-    def solve(t, left, right):
-        # height is strictly monotone on [left, right]; vectorized bisection
-        a = np.full_like(t, left)
-        b = np.full_like(t, right)
-        fa = height(a) - t
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            fm = height(mid) - t
-            take = (fa * fm) <= 0
-            b = np.where(take, mid, b)
-            a = np.where(take, a, mid)
-            fa = np.where(take, fa, fm)
-        return 0.5 * (a + b)
+    # <p(phi), u> decreases on [th, th + pi] and increases on [th - pi, th]:
+    # one bracket for each end of the chord
+    start, end = np.array([[th], [th - math.pi]]), np.array([[th + math.pi], [th]])
 
     def ev(t):
-        tt = np.clip(t - shift, -hmu, hu)
-        # decreasing branch on [th, th+pi], increasing on [th-pi, th]
-        phi1 = solve(tt, th, th + math.pi)
-        phi2 = solve(tt, th - math.pi, th)
-        s1 = body.h(phi1) * np.sin(phi1 - th) + body.h1(phi1) * np.cos(phi1 - th)
-        s2 = body.h(phi2) * np.sin(phi2 - th) + body.h1(phi2) * np.cos(phi2 - th)
-        out = np.where((t >= lo) & (t <= hi), np.maximum(s1 - s2, 0.0), 0.0)
-        return out
+        phi = body.series.normal_at_offset(np.clip(t - shift, -hmu, hu), th, start, end)
+        along = body.series.offsets(phi, th)[1]
+        return np.where((t >= lo) & (t <= hi), np.maximum(along[0] - along[1], 0.0), 0.0)
 
     return ChordFunction(u, lo, hi, "support-rootfind", ev)
 
@@ -105,7 +85,7 @@ def radon(body, u: Direction, t):
     return chord_function(body, u)(t)
 
 
-def chord_autocorrelation_batch(body, u: Direction, s_values, order=64):
+def chord_autocorrelation_batch(body, u: Direction, s_values):
     """integral S(t) S(t + s) dt for every s in s_values.
 
     For each shift the overlap [a, b] of [lo, hi] and [lo - s, hi - s] is cut
@@ -119,7 +99,7 @@ def chord_autocorrelation_batch(body, u: Direction, s_values, order=64):
     out = np.zeros_like(s_values)
     # a row holds a, b and the candidate cuts fixed and fixed - s
     panels = 2 * fixed.size + 1
-    chunk = max(1, 2 ** 18 // (panels * 2 * order))
+    chunk = max(1, 2 ** 18 // (panels * 2 * PANEL_ORDER))
     for start in range(0, s_values.shape[0], chunk):
         s = s_values[start:start + chunk]
         a = np.maximum(cf.lo, cf.lo - s)
@@ -131,16 +111,16 @@ def chord_autocorrelation_batch(body, u: Direction, s_values, order=64):
         # cuts outside the open margin collapse onto a, leaving zero-length panels
         cuts = np.sort(np.concatenate([a, b, np.where(inside, cand, a)], axis=1), axis=1)
         keep = cuts[:, 1:] > cuts[:, :-1]
-        nodes, weights = panel_nodes(cuts[:, :-1][keep], cuts[:, 1:][keep], order)
-        node_rows = np.repeat(np.nonzero(keep)[0], 2 * order)
+        nodes, weights = panel_nodes(cuts[:, :-1][keep], cuts[:, 1:][keep])
+        node_rows = np.repeat(np.nonzero(keep)[0], 2 * PANEL_ORDER)
         integrand = weights * cf(nodes) * cf(nodes + s[node_rows, 0])
         out[start + rows] = np.bincount(node_rows, weights=integrand, minlength=rows.size)
     return out
 
 
-def chord_autocorrelation(body, u: Direction, s, order=64):
+def chord_autocorrelation(body, u: Direction, s):
     """Autocorrelation of the chord function at shift s (Radon transform of g_K)."""
-    return float(chord_autocorrelation_batch(body, u, [s], order=order)[0])
+    return float(chord_autocorrelation_batch(body, u, [s])[0])
 
 
 def leading_coefficients(body, u: Direction, n=2):

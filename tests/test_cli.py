@@ -86,6 +86,30 @@ def test_non_finite_body_rejected(tmp_path, spec, capsys):
     assert captured.out == "" and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["radon", "--u", "nan"],
+    ["radon", "--u", "0.0", "--num", "0"],
+    ["radon", "--u", "0.0", "--num", "-3"],
+    ["covariogram", "--grid", "1x1"],
+    ["covariogram", "--grid", "1x9"],
+    ["covariogram", "--grid", "0x5"],
+    ["crosscov", "--body2", "{body}", "--grid", "1x1"],
+    ["crosscov", "--body2", "{body}", "--grid", "1x9"],
+    ["flt", "--u", "nan"],
+    ["flt", "--u", "0.0", "--xi-max", "nan"],
+    ["flt", "--u", "0.0", "--num", "0"],
+    ["zeros", "--u", "nan", "--m", "1..2"],
+    ["zeros", "--u", "inf", "--m", "1..2"],
+    ["kobayashi", "--u-grid", "0"],
+], ids=" ".join)
+def test_malformed_numeric_options_are_usage_errors(tmp_path, disk_file, argv, capsys):
+    args = [a.format(body=disk_file) for a in argv]
+    out = str(tmp_path / "out.csv")
+    assert main(args[:1] + ["--body", disk_file, "--out", out] + args[1:]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_missing_file(capsys):
     assert main(["body-validate", "--body", "/nonexistent/body.json"]) == 2
 

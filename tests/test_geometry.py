@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covario.geometry import (
+    KMAX,
     DegenerateZonogon,
     Direction,
     Disk,
@@ -33,6 +34,7 @@ from covario.geometry import (
     zonogon,
     zonogon_area_from_generators,
 )
+from series_reference import loop_boundary, loop_h, loop_h1, loop_rho
 
 SQ2 = math.sqrt(2.0)
 
@@ -102,6 +104,31 @@ def test_support_body_rejects_dip_between_grid_points():
                      for k, (a, b) in enumerate(coeffs, start=1))).min() > 1e-9
     with pytest.raises(NotC2Plus, match="-1.1"):
         SupportBody(a0, coeffs)
+
+
+def _random_c2plus_coeffs(rng, harmonics):
+    # sum_k (k^2 - 1) |c_k| < 1/2 keeps rho = h + h'' above 1/2
+    coeffs = np.zeros((KMAX, 2))
+    k = np.asarray(harmonics)
+    coeffs[k - 1] = rng.uniform(-1.0, 1.0, (k.size, 2)) / (4.0 * k[:, None] ** 2 * k.size)
+    return tuple(map(tuple, coeffs))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("harmonics, center", [
+    (range(1, KMAX + 1), (0.0, 0.0)),
+    ((2, 5, 17, 32), (0.0, 0.0)),
+    ((1, 3, 4, 30), (1.7, -0.4)),
+])
+def test_series_matches_per_harmonic_loops(seed, harmonics, center):
+    rng = np.random.default_rng(seed)
+    body = SupportBody(1.0 + rng.uniform(), _random_c2plus_coeffs(rng, harmonics), center)
+    assert body.series.k.size == len(harmonics)
+    theta = rng.uniform(-10.0, 10.0, 500)
+    for new, loop in ((body.h(theta), loop_h), (body.series.terms(theta)[1], loop_h1),
+                      (body.rho(theta), loop_rho), (body.boundary(theta), loop_boundary)):
+        ref = loop(body, theta)
+        np.testing.assert_allclose(new, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
 
 def test_zonogon_square_and_errors():
