@@ -12,9 +12,12 @@ from covario._parallel import parallel_map
 from covario._quadrature import gauss_legendre, panel_table
 from covario.covariogram import FitFailed, cap_pair, cross_covariogram_grid
 from covario.fourier_laplace import (
+    _newton_multiple,
     autocorr_transform_table,
     build_context,
     contour_winding,
+    derivative_rows,
+    fourier_sum,
     kobayashi_center,
     track_zero,
 )
@@ -98,25 +101,6 @@ def kobayashi_report(body, m_range, u_grid):
                            float(slope), resid, branches=branches)
 
 
-def _newton_multiple(fun, dfun, d2fun, start, max_iter=60, im_cap=None):
-    """Newton on f/f', which has simple zeros at zeros of any multiplicity."""
-    z = complex(start)
-    if im_cap is None:
-        im_cap = 10.0 * (1.0 + abs(z.imag))
-    for _ in range(max_iter):
-        f, df, d2f = fun(z), dfun(z), d2fun(z)
-        denom = df * df - f * d2f
-        if denom == 0:
-            raise UnmatchedZero(f"degenerate Newton at {z}")
-        step = f * df / denom
-        while abs((z - step).imag) > im_cap and abs(step) > 1e-15:
-            step *= 0.5
-        z -= step
-        if abs(step) <= 1e-12 * (1.0 + abs(z)):
-            return z
-    raise UnmatchedZero(f"no convergence from {start}")
-
-
 @dataclass(frozen=True)
 class ZeroUnionRow:
     m: int
@@ -131,39 +115,29 @@ class ZeroUnionReport:
     body_id: str
     theta: float
     rows: tuple
-    match_tol: float
-    residual_tol: float
 
     @property
     def passed(self):
         return all(r.multiplicity >= 1 for r in self.rows)
 
 
-def zero_union_check(body, u: Direction, m_range, match_tol=1e-6, residual_tol=1e-8):
+MATCH_TOL = 1e-6         # largest distance of a g-transform zero from its branch
+RESIDUAL_TOL = 1e-8      # largest |g-transform| at a branch, relative to area^2
+
+
+def zero_union_check(body, u: Direction, m_range):
     """Zeros of the g_K ray transform against the branch set {F_m, conj F_m}.
 
     The transform of g_K on the ray factors as flt(zeta) * conj(flt(conj zeta)),
     so its zero set is the union of the branch set and its conjugate; each
-    located zero must match a member within match_tol.
+    located zero must match a member within MATCH_TOL.
     """
     m_list = list(m_range)
     max_zeta = abs(kobayashi_center(body, max(m_list), u)) + 10.0
     ctx = build_context(body, u, max_abs_zeta=max_zeta)
-    nodes, weights, ac = autocorr_transform_table(body, u, max_zeta)
-    wa = weights * ac
-
-    def g_many(zs):
-        return np.exp(1j * np.outer(zs, nodes)) @ wa
-
-    def g_t(z):
-        return complex(np.sum(wa * np.exp(1j * nodes * z)))
-
-    def g_t1(z):
-        return complex(np.sum(wa * 1j * nodes * np.exp(1j * nodes * z)))
-
-    def g_t2(z):
-        return complex(np.sum(wa * (1j * nodes) ** 2 * np.exp(1j * nodes * z)))
-
+    nodes, amplitudes = autocorr_transform_table(body, u, max_zeta)
+    table = derivative_rows(nodes, amplitudes, 2)
+    g_many = partial(fourier_sum, table[0], nodes)
     sq_area = area(body) ** 2
     rows = []
     for m in m_list:
@@ -172,14 +146,14 @@ def zero_union_check(body, u: Direction, m_range, match_tol=1e-6, residual_tol=1
         targets = (f, f.conjugate())
         located = []
         for start in targets:
-            z = _newton_multiple(g_t, g_t1, g_t2, start)
-            if min(abs(z - t) for t in targets) > match_tol:
+            z = _newton_multiple(table, nodes, start)
+            if min(abs(z - t) for t in targets) > MATCH_TOL:
                 raise UnmatchedZero(
                     f"g-transform zero {z} matches no branch at m={m}")
-            if not any(abs(z - prev) < match_tol for prev in located):
+            if not any(abs(z - prev) < MATCH_TOL for prev in located):
                 located.append(z)
-        resid = abs(g_t(f))
-        if resid > residual_tol * sq_area:
+        resid = abs(complex(g_many(f)))
+        if resid > RESIDUAL_TOL * sq_area:
             raise UnmatchedZero(
                 f"g-transform residual {resid:.3e} at branch m={m}")
         # multiplicity by argument principle on a rectangle containing f but
@@ -190,8 +164,7 @@ def zero_union_check(body, u: Direction, m_range, match_tol=1e-6, residual_tol=1
             half_im = 1.2 * abs(f.imag)
         mult = contour_winding(g_many, f, half_re, half_im)
         rows.append(ZeroUnionRow(m, f, tuple(located), mult, resid))
-    return ZeroUnionReport(body_hash(body), u.theta, tuple(rows),
-                           match_tol, residual_tol)
+    return ZeroUnionReport(body_hash(body), u.theta, tuple(rows))
 
 
 def _best_cyclic_distance(va, vb):
@@ -359,8 +332,8 @@ def _line_integrals(g, uv, perp, ts, smin, smax, order):
 def _gtransform_im(g, radial, thetas, u: Direction, w_u, im_guess, cfg):
     """Imaginary part of the g-transform zero near branch SIGN_M along u.
 
-    R_g(u, t) is even in t, so the transform is assembled as a cosine sum over
-    the half-line table.
+    R_g(u, t) is even in t, so the half-line table on [0, w_u] is mirrored to
+    -t, which makes its cosine sum the Fourier sum of both halves.
     """
     uv = u.u
     perp = u.perp
@@ -371,20 +344,10 @@ def _gtransform_im(g, radial, thetas, u: Direction, w_u, im_guess, cfg):
     r_vals = np.zeros_like(t_nodes)
     r_vals[~miss] = _line_integrals(g, uv, perp, t_nodes[~miss], smin[~miss], smax[~miss],
                                     cfg.s_order)
-    wa = t_weights * r_vals
-
-    def gt(z):
-        return 2.0 * complex(np.sum(wa * np.cos(t_nodes * z)))
-
-    def gt1(z):
-        return -2.0 * complex(np.sum(wa * t_nodes * np.sin(t_nodes * z)))
-
-    def gt2(z):
-        return -2.0 * complex(np.sum(wa * t_nodes ** 2 * np.cos(t_nodes * z)))
-
+    nodes = np.concatenate([t_nodes, -t_nodes])
+    table = derivative_rows(nodes, np.tile(t_weights * r_vals, 2), 2)
     cap = 3.0 * (abs(im_guess) + 1.0 / w_u)
-    z = _newton_multiple(gt, gt1, gt2, complex(zeta_c, im_guess), im_cap=cap)
-    return z.imag
+    return _newton_multiple(table, nodes, complex(zeta_c, im_guess), im_cap=cap).imag
 
 
 def _contiguous_regions(mask):

@@ -16,6 +16,12 @@ OSC_BUDGET = 40.0
 CONTOUR_START = 8
 MAX_ARG_STEP = math.pi / 4.0
 MAX_REFINE_ROUNDS = 12
+KERNEL_BLOCK = 2 ** 16   # largest node-zeta product count of one exponential block
+NEWTON_MAX_ITER = 50     # track_zero's Newton steps
+MULTIPLE_MAX_ITER = 60   # _newton_multiple's Newton steps
+REFLECTION_SAMPLES = 50  # random (ray, zeta) draws of verify_reflection_identity
+REFLECTION_TOL = 1e-9    # its deviation bound, relative to area * exp(|Im zeta| h)
+FACTORIZATION_TOL = 1e-6  # verify_factorization's deviation bound, relative to area^2
 
 
 class PrecisionLoss(Exception):
@@ -30,13 +36,37 @@ class ValidationFailed(Exception):
     """Raised when a located zero fails argument-principle validation."""
 
 
+def fourier_sum(rows, nodes, zetas):
+    """rows @ exp(i outer(nodes, zetas)): sum_j rows[..., j] exp(i t_j zeta) for each zeta.
+
+    rows has shape (..., n) for the n nodes t_j; the result has shape
+    rows.shape[:-1] + zetas.shape.  The exponentials are built for at most
+    KERNEL_BLOCK node-zeta products at a time, so memory stays bounded.
+    """
+    zetas = np.asarray(zetas, dtype=complex)
+    flat = zetas.reshape(-1)
+    step = max(1, KERNEL_BLOCK // nodes.size)
+    out = np.concatenate([rows @ np.exp(1j * np.outer(nodes, flat[i:i + step]))
+                          for i in range(0, max(flat.size, 1), step)], axis=-1)
+    return out.reshape(rows.shape[:-1] + zetas.shape)
+
+
+def derivative_rows(nodes, amplitudes, order):
+    """Rows (a, i t a, ..., (i t)^order a): their fourier_sum is the sum with
+    amplitudes a and its first order zeta-derivatives."""
+    rows = [np.asarray(amplitudes, dtype=complex)]
+    for _ in range(order):
+        rows.append(1j * nodes * rows[-1])
+    return np.stack(rows)
+
+
 @dataclass(frozen=True)
 class RayTransformContext:
     """Quadrature table for zeta -> integral of S_K(u, t) exp(i t zeta) dt.
 
     The panel layout is fixed at construction for |zeta| <= max_abs_zeta, and
-    the amplitudes, each node's weight times its chord value, are precomputed,
-    so each evaluation is a single vectorized sum.
+    the rows (a, i t a), a each node's weight times its chord value, are
+    precomputed, so the transform and its derivative are one fourier_sum each.
     """
 
     body: object
@@ -46,7 +76,7 @@ class RayTransformContext:
     lo: float
     hi: float
     nodes: np.ndarray = field(repr=False)
-    amplitudes: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
 
     @property
     def body_width(self):
@@ -57,8 +87,9 @@ def build_context(body, u: Direction, max_abs_zeta=200.0):
     cf = chord_function(body, u)
     nodes, weights = panel_table(cf.lo, cf.hi, cf.breakpoints, max_freq=max_abs_zeta,
                                  osc_budget=OSC_BUDGET)
+    rows = derivative_rows(nodes, weights * cf(nodes), 1)
     return RayTransformContext(body, u, max_abs_zeta, IM_CAP_FACTOR / cf.width,
-                               cf.lo, cf.hi, nodes, weights * cf(nodes))
+                               cf.lo, cf.hi, nodes, rows)
 
 
 def _check_zeta(ctx, zeta):
@@ -70,21 +101,19 @@ def _check_zeta(ctx, zeta):
 def flt_ray(ctx, zeta):
     """Transform value at complex zeta; equals area(K) at zeta = 0."""
     _check_zeta(ctx, zeta)
-    return complex(np.sum(ctx.amplitudes * np.exp(1j * ctx.nodes * zeta)))
+    return complex(fourier_sum(ctx.rows[0], ctx.nodes, zeta))
 
 
 def flt_ray_derivative(ctx, zeta):
     """d/dzeta of the ray transform: the transform of i t S_K(u, t)."""
     _check_zeta(ctx, zeta)
-    w = ctx.amplitudes * ctx.nodes
-    return 1j * complex(np.sum(w * np.exp(1j * ctx.nodes * zeta)))
+    return complex(fourier_sum(ctx.rows[1], ctx.nodes, zeta))
 
 
 def flt_ray_many(ctx, zetas):
     """Vectorized transform values for an array of complex zetas."""
-    zetas = np.asarray(zetas, dtype=complex)
     _check_zeta(ctx, zetas)
-    return np.exp(1j * np.outer(zetas, ctx.nodes)) @ ctx.amplitudes
+    return fourier_sum(ctx.rows[0], ctx.nodes, zetas)
 
 
 def kobayashi_center(body, m, u: Direction, n=2):
@@ -159,7 +188,7 @@ def winding_number(ctx, center, half_re, half_im):
                            center, half_re, half_im)
 
 
-def track_zero(ctx, m, start=None, max_iter=50, strict=True):
+def track_zero(ctx, m, start=None):
     """Newton-track the m-th zero branch from the predicted center.
 
     Newton runs on exp(-i c zeta) F, c the midpoint of the support on u, which
@@ -173,8 +202,7 @@ def track_zero(ctx, m, start=None, max_iter=50, strict=True):
     predicted = kobayashi_center(ctx.body, m, ctx.u) if start is None else complex(start)
     z = predicted
     fz = flt_ray(ctx, z)
-    converged = False
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         denom = flt_ray_derivative(ctx, z) - 1j * c * fz
         if denom == 0:
             raise NewtonDiverged(f"zero derivative at {z}")
@@ -196,27 +224,44 @@ def track_zero(ctx, m, start=None, max_iter=50, strict=True):
         moved = abs(z_new - z)
         z, fz = z_new, f_new
         if moved <= 1e-12 * (1.0 + abs(z)):
-            converged = True
             break
-    if not converged:
-        raise NewtonDiverged(f"no convergence after {max_iter} iterations (m={m})")
+    else:
+        raise NewtonDiverged(f"no convergence after {NEWTON_MAX_ITER} iterations (m={m})")
     residual = abs(fz)
     dscale = abs(flt_ray_derivative(ctx, z))
     if residual > 1e-9 * dscale:
         raise NewtonDiverged(f"residual {residual:.3e} above 1e-9 * {dscale:.3e}")
-    try:
-        wind = winding_number(ctx, z, math.pi / (2.0 * w), 0.5 / w)
-        validated = wind == 1
-        if strict and not validated:
-            raise ValidationFailed(f"winding {wind} != 1 at m={m}")
-    except ValidationFailed:
-        if strict:
-            raise
-        validated = False
-    return ZeroBranch(m, ctx.u, z, residual, validated, predicted)
+    wind = winding_number(ctx, z, math.pi / (2.0 * w), 0.5 / w)
+    if wind != 1:
+        raise ValidationFailed(f"winding {wind} != 1 at m={m}")
+    return ZeroBranch(m, ctx.u, z, residual, True, predicted)
 
 
-def branch_sweep(body, u_grid, m_range, strict=True):
+def _newton_multiple(table, nodes, start, im_cap=None):
+    """Newton on f/f', which has simple zeros at zeros of any multiplicity.
+
+    f is the Fourier sum of table[0] on nodes; table holds the rows
+    (a, i t a, (i t)^2 a) of derivative_rows, so one fourier_sum gives
+    (f, f', f'') at each step.
+    """
+    z = complex(start)
+    if im_cap is None:
+        im_cap = 10.0 * (1.0 + abs(z.imag))
+    for _ in range(MULTIPLE_MAX_ITER):
+        f, df, d2f = fourier_sum(table, nodes, z)
+        denom = df * df - f * d2f
+        if denom == 0:
+            raise NewtonDiverged(f"degenerate Newton at {z}")
+        step = f * df / denom
+        while abs((z - step).imag) > im_cap and abs(step) > 1e-15:
+            step *= 0.5
+        z -= step
+        if abs(step) <= 1e-12 * (1.0 + abs(z)):
+            return z
+    raise NewtonDiverged(f"no convergence from {start}")
+
+
+def branch_sweep(body, u_grid, m_range):
     """Validated ZeroBranch table over (m, u) with a branch-continuity check.
 
     Consecutive grid directions must move each branch by less than half the
@@ -231,7 +276,7 @@ def branch_sweep(body, u_grid, m_range, strict=True):
         ctx = build_context(body, u, max_abs_zeta=max_zeta)
         for m in m_list:
             try:
-                br = track_zero(ctx, m, strict=strict)
+                br = track_zero(ctx, m)
             except (NewtonDiverged, ValidationFailed) as exc:
                 raise type(exc)(f"(m={m}, theta={u.theta:.6f}): {exc}") from exc
             rows.append(br)
@@ -257,7 +302,7 @@ class IdentityReport:
         return self.max_deviation <= self.tolerance
 
 
-def verify_reflection_identity(body, n_samples=50, seed=0, tol_factor=1e-9):
+def verify_reflection_identity(body, seed=0):
     """Check flt_{-K}(zeta) = conj(flt_K(conj zeta)) on random rays and zetas."""
     from covario.geometry import reflect
 
@@ -265,7 +310,7 @@ def verify_reflection_identity(body, n_samples=50, seed=0, tol_factor=1e-9):
     refl = reflect(body)
     scale = area(body)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(REFLECTION_SAMPLES):
         u = Direction(float(rng.uniform(0.0, 2.0 * math.pi)))
         ctx_k = build_context(body, u, max_abs_zeta=60.0)
         ctx_r = build_context(refl, u, max_abs_zeta=60.0)
@@ -274,14 +319,14 @@ def verify_reflection_identity(body, n_samples=50, seed=0, tol_factor=1e-9):
         growth = math.exp(abs(z.imag) * max(abs(ctx_k.lo), abs(ctx_k.hi)))
         dev = abs(flt_ray(ctx_r, z) - flt_ray(ctx_k, z.conjugate()).conjugate())
         worst = max(worst, dev / (scale * growth))
-    return IdentityReport(worst, tol_factor, n_samples)
+    return IdentityReport(worst, REFLECTION_TOL, REFLECTION_SAMPLES)
 
 
 def autocorr_transform_table(body, u: Direction, max_freq):
-    """Quadrature table (nodes, weights, values) for the transform of g_K on the ray u.
+    """Quadrature table (nodes, amplitudes) for the transform of g_K on the ray u.
 
-    The integrand is the chord autocorrelation, whose transform equals
-    flt_ray(zeta) * conj(flt_ray(conj zeta)).
+    The integrand is the chord autocorrelation, whose transform, the
+    fourier_sum of the amplitudes, equals flt_ray(zeta) * conj(flt_ray(conj zeta)).
     """
     cf = chord_function(body, u)
     w = cf.width
@@ -291,18 +336,17 @@ def autocorr_transform_table(body, u: Direction, max_freq):
         diffs = (knots[None, :] - knots[:, None]).ravel()
         brks.extend(diffs.tolist())
     nodes, weights = panel_table(-w, w, brks, max_freq=max_freq, osc_budget=OSC_BUDGET)
-    values = chord_autocorrelation_batch(body, u, nodes)
-    return nodes, weights, values
+    return nodes, weights * chord_autocorrelation_batch(body, u, nodes)
 
 
-def verify_factorization(body, u: Direction, xi_grid, tol_factor=1e-6):
+def verify_factorization(body, u: Direction, xi_grid):
     """Check FT(autocorrelation)(xi) = |flt_ray(xi)|^2 on a real xi grid."""
     xi = np.asarray(xi_grid, dtype=float)
     max_xi = float(np.abs(xi).max())
-    nodes, weights, ac = autocorr_transform_table(body, u, max_xi)
-    lhs = np.exp(1j * np.outer(xi, nodes)) @ (weights * ac)
+    nodes, amplitudes = autocorr_transform_table(body, u, max_xi)
+    lhs = fourier_sum(amplitudes, nodes, xi)
     ctx = build_context(body, u, max_abs_zeta=max_xi)
-    rhs = np.abs(flt_ray_many(ctx, xi.astype(complex))) ** 2
+    rhs = np.abs(flt_ray_many(ctx, xi)) ** 2
     dev = float(np.abs(lhs - rhs).max())
     scale = area(body) ** 2
-    return IdentityReport(dev / scale, tol_factor, xi.shape[0])
+    return IdentityReport(dev / scale, FACTORIZATION_TOL, xi.shape[0])

@@ -518,29 +518,13 @@ def minkowski_sum_polygons(p, q):
 
 
 def steiner_point(poly: Polygon):
-    """Steiner point (1/pi) * integral of h(u) u over the circle, exact for polygons."""
+    """Steiner point (1/pi) * integral of h(u) u over the circle, exact for polygons:
+    the vertices weighted by their exterior angles over 2 pi."""
     v = poly.vertices
-    n = v.shape[0]
-    edges = np.roll(v, -1, axis=0) - v
-    phi = np.arctan2(-edges[:, 0], edges[:, 1])  # outer normal angles
-    # unwrap to an increasing sequence over one turn
-    phi_un = np.copy(phi)
-    for i in range(1, n):
-        while phi_un[i] < phi_un[i - 1]:
-            phi_un[i] += 2.0 * math.pi
-    total = np.zeros(2)
-    for i in range(n):
-        vert = v[(i + 1) % n]  # vertex between edge i and edge i+1 normals
-        a = phi_un[i]
-        b = phi_un[(i + 1) % n] if i + 1 < n else phi_un[0] + 2.0 * math.pi
-        if b < a:
-            b += 2.0 * math.pi
-        cx = 0.5 * (b - a) + 0.25 * (math.sin(2 * b) - math.sin(2 * a))
-        sx = -0.25 * (math.cos(2 * b) - math.cos(2 * a))
-        sy = 0.5 * (b - a) - 0.25 * (math.sin(2 * b) - math.sin(2 * a))
-        total[0] += vert[0] * cx + vert[1] * sx
-        total[1] += vert[0] * sx + vert[1] * sy
-    return total / math.pi
+    e = np.roll(v, -1, axis=0) - v  # e[i] leaves v[i], e[i - 1] enters it
+    p = np.roll(e, 1, axis=0)
+    turn = np.arctan2(p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0], np.sum(p * e, axis=1))
+    return turn @ v / (2.0 * math.pi)
 
 
 def polygonal_approximation(body, n=4096):

@@ -75,7 +75,7 @@ def _support_chord_function(body, u: Direction):
     def ev(t):
         phi = body.series.normal_at_offset(np.clip(t - shift, -hmu, hu), th, start, end)
         along = body.series.offsets(phi, th)[1]
-        return np.where((t >= lo) & (t <= hi), np.maximum(along[0] - along[1], 0.0), 0.0)
+        return np.where((lo < t) & (t < hi), np.maximum(along[0] - along[1], 0.0), 0.0)
 
     return ChordFunction(u, lo, hi, "support-rootfind", ev)
 

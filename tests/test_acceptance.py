@@ -135,10 +135,10 @@ def test_criterion_06_curvature_pair_instances():
 
 def test_criterion_07_factorization_identity():
     xi = np.linspace(0.0, 50.0, 512)
-    rep_d = verify_factorization(DISK, E1, xi, tol_factor=1e-6)
+    rep_d = verify_factorization(DISK, E1, xi)
     rng = np.random.default_rng(29)
     poly = Polygon(convex_hull(rng.uniform(-1, 1, (9, 2))))
-    rep_p = verify_factorization(poly, Direction(0.7), xi, tol_factor=1e-6)
+    rep_p = verify_factorization(poly, Direction(0.7), xi)
     report("criterion-7 factorization identity", rep_d.passed and rep_p.passed,
            f"sup deviations {rep_d.max_deviation:.2e} (disk), "
            f"{rep_p.max_deviation:.2e} (polygon), vs 1e-6 * area^2")

@@ -4,6 +4,8 @@ must fail here rather than silently break a benchmark run."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import covario.cli  # noqa: F401  (imports every covario module, as the benchmark does)
@@ -47,3 +49,11 @@ def test_determination_workload_contract():
                                        tracer=_tracing().NullTracer())
     attempted, failed, detail = workload.solve()
     assert (attempted, failed) == (1, 0), detail
+
+
+def test_bench_smoke():
+    # perturbed references must raise failures and the layers a workload does
+    # not use must stay idle, e.g. no Fourier-layer call in determination
+    done = subprocess.run([sys.executable, "bench/run.py", "--smoke"], cwd=BENCH.parent,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -52,6 +52,17 @@ def test_body_validate_rejects_dip_between_grid_points(tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1 and "h + h''" in captured.err
 
 
+def test_zeros_rejects_polygon_as_usage_error(tmp_path, square_file, capsys):
+    # the branch centres need the curvature, which a polygon does not have
+    out = tmp_path / "zeros.csv"
+    assert main(["zeros", "--body", square_file, "--u", "0.3", "--m", "1..3",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "polygon",\n vertices: []}')

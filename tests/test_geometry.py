@@ -245,6 +245,20 @@ def test_steiner_point_translation_equivariance(make_polygon):
     assert np.allclose(steiner_point(square), [0, 0], atol=1e-12)
 
 
+def test_steiner_point_matches_quadrature(make_polygon):
+    # (1/pi) integral of h(u) u d theta by the periodic trapezoid rule on a fine
+    # grid, with h(u) the largest <v, u> over the vertices
+    theta = np.linspace(0.0, 2.0 * math.pi, 2 ** 16, endpoint=False)
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        poly = translate(make_polygon(rng, n_points=int(rng.integers(3, 12))),
+                         rng.uniform(-2.0, 2.0, 2))
+        h = (dirs @ poly.vertices.T).max(axis=1)
+        oracle = 2.0 * np.mean(h[:, None] * dirs, axis=0)
+        assert np.abs(steiner_point(poly) - oracle).max() < 1e-8
+
+
 def test_body_spec_round_trip(unit_square, unit_disk, cw3):
     for body in (unit_square, unit_disk, cw3):
         again = body_from_spec(body_to_spec(body))

@@ -11,6 +11,7 @@ from covario.geometry import (
     Direction,
     Disk,
     Polygon,
+    SupportBody,
     area,
     convex_hull,
     polygonal_approximation,
@@ -31,6 +32,18 @@ def test_chord_examples(unit_square, unit_disk):
     assert abs(radon(unit_square, E1, 0.5) - 1.0) < 1e-14
     assert radon(unit_square, E1, 1.5) == 0.0
     assert radon(unit_square, E1, -0.5) == 0.0
+
+
+def test_support_chord_ends_are_zero(cw3):
+    # the ends lie on the support lines, where the chord vanishes exactly; the
+    # bisection for the end normals resolves them only to about sqrt(eps)
+    moved = SupportBody(1.0, ((0.0, 0.0), (0.04, -0.03), (0.02, 0.01), (-0.008, 0.006),
+                              (0.003, -0.002)), center=(0.7, -1.3))
+    for body in (cw3, moved):
+        for theta in np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False):
+            cf = chord_function(body, Direction(float(theta)))
+            assert cf(cf.lo) == 0.0 and cf(cf.hi) == 0.0
+            assert cf(0.5 * (cf.lo + cf.hi)) > 0.0
 
 
 def test_smooth_chord_vs_polygonal_oracle(cw3):
