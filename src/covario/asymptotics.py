@@ -18,7 +18,8 @@ from covario.fourier_laplace import (
     contour_winding,
     derivative_rows,
     fourier_sum,
-    kobayashi_center,
+    sweep_bound,
+    track_branches,
     track_zero,
 )
 from covario.geometry import (
@@ -61,8 +62,7 @@ class KobayashiReport:
 
 def _track_direction(body, m_list, max_zeta, u):
     """Branches m_list along u; module level so that worker processes can unpickle it."""
-    ctx = build_context(body, u, max_abs_zeta=max_zeta)
-    return [track_zero(ctx, m) for m in m_list]
+    return track_branches(build_context(body, u, max_abs_zeta=max_zeta), m_list)
 
 
 def kobayashi_report(body, m_range, u_grid):
@@ -73,7 +73,7 @@ def kobayashi_report(body, m_range, u_grid):
                                flags=("non-C2plus-input",))
     m_list = list(m_range)
     u_list = list(u_grid)
-    max_zeta = max(abs(kobayashi_center(body, max(m_list), u)) for u in u_list) + 10.0
+    max_zeta = sweep_bound(body, u_list, max(m_list))
     columns = parallel_map(partial(_track_direction, body, m_list, max_zeta), u_list)
     dev = np.zeros((len(m_list), len(u_list)))
     im_err = np.zeros_like(dev)
@@ -133,7 +133,7 @@ def zero_union_check(body, u: Direction, m_range):
     located zero must match a member within MATCH_TOL.
     """
     m_list = list(m_range)
-    max_zeta = abs(kobayashi_center(body, max(m_list), u)) + 10.0
+    max_zeta = sweep_bound(body, [u], max(m_list))
     ctx = build_context(body, u, max_abs_zeta=max_zeta)
     nodes, amplitudes = autocorr_transform_table(body, u, max_zeta)
     table = derivative_rows(nodes, amplitudes, 2)

@@ -145,33 +145,40 @@ def cmd_radon(args):
     return 0
 
 
+def _rule_report(ctx):
+    """The transform's boundary rule as reported in --json: node count and N vs 2N gap."""
+    return {"nodes": int(ctx.nodes.size), "quadrature_gap": ctx.quadrature_gap}
+
+
 def cmd_flt(args):
     body = _load_body(args.body)
     u = Direction(args.u)
-    ctx = fourier_laplace.build_context(body, u, max_abs_zeta=max(args.xi_max, 1.0))
+    ctx = fourier_laplace.build_context(body, u, max_abs_zeta=abs(args.xi_max))
     xi = np.linspace(0.0, args.xi_max, args.num)
     vals = fourier_laplace.flt_ray_many(ctx, xi.astype(complex))
     rows = [(float(x), float(v.real), float(v.imag), float(abs(v) ** 2))
             for x, v in zip(xi, vals)]
     _write_csv(args.out, "xi,re,im,abs2", rows)
     _emit({"schema_version": SCHEMA_VERSION, "command": "flt", "out": args.out,
-           "value_at_zero": float(vals[0].real)}, args.json)
+           "value_at_zero": float(vals[0].real), **_rule_report(ctx)}, args.json)
     return 0
 
 
 def cmd_zeros(args):
     body = _load_body(args.body)
     u = Direction(args.u)
-    m_range = _parse_range(args.m)
+    m_list = list(_parse_range(args.m))
+    ctx = fourier_laplace.build_context(
+        body, u, max_abs_zeta=fourier_laplace.sweep_bound(body, [u], max(m_list)))
     rows = []
-    branches = fourier_laplace.branch_sweep(body, [u], m_range)
-    for br in branches:
+    for br in fourier_laplace.track_branches(ctx, m_list):
         rows.append((br.m, br.u.theta, br.zeta.real, br.zeta.imag, br.residual,
                      br.predicted_center.real, br.predicted_center.imag,
                      int(br.validated)))
     _write_csv(args.out, "m,theta,re_zeta,im_zeta,residual,pred_re,pred_im,validated", rows)
     _emit({"schema_version": SCHEMA_VERSION, "command": "zeros", "out": args.out,
-           "n_branches": len(rows), "all_validated": all(r[-1] for r in rows)}, args.json)
+           "n_branches": len(rows), "all_validated": all(r[-1] for r in rows),
+           **_rule_report(ctx)}, args.json)
     return 0
 
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from covario._quadrature import panel_table
-from covario.geometry import Direction, Polygon, area, curvature, width
+from covario._quadrature import gauss_legendre, panel_table
+from covario.geometry import Direction, Disk, Harmonics, Polygon, area, curvature, support, width
 from covario.radon import chord_autocorrelation_batch, chord_function
 
 IM_CAP_FACTOR = 12.0
@@ -22,10 +22,15 @@ MULTIPLE_MAX_ITER = 60   # _newton_multiple's Newton steps
 REFLECTION_SAMPLES = 50  # random (ray, zeta) draws of verify_reflection_identity
 REFLECTION_TOL = 1e-9    # its deviation bound, relative to area * exp(|Im zeta| h)
 FACTORIZATION_TOL = 1e-6  # verify_factorization's deviation bound, relative to area^2
+GAP_TOL = 1e-12          # largest N vs 2N gap of a rule, relative to area * exp(im_cap w/2)
+MAX_NODES = 2 ** 20      # a boundary rule that needs more nodes raises PrecisionLoss
+SERIES_RADIUS = 0.5      # |zeta| w/2 at or below which the transform is its moment series
+SERIES_TERMS = 16        # terms of that series: 0.5^16/17! < 1e-19
+SWEEP_MARGIN = 10.0      # how far past the farthest predicted center a sweep's contexts reach
 
 
 class PrecisionLoss(Exception):
-    """Raised when |Im zeta| exceeds the context cap."""
+    """Raised when zeta leaves the box a context is certified on."""
 
 
 class NewtonDiverged(Exception):
@@ -62,11 +67,20 @@ def derivative_rows(nodes, amplitudes, order):
 
 @dataclass(frozen=True)
 class RayTransformContext:
-    """Quadrature table for zeta -> integral of S_K(u, t) exp(i t zeta) dt.
+    """Boundary rule for zeta -> integral over the body of exp(i zeta <x, u>) dx.
 
-    The panel layout is fixed at construction for |zeta| <= max_abs_zeta, and
-    the rows (a, i t a), a each node's weight times its chord value, are
-    precomputed, so the transform and its derivative are one fourier_sum each.
+    By the divergence theorem with the field u (exp(i zeta <x, u>) - 1)/(i zeta)
+    the transform is the boundary integral of (exp(i zeta s) - 1)/(i zeta) <n, u>,
+    s = <p, u> at the boundary point p with outer normal n.  The rule's nodes
+    are the s_j and its amplitudes a_j = <n_j, u> ds_j sum to 0, so
+    F = G/(i zeta) with G the fourier_sum of rows[0] = a; rows[1] = i s a gives
+    G'.  The rule is certified on the box |Re zeta| <= max_abs_zeta,
+    |Im zeta| <= im_cap: quadrature_gap is its largest difference from the
+    rule with twice the nodes at the box's corners.  Where |zeta| (hi - lo)/2
+    <= SERIES_RADIUS the transform is the series
+    exp(i zeta c) sum_n moments[n] (i zeta)^n about the midpoint c, with
+    moments[n] = sum_j a_j (s_j - c)^(n + 1)/(n + 1)!, where G/(i zeta) would
+    cancel.
     """
 
     body: object
@@ -77,43 +91,145 @@ class RayTransformContext:
     hi: float
     nodes: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
+    moments: np.ndarray = field(repr=False)
+    quadrature_gap: float
 
     @property
     def body_width(self):
         return self.hi - self.lo
 
 
+def _series(body):
+    """(Harmonics, center) of a smooth body; a disk is the series c0 = r."""
+    if isinstance(body, Disk):
+        empty = np.zeros(0)
+        return Harmonics(body.radius, empty, empty, empty), body.center
+    return body.series, body.center
+
+
+def _rule_sizes(body, u, max_abs_zeta):
+    """Starting node counts: N for a smooth body, a Gauss-Legendre order per polygon edge.
+
+    exp(i zeta s(phi)) turns at most |zeta| max rho per unit of phi, so the
+    trapezoid rule needs N a little above max_abs_zeta max rho plus the top
+    harmonic; on an edge along which s changes by d the Gauss-Legendre order
+    needs a little over |zeta d|/4 points, rounded up to a multiple of 8 so that
+    few orders are ever computed.
+    """
+    if isinstance(body, Polygon):
+        drop = (np.roll(body.vertices, -1, axis=0) - body.vertices) @ u.u
+        return 8 * (np.ceil(max_abs_zeta * np.abs(drop) / 24.0).astype(int) + 1)
+    series = _series(body)[0]
+    # rho = c0 + sum_k (1 - k^2)(a_k cos k phi + b_k sin k phi)
+    rho_max = series.c0 + float(np.abs(1.0 - series.k ** 2) @ np.hypot(series.a, series.b))
+    top = int(series.k.max()) if series.k.size else 0
+    return math.ceil(1.1 * max_abs_zeta * rho_max) + 24 + 6 * (top + 1)
+
+
+def _boundary_rule(body, u, sizes):
+    """Nodes s_j = <p_j, u> and amplitudes a_j = <n_j, u> ds_j of the boundary rule.
+
+    A smooth body gets the N-point trapezoid rule in the normal angle phi,
+    with ds = rho dphi; a polygon gets sizes[e] Gauss-Legendre points in arc
+    length on edge e.
+    """
+    if isinstance(body, Polygon):
+        v = body.vertices
+        edge = np.roll(v, -1, axis=0) - v
+        start, drop, flux = v @ u.u, edge @ u.u, 0.5 * (edge @ u.perp)
+        rules = [gauss_legendre(int(q)) for q in sizes]
+        return (np.concatenate([s + 0.5 * (x + 1.0) * d
+                                for s, d, (x, _) in zip(start, drop, rules)]),
+                np.concatenate([f * w for f, (_, w) in zip(flux, rules)]))
+    series, center = _series(body)
+    phi = np.arange(sizes) * (2.0 * math.pi / sizes)
+    f, f1, rho = series.terms(phi)
+    c, s = np.cos(phi - u.theta), np.sin(phi - u.theta)
+    shift = center[0] * math.cos(u.theta) + center[1] * math.sin(u.theta)
+    return f * c - f1 * s + shift, (2.0 * math.pi / sizes) * c * rho
+
+
 def build_context(body, u: Direction, max_abs_zeta=200.0):
-    cf = chord_function(body, u)
-    nodes, weights = panel_table(cf.lo, cf.hi, cf.breakpoints, max_freq=max_abs_zeta,
-                                 osc_budget=OSC_BUDGET)
-    rows = derivative_rows(nodes, weights * cf(nodes), 1)
-    return RayTransformContext(body, u, max_abs_zeta, IM_CAP_FACTOR / cf.width,
-                               cf.lo, cf.hi, nodes, rows)
+    """Boundary rule certified on the box |Re zeta| <= max_abs_zeta, |Im zeta| <= im_cap.
+
+    The node count starts at _rule_sizes and doubles until the rule and the
+    one with twice its nodes differ by at most GAP_TOL area exp(im_cap (hi - lo)/2)
+    at the box's corners; the rule with fewer nodes is kept.
+    """
+    lo, hi = -support(body, u.antipode()), support(body, u)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    im_cap = IM_CAP_FACTOR / (hi - lo)
+    corners = np.array([complex(re, im) for re in (max_abs_zeta, -max_abs_zeta)
+                        for im in (im_cap, -im_cap)])
+    tol = GAP_TOL * area(body) * math.exp(im_cap * half)
+    sizes = _rule_sizes(body, u, max_abs_zeta)
+    nodes, amps = _boundary_rule(body, u, sizes)
+    coarse = fourier_sum(amps, nodes - mid, corners)
+    while True:
+        finer_nodes, finer_amps = _boundary_rule(body, u, 2 * sizes)
+        fine = fourier_sum(finer_amps, finer_nodes - mid, corners)
+        gap = float(np.max(np.abs(coarse - fine) / np.abs(corners)))
+        if gap <= tol:
+            break
+        if finer_nodes.size > MAX_NODES:
+            raise PrecisionLoss(f"boundary rule gap {gap:.3g} above {tol:.3g} "
+                                f"at {nodes.size} nodes")
+        sizes, nodes, amps, coarse = 2 * sizes, finer_nodes, finer_amps, fine
+    powers = np.cumprod(np.broadcast_to(nodes - mid, (SERIES_TERMS, nodes.size)), axis=0)
+    moments = (powers @ amps) / np.cumprod(np.arange(1.0, SERIES_TERMS + 1.0))
+    return RayTransformContext(body, u, max_abs_zeta, im_cap, lo, hi, nodes,
+                               derivative_rows(nodes, amps, 1), moments, gap)
 
 
 def _check_zeta(ctx, zeta):
-    z = np.asarray(zeta)
-    if np.any(np.abs(z.imag) > ctx.im_cap * (1.0 + 1e-12)):
+    """zeta as a complex array; PrecisionLoss if it leaves the certified box."""
+    z = np.asarray(zeta, dtype=complex)
+    if z.size and np.abs(z.imag).max() > ctx.im_cap * (1.0 + 1e-12):
         raise PrecisionLoss(f"|Im zeta| exceeds cap {ctx.im_cap:.3g}")
+    if z.size and np.abs(z.real).max() > ctx.max_abs_zeta * (1.0 + 1e-12):
+        raise PrecisionLoss(f"|Re zeta| exceeds the certified bound {ctx.max_abs_zeta:.3g}")
+    return z
+
+
+def _moment_series(ctx, z):
+    """(F, F') at z from the moment series about the support midpoint c."""
+    w = 1j * z
+    c = 0.5 * (ctx.lo + ctx.hi)
+    turn = np.exp(c * w)
+    m = ctx.moments
+    series = np.polyval(m[::-1], w)
+    slope = np.polyval((m[1:] * np.arange(1.0, m.size))[::-1], w)  # d series / dw
+    return turn * series, 1j * turn * (c * series + slope)
+
+
+def _transform(ctx, zetas, order):
+    """(F,) for order 0, (F, F') for order 1, at each zeta: G/(i zeta) and
+    (-i G' - F)/zeta from one fourier_sum, or the moment series where
+    |zeta| w/2 <= SERIES_RADIUS."""
+    z = _check_zeta(ctx, zetas)
+    near = np.abs(z) * (0.5 * ctx.body_width) <= SERIES_RADIUS
+    far = np.where(near, 1.0, z)
+    g = fourier_sum(ctx.rows[:order + 1], ctx.nodes, z)
+    f = g[0] / (1j * far)
+    out = (f, (-1j * g[1] - f) / far) if order else (f,)
+    if not near.any():
+        return out
+    return tuple(np.where(near, series, v) for series, v in zip(_moment_series(ctx, z), out))
 
 
 def flt_ray(ctx, zeta):
     """Transform value at complex zeta; equals area(K) at zeta = 0."""
-    _check_zeta(ctx, zeta)
-    return complex(fourier_sum(ctx.rows[0], ctx.nodes, zeta))
+    return complex(_transform(ctx, zeta, 0)[0])
 
 
 def flt_ray_derivative(ctx, zeta):
-    """d/dzeta of the ray transform: the transform of i t S_K(u, t)."""
-    _check_zeta(ctx, zeta)
-    return complex(fourier_sum(ctx.rows[1], ctx.nodes, zeta))
+    """d/dzeta of the ray transform, (-i G' - F)/zeta from one fourier_sum."""
+    return complex(_transform(ctx, zeta, 1)[1])
 
 
 def flt_ray_many(ctx, zetas):
     """Vectorized transform values for an array of complex zetas."""
-    _check_zeta(ctx, zetas)
-    return fourier_sum(ctx.rows[0], ctx.nodes, zetas)
+    return _transform(ctx, zetas, 0)[0]
 
 
 def kobayashi_center(body, m, u: Direction, n=2):
@@ -211,7 +327,7 @@ def track_zero(ctx, m, start=None):
         z_new, f_new = z, fz
         for _ in range(30):
             cand = z - lam * step
-            if abs(cand.imag) > ctx.im_cap:
+            if abs(cand.imag) > ctx.im_cap or abs(cand.real) > ctx.max_abs_zeta:
                 lam *= 0.5
                 continue
             f_cand = flt_ray(ctx, cand)
@@ -261,6 +377,23 @@ def _newton_multiple(table, nodes, start, im_cap=None):
     raise NewtonDiverged(f"no convergence from {start}")
 
 
+def sweep_bound(body, u_list, m_max):
+    """max_abs_zeta for tracking branches up to m_max along u_list: the farthest
+    predicted center plus SWEEP_MARGIN."""
+    return max(abs(kobayashi_center(body, m_max, u)) for u in u_list) + SWEEP_MARGIN
+
+
+def track_branches(ctx, m_list):
+    """track_zero for every m on one context; a failure names its m and direction."""
+    out = []
+    for m in m_list:
+        try:
+            out.append(track_zero(ctx, m))
+        except (NewtonDiverged, ValidationFailed) as exc:
+            raise type(exc)(f"(m={m}, theta={ctx.u.theta:.6f}): {exc}") from exc
+    return out
+
+
 def branch_sweep(body, u_grid, m_range):
     """Validated ZeroBranch table over (m, u) with a branch-continuity check.
 
@@ -269,26 +402,17 @@ def branch_sweep(body, u_grid, m_range):
     """
     m_list = list(m_range)
     u_list = list(u_grid)
-    max_zeta = max(abs(kobayashi_center(body, max(m_list), u)) for u in u_list) + 10.0
-    rows = []
-    per_m = {m: [] for m in m_list}
-    for u in u_list:
-        ctx = build_context(body, u, max_abs_zeta=max_zeta)
-        for m in m_list:
-            try:
-                br = track_zero(ctx, m)
-            except (NewtonDiverged, ValidationFailed) as exc:
-                raise type(exc)(f"(m={m}, theta={u.theta:.6f}): {exc}") from exc
-            rows.append(br)
-            per_m[m].append(br)
-    for m in m_list:
-        seq = per_m[m]
+    bound = sweep_bound(body, u_list, max(m_list))
+    columns = [track_branches(build_context(body, u, max_abs_zeta=bound), m_list)
+               for u in u_list]
+    for i, m in enumerate(m_list):
+        seq = [col[i] for col in columns]
         for a, b in zip(seq[:-1], seq[1:]):
-            bound = math.pi / min(width(body, a.u), width(body, b.u))
-            if abs(b.zeta - a.zeta) > bound:
+            jump = math.pi / min(width(body, a.u), width(body, b.u))
+            if abs(b.zeta - a.zeta) > jump:
                 raise ValidationFailed(
-                    f"branch m={m} jumps by {abs(b.zeta - a.zeta):.3g} > {bound:.3g}")
-    return rows
+                    f"branch m={m} jumps by {abs(b.zeta - a.zeta):.3g} > {jump:.3g}")
+    return [br for col in columns for br in col]
 
 
 @dataclass(frozen=True)
@@ -340,7 +464,12 @@ def autocorr_transform_table(body, u: Direction, max_freq):
 
 
 def verify_factorization(body, u: Direction, xi_grid):
-    """Check FT(autocorrelation)(xi) = |flt_ray(xi)|^2 on a real xi grid."""
+    """Check FT(autocorrelation)(xi) = |flt_ray(xi)|^2 on a real xi grid.
+
+    The two sides are independent formulations: the left one integrates the
+    chord autocorrelation on panel Gauss-Legendre nodes, the right one sums
+    the boundary rule of build_context, which never evaluates a chord.
+    """
     xi = np.asarray(xi_grid, dtype=float)
     max_xi = float(np.abs(xi).max())
     nodes, amplitudes = autocorr_transform_table(body, u, max_xi)

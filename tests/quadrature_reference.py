@@ -1,14 +1,28 @@
-"""Loop forms of the panel quadrature and the chord autocorrelation.
+"""Loop forms of the panel quadrature and the chord autocorrelation, and the
+chord form of the ray transform.
 
-These are the per-panel and per-shift loops that `panel_nodes` and
+The loops are the per-panel and per-shift loops that `panel_nodes` and
 `chord_autocorrelation_batch` vectorize; the tests require equal arrays, since
-the arithmetic and the node order are the same.
+the arithmetic and the node order are the same.  `chord_ray_table` integrates
+the ray transform over the chord function, an oracle independent of the
+boundary rule of `build_context`.
 """
 
 import numpy as np
 
-from covario._quadrature import gauss_legendre
+from covario._quadrature import gauss_legendre, panel_table
+from covario.fourier_laplace import OSC_BUDGET
 from covario.radon import chord_function
+
+
+def chord_ray_table(body, u, max_abs_zeta):
+    """(nodes, amplitudes) with F(zeta) = sum_j amplitudes_j exp(i nodes_j zeta):
+    panel Gauss-Legendre of S_K(u, t) exp(i t zeta) over the chord's support,
+    subdivided so that the oscillation stays resolved up to max_abs_zeta."""
+    cf = chord_function(body, u)
+    nodes, weights = panel_table(cf.lo, cf.hi, cf.breakpoints, max_freq=max_abs_zeta,
+                                 osc_budget=OSC_BUDGET)
+    return nodes, weights * cf(nodes)
 
 
 def loop_panel_table(lo, hi, breakpoints=(), order=64, max_freq=0.0, osc_budget=40.0):

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from covario.cli import main
@@ -163,7 +165,27 @@ def test_flt_command(tmp_path, disk_file, capsys):
     assert main(["flt", "--body", disk_file, "--u", "0.0", "--num", "64",
                  "--out", str(out), "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert abs(rep["value_at_zero"] - 3.141592653589793) < 1e-8
+    assert abs(rep["value_at_zero"] - 3.141592653589793) <= 1e-14 * math.pi
+
+
+def test_flt_negative_xi_max_mirrors_positive(tmp_path, capsys):
+    # F(-xi) = conj F(xi) on the real axis, so the two CSVs mirror each other
+    # only if both contexts are sized for |xi| <= 50
+    body = write_body(tmp_path, "b.json", {"kind": "support2d", "a0": 1.0,
+                                           "coeffs": [[0, 0], [0, 0], [0.05, 0]],
+                                           "center": [0.3, -0.2]})
+    tables = {}
+    for xi_max in ("50", "-50"):
+        out = tmp_path / f"f{xi_max}.csv"
+        assert main(["flt", "--body", body, "--u", "0.4", "--xi-max", xi_max, "--num", "101",
+                     "--out", str(out), "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert abs(rep["value_at_zero"] - 0.99 * math.pi) <= 1e-14 * math.pi
+        assert rep["nodes"] > 0 and 0.0 <= rep["quadrature_gap"] <= 1e-9
+        assert out.read_text().splitlines()[0] == "xi,re,im,abs2"
+        tables[xi_max] = np.loadtxt(out, delimiter=",", skiprows=1)
+    mirrored = tables["-50"] * np.array([-1.0, 1.0, -1.0, 1.0])
+    assert np.abs(mirrored - tables["50"]).max() <= 1e-12
 
 
 def test_zeros_command(tmp_path, disk_file, capsys):
@@ -172,6 +194,7 @@ def test_zeros_command(tmp_path, disk_file, capsys):
                  "--out", str(out), "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["n_branches"] == 3 and rep["all_validated"]
+    assert rep["nodes"] > 0 and 0.0 <= rep["quadrature_gap"] <= 1e-9
     rows = out.read_text().splitlines()
     assert rows[0].startswith("m,theta,re_zeta")
     assert len(rows) == 4

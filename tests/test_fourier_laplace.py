@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from quadrature_reference import chord_ray_table
 
+from covario import fourier_laplace
 from covario.fourier_laplace import (
+    GAP_TOL,
+    IM_CAP_FACTOR,
     KERNEL_BLOCK,
     MAX_REFINE_ROUNDS,
+    SERIES_RADIUS,
     PrecisionLoss,
     ValidationFailed,
     branch_sweep,
@@ -13,6 +18,7 @@ from covario.fourier_laplace import (
     contour_winding,
     flt_ray,
     flt_ray_derivative,
+    flt_ray_many,
     fourier_sum,
     kobayashi_center,
     track_zero,
@@ -20,17 +26,114 @@ from covario.fourier_laplace import (
     verify_reflection_identity,
     winding_number,
 )
-from covario.geometry import Direction, Disk, area
+from covario.geometry import Direction, Disk, Polygon, SupportBody, area
 from covario.oracles import bessel_j1, bessel_j1_zero
 from covario.radon import chord_autocorrelation
 
 E1 = Direction(0.0)
 
 
+def _nonagon():
+    # nine points of an ellipse at seeded angles: a convex 9-gon
+    ang = np.sort(np.random.default_rng(9).uniform(0.0, 2.0 * math.pi, 9))
+    poly = Polygon(np.stack([1.1 * np.cos(ang) + 0.2, 0.8 * np.sin(ang) - 0.1], axis=1))
+    assert poly.vertices.shape == (9, 2)
+    return poly
+
+
+RULE_BODIES = {
+    "cw3": SupportBody(1.0, ((0.0, 0.0), (0.0, 0.0), (0.05, 0.0))),
+    "harmonic4": SupportBody(1.0, ((0.02, 0.01), (0.03, -0.01), (0.01, 0.02), (-0.005, 0.008)),
+                             center=(0.3, -0.2)),
+    "disk": Disk((0.4, 0.1), 1.0),
+    "nonagon": _nonagon(),
+}
+
+
+def _chord_deviation(ctx, zetas):
+    """Largest |flt_ray_many - chord table| over zetas, relative to the
+    Paley-Wiener bound area exp(|Im zeta| max |t|)."""
+    nodes, amps = chord_ray_table(ctx.body, ctx.u, ctx.max_abs_zeta)
+    scale = area(ctx.body) * np.exp(np.abs(zetas.imag) * max(abs(ctx.lo), abs(ctx.hi)))
+    return float(np.max(np.abs(flt_ray_many(ctx, zetas) - fourier_sum(amps, nodes, zetas)) / scale))
+
+
+def _box_zetas(ctx, n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-ctx.max_abs_zeta, ctx.max_abs_zeta, n)
+            + 1j * rng.uniform(-ctx.im_cap, ctx.im_cap, n))
+
+
 def test_flt_at_zero_is_area(unit_square, unit_disk, cw3):
-    for body in (unit_square, unit_disk, cw3):
+    for body in (unit_square, unit_disk, cw3, *RULE_BODIES.values()):
         ctx = build_context(body, Direction(0.4), max_abs_zeta=10.0)
-        assert abs(flt_ray(ctx, 0.0) - area(body)) < 1e-8 * max(1.0, area(body))
+        assert abs(flt_ray(ctx, 0.0) - area(body)) <= 1e-14 * area(body)
+
+
+@pytest.mark.parametrize("name", sorted(RULE_BODIES))
+def test_boundary_rule_matches_chord_table(name):
+    body = RULE_BODIES[name]
+    for k, theta in enumerate((0.4, 2.3)):
+        ctx = build_context(body, Direction(theta), max_abs_zeta=130.0)
+        assert ctx.quadrature_gap <= GAP_TOL * area(body) * math.exp(IM_CAP_FACTOR / 2.0)
+        assert _chord_deviation(ctx, _box_zetas(ctx, 200, k)) <= 1e-12
+
+
+def test_boundary_rule_node_count_cw3(cw3):
+    # the chord panel table needs 896 nodes for the same box
+    for theta in (0.0, 0.4, 1.3, 2.9):
+        assert build_context(cw3, Direction(theta), max_abs_zeta=130.0).nodes.size <= 256
+
+
+def test_build_context_evaluates_no_chord(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_context must not use the chord quadrature")
+
+    monkeypatch.setattr(fourier_laplace, "chord_function", forbidden)
+    monkeypatch.setattr(fourier_laplace, "panel_table", forbidden)
+    for body in RULE_BODIES.values():
+        ctx = build_context(body, Direction(1.1), max_abs_zeta=40.0)
+        flt_ray_many(ctx, _box_zetas(ctx, 20, 0))
+
+
+def test_boundary_rule_doubles_until_gap_passes(cw3, monkeypatch):
+    # start far too coarse: the rule doubles 8 -> 16 -> ... and keeps the
+    # coarser of the first pair whose gap passes
+    monkeypatch.setattr(fourier_laplace, "_rule_sizes", lambda body, u, zeta: 8)
+    ctx = build_context(cw3, Direction(0.4), max_abs_zeta=60.0)
+    assert ctx.nodes.size in (128, 256)
+    assert ctx.quadrature_gap <= GAP_TOL * area(cw3) * math.exp(IM_CAP_FACTOR / 2.0)
+    assert _chord_deviation(ctx, _box_zetas(ctx, 100, 3)) <= 1e-11
+    monkeypatch.setattr(fourier_laplace, "MAX_NODES", 32)
+    with pytest.raises(PrecisionLoss, match="gap"):
+        build_context(cw3, Direction(0.4), max_abs_zeta=60.0)
+
+
+@pytest.mark.parametrize("name", sorted(RULE_BODIES))
+def test_flt_small_zeta_matches_moment_series(name):
+    # the chord form's moment series sum_n (i zeta)^n / n! int S(t) t^n dt
+    # needs no division by zeta; the boundary rule's G/(i zeta) would cancel
+    body = RULE_BODIES[name]
+    ctx = build_context(body, Direction(0.4), max_abs_zeta=10.0)
+    nodes, amps = chord_ray_table(body, ctx.u, 10.0)
+    mu = [float(amps @ nodes ** n) / math.factorial(n) for n in range(8)]
+    for r in (1e-12, 1e-9, 1e-5, 1e-3):
+        for zeta in (r, -r, r * complex(math.cos(0.7), math.sin(0.7))):
+            iz = 1j * zeta
+            value = sum(m * iz ** n for n, m in enumerate(mu))
+            slope = sum(1j * n * m * iz ** (n - 1) for n, m in enumerate(mu) if n)
+            assert abs(flt_ray(ctx, zeta) - value) <= 1e-14 * area(body)
+            assert abs(flt_ray_derivative(ctx, zeta) - slope) <= 1e-14 * area(body)
+
+
+@pytest.mark.parametrize("name", sorted(RULE_BODIES))
+def test_flt_continuous_across_series_radius(name):
+    body = RULE_BODIES[name]
+    ctx = build_context(body, Direction(0.4), max_abs_zeta=10.0)
+    edge = SERIES_RADIUS / (0.5 * ctx.body_width)
+    zetas = np.array([edge * (1.0 - 1e-9), edge * (1.0 + 1e-9), -edge * (1.0 + 1e-9),
+                      1j * edge * (1.0 - 1e-9), 1j * edge * (1.0 + 1e-9)])
+    assert _chord_deviation(ctx, zetas) <= 1e-14
 
 
 def test_flt_square_sinc_zero(centered_square):
@@ -77,6 +180,15 @@ def test_precision_loss_cap(unit_disk):
     ctx = build_context(unit_disk, E1, max_abs_zeta=10.0)
     with pytest.raises(PrecisionLoss):
         flt_ray(ctx, complex(1.0, ctx.im_cap + 1.0))
+    # the gap check certifies |Re zeta| <= max_abs_zeta only
+    with pytest.raises(PrecisionLoss, match="Re zeta"):
+        flt_ray(ctx, complex(10.5, 0.0))
+    with pytest.raises(PrecisionLoss, match="Re zeta"):
+        flt_ray_derivative(ctx, -10.5)
+    with pytest.raises(PrecisionLoss, match="Re zeta"):
+        flt_ray_many(ctx, np.array([0.0, 3.0, -11.0]))
+    corners = np.array([complex(10.0, ctx.im_cap), complex(-10.0, -ctx.im_cap)])
+    assert np.all(np.isfinite(flt_ray_many(ctx, corners)))
 
 
 def test_kobayashi_center_values(unit_disk, cw3):

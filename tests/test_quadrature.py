@@ -13,7 +13,7 @@ def _assert_same(table, reference):
 
 
 def test_panel_table_equals_loop_build_context(cw3):
-    # the table build_context(cw3, u, max_abs_zeta=130) integrates on
+    # the table of quadrature_reference.chord_ray_table(cw3, u, max_abs_zeta=130)
     cf = chord_function(cw3, Direction(0.4))
     args = (cf.lo, cf.hi, cf.breakpoints)
     kwargs = dict(order=64, max_freq=130.0, osc_budget=OSC_BUDGET)
