@@ -146,7 +146,7 @@ def cmd_radon(args):
 
 
 def _rule_report(ctx):
-    """The transform's boundary rule as reported in --json: node count and N vs 2N gap."""
+    """The transform's boundary rule as reported in --json: node count and N/2 vs N gap."""
     return {"nodes": int(ctx.nodes.size), "quadrature_gap": ctx.quadrature_gap}
 
 
@@ -504,7 +504,8 @@ def main(argv=None):
     try:
         _check_options(args)
         return args.func(args)
-    except (UsageError, ThreadCountError, geometry.PolygonNotSmooth) as exc:
+    except (UsageError, ThreadCountError, geometry.PolygonNotSmooth,
+            fourier_laplace.PrecisionLoss) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, asymptotics.UnmatchedZero, asymptotics.Inconclusive,

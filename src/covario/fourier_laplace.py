@@ -22,11 +22,11 @@ MULTIPLE_MAX_ITER = 60   # _newton_multiple's Newton steps
 REFLECTION_SAMPLES = 50  # random (ray, zeta) draws of verify_reflection_identity
 REFLECTION_TOL = 1e-9    # its deviation bound, relative to area * exp(|Im zeta| h)
 FACTORIZATION_TOL = 1e-6  # verify_factorization's deviation bound, relative to area^2
-GAP_TOL = 1e-12          # largest N vs 2N gap of a rule, relative to area * exp(im_cap w/2)
+GAP_TOL = 1e-12          # largest N vs 2N gap of a rule, relative to area * exp(IM_CAP_FACTOR/2)
 MAX_NODES = 2 ** 20      # a boundary rule that needs more nodes raises PrecisionLoss
 SERIES_RADIUS = 0.5      # |zeta| w/2 at or below which the transform is its moment series
 SERIES_TERMS = 16        # terms of that series: 0.5^16/17! < 1e-19
-SWEEP_MARGIN = 10.0      # how far past the farthest predicted center a sweep's contexts reach
+SWEEP_MARGIN = 10.0      # least reach of a sweep's contexts past the farthest predicted center
 
 
 class PrecisionLoss(Exception):
@@ -76,7 +76,7 @@ class RayTransformContext:
     F = G/(i zeta) with G the fourier_sum of rows[0] = a; rows[1] = i s a gives
     G'.  The rule is certified on the box |Re zeta| <= max_abs_zeta,
     |Im zeta| <= im_cap: quadrature_gap is its largest difference from the
-    rule with twice the nodes at the box's corners.  Where |zeta| (hi - lo)/2
+    rule with half the nodes at the box's corners.  Where |zeta| (hi - lo)/2
     <= SERIES_RADIUS the transform is the series
     exp(i zeta c) sum_n moments[n] (i zeta)^n about the midpoint c, with
     moments[n] = sum_j a_j (s_j - c)^(n + 1)/(n + 1)!, where G/(i zeta) would
@@ -143,38 +143,39 @@ def _boundary_rule(body, u, sizes):
                 np.concatenate([f * w for f, (_, w) in zip(flux, rules)]))
     series, center = _series(body)
     phi = np.arange(sizes) * (2.0 * math.pi / sizes)
-    f, f1, rho = series.terms(phi)
-    c, s = np.cos(phi - u.theta), np.sin(phi - u.theta)
-    shift = center[0] * math.cos(u.theta) + center[1] * math.sin(u.theta)
-    return f * c - f1 * s + shift, (2.0 * math.pi / sizes) * c * rho
+    return (series.offsets(phi, u.theta)[0] + np.dot(center, u.u),
+            (2.0 * math.pi / sizes) * np.cos(phi - u.theta) * series.terms(phi)[2])
 
 
 def build_context(body, u: Direction, max_abs_zeta=200.0):
     """Boundary rule certified on the box |Re zeta| <= max_abs_zeta, |Im zeta| <= im_cap.
 
     The node count starts at _rule_sizes and doubles until the rule and the
-    one with twice its nodes differ by at most GAP_TOL area exp(im_cap (hi - lo)/2)
-    at the box's corners; the rule with fewer nodes is kept.
+    one with half its nodes differ by at most GAP_TOL area exp(IM_CAP_FACTOR/2)
+    at the box's corners.  The rule with more nodes is kept: the error falls
+    geometrically with the node count, so the gap bounds its error with room
+    to spare, on the real axis too.  A rule of more than MAX_NODES nodes
+    raises PrecisionLoss before it is built.
     """
     lo, hi = -support(body, u.antipode()), support(body, u)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
     im_cap = IM_CAP_FACTOR / (hi - lo)
     corners = np.array([complex(re, im) for re in (max_abs_zeta, -max_abs_zeta)
                         for im in (im_cap, -im_cap)])
-    tol = GAP_TOL * area(body) * math.exp(im_cap * half)
+    tol = GAP_TOL * area(body) * math.exp(IM_CAP_FACTOR / 2.0)
     sizes = _rule_sizes(body, u, max_abs_zeta)
-    nodes, amps = _boundary_rule(body, u, sizes)
-    coarse = fourier_sum(amps, nodes - mid, corners)
+    coarse = None
     while True:
-        finer_nodes, finer_amps = _boundary_rule(body, u, 2 * sizes)
-        fine = fourier_sum(finer_amps, finer_nodes - mid, corners)
-        gap = float(np.max(np.abs(coarse - fine) / np.abs(corners)))
-        if gap <= tol:
-            break
-        if finer_nodes.size > MAX_NODES:
-            raise PrecisionLoss(f"boundary rule gap {gap:.3g} above {tol:.3g} "
-                                f"at {nodes.size} nodes")
-        sizes, nodes, amps, coarse = 2 * sizes, finer_nodes, finer_amps, fine
+        if np.sum(sizes) > MAX_NODES:
+            raise PrecisionLoss(f"boundary rule needs more than {MAX_NODES} nodes "
+                                f"for |Re zeta| <= {max_abs_zeta:.3g}")
+        nodes, amps = _boundary_rule(body, u, sizes)
+        fine = fourier_sum(amps, nodes - mid, corners) / corners
+        if coarse is not None:
+            gap = float(np.max(np.abs(coarse - fine)))
+            if gap <= tol:
+                break
+        sizes, coarse = 2 * sizes, fine
     powers = np.cumprod(np.broadcast_to(nodes - mid, (SERIES_TERMS, nodes.size)), axis=0)
     moments = (powers @ amps) / np.cumprod(np.arange(1.0, SERIES_TERMS + 1.0))
     return RayTransformContext(body, u, max_abs_zeta, im_cap, lo, hi, nodes,
@@ -379,8 +380,12 @@ def _newton_multiple(table, nodes, start, im_cap=None):
 
 def sweep_bound(body, u_list, m_max):
     """max_abs_zeta for tracking branches up to m_max along u_list: the farthest
-    predicted center plus SWEEP_MARGIN."""
-    return max(abs(kobayashi_center(body, m_max, u)) for u in u_list) + SWEEP_MARGIN
+    predicted center plus SWEEP_MARGIN, or pi/w + 1 for the least width w if
+    that is more, so that track_zero's validation contour, pi/(2w) either side
+    of a zero, stays inside the box."""
+    reach = math.pi / min(width(body, u) for u in u_list) + 1.0
+    return (max(abs(kobayashi_center(body, m_max, u)) for u in u_list)
+            + max(SWEEP_MARGIN, reach))
 
 
 def track_branches(ctx, m_list):

@@ -200,6 +200,27 @@ def test_zeros_command(tmp_path, disk_file, capsys):
     assert len(rows) == 4
 
 
+def test_zeros_narrow_disk(tmp_path, capsys):
+    # width 0.1 puts track_zero's validation contour 15.7 past each zero
+    body = write_body(tmp_path, "small.json", {"kind": "disk", "center": [0, 0], "radius": 0.05})
+    out = tmp_path / "z.csv"
+    assert main(["zeros", "--body", body, "--u", "0.0", "--m", "1..3",
+                 "--out", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_validated"]
+    re_zeta = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
+    assert np.abs(re_zeta - np.array([76.634119404, 140.311733396, 203.469362701])).max() <= 1e-8
+
+
+def test_flt_huge_xi_max_is_usage_error(tmp_path, disk_file, capsys):
+    # a rule for |xi| <= 1e8 would need about 1e8 nodes; the node cap is
+    # checked before any rule is built
+    out = tmp_path / "f.csv"
+    assert main(["flt", "--body", disk_file, "--u", "0.0", "--xi-max", "1e8",
+                 "--out", str(out)]) == 2
+    assert "nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kobayashi_command(tmp_path, disk_file, capsys):
     out = tmp_path / "k.json"
     assert main(["kobayashi", "--body", disk_file, "--m", "2..8", "--u-grid", "2",

@@ -79,10 +79,24 @@ def test_boundary_rule_matches_chord_table(name):
         assert _chord_deviation(ctx, _box_zetas(ctx, 200, k)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(RULE_BODIES))
+def test_boundary_rule_real_axis_accuracy(name):
+    # the kept rule is the finer of its N/2N pair, so the real axis, where
+    # flt and verify_factorization evaluate, is accurate to rounding and not
+    # only to the gap tolerance
+    body = RULE_BODIES[name]
+    for max_abs_zeta in (50.0, 130.0):
+        for theta in (0.4, 2.3):
+            ctx = build_context(body, Direction(theta), max_abs_zeta=max_abs_zeta)
+            xi = np.linspace(-max_abs_zeta, max_abs_zeta, 401).astype(complex)
+            assert _chord_deviation(ctx, xi) <= 1e-14
+
+
 def test_boundary_rule_node_count_cw3(cw3):
-    # the chord panel table needs 896 nodes for the same box
+    # the chord panel table needs 896 nodes for the same box; the boundary
+    # rule passes its gap check at 249 nodes and keeps the rule of 498
     for theta in (0.0, 0.4, 1.3, 2.9):
-        assert build_context(cw3, Direction(theta), max_abs_zeta=130.0).nodes.size <= 256
+        assert build_context(cw3, Direction(theta), max_abs_zeta=130.0).nodes.size <= 512
 
 
 def test_build_context_evaluates_no_chord(monkeypatch):
@@ -98,15 +112,35 @@ def test_build_context_evaluates_no_chord(monkeypatch):
 
 def test_boundary_rule_doubles_until_gap_passes(cw3, monkeypatch):
     # start far too coarse: the rule doubles 8 -> 16 -> ... and keeps the
-    # coarser of the first pair whose gap passes
+    # finer of the first pair whose gap passes
     monkeypatch.setattr(fourier_laplace, "_rule_sizes", lambda body, u, zeta: 8)
     ctx = build_context(cw3, Direction(0.4), max_abs_zeta=60.0)
-    assert ctx.nodes.size in (128, 256)
+    assert ctx.nodes.size in (256, 512)
     assert ctx.quadrature_gap <= GAP_TOL * area(cw3) * math.exp(IM_CAP_FACTOR / 2.0)
-    assert _chord_deviation(ctx, _box_zetas(ctx, 100, 3)) <= 1e-11
-    monkeypatch.setattr(fourier_laplace, "MAX_NODES", 32)
-    with pytest.raises(PrecisionLoss, match="gap"):
-        build_context(cw3, Direction(0.4), max_abs_zeta=60.0)
+    assert _chord_deviation(ctx, _box_zetas(ctx, 100, 3)) <= 1e-12
+
+
+def test_boundary_rule_node_cap_raises_before_building(cw3, monkeypatch):
+    built = []
+    rule = fourier_laplace._boundary_rule
+
+    def counting_rule(body, u, sizes):
+        built.append(int(np.sum(sizes)))
+        return rule(body, u, sizes)
+
+    monkeypatch.setattr(fourier_laplace, "_boundary_rule", counting_rule)
+    monkeypatch.setattr(fourier_laplace, "MAX_NODES", 64)
+    for body in (cw3, RULE_BODIES["nonagon"]):
+        built.clear()
+        with pytest.raises(PrecisionLoss, match="more than 64 nodes"):
+            build_context(body, Direction(0.4), max_abs_zeta=60.0)
+        assert max(built, default=0) <= 64
+    # a box far too wide for any rule raises before a single node is made
+    monkeypatch.setattr(fourier_laplace, "MAX_NODES", 2 ** 20)
+    built.clear()
+    with pytest.raises(PrecisionLoss, match="nodes"):
+        build_context(cw3, Direction(0.4), max_abs_zeta=1e8)
+    assert built == []
 
 
 @pytest.mark.parametrize("name", sorted(RULE_BODIES))
@@ -302,6 +336,17 @@ def test_branch_sweep_disk_constant(unit_disk):
     zs = np.array([r.zeta for r in rows])
     assert np.abs(zs - zs[0]).max() <= 1e-8
     assert all(r.validated for r in rows)
+
+
+def test_branch_sweep_narrow_disk():
+    # width 0.1: track_zero's validation contour reaches pi/(2w) = 15.7 past
+    # each zero, beyond a fixed margin of 10 past the farthest predicted center
+    disk = Disk((0.3, -0.2), 0.05)
+    grid = [Direction(float(t)) for t in np.linspace(0, 2 * math.pi, 4, endpoint=False)]
+    rows = branch_sweep(disk, grid, [1, 2, 3])
+    assert all(r.validated for r in rows)
+    for r in rows:
+        assert abs(r.zeta - bessel_j1_zero(r.m) / 0.05) <= 1e-9 * abs(r.zeta)
 
 
 def test_branch_sweep_cw3_symmetry(cw3):
