@@ -146,7 +146,8 @@ def cmd_radon(args):
 
 
 def _rule_report(ctx):
-    """The transform's boundary rule as reported in --json: node count and N/2 vs N gap."""
+    """The transform's boundary rule as reported in --json: node count and its
+    gap to the previous rule of the growth sequence."""
     return {"nodes": int(ctx.nodes.size), "quadrature_gap": ctx.quadrature_gap}
 
 

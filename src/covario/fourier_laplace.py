@@ -22,7 +22,7 @@ MULTIPLE_MAX_ITER = 60   # _newton_multiple's Newton steps
 REFLECTION_SAMPLES = 50  # random (ray, zeta) draws of verify_reflection_identity
 REFLECTION_TOL = 1e-9    # its deviation bound, relative to area * exp(|Im zeta| h)
 FACTORIZATION_TOL = 1e-6  # verify_factorization's deviation bound, relative to area^2
-GAP_TOL = 1e-12          # largest N vs 2N gap of a rule, relative to area * exp(IM_CAP_FACTOR/2)
+GAP_TOL = 1e-12          # largest N vs 5N/4 gap of a rule, relative to area * exp(IM_CAP_FACTOR/2)
 MAX_NODES = 2 ** 20      # a boundary rule that needs more nodes raises PrecisionLoss
 SERIES_RADIUS = 0.5      # |zeta| w/2 at or below which the transform is its moment series
 SERIES_TERMS = 16        # terms of that series: 0.5^16/17! < 1e-19
@@ -49,10 +49,11 @@ def fourier_sum(rows, nodes, zetas):
     KERNEL_BLOCK node-zeta products at a time, so memory stays bounded.
     """
     zetas = np.asarray(zetas, dtype=complex)
-    flat = zetas.reshape(-1)
+    flat = 1j * zetas.reshape(-1)
     step = max(1, KERNEL_BLOCK // nodes.size)
-    out = np.concatenate([rows @ np.exp(1j * np.outer(nodes, flat[i:i + step]))
-                          for i in range(0, max(flat.size, 1), step)], axis=-1)
+    blocks = [rows @ np.exp(nodes[:, None] * flat[i:i + step])
+              for i in range(0, max(flat.size, 1), step)]
+    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
     return out.reshape(rows.shape[:-1] + zetas.shape)
 
 
@@ -75,12 +76,13 @@ class RayTransformContext:
     are the s_j and its amplitudes a_j = <n_j, u> ds_j sum to 0, so
     F = G/(i zeta) with G the fourier_sum of rows[0] = a; rows[1] = i s a gives
     G'.  The rule is certified on the box |Re zeta| <= max_abs_zeta,
-    |Im zeta| <= im_cap: quadrature_gap is its largest difference from the
-    rule with half the nodes at the box's corners.  Where |zeta| (hi - lo)/2
-    <= SERIES_RADIUS the transform is the series
-    exp(i zeta c) sum_n moments[n] (i zeta)^n about the midpoint c, with
-    moments[n] = sum_j a_j (s_j - c)^(n + 1)/(n + 1)!, where G/(i zeta) would
-    cancel.
+    |Im zeta| <= im_cap: quadrature_gap is its largest difference at the box's
+    corners from the previous rule of its growth sequence, which has about
+    4/5 of its nodes.  Where |zeta| (hi - lo)/2 <= SERIES_RADIUS the transform
+    is the series exp(i zeta c) sum_n moments[n] (i zeta)^n about the midpoint
+    c, with moments[n] = sum_j a_j (s_j - c)^(n + 1)/(n + 1)!, where G/(i zeta)
+    would cancel.  contour_tables holds the lazily built tables of
+    _contour_start, one per rectangle shape.
     """
 
     body: object
@@ -93,6 +95,7 @@ class RayTransformContext:
     rows: np.ndarray = field(repr=False)
     moments: np.ndarray = field(repr=False)
     quadrature_gap: float
+    contour_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def body_width(self):
@@ -126,6 +129,12 @@ def _rule_sizes(body, u, max_abs_zeta):
     return math.ceil(1.1 * max_abs_zeta * rho_max) + 24 + 6 * (top + 1)
 
 
+def _grow(sizes):
+    """The next rule of the growth sequence: ceil(5 N/4) trapezoid nodes, or
+    ceil(5 q/4) Gauss-Legendre points on each polygon edge."""
+    return -(-5 * sizes // 4)
+
+
 def _boundary_rule(body, u, sizes):
     """Nodes s_j = <p_j, u> and amplitudes a_j = <n_j, u> ds_j of the boundary rule.
 
@@ -150,12 +159,12 @@ def _boundary_rule(body, u, sizes):
 def build_context(body, u: Direction, max_abs_zeta=200.0):
     """Boundary rule certified on the box |Re zeta| <= max_abs_zeta, |Im zeta| <= im_cap.
 
-    The node count starts at _rule_sizes and doubles until the rule and the
-    one with half its nodes differ by at most GAP_TOL area exp(IM_CAP_FACTOR/2)
-    at the box's corners.  The rule with more nodes is kept: the error falls
-    geometrically with the node count, so the gap bounds its error with room
-    to spare, on the real axis too.  A rule of more than MAX_NODES nodes
-    raises PrecisionLoss before it is built.
+    The node count starts at _rule_sizes and grows by _grow, a factor of
+    about 5/4, until two consecutive rules differ by at most
+    GAP_TOL area exp(IM_CAP_FACTOR/2) at the box's corners.  The rule with
+    more nodes is kept: the error falls geometrically with the node count, so
+    the gap bounds its error with room to spare, on the real axis too.  A
+    rule of more than MAX_NODES nodes raises PrecisionLoss before it is built.
     """
     lo, hi = -support(body, u.antipode()), support(body, u)
     mid = 0.5 * (lo + hi)
@@ -175,7 +184,7 @@ def build_context(body, u: Direction, max_abs_zeta=200.0):
             gap = float(np.max(np.abs(coarse - fine)))
             if gap <= tol:
                 break
-        sizes, coarse = 2 * sizes, fine
+        sizes, coarse = _grow(sizes), fine
     powers = np.cumprod(np.broadcast_to(nodes - mid, (SERIES_TERMS, nodes.size)), axis=0)
     moments = (powers @ amps) / np.cumprod(np.arange(1.0, SERIES_TERMS + 1.0))
     return RayTransformContext(body, u, max_abs_zeta, im_cap, lo, hi, nodes,
@@ -185,9 +194,9 @@ def build_context(body, u: Direction, max_abs_zeta=200.0):
 def _check_zeta(ctx, zeta):
     """zeta as a complex array; PrecisionLoss if it leaves the certified box."""
     z = np.asarray(zeta, dtype=complex)
-    if z.size and np.abs(z.imag).max() > ctx.im_cap * (1.0 + 1e-12):
+    if np.count_nonzero(np.abs(z.imag) > ctx.im_cap * (1.0 + 1e-12)):
         raise PrecisionLoss(f"|Im zeta| exceeds cap {ctx.im_cap:.3g}")
-    if z.size and np.abs(z.real).max() > ctx.max_abs_zeta * (1.0 + 1e-12):
+    if np.count_nonzero(np.abs(z.real) > ctx.max_abs_zeta * (1.0 + 1e-12)):
         raise PrecisionLoss(f"|Re zeta| exceeds the certified bound {ctx.max_abs_zeta:.3g}")
     return z
 
@@ -209,11 +218,12 @@ def _transform(ctx, zetas, order):
     |zeta| w/2 <= SERIES_RADIUS."""
     z = _check_zeta(ctx, zetas)
     near = np.abs(z) * (0.5 * ctx.body_width) <= SERIES_RADIUS
-    far = np.where(near, 1.0, z)
+    any_near = np.count_nonzero(near)
+    far = np.where(near, 1.0, z) if any_near else z
     g = fourier_sum(ctx.rows[:order + 1], ctx.nodes, z)
     f = g[0] / (1j * far)
     out = (f, (-1j * g[1] - f) / far) if order else (f,)
-    if not near.any():
+    if not any_near:
         return out
     return tuple(np.where(near, series, v) for series, v in zip(_moment_series(ctx, z), out))
 
@@ -260,19 +270,28 @@ class ZeroBranch:
         return abs(self.zeta - self.predicted_center)
 
 
-def contour_winding(f_many, center, half_re, half_im):
+def _contour_offsets(half_re, half_im):
+    """contour_winding's start points about center 0: CONTOUR_START equispaced
+    points per side of the rectangle +- half_re +- i half_im, counterclockwise
+    from its upper right corner, and that corner again."""
+    corners = np.array([complex(half_re, half_im), complex(-half_re, half_im),
+                        complex(-half_re, -half_im), complex(half_re, -half_im),
+                        complex(half_re, half_im)])
+    frac = np.arange(CONTOUR_START) / CONTOUR_START
+    sides = corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * frac
+    return np.append(sides.ravel(), corners[-1])
+
+
+def contour_winding(f_many, center, half_re, half_im, start_values=None):
     """Winding of the vectorized f_many around center +- half_re +- i half_im.
 
-    Starts from CONTOUR_START equispaced points per side and bisects every step
+    Starts from the points center + _contour_offsets(half_re, half_im), where
+    f is start_values if given, else f_many there, and bisects every step
     whose argument change exceeds MAX_ARG_STEP until none does.  Exact unless a
     step turns f by 2 pi - MAX_ARG_STEP or more, which aliases to a small one.
     """
-    corners = center + np.array([complex(half_re, half_im), complex(-half_re, half_im),
-                                 complex(-half_re, -half_im), complex(half_re, -half_im)])
-    frac = np.arange(CONTOUR_START) / CONTOUR_START
-    z = np.concatenate([a + (b - a) * frac for a, b in zip(corners, np.roll(corners, -1))]
-                       + [corners[:1]])
-    vals = f_many(z)
+    z = center + _contour_offsets(half_re, half_im)
+    vals = f_many(z) if start_values is None else start_values
     for rounds in range(MAX_REFINE_ROUNDS + 1):
         if not np.all(np.isfinite(vals) & (vals != 0)):
             raise ValidationFailed("transform vanishes or is not finite on the validation contour")
@@ -293,16 +312,50 @@ def contour_winding(f_many, center, half_re, half_im):
     return int(nearest)
 
 
+def _contour_start(ctx, centred, center, half_re, half_im):
+    """exp(-i c zeta) F at contour_winding's start points, by the shift theorem.
+
+    With t_j = s_j - c, exp(-i c zeta) F(zeta) = sum_j a_j exp(i t_j zeta)/(i zeta),
+    and at zeta = center + delta_k each exponential is exp(i t_j center)
+    exp(i t_j delta_k).  The table exp(i t (x) delta) is built once per
+    context and rectangle shape, so a contour costs one exp per node and a
+    matrix-vector product.  Points where |zeta| w/2 <= SERIES_RADIUS go through
+    centred, the direct evaluation.  None when the table would hold more than
+    KERNEL_BLOCK entries: the caller then evaluates every point directly.
+    """
+    offsets = _contour_offsets(half_re, half_im)
+    if ctx.nodes.size * offsets.size > KERNEL_BLOCK:
+        return None
+    z = _check_zeta(ctx, center + offsets)
+    c = 0.5 * (ctx.lo + ctx.hi)
+    t = ctx.nodes - c
+    key = (half_re, half_im)
+    if key not in ctx.contour_tables:
+        ctx.contour_tables[key] = np.exp(np.outer(t, 1j * offsets))
+    near = np.abs(z) * (0.5 * ctx.body_width) <= SERIES_RADIUS
+    vals = ((ctx.rows[0] * np.exp(1j * center * t)) @ ctx.contour_tables[key]
+            / (1j * np.where(near, 1.0, z)))
+    if near.any():
+        vals[near] = centred(z[near])
+    return vals
+
+
 def winding_number(ctx, center, half_re, half_im):
     """Winding of the transform around a rectangle, from the argument increment.
 
     The transform of a body whose support on u has midpoint c carries the factor
     exp(i c zeta), which turns by c per unit of Re zeta but has no zeros; it is
     divided out so that the contour's step count does not grow with translation.
+    The start points come from _contour_start, refinement points from
+    flt_ray_many.
     """
     shift = 0.5 * (ctx.lo + ctx.hi)
-    return contour_winding(lambda z: flt_ray_many(ctx, z) * np.exp(-1j * shift * z),
-                           center, half_re, half_im)
+
+    def centred(z):
+        return flt_ray_many(ctx, z) * np.exp(-1j * shift * z)
+
+    return contour_winding(centred, center, half_re, half_im,
+                           _contour_start(ctx, centred, center, half_re, half_im))
 
 
 def track_zero(ctx, m, start=None):
@@ -310,42 +363,41 @@ def track_zero(ctx, m, start=None):
 
     Newton runs on exp(-i c zeta) F, c the midpoint of the support on u, which
     has F's zeros but does not turn as the body moves: the step is
-    F / (F' - i c F) and damping compares exp(c Im zeta) |F|.  Validation
-    encloses the converged zeta in a rectangle of half-sides (pi/(2w), 0.5/w)
-    and requires winding number 1.
+    F / (F' - i c F) and damping compares exp(c Im zeta) |F|.  Each candidate
+    gets (F, F') from one fourier_sum; the accepted one's F' makes the next
+    step.  Validation encloses the converged zeta in a rectangle of half-sides
+    (pi/(2w), 0.5/w) and requires winding number 1.
     """
     w = ctx.body_width
     c = 0.5 * (ctx.lo + ctx.hi)
     predicted = kobayashi_center(ctx.body, m, ctx.u) if start is None else complex(start)
     z = predicted
-    fz = flt_ray(ctx, z)
+    fz, dfz = map(complex, _transform(ctx, z, 1))
     for _ in range(NEWTON_MAX_ITER):
-        denom = flt_ray_derivative(ctx, z) - 1j * c * fz
+        denom = dfz - 1j * c * fz
         if denom == 0:
             raise NewtonDiverged(f"zero derivative at {z}")
         step = fz / denom
         lam = 1.0
-        z_new, f_new = z, fz
         for _ in range(30):
             cand = z - lam * step
             if abs(cand.imag) > ctx.im_cap or abs(cand.real) > ctx.max_abs_zeta:
                 lam *= 0.5
                 continue
-            f_cand = flt_ray(ctx, cand)
+            f_cand, df_cand = map(complex, _transform(ctx, cand, 1))
             if abs(f_cand) * math.exp(c * (cand.imag - z.imag)) < abs(fz) or lam < 1e-6:
-                z_new, f_new = cand, f_cand
                 break
             lam *= 0.5
         else:
             raise NewtonDiverged(f"damping failed near {z}")
-        moved = abs(z_new - z)
-        z, fz = z_new, f_new
+        moved = abs(cand - z)
+        z, fz, dfz = cand, f_cand, df_cand
         if moved <= 1e-12 * (1.0 + abs(z)):
             break
     else:
         raise NewtonDiverged(f"no convergence after {NEWTON_MAX_ITER} iterations (m={m})")
     residual = abs(fz)
-    dscale = abs(flt_ray_derivative(ctx, z))
+    dscale = abs(dfz)
     if residual > 1e-9 * dscale:
         raise NewtonDiverged(f"residual {residual:.3e} above 1e-9 * {dscale:.3e}")
     wind = winding_number(ctx, z, math.pi / (2.0 * w), 0.5 / w)

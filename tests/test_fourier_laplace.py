@@ -81,9 +81,9 @@ def test_boundary_rule_matches_chord_table(name):
 
 @pytest.mark.parametrize("name", sorted(RULE_BODIES))
 def test_boundary_rule_real_axis_accuracy(name):
-    # the kept rule is the finer of its N/2N pair, so the real axis, where
-    # flt and verify_factorization evaluate, is accurate to rounding and not
-    # only to the gap tolerance
+    # the kept rule is the finer of its N vs ceil(5N/4) pair, so the real
+    # axis, where flt and verify_factorization evaluate, is accurate to
+    # rounding and not only to the gap tolerance
     body = RULE_BODIES[name]
     for max_abs_zeta in (50.0, 130.0):
         for theta in (0.4, 2.3):
@@ -94,9 +94,10 @@ def test_boundary_rule_real_axis_accuracy(name):
 
 def test_boundary_rule_node_count_cw3(cw3):
     # the chord panel table needs 896 nodes for the same box; the boundary
-    # rule passes its gap check at 249 nodes and keeps the rule of 498
+    # rule's first pair, 249 and ceil(5 * 249/4) = 312 nodes, passes its gap
+    # check, and the 312-node rule is kept
     for theta in (0.0, 0.4, 1.3, 2.9):
-        assert build_context(cw3, Direction(theta), max_abs_zeta=130.0).nodes.size <= 512
+        assert build_context(cw3, Direction(theta), max_abs_zeta=130.0).nodes.size <= 336
 
 
 def test_build_context_evaluates_no_chord(monkeypatch):
@@ -110,12 +111,13 @@ def test_build_context_evaluates_no_chord(monkeypatch):
         flt_ray_many(ctx, _box_zetas(ctx, 20, 0))
 
 
-def test_boundary_rule_doubles_until_gap_passes(cw3, monkeypatch):
-    # start far too coarse: the rule doubles 8 -> 16 -> ... and keeps the
-    # finer of the first pair whose gap passes
+def test_boundary_rule_grows_until_gap_passes(cw3, monkeypatch):
+    # start far too coarse: the rule grows by ceil(5N/4), 8 -> 10 -> 13 -> 17
+    # -> ... -> 109 -> 137 -> 172 -> 215, and keeps the finer of the first
+    # pair whose gap passes
     monkeypatch.setattr(fourier_laplace, "_rule_sizes", lambda body, u, zeta: 8)
     ctx = build_context(cw3, Direction(0.4), max_abs_zeta=60.0)
-    assert ctx.nodes.size in (256, 512)
+    assert ctx.nodes.size in (172, 215)
     assert ctx.quadrature_gap <= GAP_TOL * area(cw3) * math.exp(IM_CAP_FACTOR / 2.0)
     assert _chord_deviation(ctx, _box_zetas(ctx, 100, 3)) <= 1e-12
 
@@ -309,6 +311,88 @@ def test_contour_winding_unresolved_raises():
     with pytest.raises(ValidationFailed, match="unresolved"):
         contour_winding(jump, 0j, 1.0, 1.0)
     assert len(evaluated) == 1 + MAX_REFINE_ROUNDS
+
+
+WIDE_CENTERS = (complex(0.3, 0.05), complex(7.9, -0.2), complex(-31.4, 0.3), complex(55.0, 0.1))
+
+
+# flt_ray_many rounds the phase s_j zeta of each node to about eps |s_j zeta|.
+# On the disk centred at 28 that error of the reference alone passes 1e-13
+# of |F| on the contour about -10.2 + 0.3i, so its centers stay below 9.
+@pytest.mark.parametrize("name, centers", [
+    ("cw3", WIDE_CENTERS),
+    ("disk28", (complex(0.3, 0.05), complex(3.8, 0.0), complex(7.9, -0.2), complex(-8.6, 0.3))),
+    ("nonagon", WIDE_CENTERS),
+])
+def test_contour_start_matches_transform(name, centers, monkeypatch):
+    # the shift-theorem start values equal exp(-i c zeta) F from flt_ray_many;
+    # the first center's contour enters the moment-series disc
+    body = Disk((28.0, 0.0), 1.0) if name == "disk28" else RULE_BODIES[name]
+    ctx = build_context(body, Direction(0.4), max_abs_zeta=60.0)
+    w, c = ctx.body_width, 0.5 * (ctx.lo + ctx.hi)
+    half_re, half_im = math.pi / (2.0 * w), 0.5 / w
+    offsets = fourier_laplace._contour_offsets(half_re, half_im)
+    assert ctx.contour_tables == {}
+
+    def centred(z):
+        return flt_ray_many(ctx, z) * np.exp(-1j * c * z)
+
+    for center in centers:
+        z = center + offsets
+        assert np.any(np.abs(z) * 0.5 * w <= SERIES_RADIUS) == (center.real == 0.3)
+        direct = centred(z)
+        start = fourier_laplace._contour_start(ctx, centred, center, half_re, half_im)
+        assert np.all(np.abs(start - direct) <= 1e-13 * np.abs(direct))
+    assert list(ctx.contour_tables) == [(half_re, half_im)]
+    # winding_number takes every start point from the table: flt_ray_many
+    # sees only refinement midpoints
+    seen = []
+    many = fourier_laplace.flt_ray_many
+    monkeypatch.setattr(fourier_laplace, "flt_ray_many",
+                        lambda ctx, z: seen.extend(np.ravel(z)) or many(ctx, z))
+    center = centers[-1]
+    winding_number(ctx, center, half_re, half_im)
+    assert not set(seen) & set(center + offsets)
+
+
+def test_contour_start_table_stays_within_kernel_block(cw3, monkeypatch):
+    # a context whose table would hold more than KERNEL_BLOCK entries builds
+    # none and evaluates its start points through flt_ray_many
+    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", 1024)
+    ctx = build_context(cw3, Direction(0.4), max_abs_zeta=40.0)
+    assert ctx.nodes.size * 33 > 1024
+    assert fourier_laplace._contour_start(ctx, flt_ray_many, 10.0, 0.5, 0.25) is None
+    assert track_zero(ctx, 5).validated
+    assert ctx.contour_tables == {}
+
+
+def test_track_zero_one_kernel_call_per_candidate(cw3, monkeypatch):
+    # each Newton candidate gets F and F' from one fourier_sum; the accepted
+    # one's F' serves the next step and the residual check, so no further
+    # kernel call follows the converged candidate
+    ctx = build_context(cw3, Direction(0.4), max_abs_zeta=100.0)
+    kernel, transform = fourier_laplace.fourier_sum, fourier_laplace._transform
+    sums, candidates = [], []
+
+    def counting_sum(rows, nodes, zetas):
+        if np.ndim(zetas) == 0:
+            sums.append((complex(zetas), rows.shape[0]))
+        return kernel(rows, nodes, zetas)
+
+    def counting_transform(ctx, zetas, order):
+        if np.ndim(zetas) == 0:
+            candidates.append(complex(zetas))
+        return transform(ctx, zetas, order)
+
+    monkeypatch.setattr(fourier_laplace, "fourier_sum", counting_sum)
+    monkeypatch.setattr(fourier_laplace, "_transform", counting_transform)
+    for m in (3, 12, 25):
+        sums.clear()
+        candidates.clear()
+        br = track_zero(ctx, m)
+        assert len(candidates) >= 3
+        assert sums == [(z, 2) for z in candidates]
+        assert candidates[0] == br.predicted_center and candidates[-1] == br.zeta
 
 
 def test_winding_disk_first_five_bessel_zeros(unit_disk):
