@@ -12,7 +12,7 @@ from covario._parallel import parallel_map
 from covario._quadrature import gauss_legendre, panel_table
 from covario.covariogram import FitFailed, cap_pair, cross_covariogram_grid
 from covario.fourier_laplace import (
-    _newton_multiple,
+    _multiple_zero,
     autocorr_transform_table,
     build_context,
     contour_winding,
@@ -20,7 +20,6 @@ from covario.fourier_laplace import (
     fourier_sum,
     sweep_bound,
     track_branches,
-    track_zero,
 )
 from covario.geometry import (
     Direction,
@@ -140,13 +139,12 @@ def zero_union_check(body, u: Direction, m_range):
     g_many = partial(fourier_sum, table[0], nodes)
     sq_area = area(body) ** 2
     rows = []
-    for m in m_list:
-        branch = track_zero(ctx, m)
-        f = branch.zeta
+    for branch in track_branches(ctx, m_list):
+        m, f = branch.m, branch.zeta
         targets = (f, f.conjugate())
         located = []
         for start in targets:
-            z = _newton_multiple(table, nodes, start)
+            z = _multiple_zero(table, nodes, start, ctx.im_cap)
             if min(abs(z - t) for t in targets) > MATCH_TOL:
                 raise UnmatchedZero(
                     f"g-transform zero {z} matches no branch at m={m}")
@@ -347,7 +345,7 @@ def _gtransform_im(g, radial, thetas, u: Direction, w_u, im_guess, cfg):
     nodes = np.concatenate([t_nodes, -t_nodes])
     table = derivative_rows(nodes, np.tile(t_weights * r_vals, 2), 2)
     cap = 3.0 * (abs(im_guess) + 1.0 / w_u)
-    return _newton_multiple(table, nodes, complex(zeta_c, im_guess), im_cap=cap).imag
+    return _multiple_zero(table, nodes, complex(zeta_c, im_guess), cap).imag
 
 
 def _contiguous_regions(mask):

@@ -312,16 +312,11 @@ def suite_counterexample(seed=0, families=(1, 3)):
     return rows
 
 def suite_kobayashi_disk():
-    disk = geometry.Disk((0.0, 0.0), 1.0)
-    u = Direction(0.0)
-    ctx = fourier_laplace.build_context(disk, u, max_abs_zeta=135.0)
-    worst = 0.0
-    devs = []
-    for m in range(1, 41):
-        br = fourier_laplace.track_zero(ctx, m)
-        devs.append(br.deviation)
-        if m <= 20:
-            worst = max(worst, abs(br.zeta - oracles.bessel_j1_zero(m)))
+    ctx = fourier_laplace.build_context(geometry.Disk((0.0, 0.0), 1.0), Direction(0.0),
+                                        max_abs_zeta=135.0)
+    branches = fourier_laplace.track_branches(ctx, range(1, 41))
+    devs = [br.deviation for br in branches]
+    worst = max(abs(br.zeta - oracles.bessel_j1_zero(br.m)) for br in branches[:20])
     slope = np.polyfit(np.log(np.arange(2, 41)), np.log(devs[1:]), 1)[0]
     rows = [
         ("kobayashi-disk-zeros", worst <= DISK_ZERO_TOL,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -17,8 +18,7 @@ CONTOUR_START = 8
 MAX_ARG_STEP = math.pi / 4.0
 MAX_REFINE_ROUNDS = 12
 KERNEL_BLOCK = 2 ** 16   # largest node-zeta product count of one exponential block
-NEWTON_MAX_ITER = 50     # track_zero's Newton steps
-MULTIPLE_MAX_ITER = 60   # _newton_multiple's Newton steps
+NEWTON_MAX_ITER = 50     # _newton's steps
 REFLECTION_SAMPLES = 50  # random (ray, zeta) draws of verify_reflection_identity
 REFLECTION_TOL = 1e-9    # its deviation bound, relative to area * exp(|Im zeta| h)
 FACTORIZATION_TOL = 1e-6  # verify_factorization's deviation bound, relative to area^2
@@ -243,15 +243,14 @@ def flt_ray_many(ctx, zetas):
     return _transform(ctx, zetas, 0)[0]
 
 
-def kobayashi_center(body, m, u: Direction, n=2):
-    """Predicted center of the m-th zero branch.
+def kobayashi_center(body, m, u: Direction):
+    """Predicted centers of the m-th zero branches, m an int or an int array.
 
-    pi (4m + n - 1) / (2 w_K(u)) + i (ln tau(-u) - ln tau(u)) / (2 w_K(u)).
+    pi (4m + 1) / (2 w_K(u)) + i (ln tau(-u) - ln tau(u)) / (2 w_K(u)).
     """
     w = width(body, u)
-    re = math.pi * (4 * m + n - 1) / (2.0 * w)
     im = (math.log(curvature(body, u.antipode())) - math.log(curvature(body, u))) / (2.0 * w)
-    return complex(re, im)
+    return math.pi * (4 * np.asarray(m) + 1) / (2.0 * w) + 1j * im
 
 
 @dataclass(frozen=True)
@@ -358,76 +357,83 @@ def winding_number(ctx, center, half_re, half_im):
                            _contour_start(ctx, centred, center, half_re, half_im))
 
 
-def track_zero(ctx, m, start=None):
-    """Newton-track the m-th zero branch from the predicted center.
+def _newton(values, z, inside):
+    """Damped complex Newton on f from z; values(z) is (f, f'), inside(z) the box test.
 
-    Newton runs on exp(-i c zeta) F, c the midpoint of the support on u, which
-    has F's zeros but does not turn as the body moves: the step is
-    F / (F' - i c F) and damping compares exp(c Im zeta) |F|.  Each candidate
-    gets (F, F') from one fourier_sum; the accepted one's F' makes the next
-    step.  Validation encloses the converged zeta in a rectangle of half-sides
-    (pi/(2w), 0.5/w) and requires winding number 1.
+    The step f/f' is halved while it leaves the box or fails to lower |f|,
+    and taken once halved below 1e-6; it stops at |dz| <= 1e-12 (1 + |z|).
+    No point is evaluated twice: a candidate equal to z, or a sub-tolerance
+    one that fails to lower |f|, ends it at z.  A zero f', a non-finite f or
+    f', a damping that finds no point, or no convergence raises NewtonDiverged.
     """
-    w = ctx.body_width
-    c = 0.5 * (ctx.lo + ctx.hi)
-    predicted = kobayashi_center(ctx.body, m, ctx.u) if start is None else complex(start)
-    z = predicted
-    fz, dfz = map(complex, _transform(ctx, z, 1))
+    f, df = values(z)
     for _ in range(NEWTON_MAX_ITER):
-        denom = dfz - 1j * c * fz
-        if denom == 0:
-            raise NewtonDiverged(f"zero derivative at {z}")
-        step = fz / denom
+        if df == 0 or not (cmath.isfinite(f) and cmath.isfinite(df)):
+            raise NewtonDiverged(f"zero derivative or non-finite value at {z}")
+        step = f / df
         lam = 1.0
         for _ in range(30):
             cand = z - lam * step
-            if abs(cand.imag) > ctx.im_cap or abs(cand.real) > ctx.max_abs_zeta:
-                lam *= 0.5
-                continue
-            f_cand, df_cand = map(complex, _transform(ctx, cand, 1))
-            if abs(f_cand) * math.exp(c * (cand.imag - z.imag)) < abs(fz) or lam < 1e-6:
-                break
+            if cand == z:
+                return z
+            if inside(cand):
+                f_cand, df_cand = values(cand)
+                small = abs(cand - z) <= 1e-12 * (1.0 + abs(cand))
+                if abs(f_cand) < abs(f) or lam < 1e-6:
+                    break
+                if small:
+                    return z
             lam *= 0.5
         else:
             raise NewtonDiverged(f"damping failed near {z}")
-        moved = abs(cand - z)
-        z, fz, dfz = cand, f_cand, df_cand
-        if moved <= 1e-12 * (1.0 + abs(z)):
-            break
-    else:
-        raise NewtonDiverged(f"no convergence after {NEWTON_MAX_ITER} iterations (m={m})")
-    residual = abs(fz)
-    dscale = abs(dfz)
+        z, f, df = cand, f_cand, df_cand
+        if small:
+            return z
+    raise NewtonDiverged(f"no convergence after {NEWTON_MAX_ITER} iterations")
+
+
+def track_zero(ctx, m, start=None):
+    """Newton-track the m-th zero branch from start, by default its kobayashi_center.
+
+    _newton runs on exp(-i c zeta) F, c the midpoint of the support on u,
+    which has F's zeros but does not turn as the body moves.  Each candidate
+    gets (F, F') from one fourier_sum, kept for the residual check at the
+    converged point.  Validation encloses the converged zeta in a rectangle
+    of half-sides (pi/(2w), 0.5/w) and requires winding number 1.
+    """
+    c = 0.5 * (ctx.lo + ctx.hi)
+    predicted = complex(kobayashi_center(ctx.body, m, ctx.u) if start is None else start)
+    seen = {}
+
+    def centred(z):
+        f, df = seen[z] = tuple(map(complex, _transform(ctx, z, 1)))
+        turn = cmath.exp(-1j * c * z)
+        return turn * f, turn * (df - 1j * c * f)
+
+    z = _newton(centred, predicted,
+                lambda p: abs(p.imag) <= ctx.im_cap and abs(p.real) <= ctx.max_abs_zeta)
+    residual, dscale = map(abs, seen[z])
     if residual > 1e-9 * dscale:
         raise NewtonDiverged(f"residual {residual:.3e} above 1e-9 * {dscale:.3e}")
-    wind = winding_number(ctx, z, math.pi / (2.0 * w), 0.5 / w)
+    wind = winding_number(ctx, z, math.pi / (2.0 * ctx.body_width), 0.5 / ctx.body_width)
     if wind != 1:
         raise ValidationFailed(f"winding {wind} != 1 at m={m}")
     return ZeroBranch(m, ctx.u, z, residual, True, predicted)
 
 
-def _newton_multiple(table, nodes, start, im_cap=None):
-    """Newton on f/f', which has simple zeros at zeros of any multiplicity.
-
-    f is the Fourier sum of table[0] on nodes; table holds the rows
-    (a, i t a, (i t)^2 a) of derivative_rows, so one fourier_sum gives
-    (f, f', f'') at each step.
+def _multiple_zero(table, nodes, start, im_cap):
+    """_newton in the band |Im zeta| <= im_cap on f/f', which has simple zeros
+    at zeros of f of any multiplicity.  f is the Fourier sum of table[0] on
+    nodes; table holds the rows (a, i t a, (i t)^2 a) of derivative_rows, so
+    one fourier_sum gives (f, f', f'') and with them (f/f', 1 - f f''/f'^2).
     """
-    z = complex(start)
-    if im_cap is None:
-        im_cap = 10.0 * (1.0 + abs(z.imag))
-    for _ in range(MULTIPLE_MAX_ITER):
-        f, df, d2f = fourier_sum(table, nodes, z)
-        denom = df * df - f * d2f
-        if denom == 0:
-            raise NewtonDiverged(f"degenerate Newton at {z}")
-        step = f * df / denom
-        while abs((z - step).imag) > im_cap and abs(step) > 1e-15:
-            step *= 0.5
-        z -= step
-        if abs(step) <= 1e-12 * (1.0 + abs(z)):
-            return z
-    raise NewtonDiverged(f"no convergence from {start}")
+    def values(z):
+        f, df, d2f = map(complex, fourier_sum(table, nodes, z))
+        if df == 0:
+            raise NewtonDiverged(f"zero derivative at {z}")
+        return f / df, 1.0 - (f / df) * d2f / df
+
+    return _newton(values, complex(start), lambda p: abs(p.imag) <= im_cap)
 
 
 def sweep_bound(body, u_list, m_max):
@@ -441,11 +447,12 @@ def sweep_bound(body, u_list, m_max):
 
 
 def track_branches(ctx, m_list):
-    """track_zero for every m on one context; a failure names its m and direction."""
+    """track_zero for every m on one context, from the kobayashi_center
+    computed once for all m; a failure names its m and direction."""
     out = []
-    for m in m_list:
+    for m, center in zip(m_list, kobayashi_center(ctx.body, np.asarray(m_list), ctx.u)):
         try:
-            out.append(track_zero(ctx, m))
+            out.append(track_zero(ctx, m, complex(center)))
         except (NewtonDiverged, ValidationFailed) as exc:
             raise type(exc)(f"(m={m}, theta={ctx.u.theta:.6f}): {exc}") from exc
     return out

@@ -123,7 +123,7 @@ def chord_autocorrelation(body, u: Direction, s):
     return float(chord_autocorrelation_batch(body, u, [s])[0])
 
 
-def leading_coefficients(body, u: Direction, n=2):
+def leading_coefficients(body, u: Direction):
     """Leading square-root coefficients (a0, b0) of the chord function at its endpoints.
 
     a0 belongs to the lower endpoint -h(-u) and carries tau(-u); b0 to the
@@ -131,5 +131,5 @@ def leading_coefficients(body, u: Direction, n=2):
     """
     tau_u = curvature(body, u)
     tau_mu = curvature(body, u.antipode())
-    pref = (2.0 * math.pi) ** ((n - 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    pref = (2.0 * math.pi) ** 0.5 / math.gamma(1.5)
     return pref / math.sqrt(tau_mu), pref / math.sqrt(tau_u)

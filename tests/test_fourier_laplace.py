@@ -11,11 +11,13 @@ from covario.fourier_laplace import (
     KERNEL_BLOCK,
     MAX_REFINE_ROUNDS,
     SERIES_RADIUS,
+    NewtonDiverged,
     PrecisionLoss,
     ValidationFailed,
     branch_sweep,
     build_context,
     contour_winding,
+    derivative_rows,
     flt_ray,
     flt_ray_derivative,
     flt_ray_many,
@@ -267,6 +269,44 @@ def test_track_zero_square_control(centered_square):
         assert abs(br.zeta.imag) < 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_multiple_zero_adapter(k):
+    # the rows of (1 - exp(i zeta))^k: nodes 0..k, binomial amplitudes with
+    # alternating signs, and a k-fold zero at 2 pi.  The sum's rounding,
+    # about 2^k eps, blurs a k-fold zero over about (2^k eps)^(1/k)
+    nodes = np.arange(k + 1.0)
+    amps = np.array([(-1.0) ** j * math.comb(k, j) for j in range(k + 1)])
+    z = fourier_laplace._multiple_zero(derivative_rows(nodes, amps, 2), nodes,
+                                       complex(2.0 * math.pi + 0.3, 0.1), 1.0)
+    blur = 10.0 * (2.0 ** k * np.finfo(float).eps) ** (1.0 / k)
+    assert abs(z - 2.0 * math.pi) <= max(1e-12, blur)
+
+
+@pytest.mark.parametrize("pair", [(math.nan, 1.0), (1.0, math.nan), (1.0, 0.0)])
+def test_newton_raises_on_bad_values(pair):
+    evaluated = []
+
+    def values(z):
+        evaluated.append(z)
+        return complex(pair[0]), complex(pair[1])
+
+    with pytest.raises(NewtonDiverged):
+        fourier_laplace._newton(values, 1.0 + 1.0j, lambda z: True)
+    assert evaluated == [1.0 + 1.0j]
+
+
+def test_newton_raises_when_no_candidate_is_inside():
+    evaluated = []
+
+    def square(z):
+        evaluated.append(z)
+        return z * z - 4.0, 2.0 * z
+
+    with pytest.raises(NewtonDiverged, match="damping failed"):
+        fourier_laplace._newton(square, 1.0 + 1.0j, lambda z: False)
+    assert evaluated == [1.0 + 1.0j]
+
+
 def test_winding_number_counts(unit_disk):
     ctx = build_context(unit_disk, E1, max_abs_zeta=30.0)
     j1, j2 = bessel_j1_zero(1), bessel_j1_zero(2)
@@ -367,9 +407,8 @@ def test_contour_start_table_stays_within_kernel_block(cw3, monkeypatch):
 
 
 def test_track_zero_one_kernel_call_per_candidate(cw3, monkeypatch):
-    # each Newton candidate gets F and F' from one fourier_sum; the accepted
-    # one's F' serves the next step and the residual check, so no further
-    # kernel call follows the converged candidate
+    # each Newton candidate gets F and F' from one fourier_sum, and the
+    # converged point's serve the residual check, so no point is evaluated twice
     ctx = build_context(cw3, Direction(0.4), max_abs_zeta=100.0)
     kernel, transform = fourier_laplace.fourier_sum, fourier_laplace._transform
     sums, candidates = [], []
@@ -392,7 +431,13 @@ def test_track_zero_one_kernel_call_per_candidate(cw3, monkeypatch):
         br = track_zero(ctx, m)
         assert len(candidates) >= 3
         assert sums == [(z, 2) for z in candidates]
-        assert candidates[0] == br.predicted_center and candidates[-1] == br.zeta
+        assert candidates[0] == br.predicted_center
+        assert len(set(candidates)) == len(candidates)
+        assert candidates.count(br.zeta) == 1
+        # a later candidate can only be a sub-tolerance step that did not lower |F|
+        tol = 1e-12 * (1.0 + abs(br.zeta))
+        later = candidates[candidates.index(br.zeta) + 1:]
+        assert all(abs(z - br.zeta) <= tol for z in later)
 
 
 def test_winding_disk_first_five_bessel_zeros(unit_disk):
