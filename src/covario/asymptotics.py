@@ -136,7 +136,6 @@ def zero_union_check(body, u: Direction, m_range):
     ctx = build_context(body, u, max_abs_zeta=max_zeta)
     nodes, amplitudes = autocorr_transform_table(body, u, max_zeta)
     table = derivative_rows(nodes, amplitudes, 2)
-    g_many = partial(fourier_sum, table[0], nodes)
     sq_area = area(body) ** 2
     rows = []
     for branch in track_branches(ctx, m_list):
@@ -150,7 +149,7 @@ def zero_union_check(body, u: Direction, m_range):
                     f"g-transform zero {z} matches no branch at m={m}")
             if not any(abs(z - prev) < MATCH_TOL for prev in located):
                 located.append(z)
-        resid = abs(complex(g_many(f)))
+        resid = abs(complex(fourier_sum(table[0], nodes, f)))
         if resid > RESIDUAL_TOL * sq_area:
             raise UnmatchedZero(
                 f"g-transform residual {resid:.3e} at branch m={m}")
@@ -160,7 +159,7 @@ def zero_union_check(body, u: Direction, m_range):
         half_im = 0.5 / ctx.body_width
         if abs(f.imag) >= 0.5 * half_im:
             half_im = 1.2 * abs(f.imag)
-        mult = contour_winding(g_many, f, half_re, half_im)
+        mult = contour_winding(table[:2], nodes, f, half_re, half_im)
         rows.append(ZeroUnionRow(m, f, tuple(located), mult, resid))
     return ZeroUnionReport(body_hash(body), u.theta, tuple(rows))
 

@@ -59,13 +59,15 @@ def _check_options(args):
 
 
 def _parse_range(text):
+    """Branch indices m from 1..40 or 5: a non-empty range of m >= 1."""
     try:
-        if ".." in text:
-            a, b = text.split("..")
-            return range(int(a), int(b) + 1)
-        return range(int(text), int(text) + 1)
+        a, dots, b = text.partition("..")
+        m_range = range(int(a), int(b if dots else a) + 1)
     except ValueError:
         raise UsageError(f"range must look like 1..40 or 5, got {text!r}")
+    if not m_range or m_range.start < 1:
+        raise UsageError(f"range must be non-empty with m >= 1, got {text!r}")
+    return m_range
 
 
 def _write_csv(path, header, rows):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -14,8 +15,7 @@ from covario.radon import chord_autocorrelation_batch, chord_function
 
 IM_CAP_FACTOR = 12.0
 OSC_BUDGET = 40.0
-CONTOUR_START = 8
-MAX_ARG_STEP = math.pi / 4.0
+CONTOUR_START = 10
 MAX_REFINE_ROUNDS = 12
 KERNEL_BLOCK = 2 ** 16   # largest node-zeta product count of one exponential block
 NEWTON_MAX_ITER = 50     # _newton's steps
@@ -269,33 +269,49 @@ class ZeroBranch:
         return abs(self.zeta - self.predicted_center)
 
 
+@lru_cache(maxsize=64)
 def _contour_offsets(half_re, half_im):
     """contour_winding's start points about center 0: CONTOUR_START equispaced
     points per side of the rectangle +- half_re +- i half_im, counterclockwise
-    from its upper right corner, and that corner again."""
+    from its upper right corner, and that corner again (read-only, cached)."""
     corners = np.array([complex(half_re, half_im), complex(-half_re, half_im),
                         complex(-half_re, -half_im), complex(half_re, -half_im),
                         complex(half_re, half_im)])
     frac = np.arange(CONTOUR_START) / CONTOUR_START
     sides = corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * frac
-    return np.append(sides.ravel(), corners[-1])
+    offsets = np.append(sides.ravel(), corners[-1])
+    offsets.flags.writeable = False
+    return offsets
 
 
-def contour_winding(f_many, center, half_re, half_im, start_values=None):
-    """Winding of the vectorized f_many around center +- half_re +- i half_im.
+def contour_winding(rows, nodes, center, half_re, half_im, start=None):
+    """Zeros of f = sum_j a_j exp(i t_j zeta) inside center +- half_re +- i half_im.
 
-    Starts from the points center + _contour_offsets(half_re, half_im), where
-    f is start_values if given, else f_many there, and bisects every step
-    whose argument change exceeds MAX_ARG_STEP until none does.  Exact unless a
-    step turns f by 2 pi - MAX_ARG_STEP or more, which aliases to a small one.
+    a = rows[0] and t = nodes; rows[1] = i t a gives f'.  The argument of f
+    is summed from the points center + _contour_offsets(half_re, half_im),
+    where (f, f') is start if given, else a fourier_sum.  On the rectangle
+    |f''| <= M2 = exp(T Y) sum_j |a_j| t_j^2, T = max |t_j|, Y = max |Im zeta|,
+    so a step of length h with |f| - |f'| h > M2 h^2/2 at one of its ends
+    keeps f in a disc about that end's value that excludes 0, and its
+    principal argument is exact (Ying & Katz, Numer. Math. 53, 1988).  Every
+    other step is bisected, for at most MAX_REFINE_ROUNDS rounds.  A value
+    that is 0, not finite, or at most 64 eps exp(T Y) sum_j |a_j|, where
+    rounding hides it, raises ValidationFailed.
     """
+    rows = rows[:2]
     z = center + _contour_offsets(half_re, half_im)
-    vals = f_many(z) if start_values is None else start_values
+    vals = fourier_sum(rows, nodes, z) if start is None else start
+    weights = np.abs(rows[0])
+    grow = math.exp(float(np.abs(nodes).max()) * (abs(complex(center).imag) + half_im))
+    floor = 64.0 * np.finfo(float).eps * grow * float(weights.sum())
+    half_m2 = 0.5 * grow * float(weights @ (nodes * nodes))
     for rounds in range(MAX_REFINE_ROUNDS + 1):
-        if not np.all(np.isfinite(vals) & (vals != 0)):
-            raise ValidationFailed("transform vanishes or is not finite on the validation contour")
-        steps = np.angle(vals[1:] / vals[:-1])
-        coarse = np.flatnonzero(np.abs(steps) > MAX_ARG_STEP)
+        size, slope = np.abs(vals)
+        if not (np.isfinite(vals).all() and (size > floor).all()):
+            raise ValidationFailed("sum vanishes or is not finite on the validation contour")
+        h = np.abs(z[1:] - z[:-1])
+        margin = np.maximum(size[:-1] - slope[:-1] * h, size[1:] - slope[1:] * h)
+        coarse = np.flatnonzero(margin <= half_m2 * h * h)
         if coarse.size == 0:
             break
         if rounds == MAX_REFINE_ROUNDS:
@@ -303,58 +319,49 @@ def contour_winding(f_many, center, half_re, half_im, start_values=None):
                 f"contour unresolved after {MAX_REFINE_ROUNDS} refinement rounds")
         mid = 0.5 * (z[coarse] + z[coarse + 1])
         z = np.insert(z, coarse + 1, mid)
-        vals = np.insert(vals, coarse + 1, f_many(mid))
-    winding = np.sum(steps) / (2.0 * math.pi)
-    nearest = round(winding)
-    if abs(winding - nearest) > 0.1:
-        raise ValidationFailed(f"ambiguous winding {winding:.3f}")
-    return int(nearest)
+        vals = np.insert(vals, coarse + 1, fourier_sum(rows, nodes, mid), axis=1)
+    return round(float(np.angle(vals[0, 1:] / vals[0, :-1]).sum()) / (2.0 * math.pi))
 
 
-def _contour_start(ctx, centred, center, half_re, half_im):
-    """exp(-i c zeta) F at contour_winding's start points, by the shift theorem.
+def _contour_start(ctx, rows, t, center, half_re, half_im):
+    """(f, f') of the sum of rows on the nodes t at contour_winding's start
+    points, by the shift theorem.
 
-    With t_j = s_j - c, exp(-i c zeta) F(zeta) = sum_j a_j exp(i t_j zeta)/(i zeta),
-    and at zeta = center + delta_k each exponential is exp(i t_j center)
-    exp(i t_j delta_k).  The table exp(i t (x) delta) is built once per
-    context and rectangle shape, so a contour costs one exp per node and a
-    matrix-vector product.  Points where |zeta| w/2 <= SERIES_RADIUS go through
-    centred, the direct evaluation.  None when the table would hold more than
-    KERNEL_BLOCK entries: the caller then evaluates every point directly.
+    At zeta = center + delta_k each exponential exp(i t_j zeta) is
+    exp(i t_j center) exp(i t_j delta_k).  The table exp(i t (x) delta) is
+    built once per context and rectangle shape, so a contour costs one exp
+    per node and a matrix product.  None when the table would hold more
+    than KERNEL_BLOCK entries: contour_winding then sums every point.
     """
     offsets = _contour_offsets(half_re, half_im)
-    if ctx.nodes.size * offsets.size > KERNEL_BLOCK:
+    if t.size * offsets.size > KERNEL_BLOCK:
         return None
-    z = _check_zeta(ctx, center + offsets)
-    c = 0.5 * (ctx.lo + ctx.hi)
-    t = ctx.nodes - c
     key = (half_re, half_im)
     if key not in ctx.contour_tables:
         ctx.contour_tables[key] = np.exp(np.outer(t, 1j * offsets))
-    near = np.abs(z) * (0.5 * ctx.body_width) <= SERIES_RADIUS
-    vals = ((ctx.rows[0] * np.exp(1j * center * t)) @ ctx.contour_tables[key]
-            / (1j * np.where(near, 1.0, z)))
-    if near.any():
-        vals[near] = centred(z[near])
-    return vals
+    return (rows * np.exp(1j * center * t)) @ ctx.contour_tables[key]
 
 
 def winding_number(ctx, center, half_re, half_im):
-    """Winding of the transform around a rectangle, from the argument increment.
+    """Zeros of the transform inside the rectangle center +- half_re +- i half_im.
 
-    The transform of a body whose support on u has midpoint c carries the factor
-    exp(i c zeta), which turns by c per unit of Re zeta but has no zeros; it is
-    divided out so that the contour's step count does not grow with translation.
-    The start points come from _contour_start, refinement points from
-    flt_ray_many.
+    contour_winding counts them on the centred boundary sum
+    G_c(zeta) = sum_j a_j exp(i (s_j - c) zeta) = i zeta exp(-i c zeta) F(zeta),
+    c the midpoint of the support on u, which does not turn as the body
+    moves, so the contour's step count does not grow with translation.  G_c
+    has one zero more than F, at zeta = 0, taken off when the rectangle
+    contains it.  Start values come from _contour_start, refinement points
+    from fourier_sum; a rectangle that leaves the context's box raises
+    PrecisionLoss.
     """
-    shift = 0.5 * (ctx.lo + ctx.hi)
-
-    def centred(z):
-        return flt_ray_many(ctx, z) * np.exp(-1j * shift * z)
-
-    return contour_winding(centred, center, half_re, half_im,
-                           _contour_start(ctx, centred, center, half_re, half_im))
+    _check_zeta(ctx, center + _contour_offsets(half_re, half_im))
+    c = 0.5 * (ctx.lo + ctx.hi)
+    t = ctx.nodes - c
+    rows = ctx.rows - [[0.0], [1j * c]] * ctx.rows[0]  # (a, i t a) = (a, i s a - i c a)
+    wind = contour_winding(rows, t, center, half_re, half_im,
+                           _contour_start(ctx, rows, t, center, half_re, half_im))
+    center = complex(center)
+    return wind - int(abs(center.real) < half_re and abs(center.imag) < half_im)
 
 
 def _newton(values, z, inside):
@@ -398,8 +405,10 @@ def track_zero(ctx, m, start=None):
     _newton runs on exp(-i c zeta) F, c the midpoint of the support on u,
     which has F's zeros but does not turn as the body moves.  Each candidate
     gets (F, F') from one fourier_sum, kept for the residual check at the
-    converged point.  Validation encloses the converged zeta in a rectangle
-    of half-sides (pi/(2w), 0.5/w) and requires winding number 1.
+    converged point.  Validation requires the zero to lie less than pi/w,
+    half the spacing of neighbouring centers, from start, so that a branch
+    cannot take another's zero, and winding number 1 on a rectangle of
+    half-sides (pi/(2w), 0.5/w) about it.
     """
     c = 0.5 * (ctx.lo + ctx.hi)
     predicted = complex(kobayashi_center(ctx.body, m, ctx.u) if start is None else start)
@@ -415,6 +424,9 @@ def track_zero(ctx, m, start=None):
     residual, dscale = map(abs, seen[z])
     if residual > 1e-9 * dscale:
         raise NewtonDiverged(f"residual {residual:.3e} above 1e-9 * {dscale:.3e}")
+    if abs(z - predicted) >= math.pi / ctx.body_width:
+        raise ValidationFailed(f"zero {z:.6g} lies pi/w or more from its start "
+                               f"{predicted:.6g} at m={m}")
     wind = winding_number(ctx, z, math.pi / (2.0 * ctx.body_width), 0.5 / ctx.body_width)
     if wind != 1:
         raise ValidationFailed(f"winding {wind} != 1 at m={m}")
@@ -456,27 +468,6 @@ def track_branches(ctx, m_list):
         except (NewtonDiverged, ValidationFailed) as exc:
             raise type(exc)(f"(m={m}, theta={ctx.u.theta:.6f}): {exc}") from exc
     return out
-
-
-def branch_sweep(body, u_grid, m_range):
-    """Validated ZeroBranch table over (m, u) with a branch-continuity check.
-
-    Consecutive grid directions must move each branch by less than half the
-    spacing 2 pi / w between neighboring m, so branches cannot be confused.
-    """
-    m_list = list(m_range)
-    u_list = list(u_grid)
-    bound = sweep_bound(body, u_list, max(m_list))
-    columns = [track_branches(build_context(body, u, max_abs_zeta=bound), m_list)
-               for u in u_list]
-    for i, m in enumerate(m_list):
-        seq = [col[i] for col in columns]
-        for a, b in zip(seq[:-1], seq[1:]):
-            jump = math.pi / min(width(body, a.u), width(body, b.u))
-            if abs(b.zeta - a.zeta) > jump:
-                raise ValidationFailed(
-                    f"branch m={m} jumps by {abs(b.zeta - a.zeta):.3g} > {jump:.3g}")
-    return [br for col in columns for br in col]
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,8 @@ def test_non_finite_body_rejected(tmp_path, spec, capsys):
     ["flt", "--u", "0.0", "--num", "0"],
     ["zeros", "--u", "nan", "--m", "1..2"],
     ["zeros", "--u", "inf", "--m", "1..2"],
+    ["zeros", "--u", "0", "--m", "0..2"],
+    ["zeros", "--u", "0", "--m", "3..1"],
     ["kobayashi", "--u-grid", "0"],
 ], ids=" ".join)
 def test_malformed_numeric_options_are_usage_errors(tmp_path, disk_file, argv, capsys):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from quadrature_reference import chord_ray_table
 
 from covario import fourier_laplace
+from covario.asymptotics import kobayashi_report
 from covario.fourier_laplace import (
     GAP_TOL,
     IM_CAP_FACTOR,
@@ -14,7 +17,6 @@ from covario.fourier_laplace import (
     NewtonDiverged,
     PrecisionLoss,
     ValidationFailed,
-    branch_sweep,
     build_context,
     contour_winding,
     derivative_rows,
@@ -316,80 +318,130 @@ def test_winding_number_counts(unit_disk):
     assert winding_number(ctx, complex(mid, 0.0), 0.2, 0.2) == 0
 
 
+def _power_rows(k, shift=0.0, offset=0.0):
+    """Rows (a, i t a) and nodes t of exp(i offset zeta) (1 - exp(i (zeta - shift)))^k,
+    which has a k-fold zero at every shift + 2 pi n."""
+    nodes = offset + np.arange(k + 1.0)
+    amps = np.array([math.comb(k, j) * (-np.exp(-1j * shift)) ** j for j in range(k + 1)])
+    return derivative_rows(nodes, amps, 1), nodes
+
+
 def test_contour_winding_counts_powers():
     for k in range(4):
-        assert contour_winding(lambda z, k=k: z ** k, 0j, 1.0, 1.0) == k
+        assert contour_winding(*_power_rows(k), 0j, 1.0, 1.0) == k
+        assert contour_winding(*_power_rows(k), complex(2.0 * math.pi, 0.5), 1.0, 1.0) == k
+        assert contour_winding(*_power_rows(k), complex(math.pi, 0.0), 1.0, 1.0) == 0
 
 
-def test_contour_winding_refines_coarse_steps():
-    evaluated = []
+def _counting_sum(monkeypatch):
+    """Record the number of zetas of each fourier_sum call."""
+    calls = []
+    kernel = fourier_laplace.fourier_sum
 
-    def f(z):
-        evaluated.append(len(z))
-        return z ** 5
+    def counting(rows, nodes, zetas):
+        calls.append(np.size(zetas))
+        return kernel(rows, nodes, zetas)
 
-    # on an 8 x 2 rectangle z**5 turns by about 4 rad across each starting step
-    # next to the imaginary axis, so the count needs bisection
-    assert contour_winding(f, 0j, 4.0, 1.0) == 5
-    assert evaluated[0] == 33 and len(evaluated) > 1
+    monkeypatch.setattr(fourier_laplace, "fourier_sum", counting)
+    return calls
+
+
+def test_contour_winding_refines_coarse_steps(monkeypatch):
+    # on an 8 x 2 rectangle the start steps of (1 - exp(i zeta))^5, 0.8 long
+    # on the long sides, are too long for the step certificate
+    calls = _counting_sum(monkeypatch)
+    assert contour_winding(*_power_rows(5), 0j, 4.0, 1.0) == 5
+    assert calls[0] == 4 * fourier_laplace.CONTOUR_START + 1 and len(calls) > 1
 
 
 def test_contour_winding_zero_on_contour():
-    # the first corner 1 + 1j is a contour point
+    # the zero of 1 - exp(i zeta) at 0 is the rectangle's upper right corner
     with pytest.raises(ValidationFailed, match="vanishes"):
-        contour_winding(lambda z: z - (1.0 + 1.0j), 0j, 1.0, 1.0)
+        contour_winding(*_power_rows(1), complex(-1.0, -1.0), 1.0, 1.0)
 
 
-def test_contour_winding_unresolved_raises():
-    evaluated = []
-
-    def jump(z):
-        evaluated.append(len(z))
-        return np.where(z.real > 0.3, 1.0, -1.0).astype(complex)
-
-    # the sign jump at Re z = 0.3 stays a step of pi however fine the contour
+def test_contour_winding_unresolved_raises(monkeypatch):
+    # the zero at 0 lies on the lower side a third of the way along, where no
+    # bisection midpoint falls, and no step across it can be certified
+    calls = _counting_sum(monkeypatch)
     with pytest.raises(ValidationFailed, match="unresolved"):
-        contour_winding(jump, 0j, 1.0, 1.0)
-    assert len(evaluated) == 1 + MAX_REFINE_ROUNDS
+        contour_winding(*_power_rows(1), complex(1.0 / 3.0, 1.0), 1.0, 1.0)
+    assert len(calls) == 1 + MAX_REFINE_ROUNDS
+
+
+# (1 - exp(i zeta))^k about 0: steps that turn by nearly a multiple of 2 pi
+# looked small to an argument-step rule, which counted 4, 3 and 3
+@pytest.mark.parametrize("k, half_re, half_im, count", [
+    (2, 10.0, 0.05, 6), (3, 10.0, 0.05, 9), (5, 4.0, 1.0, 5), (5, 1.0, 0.05, None),
+])
+def test_contour_winding_aliasing_cases(k, half_re, half_im, count):
+    if count is None:
+        # the zero at 0 is 0.05 from the long sides: more than 12 rounds
+        with pytest.raises(ValidationFailed, match="unresolved"):
+            contour_winding(*_power_rows(k), 0j, half_re, half_im)
+    else:
+        assert contour_winding(*_power_rows(k), 0j, half_re, half_im) == count
+
+
+def _boundary_distance(p, center, half_re, half_im):
+    x, y = abs(p.real - center.real), abs(p.imag - center.imag)
+    if x < half_re and y < half_im:
+        return min(half_re - x, half_im - y)
+    return math.hypot(max(x - half_re, 0.0), max(y - half_im, 0.0))
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(1, 3), st.floats(0.0, 60.0), st.floats(-math.pi, math.pi),
+       st.floats(-0.3, 0.3), st.floats(-15.0, 15.0), st.floats(-0.5, 0.5),
+       st.floats(0.2, 10.0), st.floats(0.1, 0.6))
+def test_contour_winding_never_miscounts(k, top, shift_re, shift_im, c_re, c_im, half_re, half_im):
+    # exp(i T zeta) (1 - exp(i (zeta - shift)))^k: a k-fold zero at each
+    # shift + 2 pi n; the count is exact or the contour raises
+    shift, center = complex(shift_re, shift_im), complex(c_re, c_im)
+    zeros = [shift + 2.0 * math.pi * n for n in range(-5, 6)]
+    assume(all(_boundary_distance(z, center, half_re, half_im) > 0.05 for z in zeros))
+    inside = sum(abs(z.real - c_re) < half_re and abs(z.imag - c_im) < half_im for z in zeros)
+    try:
+        count = contour_winding(*_power_rows(k, shift, top), center, half_re, half_im)
+    except ValidationFailed:
+        return
+    assert count == k * inside
 
 
 WIDE_CENTERS = (complex(0.3, 0.05), complex(7.9, -0.2), complex(-31.4, 0.3), complex(55.0, 0.1))
 
 
-# flt_ray_many rounds the phase s_j zeta of each node to about eps |s_j zeta|.
-# On the disk centred at 28 that error of the reference alone passes 1e-13
-# of |F| on the contour about -10.2 + 0.3i, so its centers stay below 9.
 @pytest.mark.parametrize("name, centers", [
     ("cw3", WIDE_CENTERS),
-    ("disk28", (complex(0.3, 0.05), complex(3.8, 0.0), complex(7.9, -0.2), complex(-8.6, 0.3))),
+    ("disk28", WIDE_CENTERS),
     ("nonagon", WIDE_CENTERS),
 ])
 def test_contour_start_matches_transform(name, centers, monkeypatch):
-    # the shift-theorem start values equal exp(-i c zeta) F from flt_ray_many;
-    # the first center's contour enters the moment-series disc
+    # the shift-theorem table's (f, f') of the centred sum
+    # G_c = sum_j a_j exp(i (s_j - c) zeta) equal its fourier_sum
     body = Disk((28.0, 0.0), 1.0) if name == "disk28" else RULE_BODIES[name]
     ctx = build_context(body, Direction(0.4), max_abs_zeta=60.0)
-    w, c = ctx.body_width, 0.5 * (ctx.lo + ctx.hi)
+    w = ctx.body_width
+    t = ctx.nodes - 0.5 * (ctx.lo + ctx.hi)
+    rows = derivative_rows(t, ctx.rows[0], 1)
     half_re, half_im = math.pi / (2.0 * w), 0.5 / w
     offsets = fourier_laplace._contour_offsets(half_re, half_im)
     assert ctx.contour_tables == {}
-
-    def centred(z):
-        return flt_ray_many(ctx, z) * np.exp(-1j * c * z)
-
     for center in centers:
-        z = center + offsets
-        assert np.any(np.abs(z) * 0.5 * w <= SERIES_RADIUS) == (center.real == 0.3)
-        direct = centred(z)
-        start = fourier_laplace._contour_start(ctx, centred, center, half_re, half_im)
-        assert np.all(np.abs(start - direct) <= 1e-13 * np.abs(direct))
+        direct = fourier_sum(rows, t, center + offsets)
+        start = fourier_laplace._contour_start(ctx, rows, t, center, half_re, half_im)
+        scale = np.abs(rows).sum(axis=1, keepdims=True) * math.exp(0.5 * w * (abs(center.imag)
+                                                                             + half_im))
+        assert np.all(np.abs(start - direct) <= 1e-14 * scale)
     assert list(ctx.contour_tables) == [(half_re, half_im)]
-    # winding_number takes every start point from the table: flt_ray_many
+    # the first rectangle contains zeta = 0, the zero G_c adds to F
+    assert abs(centers[0].real) < half_re and winding_number(ctx, centers[0], half_re, half_im) == 0
+    # winding_number takes every start point from the table: fourier_sum
     # sees only refinement midpoints
     seen = []
-    many = fourier_laplace.flt_ray_many
-    monkeypatch.setattr(fourier_laplace, "flt_ray_many",
-                        lambda ctx, z: seen.extend(np.ravel(z)) or many(ctx, z))
+    kernel = fourier_laplace.fourier_sum
+    monkeypatch.setattr(fourier_laplace, "fourier_sum",
+                        lambda rows, nodes, z: seen.extend(np.ravel(z)) or kernel(rows, nodes, z))
     center = centers[-1]
     winding_number(ctx, center, half_re, half_im)
     assert not set(seen) & set(center + offsets)
@@ -397,13 +449,21 @@ def test_contour_start_matches_transform(name, centers, monkeypatch):
 
 def test_contour_start_table_stays_within_kernel_block(cw3, monkeypatch):
     # a context whose table would hold more than KERNEL_BLOCK entries builds
-    # none and evaluates its start points through flt_ray_many
+    # none and sums its start points with fourier_sum
     monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", 1024)
     ctx = build_context(cw3, Direction(0.4), max_abs_zeta=40.0)
-    assert ctx.nodes.size * 33 > 1024
-    assert fourier_laplace._contour_start(ctx, flt_ray_many, 10.0, 0.5, 0.25) is None
+    assert ctx.nodes.size * (4 * fourier_laplace.CONTOUR_START + 1) > 1024
+    assert fourier_laplace._contour_start(ctx, ctx.rows, ctx.nodes, 10.0, 0.5, 0.25) is None
     assert track_zero(ctx, 5).validated
     assert ctx.contour_tables == {}
+
+
+def test_winding_number_rectangle_leaving_box_raises(unit_disk):
+    ctx = build_context(unit_disk, E1, max_abs_zeta=30.0)
+    with pytest.raises(PrecisionLoss, match="Re zeta"):
+        winding_number(ctx, complex(29.5, 0.0), 1.0, 0.3)
+    with pytest.raises(PrecisionLoss, match="Im zeta"):
+        winding_number(ctx, complex(5.0, ctx.im_cap - 0.1), 0.5, 0.3)
 
 
 def test_track_zero_one_kernel_call_per_candidate(cw3, monkeypatch):
@@ -461,7 +521,7 @@ def test_winding_translated_disk(cx):
 
 def test_branch_sweep_disk_constant(unit_disk):
     grid = [Direction(float(t)) for t in np.linspace(0, 2 * math.pi, 12, endpoint=False)]
-    rows = branch_sweep(unit_disk, grid, [3])
+    rows = kobayashi_report(unit_disk, [3], grid).branches
     zs = np.array([r.zeta for r in rows])
     assert np.abs(zs - zs[0]).max() <= 1e-8
     assert all(r.validated for r in rows)
@@ -472,7 +532,7 @@ def test_branch_sweep_narrow_disk():
     # each zero, beyond a fixed margin of 10 past the farthest predicted center
     disk = Disk((0.3, -0.2), 0.05)
     grid = [Direction(float(t)) for t in np.linspace(0, 2 * math.pi, 4, endpoint=False)]
-    rows = branch_sweep(disk, grid, [1, 2, 3])
+    rows = kobayashi_report(disk, [1, 2, 3], grid).branches
     assert all(r.validated for r in rows)
     for r in rows:
         assert abs(r.zeta - bessel_j1_zero(r.m) / 0.05) <= 1e-9 * abs(r.zeta)
@@ -480,7 +540,7 @@ def test_branch_sweep_narrow_disk():
 
 def test_branch_sweep_cw3_symmetry(cw3):
     grid = [Direction(float(t)) for t in np.linspace(0, 2 * math.pi, 24, endpoint=False)]
-    rows = branch_sweep(cw3, grid, [10])
+    rows = kobayashi_report(cw3, [10], grid).branches
     ims = np.array([r.zeta.imag for r in rows])
     # cos(3 theta) symmetry of the curvature ratio: period 2 pi / 3 = 8 grid steps
     assert np.abs(ims - np.roll(ims, 8)).max() < 1e-9
@@ -554,6 +614,14 @@ def test_validation_failure_reported(unit_disk):
     br = track_zero(ctx, 2, start=bessel_j1_zero(3) + 0.01)
     assert abs(br.zeta - bessel_j1_zero(3)) < 1e-8  # converged to the m=3 zero
     assert br.validated  # winding is still 1 around that zero
+
+
+def test_track_zero_rejects_another_branchs_zero(unit_disk):
+    # Newton from the m = 0 center pi/4 reaches 7.0156, the m = 2 zero, more
+    # than pi/w from its start; neighbouring centers are 2 pi/w apart
+    ctx = build_context(unit_disk, E1, max_abs_zeta=70.0)
+    with pytest.raises(ValidationFailed, match="pi/w or more"):
+        track_zero(ctx, 0)
 
 
 def test_deviation_decay_slope(unit_disk):
