@@ -47,15 +47,16 @@ def _parse_grid(text):
 
 
 def _check_options(args):
-    """Reject a non-finite --u or --xi-max and a --num or --u-grid below 1."""
+    """Reject a non-finite --u or --xi-max, a --num, --u-grid or --mc-n below 1
+    and a negative --seed."""
     for name in ("u", "xi_max"):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    for name in ("num", "u_grid"):
+    for name, least in (("num", 1), ("u_grid", 1), ("mc_n", 1), ("seed", 0)):
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+        if value is not None and value < least:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
 
 
 def _parse_range(text):
@@ -238,13 +239,17 @@ DISK_ZERO_TOL = 1e-6         # largest |zeta - j_1m| of the disk's tracked zeros
 
 
 def suite_matrix_identities(seed=0):
+    # the pairs are drawn one by one, in the order of a pair-by-pair loop, and
+    # built and checked in one stack per dimension: A, B, A, B, ...
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    by_dim = {}
     for _ in range(MATRIX_PAIRS):
         dim = int(rng.integers(1, 7))
-        rep = oracles.matrix_identities(oracles.random_spd(dim, rng),
-                                        oracles.random_spd(dim, rng))
-        worst = max(worst, rep.max_deviation)
+        by_dim.setdefault(dim, []).extend([oracles.spd_draws(dim, rng), oracles.spd_draws(dim, rng)])
+    worst = 0.0
+    for draws in by_dim.values():
+        spd = oracles.spd_matrix(*map(np.array, zip(*draws)))
+        worst = max(worst, oracles.matrix_identities(spd[0::2], spd[1::2]).max_deviation)
     return [("matrix-identities", worst <= MATRIX_TOL, f"max relative deviation {worst:.3e}")]
 
 def suite_paraboloid(seed=0, n_samples=1_000_000):

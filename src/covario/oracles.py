@@ -34,29 +34,38 @@ _MC_CHUNK_ROWS = 2 ** 16
 def mc_area(membership, bbox, n, seed, streams=1):
     """Monte Carlo measure of {x : membership(x)} inside the box bbox.
 
-    bbox is a sequence of (lo, hi) per coordinate; membership must accept an
-    (n, d) array and return a boolean array.  Streams are independent Philox
-    substreams pooled by summed hit counts, so the result is reproducible for
-    a fixed (seed, streams, n).
+    bbox is a sequence of (lo, hi) per coordinate; membership must accept a
+    (k, d) array, whose columns are contiguous, and return a boolean array.
+    Streams are independent Philox substreams pooled by summed hit counts, so
+    the result is reproducible for a fixed (seed, streams, n).
     """
+    if n < 1 or streams < 1:
+        raise ValueError(f"need n >= 1 and streams >= 1, got n={n}, streams={streams}")
     bbox = np.asarray(bbox, dtype=float)
     lo, hi = bbox[:, 0], bbox[:, 1]
-    vol = float(np.prod(hi - lo))
+    width = hi - lo
+    vol = float(np.prod(width))
+    d = bbox.shape[0]
     per = [n // streams + (1 if i < n % streams else 0) for i in range(streams)]
+    rows = min(_MC_CHUNK_ROWS, per[0])
+    # rows are drawn in order into one reused buffer, so the chunks see the
+    # points of one big row-major draw; coordinate j is then scaled into the
+    # contiguous row cols[j] by the same two operations as `pts * w + lo`
+    draws = np.empty((rows, d))
+    cols = np.empty((d, rows))
     hits = 0
-    total = 0
     for i, ni in enumerate(per):
         rng = _rng(seed, i)
-        # rows are drawn in order, so the chunks see the points of one big draw
         for start in range(0, ni, _MC_CHUNK_ROWS):
-            pts = rng.random((min(_MC_CHUNK_ROWS, ni - start), bbox.shape[0]))
-            pts *= hi - lo
-            pts += lo
-            hits += int(np.count_nonzero(membership(pts)))
-        total += ni
-    p = hits / total
-    se = vol * math.sqrt(max(p * (1.0 - p), 1e-300) / total)
-    return MonteCarloEstimate(vol * p, se, total, seed)
+            k = min(_MC_CHUNK_ROWS, ni - start)
+            rng.random(out=draws[:k])
+            for j in range(d):
+                np.multiply(draws[:k, j], width[j], out=cols[j, :k])
+                cols[j, :k] += lo[j]
+            hits += int(np.count_nonzero(membership(cols[:, :k].T)))
+    p = hits / n
+    se = vol * math.sqrt(max(p * (1.0 - p), 1e-300) / n)
+    return MonteCarloEstimate(vol * p, se, n, seed)
 
 
 @dataclass(frozen=True)
@@ -74,7 +83,8 @@ def matrix_identities(a, b):
 
     Checks A - A(A+B)^{-1}A = B(A+B)^{-1}A = A(A+B)^{-1}B = (A^{-1}+B^{-1})^{-1}
     and det((A^{-1}+B^{-1})^{-1}) = det A det B / det(A+B), reporting the largest
-    relative deviation.
+    relative deviation.  a and b may be (..., d, d) stacks of pairs; the report
+    then holds the worst deviation of each kind over the stack.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -83,19 +93,35 @@ def matrix_identities(a, b):
     e2 = b @ inv_sum @ a
     e3 = a @ inv_sum @ b
     e4 = np.linalg.inv(np.linalg.inv(a) + np.linalg.inv(b))
-    scale = max(np.abs(e4).max(), 1e-300)
-    dev = max(np.abs(e1 - e4).max(), np.abs(e2 - e4).max(), np.abs(e3 - e4).max()) / scale
+
+    def entry_max(m):
+        return np.abs(m).max(axis=(-2, -1))
+
+    scale = np.maximum(entry_max(e4), 1e-300)
+    dev = np.maximum(np.maximum(entry_max(e1 - e4), entry_max(e2 - e4)), entry_max(e3 - e4)) / scale
     lhs = np.linalg.det(e4)
     rhs = np.linalg.det(a) * np.linalg.det(b) / np.linalg.det(a + b)
-    det_dev = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return MatrixIdentityReport(float(dev), float(det_dev))
+    det_dev = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+    return MatrixIdentityReport(float(dev.max()), float(det_dev.max()))
+
+
+def spd_draws(dim, rng, eig_range=(0.1, 10.0)):
+    """The random draws of one `random_spd` matrix: a normal (dim, dim) matrix
+    and dim eigenvalues uniform in eig_range."""
+    normal = rng.standard_normal((dim, dim))
+    return normal, rng.uniform(eig_range[0], eig_range[1], size=dim)
+
+
+def spd_matrix(normal, eigenvalues):
+    """Symmetric positive-definite matrix Q diag(eigenvalues) Q^T, where Q is
+    the orthogonal factor of the square matrix normal; both may be stacks."""
+    q, _ = np.linalg.qr(normal)
+    return (q * eigenvalues[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def random_spd(dim, rng, eig_range=(0.1, 10.0)):
     """Random symmetric positive-definite matrix with eigenvalues in eig_range."""
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    lam = rng.uniform(eig_range[0], eig_range[1], size=dim)
-    return (q * lam) @ q.T
+    return spd_matrix(*spd_draws(dim, rng, eig_range))
 
 
 def sphere_surface_area(d):
@@ -134,8 +160,9 @@ class ParaboloidReport:
 def paraboloid_region(a, b, q, t):
     """Membership test and bounding box of {f2(x) <= x' <= f1(x)} in R^{d+1}.
 
-    f1(x) = t - <A(x-q), x-q>/2 and f2(x) = <Bx, x>/2; the test takes an
-    (n, d + 1) array of points (x, x').
+    f1(x) = t - <A(x-q), x-q>/2 and f2(x) = <Bx, x>/2; the test takes a
+    (k, d + 1) array of points (x, x') and reads it one column at a time, so
+    it is fastest on contiguous columns, as `mc_area` passes them.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -148,23 +175,33 @@ def paraboloid_region(a, b, q, t):
     half = np.sqrt(2.0 * s * np.diag(np.linalg.inv(apb)))
     bbox = [(x0[i] - half[i], x0[i] + half[i]) for i in range(d)] + [(0.0, t)]
 
-    def quadratic_form(m, cols):
+    def quadratic_form(m, cols, total, row, tmp):
         # <M y, y> one column at a time: d is 1 to 3, too narrow for a matmul
-        total = np.zeros_like(cols[0])
+        total.fill(0.0)
         for i in range(d):
-            row = m[i, 0] * cols[0]
+            np.multiply(cols[0], m[i, 0], out=row)
             for j in range(1, d):
-                row += m[i, j] * cols[j]
+                np.multiply(cols[j], m[i, j], out=tmp)
+                row += tmp
             row *= cols[i]
             total += row
-        return total
+
+    buf = np.empty((d + 4, 0))
 
     def member(pts):
+        # work rows are kept between calls and grown only for a larger batch
+        nonlocal buf
+        k = pts.shape[0]
+        if buf.shape[1] < k:
+            buf = np.empty((d + 4, k))
+        dq, (row, tmp, f1, f2) = buf[:d, :k], buf[d:, :k]
         xs = [pts[:, i] for i in range(d)]
-        f1 = quadratic_form(a, [x - qi for x, qi in zip(xs, q)])
+        for i in range(d):
+            np.subtract(xs[i], q[i], out=dq[i])
+        quadratic_form(a, dq, f1, row, tmp)
         f1 *= -0.5
         f1 += t
-        f2 = quadratic_form(b, xs)
+        quadratic_form(b, xs, f2, row, tmp)
         f2 *= 0.5
         xp = pts[:, d]
         return (f2 <= xp) & (xp <= f1)

@@ -116,11 +116,15 @@ def test_non_finite_body_rejected(tmp_path, spec, capsys):
     ["zeros", "--u", "0", "--m", "0..2"],
     ["zeros", "--u", "0", "--m", "3..1"],
     ["kobayashi", "--u-grid", "0"],
+    ["verify", "paraboloid", "--mc-n", "0"],
+    ["verify", "paraboloid", "--mc-n", "-5"],
+    ["verify", "all", "--seed", "-1"],
 ], ids=" ".join)
 def test_malformed_numeric_options_are_usage_errors(tmp_path, disk_file, argv, capsys):
     args = [a.format(body=disk_file) for a in argv]
-    out = str(tmp_path / "out.csv")
-    assert main(args[:1] + ["--body", disk_file, "--out", out] + args[1:]) == 2
+    if args[0] != "verify":
+        args[1:1] = ["--body", disk_file, "--out", str(tmp_path / "out.csv")]
+    assert main(args) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
@@ -264,6 +268,28 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "matrix-identities", "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["schema_version"] == 1 and rep["passed"]
+
+
+# pinned `checks` of two verify runs: the oracles' draws and per-element
+# arithmetic fix them to the last digit, so a reordering of either shows here
+GOLDEN_CHECKS = {
+    ("matrix-identities", "--seed", "39"): [
+        ("matrix-identities", True, "max relative deviation 5.429e-15"),
+    ],
+    ("paraboloid", "--seed", "39", "--mc-n", "200000"): [
+        ("paraboloid-reference", True, "volume 1.33193 vs 4/3, z=0.67"),
+        ("paraboloid-rejects-statement-constant", True,
+         "z=1156.5 against the 2^((n+1)/2)-inflated value"),
+        ("paraboloid-random-instances", True, "10 draws, worst relative gap 0.0047"),
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CHECKS), ids=" ".join)
+def test_verify_golden_rows(argv, capsys):
+    assert main(["verify", *argv, "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["passed"], c["detail"]) for c in checks] == GOLDEN_CHECKS[argv]
 
 
 def test_console_entry_point():

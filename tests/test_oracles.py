@@ -16,6 +16,8 @@ from covario.oracles import (
     paraboloid_volume,
     random_spd,
 )
+from covario.cli import suite_matrix_identities
+from matrix_reference import reference_worst
 from paraboloid_reference import reference_hits, reference_member
 
 # published reference values (Abramowitz & Stegun table 9.5)
@@ -57,6 +59,27 @@ def test_mc_area_disk_and_lens():
     assert abs(est.mean - target) < 3.0 * est.standard_error
 
 
+def test_mc_area_rejects_empty_draws():
+    for n, streams in ((0, 1), (-5, 1), (10, 0)):
+        with pytest.raises(ValueError):
+            mc_area(square_membership, [(0, 2), (0, 2)], n, seed=1, streams=streams)
+
+
+@pytest.mark.parametrize("streams", [1, 3])
+def test_mc_area_column_layout_keeps_row_major_hits(streams):
+    # n is not a multiple of the chunk, so every stream ends on a short chunk
+    rng = np.random.default_rng(5)
+    a, b = random_spd(3, rng, (0.5, 3.0)), random_spd(3, rng, (0.5, 3.0))
+    q, t = rng.uniform(-0.3, 0.3, size=3), 1.1
+    member, bbox = paraboloid_region(a, b, q, t)
+    n = 2 * 2 ** 16 + 12345
+    est = mc_area(member, bbox, n, seed=7, streams=streams)
+    volume = float(np.prod([hi - lo for lo, hi in bbox]))
+    for oracle in (member, reference_member(a, b, q, t)):
+        hits = reference_hits(oracle, bbox, n, seed=7, streams=streams)
+        assert est.mean == volume * (hits / n)
+
+
 def test_matrix_identities_identity_pair():
     rep = matrix_identities(np.eye(2), np.eye(2))
     assert rep.max_deviation < 1e-15
@@ -76,6 +99,33 @@ def test_matrix_identities_random(seed, dim):
     rng = np.random.default_rng(seed)
     rep = matrix_identities(random_spd(dim, rng), random_spd(dim, rng))
     assert rep.max_deviation <= 1e-10
+
+
+def test_matrix_identities_stack_reports_worst_pair():
+    rng = np.random.default_rng(8)
+    pairs = [(random_spd(4, rng), random_spd(4, rng)) for _ in range(3)]
+    stacked = matrix_identities(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+    singles = [matrix_identities(a, b) for a, b in pairs]
+    assert stacked.max_expression_deviation == max(r.max_expression_deviation for r in singles)
+    assert stacked.det_deviation == max(r.det_deviation for r in singles)
+
+
+@pytest.mark.parametrize("seed", [0, 39])
+def test_matrix_suite_matches_pair_by_pair_loop(seed, monkeypatch):
+    from covario import oracles
+
+    reports = []
+
+    def recording(a, b):
+        reports.append(matrix_identities(a, b))
+        return reports[-1]
+
+    monkeypatch.setattr(oracles, "matrix_identities", recording)
+    (row,) = suite_matrix_identities(seed)
+    assert len(reports) == 6  # one stack per dimension 1..6
+    worst = max(r.max_deviation for r in reports)
+    assert worst == reference_worst(seed)
+    assert row == ("matrix-identities", True, f"max relative deviation {worst:.3e}")
 
 
 def test_paraboloid_closed_form_values():
