@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from covario.fourier_laplace import build_context, track_zero
+from covario.fourier_laplace import build_context, track_branches
 from covario.geometry import Direction, Disk
 from covario.oracles import bessel_j1_zero
 
@@ -20,11 +20,10 @@ def main(out_path="disk_zero_branches.csv"):
     ctx = build_context(disk, Direction(0.0), max_abs_zeta=135.0)
     rows = ["m,zeta_re,zeta_im,bessel_zero,center_deviation,oracle_gap"]
     devs = []
-    for m in range(1, 41):
-        br = track_zero(ctx, m)
-        j = bessel_j1_zero(m)
+    for br in track_branches(ctx, range(1, 41)):
+        j = bessel_j1_zero(br.m)
         devs.append(br.deviation)
-        rows.append(f"{m},{br.zeta.real!r},{br.zeta.imag!r},{j!r},"
+        rows.append(f"{br.m},{br.zeta.real!r},{br.zeta.imag!r},{j!r},"
                     f"{br.deviation!r},{abs(br.zeta - j)!r}")
     with open(out_path, "w") as fh:
         fh.write("\n".join(rows) + "\n")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -72,17 +71,16 @@ class RayTransformContext:
 
     By the divergence theorem with the field u (exp(i zeta <x, u>) - 1)/(i zeta)
     the transform is the boundary integral of (exp(i zeta s) - 1)/(i zeta) <n, u>,
-    s = <p, u> at the boundary point p with outer normal n.  The rule's nodes
-    are the s_j and its amplitudes a_j = <n_j, u> ds_j sum to 0, so
-    F = G/(i zeta) with G the fourier_sum of rows[0] = a; rows[1] = i s a gives
-    G'.  The rule is certified on the box |Re zeta| <= max_abs_zeta,
+    s = <p, u> at the boundary point p with outer normal n.  The rule stores
+    the centred sum: nodes t_j = s_j - c about the support midpoint c = mid,
+    and amplitudes a_j = <n_j, u> ds_j, which sum to 0, so H = exp(-i c zeta) F
+    is G_c/(i zeta), G_c the fourier_sum of rows[0] = a; rows[1] = i t a
+    gives G_c'.  The rule is certified on the box |Re zeta| <= max_abs_zeta,
     |Im zeta| <= im_cap: quadrature_gap is its largest difference at the box's
     corners from the previous rule of its growth sequence, which has about
-    4/5 of its nodes.  Where |zeta| (hi - lo)/2 <= SERIES_RADIUS the transform
-    is the series exp(i zeta c) sum_n moments[n] (i zeta)^n about the midpoint
-    c, with moments[n] = sum_j a_j (s_j - c)^(n + 1)/(n + 1)!, where G/(i zeta)
-    would cancel.  contour_tables holds the lazily built tables of
-    _contour_start, one per rectangle shape.
+    4/5 of its nodes.  Where |zeta| (hi - lo)/2 <= SERIES_RADIUS, H is the
+    series sum_n moments[n] (i zeta)^n, moments[n] = sum_j a_j t_j^(n+1)/(n+1)!,
+    where G_c/(i zeta) would cancel.
     """
 
     body: object
@@ -91,11 +89,11 @@ class RayTransformContext:
     im_cap: float
     lo: float
     hi: float
+    mid: float
     nodes: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
     moments: np.ndarray = field(repr=False)
     quadrature_gap: float
-    contour_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def body_width(self):
@@ -185,10 +183,11 @@ def build_context(body, u: Direction, max_abs_zeta=200.0):
             if gap <= tol:
                 break
         sizes, coarse = _grow(sizes), fine
-    powers = np.cumprod(np.broadcast_to(nodes - mid, (SERIES_TERMS, nodes.size)), axis=0)
+    t = nodes - mid
+    powers = np.cumprod(np.broadcast_to(t, (SERIES_TERMS, t.size)), axis=0)
     moments = (powers @ amps) / np.cumprod(np.arange(1.0, SERIES_TERMS + 1.0))
-    return RayTransformContext(body, u, max_abs_zeta, im_cap, lo, hi, nodes,
-                               derivative_rows(nodes, amps, 1), moments, gap)
+    return RayTransformContext(body, u, max_abs_zeta, im_cap, lo, hi, mid, t,
+                               derivative_rows(t, amps, 1), moments, gap)
 
 
 def _check_zeta(ctx, zeta):
@@ -201,31 +200,30 @@ def _check_zeta(ctx, zeta):
     return z
 
 
-def _moment_series(ctx, z):
-    """(F, F') at z from the moment series about the support midpoint c."""
-    w = 1j * z
-    c = 0.5 * (ctx.lo + ctx.hi)
-    turn = np.exp(c * w)
-    m = ctx.moments
-    series = np.polyval(m[::-1], w)
-    slope = np.polyval((m[1:] * np.arange(1.0, m.size))[::-1], w)  # d series / dw
-    return turn * series, 1j * turn * (c * series + slope)
-
-
-def _transform(ctx, zetas, order):
-    """(F,) for order 0, (F, F') for order 1, at each zeta: G/(i zeta) and
-    (-i G' - F)/zeta from one fourier_sum, or the moment series where
-    |zeta| w/2 <= SERIES_RADIUS."""
+def _centred_transform(ctx, zetas, order):
+    """(H,) for order 0, (H, H') for order 1, at each zeta, H = exp(-i c zeta) F:
+    G_c/(i zeta) and (-i G_c' - H)/zeta from one fourier_sum, or the moment
+    series where |zeta| w/2 <= SERIES_RADIUS."""
     z = _check_zeta(ctx, zetas)
     near = np.abs(z) * (0.5 * ctx.body_width) <= SERIES_RADIUS
     any_near = np.count_nonzero(near)
     far = np.where(near, 1.0, z) if any_near else z
     g = fourier_sum(ctx.rows[:order + 1], ctx.nodes, z)
-    f = g[0] / (1j * far)
-    out = (f, (-1j * g[1] - f) / far) if order else (f,)
+    h = g[0] / (1j * far)
+    out = (h, (-1j * g[1] - h) / far) if order else (h,)
     if not any_near:
         return out
-    return tuple(np.where(near, series, v) for series, v in zip(_moment_series(ctx, z), out))
+    w, m = 1j * z, ctx.moments
+    series = (np.polyval(m[::-1], w), 1j * np.polyval((m[1:] * np.arange(1.0, m.size))[::-1], w))
+    return tuple(np.where(near, v_near, v) for v_near, v in zip(series, out))
+
+
+def _transform(ctx, zetas, order):
+    """(F,) or (F, F'): exp(i c zeta) times _centred_transform's (H,) or (H, H')."""
+    out = _centred_transform(ctx, zetas, order)
+    turn = np.exp(1j * ctx.mid * np.asarray(zetas, dtype=complex))
+    f = turn * out[0]
+    return (f, turn * out[1] + 1j * ctx.mid * f) if order else (f,)
 
 
 def flt_ray(ctx, zeta):
@@ -234,7 +232,7 @@ def flt_ray(ctx, zeta):
 
 
 def flt_ray_derivative(ctx, zeta):
-    """d/dzeta of the ray transform, (-i G' - F)/zeta from one fourier_sum."""
+    """d/dzeta of the ray transform, from one fourier_sum."""
     return complex(_transform(ctx, zeta, 1)[1])
 
 
@@ -284,153 +282,167 @@ def _contour_offsets(half_re, half_im):
     return offsets
 
 
+def _raise_first(kind, bad, message):
+    """Raise kind(message(k)) with index k, the first point, start or contour
+    of an array pass where bad holds."""
+    if np.any(bad):
+        exc = kind(message(k := int(np.argmax(bad))))
+        exc.index = k
+        raise exc
+
+
 def contour_winding(rows, nodes, center, half_re, half_im, start=None):
     """Zeros of f = sum_j a_j exp(i t_j zeta) inside center +- half_re +- i half_im.
 
-    a = rows[0] and t = nodes; rows[1] = i t a gives f'.  The argument of f
-    is summed from the points center + _contour_offsets(half_re, half_im),
-    where (f, f') is start if given, else a fourier_sum.  On the rectangle
-    |f''| <= M2 = exp(T Y) sum_j |a_j| t_j^2, T = max |t_j|, Y = max |Im zeta|,
-    so a step of length h with |f| - |f'| h > M2 h^2/2 at one of its ends
-    keeps f in a disc about that end's value that excludes 0, and its
-    principal argument is exact (Ying & Katz, Numer. Math. 53, 1988).  Every
-    other step is bisected, for at most MAX_REFINE_ROUNDS rounds.  A value
-    that is 0, not finite, or at most 64 eps exp(T Y) sum_j |a_j|, where
-    rounding hides it, raises ValidationFailed.
+    a = rows[0] and t = nodes; rows[1] = i t a gives f'.  center may be an
+    array; the counts have its shape.  The argument of f is summed from the
+    points center + _contour_offsets(half_re, half_im), where (f, f') is
+    start, of shape (2,) + center.shape + offsets.shape, if given, else a
+    fourier_sum; all contours are refined in one flat array tagged by
+    contour.  On a rectangle about y_c = Im center each |exp(i t_j zeta)| is
+    at most e_j = exp(|t_j| half_im - t_j y_c), so |f''| <= M2 =
+    sum_j |a_j| t_j^2 e_j, and a step of length h with |f| - |f'| h > M2 h^2/2
+    at one of its ends keeps f in a disc about that end's value that excludes
+    0: its principal argument is exact (Ying & Katz, Numer. Math. 53, 1988).
+    Every other step is bisected, for at most MAX_REFINE_ROUNDS rounds.  A
+    value that is 0, not finite, or at most 64 eps sum_j |a_j| e_j, where
+    rounding hides it, raises ValidationFailed, whose index names the contour.
     """
-    rows = rows[:2]
-    z = center + _contour_offsets(half_re, half_im)
-    vals = fourier_sum(rows, nodes, z) if start is None else start
-    weights = np.abs(rows[0])
-    grow = math.exp(float(np.abs(nodes).max()) * (abs(complex(center).imag) + half_im))
-    floor = 64.0 * np.finfo(float).eps * grow * float(weights.sum())
-    half_m2 = 0.5 * grow * float(weights @ (nodes * nodes))
+    rows, centers = rows[:2], np.asarray(center, dtype=complex)
+    flat = centers.reshape(-1)
+    offsets, contours = _contour_offsets(half_re, half_im), np.arange(flat.size)
+    z, tag = (flat[:, None] + offsets).ravel(), np.repeat(contours, offsets.size)
+    vals = (fourier_sum(rows, nodes, z) if start is None else start).reshape(2, -1)
+    grow = np.abs(rows[0]) * np.exp(half_im * np.abs(nodes) - np.outer(flat.imag, nodes))
+    floor, half_m2 = 64.0 * np.finfo(float).eps * grow.sum(axis=1), 0.5 * grow @ (nodes * nodes)
     for rounds in range(MAX_REFINE_ROUNDS + 1):
         size, slope = np.abs(vals)
-        if not (np.isfinite(vals).all() and (size > floor).all()):
-            raise ValidationFailed("sum vanishes or is not finite on the validation contour")
-        h = np.abs(z[1:] - z[:-1])
-        margin = np.maximum(size[:-1] - slope[:-1] * h, size[1:] - slope[1:] * h)
-        coarse = np.flatnonzero(margin <= half_m2 * h * h)
+        bad = ~(np.isfinite(vals).all(axis=0) & (size > floor[tag]))
+        _raise_first(ValidationFailed, np.isin(contours, tag[bad]),
+                     lambda k: "sum vanishes or is not finite on the validation contour")
+        step = np.flatnonzero(tag[1:] == tag[:-1])
+        h = np.abs(z[step + 1] - z[step])
+        margin = np.maximum(size[step] - slope[step] * h, size[step + 1] - slope[step + 1] * h)
+        coarse = step[margin <= half_m2[tag[step]] * h * h]
         if coarse.size == 0:
             break
         if rounds == MAX_REFINE_ROUNDS:
-            raise ValidationFailed(
-                f"contour unresolved after {MAX_REFINE_ROUNDS} refinement rounds")
+            _raise_first(ValidationFailed, np.isin(contours, tag[coarse]),
+                         lambda k: f"contour unresolved after {MAX_REFINE_ROUNDS} refinement rounds")
         mid = 0.5 * (z[coarse] + z[coarse + 1])
-        z = np.insert(z, coarse + 1, mid)
+        z, tag = np.insert(z, coarse + 1, mid), np.insert(tag, coarse + 1, tag[coarse])
         vals = np.insert(vals, coarse + 1, fourier_sum(rows, nodes, mid), axis=1)
-    return round(float(np.angle(vals[0, 1:] / vals[0, :-1]).sum()) / (2.0 * math.pi))
-
-
-def _contour_start(ctx, rows, t, center, half_re, half_im):
-    """(f, f') of the sum of rows on the nodes t at contour_winding's start
-    points, by the shift theorem.
-
-    At zeta = center + delta_k each exponential exp(i t_j zeta) is
-    exp(i t_j center) exp(i t_j delta_k).  The table exp(i t (x) delta) is
-    built once per context and rectangle shape, so a contour costs one exp
-    per node and a matrix product.  None when the table would hold more
-    than KERNEL_BLOCK entries: contour_winding then sums every point.
-    """
-    offsets = _contour_offsets(half_re, half_im)
-    if t.size * offsets.size > KERNEL_BLOCK:
-        return None
-    key = (half_re, half_im)
-    if key not in ctx.contour_tables:
-        ctx.contour_tables[key] = np.exp(np.outer(t, 1j * offsets))
-    return (rows * np.exp(1j * center * t)) @ ctx.contour_tables[key]
+    turns = np.bincount(tag[step], np.angle(vals[0, step + 1] / vals[0, step]), flat.size)
+    counts = np.rint(turns / (2.0 * math.pi)).astype(int).reshape(centers.shape)
+    return counts if counts.ndim else int(counts)
 
 
 def winding_number(ctx, center, half_re, half_im):
-    """Zeros of the transform inside the rectangle center +- half_re +- i half_im.
+    """Zeros of the transform inside each rectangle center +- half_re +- i half_im.
 
-    contour_winding counts them on the centred boundary sum
-    G_c(zeta) = sum_j a_j exp(i (s_j - c) zeta) = i zeta exp(-i c zeta) F(zeta),
-    c the midpoint of the support on u, which does not turn as the body
-    moves, so the contour's step count does not grow with translation.  G_c
-    has one zero more than F, at zeta = 0, taken off when the rectangle
-    contains it.  Start values come from _contour_start, refinement points
-    from fourier_sum; a rectangle that leaves the context's box raises
-    PrecisionLoss.
+    contour_winding counts them on the context's centred sum
+    G_c(zeta) = i zeta exp(-i c zeta) F(zeta), which does not turn as the
+    body moves, so the contour's step count does not grow with translation.
+    G_c has one zero more than F, at zeta = 0, taken off where the rectangle
+    contains it.  By the shift theorem the start values of each contour are
+    (rows exp(i t center)) @ exp(i t (x) offsets): one exponential per node
+    and a matrix product, unless the table would hold more than KERNEL_BLOCK
+    entries.  A rectangle that leaves the context's box raises PrecisionLoss.
     """
-    _check_zeta(ctx, center + _contour_offsets(half_re, half_im))
-    c = 0.5 * (ctx.lo + ctx.hi)
-    t = ctx.nodes - c
-    rows = ctx.rows - [[0.0], [1j * c]] * ctx.rows[0]  # (a, i t a) = (a, i s a - i c a)
-    wind = contour_winding(rows, t, center, half_re, half_im,
-                           _contour_start(ctx, rows, t, center, half_re, half_im))
-    center = complex(center)
-    return wind - int(abs(center.real) < half_re and abs(center.imag) < half_im)
+    centers = np.asarray(center, dtype=complex)
+    offsets = _contour_offsets(half_re, half_im)
+    _check_zeta(ctx, centers[..., None] + offsets)
+    t, start = ctx.nodes, None
+    if centers.size and t.size * offsets.size <= KERNEL_BLOCK:
+        table = np.exp(np.outer(t, 1j * offsets))
+        start = np.stack([(ctx.rows * np.exp(1j * c * t)) @ table for c in centers.ravel()], 1)
+    wind = contour_winding(ctx.rows, t, centers, half_re, half_im, start)
+    return wind - ((np.abs(centers.real) < half_re) & (np.abs(centers.imag) < half_im))
 
 
 def _newton(values, z, inside):
-    """Damped complex Newton on f from z; values(z) is (f, f'), inside(z) the box test.
+    """Damped complex Newton on f from each start in the array z; values(z) is
+    (f, f') at an array of points, inside(z) the box test.
 
-    The step f/f' is halved while it leaves the box or fails to lower |f|,
-    and taken once halved below 1e-6; it stops at |dz| <= 1e-12 (1 + |z|).
-    No point is evaluated twice: a candidate equal to z, or a sub-tolerance
-    one that fails to lower |f|, ends it at z.  A zero f', a non-finite f or
-    f', a damping that finds no point, or no convergence raises NewtonDiverged.
+    Each start's step f/f' is halved while it leaves the box or fails to
+    lower |f|, and taken once halved below 1e-6; the start stops at
+    |dz| <= 1e-12 (1 + |z|).  Each round makes one values call, on the
+    candidates of the starts still moving.  No point is evaluated twice: a
+    candidate equal to z, or a sub-tolerance one that fails to lower |f|,
+    stops the start at z.  A zero f', a non-finite f or f', 30 halvings of a
+    step, or NEWTON_MAX_ITER steps raise NewtonDiverged, whose index names
+    the start.  Returns the zeros and their (f, f').
     """
-    f, df = values(z)
-    for _ in range(NEWTON_MAX_ITER):
-        if df == 0 or not (cmath.isfinite(f) and cmath.isfinite(df)):
-            raise NewtonDiverged(f"zero derivative or non-finite value at {z}")
-        step = f / df
-        lam = 1.0
-        for _ in range(30):
+    z = np.array(z, dtype=complex)
+    f, df = (np.array(v, dtype=complex) for v in values(z))
+    step, lam, (halvings, steps) = np.zeros_like(z), np.ones(z.size), np.zeros((2, z.size), int)
+    moving, fresh = np.ones(z.size, bool), np.ones(z.size, bool)
+    while True:
+        _raise_first(NewtonDiverged, fresh & ((df == 0) | ~(np.isfinite(f) & np.isfinite(df))),
+                     lambda k: f"zero derivative or non-finite value at {z[k]}")
+        step[fresh], lam[fresh], halvings[fresh] = f[fresh] / df[fresh], 1.0, 0
+        while True:
+            _raise_first(NewtonDiverged, moving & (halvings == 30),
+                         lambda k: f"damping failed near {z[k]}")
             cand = z - lam * step
-            if cand == z:
-                return z
-            if inside(cand):
-                f_cand, df_cand = values(cand)
-                small = abs(cand - z) <= 1e-12 * (1.0 + abs(cand))
-                if abs(f_cand) < abs(f) or lam < 1e-6:
-                    break
-                if small:
-                    return z
-            lam *= 0.5
-        else:
-            raise NewtonDiverged(f"damping failed near {z}")
-        z, f, df = cand, f_cand, df_cand
-        if small:
-            return z
-    raise NewtonDiverged(f"no convergence after {NEWTON_MAX_ITER} iterations")
+            moving &= cand != z
+            out = moving & ~inside(cand)
+            if not out.any():
+                break
+            lam[out], halvings[out] = 0.5 * lam[out], halvings[out] + 1
+        tried = np.flatnonzero(moving)
+        if tried.size == 0:
+            return z, (f, df)
+        f_cand, df_cand = values(cand[tried])
+        small = np.abs(cand[tried] - z[tried]) <= 1e-12 * (1.0 + np.abs(cand[tried]))
+        take = (np.abs(f_cand) < np.abs(f[tried])) | (lam[tried] < 1e-6)
+        go, lost = tried[take], tried[~take & ~small]
+        z[go], f[go], df[go], steps[go] = cand[go], f_cand[take], df_cand[take], steps[go] + 1
+        lam[lost], halvings[lost] = 0.5 * lam[lost], halvings[lost] + 1
+        moving[tried[small]] = False
+        fresh = np.zeros(z.size, bool)
+        fresh[go] = moving[go]
+        _raise_first(NewtonDiverged, fresh & (steps == NEWTON_MAX_ITER),
+                     lambda k: f"no convergence after {NEWTON_MAX_ITER} iterations")
+
+
+def _track(ctx, m_list, starts):
+    """The branches m_list from their starts: one _newton on H = exp(-i c zeta) F,
+    which has F's zeros but does not turn as the body moves, then one
+    residual, one pi/w and one winding_number check for all of them.  A
+    failure names its m and direction."""
+    starts, w = np.asarray(starts, dtype=complex), ctx.body_width
+    try:
+        z, (h, dh) = _newton(lambda p: _centred_transform(ctx, p, 1), starts,
+                             lambda p: (np.abs(p.imag) <= ctx.im_cap)
+                             & (np.abs(p.real) <= ctx.max_abs_zeta))
+        _raise_first(NewtonDiverged, np.abs(h) > 1e-9 * np.abs(dh),
+                     lambda k: f"residual {abs(h[k]):.3e} above 1e-9 * {abs(dh[k]):.3e}")
+        _raise_first(ValidationFailed, np.abs(z - starts) >= math.pi / w,
+                     lambda k: f"zero {z[k]:.6g} lies pi/w or more from its start {starts[k]:.6g}")
+        wind = winding_number(ctx, z, math.pi / (2.0 * w), 0.5 / w)
+        _raise_first(ValidationFailed, wind != 1, lambda k: f"winding {wind[k]} != 1")
+    except (NewtonDiverged, ValidationFailed) as exc:
+        m = list(m_list)[getattr(exc, "index", 0)]
+        raise type(exc)(f"(m={m}, theta={ctx.u.theta:.6f}): {exc}") from exc
+    residual = np.abs(h) * np.exp(-ctx.mid * z.imag)  # |F| = |exp(i c zeta) H|
+    return [ZeroBranch(int(m), ctx.u, complex(zm), float(r), True, complex(s))
+            for m, zm, r, s in zip(m_list, z, residual, starts)]
 
 
 def track_zero(ctx, m, start=None):
-    """Newton-track the m-th zero branch from start, by default its kobayashi_center.
+    """The m-th zero branch from start, by default its kobayashi_center: the
+    one-branch case of track_branches.  Validation requires the zero to lie
+    less than pi/w, half the spacing of neighbouring centers, from start, so
+    that a branch cannot take another's zero, and winding number 1 on a
+    rectangle of half-sides (pi/(2w), 0.5/w) about it."""
+    return _track(ctx, [m], [kobayashi_center(ctx.body, m, ctx.u) if start is None else start])[0]
 
-    _newton runs on exp(-i c zeta) F, c the midpoint of the support on u,
-    which has F's zeros but does not turn as the body moves.  Each candidate
-    gets (F, F') from one fourier_sum, kept for the residual check at the
-    converged point.  Validation requires the zero to lie less than pi/w,
-    half the spacing of neighbouring centers, from start, so that a branch
-    cannot take another's zero, and winding number 1 on a rectangle of
-    half-sides (pi/(2w), 0.5/w) about it.
-    """
-    c = 0.5 * (ctx.lo + ctx.hi)
-    predicted = complex(kobayashi_center(ctx.body, m, ctx.u) if start is None else start)
-    seen = {}
 
-    def centred(z):
-        f, df = seen[z] = tuple(map(complex, _transform(ctx, z, 1)))
-        turn = cmath.exp(-1j * c * z)
-        return turn * f, turn * (df - 1j * c * f)
-
-    z = _newton(centred, predicted,
-                lambda p: abs(p.imag) <= ctx.im_cap and abs(p.real) <= ctx.max_abs_zeta)
-    residual, dscale = map(abs, seen[z])
-    if residual > 1e-9 * dscale:
-        raise NewtonDiverged(f"residual {residual:.3e} above 1e-9 * {dscale:.3e}")
-    if abs(z - predicted) >= math.pi / ctx.body_width:
-        raise ValidationFailed(f"zero {z:.6g} lies pi/w or more from its start "
-                               f"{predicted:.6g} at m={m}")
-    wind = winding_number(ctx, z, math.pi / (2.0 * ctx.body_width), 0.5 / ctx.body_width)
-    if wind != 1:
-        raise ValidationFailed(f"winding {wind} != 1 at m={m}")
-    return ZeroBranch(m, ctx.u, z, residual, True, predicted)
+def track_branches(ctx, m_list):
+    """track_zero for every m on one context, from its kobayashi_center, in
+    one array pass; a failure names its m and direction."""
+    return _track(ctx, m_list, kobayashi_center(ctx.body, np.asarray(m_list), ctx.u))
 
 
 def _multiple_zero(table, nodes, start, im_cap):
@@ -440,12 +452,11 @@ def _multiple_zero(table, nodes, start, im_cap):
     one fourier_sum gives (f, f', f'') and with them (f/f', 1 - f f''/f'^2).
     """
     def values(z):
-        f, df, d2f = map(complex, fourier_sum(table, nodes, z))
-        if df == 0:
-            raise NewtonDiverged(f"zero derivative at {z}")
-        return f / df, 1.0 - (f / df) * d2f / df
+        f, df, d2f = fourier_sum(table, nodes, z)
+        with np.errstate(divide="ignore", invalid="ignore"):  # f' = 0 is non-finite
+            return f / df, 1.0 - (f / df) * d2f / df
 
-    return _newton(values, complex(start), lambda p: abs(p.imag) <= im_cap)
+    return complex(_newton(values, [start], lambda p: np.abs(p.imag) <= im_cap)[0][0])
 
 
 def sweep_bound(body, u_list, m_max):
@@ -456,18 +467,6 @@ def sweep_bound(body, u_list, m_max):
     reach = math.pi / min(width(body, u) for u in u_list) + 1.0
     return (max(abs(kobayashi_center(body, m_max, u)) for u in u_list)
             + max(SWEEP_MARGIN, reach))
-
-
-def track_branches(ctx, m_list):
-    """track_zero for every m on one context, from the kobayashi_center
-    computed once for all m; a failure names its m and direction."""
-    out = []
-    for m, center in zip(m_list, kobayashi_center(ctx.body, np.asarray(m_list), ctx.u)):
-        try:
-            out.append(track_zero(ctx, m, complex(center)))
-        except (NewtonDiverged, ValidationFailed) as exc:
-            raise type(exc)(f"(m={m}, theta={ctx.u.theta:.6f}): {exc}") from exc
-    return out
 
 
 @dataclass(frozen=True)

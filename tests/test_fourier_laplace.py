@@ -25,6 +25,7 @@ from covario.fourier_laplace import (
     flt_ray_many,
     fourier_sum,
     kobayashi_center,
+    track_branches,
     track_zero,
     verify_factorization,
     verify_reflection_identity,
@@ -286,27 +287,33 @@ def test_multiple_zero_adapter(k):
 
 @pytest.mark.parametrize("pair", [(math.nan, 1.0), (1.0, math.nan), (1.0, 0.0)])
 def test_newton_raises_on_bad_values(pair):
+    # one start among good ones: the whole array pass raises after the one
+    # evaluation of the starts, naming the bad start by its index
+    starts = np.array([2.0 + 0.5j, 1.0 + 1.0j, 3.0 - 0.5j])
     evaluated = []
 
     def values(z):
-        evaluated.append(z)
-        return complex(pair[0]), complex(pair[1])
+        evaluated.append(z.copy())
+        f, df = z * z - 4.0, 2.0 * z
+        f[z == 1.0 + 1.0j], df[z == 1.0 + 1.0j] = pair
+        return f, df
 
-    with pytest.raises(NewtonDiverged):
-        fourier_laplace._newton(values, 1.0 + 1.0j, lambda z: True)
-    assert evaluated == [1.0 + 1.0j]
+    with pytest.raises(NewtonDiverged) as info:
+        fourier_laplace._newton(values, starts, lambda z: np.ones(z.shape, bool))
+    assert info.value.index == 1
+    assert len(evaluated) == 1 and np.array_equal(evaluated[0], starts)
 
 
 def test_newton_raises_when_no_candidate_is_inside():
     evaluated = []
 
     def square(z):
-        evaluated.append(z)
+        evaluated.append(z.copy())
         return z * z - 4.0, 2.0 * z
 
     with pytest.raises(NewtonDiverged, match="damping failed"):
-        fourier_laplace._newton(square, 1.0 + 1.0j, lambda z: False)
-    assert evaluated == [1.0 + 1.0j]
+        fourier_laplace._newton(square, np.array([1.0 + 1.0j]), lambda z: np.zeros(z.shape, bool))
+    assert len(evaluated) == 1 and np.array_equal(evaluated[0], [1.0 + 1.0j])
 
 
 def test_winding_number_counts(unit_disk):
@@ -411,51 +418,79 @@ def test_contour_winding_never_miscounts(k, top, shift_re, shift_im, c_re, c_im,
 WIDE_CENTERS = (complex(0.3, 0.05), complex(7.9, -0.2), complex(-31.4, 0.3), complex(55.0, 0.1))
 
 
+def _capture_starts(monkeypatch):
+    """Record the start argument winding_number passes to contour_winding."""
+    starts = []
+    winding = fourier_laplace.contour_winding
+
+    def capturing(rows, nodes, center, half_re, half_im, start=None):
+        starts.append(start)
+        return winding(rows, nodes, center, half_re, half_im, start)
+
+    monkeypatch.setattr(fourier_laplace, "contour_winding", capturing)
+    return starts
+
+
 @pytest.mark.parametrize("name, centers", [
     ("cw3", WIDE_CENTERS),
     ("disk28", WIDE_CENTERS),
     ("nonagon", WIDE_CENTERS),
 ])
 def test_contour_start_matches_transform(name, centers, monkeypatch):
-    # the shift-theorem table's (f, f') of the centred sum
+    # the shift-theorem start values (f, f') of the centred sum
     # G_c = sum_j a_j exp(i (s_j - c) zeta) equal its fourier_sum
     body = Disk((28.0, 0.0), 1.0) if name == "disk28" else RULE_BODIES[name]
     ctx = build_context(body, Direction(0.4), max_abs_zeta=60.0)
     w = ctx.body_width
-    t = ctx.nodes - 0.5 * (ctx.lo + ctx.hi)
-    rows = derivative_rows(t, ctx.rows[0], 1)
+    # the context holds the centred nodes t_j = s_j - c, c the support midpoint
+    assert ctx.mid == 0.5 * (ctx.lo + ctx.hi) and np.all(np.abs(ctx.nodes) <= 0.5 * w + 1e-12)
     half_re, half_im = math.pi / (2.0 * w), 0.5 / w
     offsets = fourier_laplace._contour_offsets(half_re, half_im)
-    assert ctx.contour_tables == {}
-    for center in centers:
-        direct = fourier_sum(rows, t, center + offsets)
-        start = fourier_laplace._contour_start(ctx, rows, t, center, half_re, half_im)
-        scale = np.abs(rows).sum(axis=1, keepdims=True) * math.exp(0.5 * w * (abs(center.imag)
-                                                                             + half_im))
-        assert np.all(np.abs(start - direct) <= 1e-14 * scale)
-    assert list(ctx.contour_tables) == [(half_re, half_im)]
+    starts = _capture_starts(monkeypatch)
+    counts = winding_number(ctx, np.array(centers), half_re, half_im)
+    assert counts.shape == (len(centers),) and len(starts) == 1
+    assert starts[0].shape == (2, len(centers), offsets.size)
+    for k, center in enumerate(centers):
+        direct = fourier_sum(ctx.rows, ctx.nodes, center + offsets)
+        scale = np.abs(ctx.rows).sum(axis=1, keepdims=True) * math.exp(0.5 * w * (abs(center.imag)
+                                                                                 + half_im))
+        assert np.all(np.abs(starts[0][:, k] - direct) <= 1e-14 * scale)
+        assert counts[k] == winding_number(ctx, center, half_re, half_im)
     # the first rectangle contains zeta = 0, the zero G_c adds to F
-    assert abs(centers[0].real) < half_re and winding_number(ctx, centers[0], half_re, half_im) == 0
-    # winding_number takes every start point from the table: fourier_sum
-    # sees only refinement midpoints
+    assert abs(centers[0].real) < half_re and counts[0] == 0
+    # start points come from the table: fourier_sum sees only refinement midpoints
     seen = []
     kernel = fourier_laplace.fourier_sum
     monkeypatch.setattr(fourier_laplace, "fourier_sum",
                         lambda rows, nodes, z: seen.extend(np.ravel(z)) or kernel(rows, nodes, z))
-    center = centers[-1]
-    winding_number(ctx, center, half_re, half_im)
-    assert not set(seen) & set(center + offsets)
+    winding_number(ctx, np.array(centers), half_re, half_im)
+    assert not set(seen) & set((np.array(centers)[:, None] + offsets).ravel())
 
 
 def test_contour_start_table_stays_within_kernel_block(cw3, monkeypatch):
     # a context whose table would hold more than KERNEL_BLOCK entries builds
-    # none and sums its start points with fourier_sum
+    # none: contour_winding sums its start points with fourier_sum
     monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", 1024)
     ctx = build_context(cw3, Direction(0.4), max_abs_zeta=40.0)
     assert ctx.nodes.size * (4 * fourier_laplace.CONTOUR_START + 1) > 1024
-    assert fourier_laplace._contour_start(ctx, ctx.rows, ctx.nodes, 10.0, 0.5, 0.25) is None
+    starts = _capture_starts(monkeypatch)
     assert track_zero(ctx, 5).validated
-    assert ctx.contour_tables == {}
+    assert [b.m for b in track_branches(ctx, [3, 4, 5])] == [3, 4, 5]
+    assert starts == [None, None]
+
+
+def test_contour_winding_bound_is_sign_aware():
+    # exp(10 i zeta) (1 - exp(i zeta))^k about 2 pi + 0.3 i: the nodes 10..10+k
+    # shrink as Im zeta grows, so |f''| is largest on the lower side, at
+    # Im zeta = -0.2; the bound exp(max |t| max |Im zeta|) = exp(11 * 0.8) left
+    # the contour unresolved
+    center = complex(2.0 * math.pi, 0.3)
+    assert contour_winding(*_power_rows(1, 0.0, 10.0), center, 1.0, 0.5) == 1
+    assert contour_winding(*_power_rows(2, 0.0, 10.0), center, 1.0, 0.5) == 2
+    # an array of centers counts each rectangle in one pass
+    counts = contour_winding(*_power_rows(2, 0.0, 10.0), np.array([center, center + math.pi]),
+                             1.0, 0.5)
+    assert counts.tolist() == [2, 0]
 
 
 def test_winding_number_rectangle_leaving_box_raises(unit_disk):
@@ -467,37 +502,41 @@ def test_winding_number_rectangle_leaving_box_raises(unit_disk):
 
 
 def test_track_zero_one_kernel_call_per_candidate(cw3, monkeypatch):
-    # each Newton candidate gets F and F' from one fourier_sum, and the
-    # converged point's serve the residual check, so no point is evaluated twice
+    # each Newton round gets (H, H') of every moving candidate from one 2-row
+    # fourier_sum, and the converged points' values serve the residual check,
+    # so no point is evaluated twice
     ctx = build_context(cw3, Direction(0.4), max_abs_zeta=100.0)
-    kernel, transform = fourier_laplace.fourier_sum, fourier_laplace._transform
-    sums, candidates = [], []
+    kernel, transform = fourier_laplace.fourier_sum, fourier_laplace._centred_transform
+    sums, rounds = [], []
 
     def counting_sum(rows, nodes, zetas):
-        if np.ndim(zetas) == 0:
-            sums.append((complex(zetas), rows.shape[0]))
+        sums.append((np.array(zetas), rows.shape[0]))
         return kernel(rows, nodes, zetas)
 
     def counting_transform(ctx, zetas, order):
-        if np.ndim(zetas) == 0:
-            candidates.append(complex(zetas))
-        return transform(ctx, zetas, order)
+        before = len(sums)
+        out = transform(ctx, zetas, order)
+        assert len(sums) == before + 1 and sums[-1][1] == 2
+        assert np.array_equal(sums[-1][0], zetas)
+        rounds.append(np.array(zetas))
+        return out
 
     monkeypatch.setattr(fourier_laplace, "fourier_sum", counting_sum)
-    monkeypatch.setattr(fourier_laplace, "_transform", counting_transform)
-    for m in (3, 12, 25):
-        sums.clear()
-        candidates.clear()
-        br = track_zero(ctx, m)
-        assert len(candidates) >= 3
-        assert sums == [(z, 2) for z in candidates]
-        assert candidates[0] == br.predicted_center
-        assert len(set(candidates)) == len(candidates)
-        assert candidates.count(br.zeta) == 1
-        # a later candidate can only be a sub-tolerance step that did not lower |F|
-        tol = 1e-12 * (1.0 + abs(br.zeta))
-        later = candidates[candidates.index(br.zeta) + 1:]
-        assert all(abs(z - br.zeta) <= tol for z in later)
+    monkeypatch.setattr(fourier_laplace, "_centred_transform", counting_transform)
+    for m_list in ([3], [12], [25], [3, 12, 25]):
+        rounds.clear()
+        branches = track_branches(ctx, m_list) if len(m_list) > 1 else [track_zero(ctx, m_list[0])]
+        assert len(rounds) >= 3
+        assert np.array_equal(rounds[0], [br.predicted_center for br in branches])
+        assert all(r.size <= len(m_list) for r in rounds)
+        candidates = np.concatenate(rounds)
+        assert np.unique(candidates).size == candidates.size
+        for br in branches:
+            own = candidates[np.abs(candidates - br.zeta) < math.pi / ctx.body_width]
+            assert np.count_nonzero(own == br.zeta) == 1
+            # a later candidate can only be a sub-tolerance step that did not lower |H|
+            later = own[np.flatnonzero(own == br.zeta)[0] + 1:]
+            assert np.all(np.abs(later - br.zeta) <= 1e-12 * (1.0 + abs(br.zeta)))
 
 
 def test_winding_disk_first_five_bessel_zeros(unit_disk):
@@ -545,6 +584,26 @@ def test_branch_sweep_cw3_symmetry(cw3):
     # cos(3 theta) symmetry of the curvature ratio: period 2 pi / 3 = 8 grid steps
     assert np.abs(ims - np.roll(ims, 8)).max() < 1e-9
     assert np.abs(ims).max() > 0.05  # branches genuinely leave the real axis
+
+
+def test_track_branches_matches_track_zero(cw3, monkeypatch):
+    u = Direction(0.4)
+    ctx = build_context(cw3, u, max_abs_zeta=fourier_laplace.sweep_bound(cw3, [u], 40))
+    batch = track_branches(ctx, range(2, 41))
+    for br in batch:
+        one = track_zero(ctx, br.m)
+        assert (br.m, br.predicted_center) == (one.m, one.predicted_center)
+        assert abs(br.zeta - one.zeta) <= 1e-15 * abs(one.zeta)
+    assert track_branches(ctx, []) == []
+    # a failing branch among others is named by its m and direction: from the
+    # m = 0 center Newton reaches the m = 2 zero
+    with pytest.raises(ValidationFailed, match=r"\(m=0, theta=0\.400000\): .*pi/w or more"):
+        track_branches(ctx, [2, 3, 0, 5])
+    # so is one whose winding fails
+    monkeypatch.setattr(fourier_laplace, "winding_number",
+                        lambda ctx, z, half_re, half_im: np.where(np.arange(z.size) == 2, 2, 1))
+    with pytest.raises(ValidationFailed, match=r"\(m=9, theta=0\.400000\): winding 2 != 1"):
+        track_branches(ctx, [7, 8, 9, 10])
 
 
 def test_branch_real_parts_increase(cw3):
