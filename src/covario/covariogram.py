@@ -1,8 +1,8 @@
 """Covariograms and cross-covariograms of planar convex bodies.
 
 Polygon pairs go through exact chord slicing; the auto-covariogram of a smooth
-body (a SupportBody or a Disk) through the strip-area identity, integrated
-in closed form.
+body (a SupportBody, a Disk included) through the strip-area identity,
+integrated in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from covario.geometry import (
     Direction,
-    Disk,
     Harmonics,
     Polygon,
     SupportBody,
@@ -130,7 +129,7 @@ def _pair_area(bodyA, bodyB, x):
 
 
 def _smooth_self_pair(bodyA, bodyB):
-    return isinstance(bodyA, (SupportBody, Disk)) and bodyA == bodyB
+    return isinstance(bodyA, SupportBody) and bodyA == bodyB
 
 
 def _areas(bodyA, bodyB, xs):
@@ -224,7 +223,7 @@ def _strip_series(body):
 
 
 def _smooth_covariogram(body, xs):
-    """Exact g_K at every row of xs for a Disk or a SupportBody.
+    """Exact g_K at every row of xs for a SupportBody.
 
     g is even and translation invariant, so each x is first folded into the
     upper half-plane (g(x) and g(-x) are then one computation) and the
@@ -233,16 +232,7 @@ def _smooth_covariogram(body, xs):
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
     flip = (xs[:, 1] < 0.0) | ((xs[:, 1] == 0.0) & (xs[:, 0] < 0.0))
     xs = np.where(flip[:, None], -xs, xs)
-    r = np.hypot(xs[:, 0], xs[:, 1])
-    if isinstance(body, Disk):
-        return _lens(body.radius, r)
-    return _strip_covariogram(_strip_series(body), xs, r)
-
-
-def _lens(radius, r):
-    """The lens area of two disks of the given radius whose centers are r apart."""
-    chord = np.sqrt(np.maximum((2.0 * radius - r) * (2.0 * radius + r), 0.0))
-    return 2.0 * radius ** 2 * np.arctan2(chord, r) - 0.5 * r * chord
+    return _strip_covariogram(_strip_series(body), xs, np.hypot(xs[:, 0], xs[:, 1]))
 
 
 def _strip_covariogram(series, xs, r):
@@ -464,14 +454,12 @@ def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
     xsv, ysv = np.meshgrid(xg, yg)
     pts = np.stack([xsv.ravel(), ysv.ravel()], axis=1)
     if _smooth_self_pair(bodyH, bodyK):
-        values, method = _smooth_covariogram(bodyH, pts), "exact-strip"
+        method = "exact-strip"
+    elif isinstance(bodyH, Polygon) and isinstance(bodyK, Polygon):
+        method = "exact-clip"
     else:
-        vh = polygonal_approximation(bodyH, APPROX_BOUNDARY_POINTS).vertices
-        vk = polygonal_approximation(bodyK, APPROX_BOUNDARY_POINTS).vertices
-        values = clip_areas_batch(vh, vk, pts)
-        exact = isinstance(bodyH, Polygon) and isinstance(bodyK, Polygon)
-        method = "exact-clip" if exact else "polyline-approx"
-    values = values.reshape(ny, nx)
+        method = "polyline-approx"
+    values = _areas(bodyH, bodyK, pts).reshape(ny, nx)
     return CovariogramGrid((float(x0), float(y0)), (float(dx), float(dy)), nx, ny,
                            values, method, (body_hash(bodyH), body_hash(bodyK)))
 
@@ -490,15 +478,9 @@ class MinkowskiSupport:
 
 def support_of_crosscov(bodyH, bodyK, n_dirs=360):
     """H + (-K), the support of g_{H,K}, with the width-sum identity checked."""
-    mk = reflect(bodyK)
-    if isinstance(bodyH, Polygon) and isinstance(bodyK, Polygon):
-        total = minkowski_sum_polygons(bodyH, mk)
-        tol = 1e-12
-    else:
-        pH = polygonal_approximation(bodyH, APPROX_BOUNDARY_POINTS)
-        pK = polygonal_approximation(mk, APPROX_BOUNDARY_POINTS)
-        total = minkowski_sum_polygons(pH, pK)
-        tol = 1e-5
+    total = minkowski_sum_polygons(polygonal_approximation(bodyH, APPROX_BOUNDARY_POINTS),
+                                   polygonal_approximation(reflect(bodyK), APPROX_BOUNDARY_POINTS))
+    tol = 1e-12 if isinstance(bodyH, Polygon) and isinstance(bodyK, Polygon) else 1e-5
     thetas = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
     scale = 1.0
     dev = 0.0
@@ -624,7 +606,7 @@ def curvature_pair_from_covariogram(body, u: Direction):
     cap_pair at the exact anchor p(u) - p(-u) with t_star = 5e-4 w(u), a depth
     relative to the width, so the recovered pair scales as 1 / size.
     """
-    if not isinstance(body, (SupportBody, Disk)):
+    if not isinstance(body, SupportBody):
         raise FitFailed("cap asymptotics require a smooth body")
     anchor = boundary_point(body, u) - boundary_point(body, u.antipode())
     return cap_pair(covariogram_evaluator(body), anchor, u, 5e-4 * width(body, u))

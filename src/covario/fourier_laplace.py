@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from covario._quadrature import gauss_legendre, panel_table
-from covario.geometry import Direction, Disk, Harmonics, Polygon, area, curvature, support, width
+from covario.geometry import Direction, Polygon, area, curvature, support, width
 from covario.radon import chord_autocorrelation_batch, chord_function
 
 IM_CAP_FACTOR = 12.0
@@ -100,14 +100,6 @@ class RayTransformContext:
         return self.hi - self.lo
 
 
-def _series(body):
-    """(Harmonics, center) of a smooth body; a disk is the series c0 = r."""
-    if isinstance(body, Disk):
-        empty = np.zeros(0)
-        return Harmonics(body.radius, empty, empty, empty), body.center
-    return body.series, body.center
-
-
 def _rule_sizes(body, u, max_abs_zeta):
     """Starting node counts: N for a smooth body, a Gauss-Legendre order per polygon edge.
 
@@ -120,7 +112,7 @@ def _rule_sizes(body, u, max_abs_zeta):
     if isinstance(body, Polygon):
         drop = (np.roll(body.vertices, -1, axis=0) - body.vertices) @ u.u
         return 8 * (np.ceil(max_abs_zeta * np.abs(drop) / 24.0).astype(int) + 1)
-    series = _series(body)[0]
+    series = body.series
     # rho = c0 + sum_k (1 - k^2)(a_k cos k phi + b_k sin k phi)
     rho_max = series.c0 + float(np.abs(1.0 - series.k ** 2) @ np.hypot(series.a, series.b))
     top = int(series.k.max()) if series.k.size else 0
@@ -148,9 +140,9 @@ def _boundary_rule(body, u, sizes):
         return (np.concatenate([s + 0.5 * (x + 1.0) * d
                                 for s, d, (x, _) in zip(start, drop, rules)]),
                 np.concatenate([f * w for f, (_, w) in zip(flux, rules)]))
-    series, center = _series(body)
+    series = body.series
     phi = np.arange(sizes) * (2.0 * math.pi / sizes)
-    return (series.offsets(phi, u.theta)[0] + np.dot(center, u.u),
+    return (series.offsets(phi, u.theta)[0] + np.dot(body.center, u.u),
             (2.0 * math.pi / sizes) * np.cos(phi - u.theta) * series.terms(phi)[2])
 
 

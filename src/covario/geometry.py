@@ -1,4 +1,4 @@
-"""Planar convex bodies: polygons, support-function bodies, disks, zonogons."""
+"""Planar convex bodies: polygons, support-function bodies (disks among them), zonogons."""
 
 from __future__ import annotations
 
@@ -218,6 +218,8 @@ class SupportBody:
         object.__setattr__(self, "coeffs", tuple((float(a), float(b)) for a, b in self.coeffs))
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         ab = np.array(self.coeffs, dtype=float).reshape(-1, 2)
+        if not np.isfinite([self.a0, *self.center, *ab.ravel()]).all():
+            raise ValueError("support body numbers must be finite")
         object.__setattr__(self, "series", Harmonics.of(
             self.a0, np.arange(1.0, ab.shape[0] + 1.0), ab[:, 0], ab[:, 1]))
         theta = np.linspace(0.0, 2.0 * math.pi, C2PLUS_GRID, endpoint=False)
@@ -260,27 +262,27 @@ class SupportBody:
         return np.stack([x + self.center[0], y + self.center[1]], axis=-1)
 
 
-@dataclass(frozen=True)
-class Disk:
-    center: tuple
-    radius: float
+class Disk(SupportBody):
+    """The disk of the given radius about center: the support body h = radius."""
 
-    def __post_init__(self):
-        if self.radius <= 0:
+    def __init__(self, center, radius):
+        if not radius > 0:
             raise ValueError("disk radius must be positive")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        SupportBody.__init__(self, float(radius), (), center)
+
+    @property
+    def radius(self):
+        return self.a0
 
 
-# A Body is any of the three variants below.
-Body = (Polygon, SupportBody, Disk)
+# A Body is a Polygon or a SupportBody, a Disk included.
+Body = (Polygon, SupportBody)
 
 
 def area(body):
     """Exact area of the body."""
     if isinstance(body, Polygon):
         return float(_shoelace(body.vertices))
-    if isinstance(body, Disk):
-        return math.pi * body.radius ** 2
     if isinstance(body, SupportBody):
         # area = (1/2) int (h^2 - h'^2) dtheta, closed form for the series
         s = 2.0 * math.pi * body.a0 ** 2
@@ -295,8 +297,6 @@ def support(body, u: Direction):
     uv = u.u
     if isinstance(body, Polygon):
         return float(np.max(body.vertices @ uv))
-    if isinstance(body, Disk):
-        return float(np.dot(body.center, uv)) + body.radius
     if isinstance(body, SupportBody):
         return float(body.h(u.theta)) + float(np.dot(body.center, uv))
     raise TypeError(f"not a body: {body!r}")
@@ -309,8 +309,6 @@ def width(body, u: Direction):
 
 def boundary_point(body, u: Direction):
     """Point of the boundary with outer normal u (inverse Gauss map)."""
-    if isinstance(body, Disk):
-        return np.asarray(body.center) + body.radius * u.u
     if isinstance(body, SupportBody):
         return body.boundary(u.theta)
     if isinstance(body, Polygon):
@@ -328,8 +326,6 @@ def boundary_point(body, u: Direction):
 
 def curvature(body, u: Direction):
     """Gauss curvature tau_K(u) = 1/(h + h'') at the boundary point with normal u."""
-    if isinstance(body, Disk):
-        return 1.0 / body.radius
     if isinstance(body, SupportBody):
         return 1.0 / float(body.rho(u.theta))
     raise PolygonNotSmooth("curvature is undefined on a polygon")
@@ -531,13 +527,8 @@ def polygonal_approximation(body, n=4096):
     """Inscribed n-gon with vertices on the boundary (identity for polygons)."""
     if isinstance(body, Polygon):
         return body
-    theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    if isinstance(body, Disk):
-        pts = np.asarray(body.center) + body.radius * np.stack(
-            [np.cos(theta), np.sin(theta)], axis=1)
-        return Polygon(pts)
     if isinstance(body, SupportBody):
-        return Polygon(body.boundary(theta))
+        return Polygon(body.boundary(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)))
     raise TypeError(f"not a body: {body!r}")
 
 

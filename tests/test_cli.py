@@ -270,9 +270,15 @@ def test_verify_exit_codes(capsys):
     assert rep["schema_version"] == 1 and rep["passed"]
 
 
-# pinned `checks` of two verify runs: the oracles' draws and per-element
-# arithmetic fix them to the last digit, so a reordering of either shows here
+# pinned `checks` of three verify runs: the oracles' draws and per-element
+# arithmetic fix them to the last digit, so a reordering of either shows here;
+# the disk suite's rows read the same for any BLAS thread count
 GOLDEN_CHECKS = {
+    ("kobayashi-disk",): [
+        ("kobayashi-disk-zeros", True, "max |zeta - j_1m| = 2.24e-13 over m=1..20"),
+        ("kobayashi-disk-decay", True, "decay slope -0.973"),
+        ("kobayashi-disk-m1", True, "m=1 deviation 0.0953 vs 0.0953"),
+    ],
     ("matrix-identities", "--seed", "39"): [
         ("matrix-identities", True, "max relative deviation 5.429e-15"),
     ],

@@ -388,6 +388,16 @@ def test_sum_reciprocal_curvatures(cw3):
     assert abs(sum_reciprocal_curvatures_from_width(k2, E1) - 1.88) < 1e-12
 
 
+def test_disk_covariogram_is_the_series_covariogram():
+    c, r = (0.3, -0.2), 1.3
+    disk, series = Disk(c, r), SupportBody(r, (), c)
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(-2.8, 2.8, (200, 2))
+    assert np.abs(covariogram_evaluator(disk)(xs) - covariogram_evaluator(series)(xs)).max() < 1e-14
+    for th in np.linspace(0.0, 2.0 * math.pi, 7):
+        assert sum_reciprocal_curvatures_from_width(disk, Direction(float(th))) == 2.0 * r
+
+
 def test_curvature_pair_disk(unit_disk):
     pair = curvature_pair_from_covariogram(unit_disk, Direction(0.7))
     assert abs(pair.low - 1.0) < 0.02

@@ -263,6 +263,15 @@ def test_track_zero_translated_disk(cx):
         assert br.validated
 
 
+def test_disk_context_is_the_series_context():
+    # a disk is the support body h = r: its boundary rule is that series' rule
+    c, r, u = (0.3, -0.2), 1.3, Direction(0.4)
+    disk = build_context(Disk(c, r), u, max_abs_zeta=40.0)
+    series = build_context(SupportBody(r, (), c), u, max_abs_zeta=40.0)
+    for name in ("nodes", "rows", "moments"):
+        assert np.array_equal(getattr(disk, name), getattr(series, name))
+
+
 def test_track_zero_square_control(centered_square):
     # non-C2+ control case: zeros of the separable sinc at exactly 2 pi m
     ctx = build_context(centered_square, E1, max_abs_zeta=70.0)

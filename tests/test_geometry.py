@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -284,6 +285,47 @@ def test_body_spec_round_trip(unit_square, unit_disk, cw3):
 def test_body_spec_rejects_non_finite(spec):
     with pytest.raises(ValueError, match="non-finite"):
         body_from_spec(spec)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SupportBody(math.nan),
+    lambda: SupportBody(1.0, ((math.nan, 0.0),)),
+    lambda: SupportBody(1.0, (), (math.inf, 0.0)),
+    lambda: Disk((0, 0), math.nan),
+    lambda: Disk((math.nan, 0), 1.0),
+    lambda: Disk((0, 0), math.inf),
+], ids=["a0-nan", "coeff-nan", "center-inf", "disk-radius-nan", "disk-center-nan",
+        "disk-radius-inf"])
+def test_smooth_body_rejects_non_finite(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_disk_is_the_series_h_equals_r():
+    c, r = (0.3, -0.2), 1.3
+    disk, series = Disk(c, r), SupportBody(r, (), c)
+    assert disk.radius == r and disk.center == c
+    assert area(disk) == area(series)
+    for th in np.linspace(0.0, 2.0 * math.pi, 13):
+        u = Direction(float(th))
+        assert support(disk, u) == support(series, u)
+        assert np.array_equal(boundary_point(disk, u), boundary_point(series, u))
+        assert curvature(disk, u) == curvature(series, u)
+    assert np.array_equal(polygonal_approximation(disk, 256).vertices,
+                          polygonal_approximation(series, 256).vertices)
+
+
+def test_disk_identity_is_pinned():
+    disk = Disk((0.3, -0.2), 1.3)
+    assert body_to_spec(disk)["kind"] == "disk"
+    assert body_hash(disk) == "83ad6bdcbf8fda3f"
+    assert body_hash(Disk((0.0, 0.0), 1.0)) == "8ba76a21c65cf16d"
+    assert type(translate(disk, (1.0, 2.0))) is Disk
+    assert type(reflect(disk)) is Disk
+    assert pickle.loads(pickle.dumps(disk)) == disk
+    assert Disk((0, 0), 1.0) != SupportBody(1.0)
+    with pytest.raises(ValueError):
+        Disk((0, 0), -1.0)
 
 
 def test_polygon_canonicalization():
