@@ -29,6 +29,7 @@ def main(family="1", outdir="."):
             (g1.origin[1], g1.origin[1] + g1.spacing[1] * 40))
     g2 = cross_covariogram_grid(h2, k2, nx=41, ny=41, bbox=bbox)
     out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
     g1.to_csv(out / f"crosscov_family{family}.csv", out / f"crosscov_family{family}.meta.json")
     g2.to_csv(out / f"crosscov_family{family + 1}.csv",
               out / f"crosscov_family{family + 1}.meta.json")

@@ -11,6 +11,7 @@ import numpy as np
 
 from covario import asymptotics, covariogram, fourier_laplace, geometry, oracles, radon
 from covario._parallel import ThreadCountError
+from covario._quadrature import panel_table
 from covario.geometry import Direction
 
 SCHEMA_VERSION = 1
@@ -217,6 +218,8 @@ def cmd_kobayashi(args):
 
 def cmd_recover_curvature(args):
     body = _load_body(args.body)
+    if isinstance(body, geometry.Polygon):
+        raise UsageError("curvature is undefined on a polygon")
     thetas = np.linspace(0.0, 2.0 * math.pi, args.u_grid, endpoint=False)
     rows = []
     for th in thetas:
@@ -368,7 +371,6 @@ def suite_properties(seed=0):
     mono_ok = bool(np.all(vals[:, 1:] <= vals[:, :-1] + 1e-12))
     rows.append(("covariogram-ray-monotonicity", mono_ok, "sampled rays non-increasing"))
 
-    from covario._quadrature import panel_table
     worst_a = 0.0
     for body in (geometry.Disk((0.2, -0.1), 1.3),
                  geometry.SupportBody(1.0, ((0, 0), (0, 0), (0.05, 0))), poly):

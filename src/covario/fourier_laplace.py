@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from covario._quadrature import gauss_legendre, panel_table
-from covario.geometry import Direction, Polygon, area, curvature, support, width
+from covario.geometry import Direction, Polygon, area, curvature, reflect, support, width
 from covario.radon import chord_autocorrelation_batch, chord_function
 
 IM_CAP_FACTOR = 12.0
@@ -474,8 +474,6 @@ class IdentityReport:
 
 def verify_reflection_identity(body, seed=0):
     """Check flt_{-K}(zeta) = conj(flt_K(conj zeta)) on random rays and zetas."""
-    from covario.geometry import reflect
-
     rng = np.random.default_rng(seed)
     refl = reflect(body)
     scale = area(body)

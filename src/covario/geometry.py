@@ -79,15 +79,16 @@ class Segment:
 
 
 def _canonicalize_vertices(vertices):
-    """CCW orientation, collinear vertices removed, start at lexicographic minimum."""
+    """CCW orientation, reflex and collinear vertices removed, start at lexicographic minimum."""
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
         raise ValueError("polygon needs at least 3 planar vertices")
+    v = v[(v != v[np.arange(v.shape[0]) - 1]).any(axis=1)]  # a repeated vertex once
     if _shoelace(v) < 0:
         v = v[::-1]
-    # drop duplicates and collinear vertices until stable
-    changed = True
-    while changed:
+    # drop the reflex vertices until none are left, then the collinear ones:
+    # while a reflex vertex is left, one that turns by about a half turn stays
+    while True:
         if v.shape[0] < 3:
             raise ValueError("polygon degenerates after collinear removal")
         prev = v[np.arange(v.shape[0]) - 1]
@@ -95,9 +96,12 @@ def _canonicalize_vertices(vertices):
         e1 = v - prev
         e2 = nxt - v
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        scale = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
-        keep = cross > COLLINEAR_TOL * np.maximum(scale, 1e-300)
-        changed = not keep.all()
+        tol = COLLINEAR_TOL * (np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1))
+        keep = cross >= -tol
+        if keep.all():
+            keep = cross > tol
+            if keep.all():
+                break
         v = v[keep]
     if v.shape[0] < 3 or _shoelace(v) <= 0:
         raise ValueError("vertices do not form a convex polygon with positive area")
@@ -358,65 +362,41 @@ def reflect(body):
 
 
 def convex_hull(points):
-    """Convex hull vertices (CCW) of a point cloud, by monotone chain."""
+    """Convex hull vertices (CCW) of a point cloud.
+
+    The distinct points, in order of angle about their mean and nearer first
+    on a shared ray, bound a polygon star-shaped about an interior point.
+    Polygon drops its reflex and collinear vertices until none are left, and
+    what remains is the hull.
+    """
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if pts.shape[0] < 3:
         raise ValueError("need at least 3 distinct points")
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    d = pts - pts.mean(axis=0)
+    return Polygon(pts[np.lexsort((np.sum(d * d, axis=1), np.arctan2(d[:, 1], d[:, 0])))]).vertices
 
 
 def zonogon(center, generators):
     """Minkowski sum of segment generators, returned as a convex Polygon.
 
-    Parallel generators are merged; fewer than two distinct directions
-    raises DegenerateZonogon.
+    The lower chain starts at c - sum s and adds the doubled half-vectors s,
+    turned into [0, pi), in order of angle; the upper chain is its reflection
+    in c.  Parallel generators give collinear edges, which Polygon merges;
+    fewer than two distinct directions raise DegenerateZonogon.
     """
     if not generators:
         raise DegenerateZonogon("no generators")
-    c = np.asarray(center, dtype=float)
-    halves = []
-    for seg in generators:
-        s = seg.half_vector
-        c = c + seg.midpoint
-        ang = math.atan2(s[1], s[0])
-        if ang < 0 or ang >= math.pi - 1e-15:
-            s = -s
-            ang = math.atan2(s[1], s[0])
-        halves.append((ang, s))
-    halves.sort(key=lambda t: t[0])
-    merged = []
-    for ang, s in halves:
-        if merged and abs(ang - merged[-1][0]) < 1e-12:
-            merged[-1] = (merged[-1][0], merged[-1][1] + s)
-        else:
-            merged.append((ang, s))
-    merged = [(a, s) for a, s in merged if np.linalg.norm(s) > 1e-15]
-    if len(merged) < 2:
-        raise DegenerateZonogon("all generators are parallel")
-    svecs = [s for _, s in merged]
-    start = c - np.sum(svecs, axis=0)
-    chain = [start]
-    for s in svecs:
-        chain.append(chain[-1] + 2.0 * s)
-    lower = np.array(chain[:-1])
-    upper = 2.0 * c - lower
-    return Polygon(np.vstack([lower, upper]))
+    pq = np.array([(seg.p, seg.q) for seg in generators], dtype=float)
+    s = 0.5 * (pq[:, 1] - pq[:, 0])
+    c = np.sum(np.vstack([np.asarray(center, dtype=float), 0.5 * (pq[:, 1] + pq[:, 0])]), axis=0)
+    ang = np.arctan2(s[:, 1], s[:, 0])
+    s = np.where(((ang < 0.0) | (ang >= math.pi))[:, None], -s, s)
+    s = s[np.argsort(np.arctan2(s[:, 1], s[:, 0]), kind="stable")]
+    lower = np.cumsum(np.vstack([c - np.sum(s, axis=0), 2.0 * s]), axis=0)[:-1]
+    try:
+        return Polygon(np.vstack([lower, 2.0 * c - lower]))
+    except ValueError as exc:
+        raise DegenerateZonogon("all generators are parallel") from exc
 
 
 def zonogon_area_from_generators(generators):
@@ -478,39 +458,13 @@ def example_pair(family, alpha=1.0, beta=1.0, gamma=1.0, delta=1.0,
 
 
 def minkowski_sum_polygons(p, q):
-    """Exact Minkowski sum of two convex polygons by CCW edge merging."""
+    """Exact Minkowski sum of two convex polygons: from the sum of their bottom
+    vertices, both polygons' edges added in order of angle in [0, 2 pi)."""
     pv, qv = p.vertices, q.vertices
-
-    def bottom(v):
-        return int(np.lexsort((v[:, 0], v[:, 1]))[0])
-
-    ip, iq = bottom(pv), bottom(qv)
-    np_, nq = pv.shape[0], qv.shape[0]
-    out = [pv[ip] + qv[iq]]
-    cp = cq = 0
-    while cp < np_ or cq < nq:
-        ep = pv[(ip + 1) % np_] - pv[ip % np_] if cp < np_ else None
-        eq = qv[(iq + 1) % nq] - qv[iq % nq] if cq < nq else None
-        if eq is None:
-            step = ep
-            ip, cp = ip + 1, cp + 1
-        elif ep is None:
-            step = eq
-            iq, cq = iq + 1, cq + 1
-        else:
-            cross = ep[0] * eq[1] - ep[1] * eq[0]
-            if cross > 0:
-                step = ep
-                ip, cp = ip + 1, cp + 1
-            elif cross < 0:
-                step = eq
-                iq, cq = iq + 1, cq + 1
-            else:
-                step = ep + eq
-                ip, cp = ip + 1, cp + 1
-                iq, cq = iq + 1, cq + 1
-        out.append(out[-1] + step)
-    return Polygon(np.array(out[:-1]))
+    edges = np.vstack([np.roll(pv, -1, axis=0) - pv, np.roll(qv, -1, axis=0) - qv])
+    order = np.argsort(np.arctan2(edges[:, 1], edges[:, 0]) % (2.0 * math.pi), kind="stable")
+    start = pv[np.lexsort((pv[:, 0], pv[:, 1]))[0]] + qv[np.lexsort((qv[:, 0], qv[:, 1]))[0]]
+    return Polygon(np.cumsum(np.vstack([start, edges[order]]), axis=0)[:-1])
 
 
 def steiner_point(poly: Polygon):
@@ -593,7 +547,12 @@ def body_from_spec(spec):
         if key != "kind" and not np.all(np.isfinite(np.asarray(value, dtype=float))):
             raise ValueError(f"non-finite number in {key!r} of {kind!r} body")
     if kind == "polygon":
-        return Polygon(spec["vertices"])
+        v = np.asarray(spec["vertices"], dtype=float)
+        poly = Polygon(v)
+        if poly != Polygon(convex_hull(v)) or not math.isclose(
+                area(poly), abs(_shoelace(v)), rel_tol=COLLINEAR_TOL):
+            raise ValueError("polygon vertices are not in convex position")
+        return poly
     if kind == "disk":
         return Disk(tuple(spec["center"]), float(spec["radius"]))
     if kind == "support2d":

@@ -1,0 +1,108 @@
+"""Vertex loops for the convex hull, the zonogon and the Minkowski sum of
+convex polygons, which the constructions in `geometry` replace by leaving the
+collinear and reflex bookkeeping to `Polygon`.
+
+Each function returns what the loop returned: hull vertices as an array, the
+zonogon and the sum as a `Polygon`. The tests require the `geometry`
+constructions to give the same `Polygon`s.
+"""
+
+import math
+
+import numpy as np
+
+from covario.geometry import DegenerateZonogon, Polygon
+
+
+def loop_convex_hull(points):
+    """Convex hull vertices (CCW) of a point cloud, by monotone chain."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if pts.shape[0] < 3:
+        raise ValueError("need at least 3 distinct points")
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def loop_zonogon(center, generators):
+    """Zonogon with parallel generators merged by angle before the chain is built."""
+    if not generators:
+        raise DegenerateZonogon("no generators")
+    c = np.asarray(center, dtype=float)
+    halves = []
+    for seg in generators:
+        s = seg.half_vector
+        c = c + seg.midpoint
+        ang = math.atan2(s[1], s[0])
+        if ang < 0 or ang >= math.pi - 1e-15:
+            s = -s
+            ang = math.atan2(s[1], s[0])
+        halves.append((ang, s))
+    halves.sort(key=lambda t: t[0])
+    merged = []
+    for ang, s in halves:
+        if merged and abs(ang - merged[-1][0]) < 1e-12:
+            merged[-1] = (merged[-1][0], merged[-1][1] + s)
+        else:
+            merged.append((ang, s))
+    merged = [(a, s) for a, s in merged if np.linalg.norm(s) > 1e-15]
+    if len(merged) < 2:
+        raise DegenerateZonogon("all generators are parallel")
+    svecs = [s for _, s in merged]
+    start = c - np.sum(svecs, axis=0)
+    chain = [start]
+    for s in svecs:
+        chain.append(chain[-1] + 2.0 * s)
+    lower = np.array(chain[:-1])
+    upper = 2.0 * c - lower
+    return Polygon(np.vstack([lower, upper]))
+
+
+def loop_minkowski_sum(p, q):
+    """Minkowski sum of two convex polygons by CCW edge merging."""
+    pv, qv = p.vertices, q.vertices
+
+    def bottom(v):
+        return int(np.lexsort((v[:, 0], v[:, 1]))[0])
+
+    ip, iq = bottom(pv), bottom(qv)
+    np_, nq = pv.shape[0], qv.shape[0]
+    out = [pv[ip] + qv[iq]]
+    cp = cq = 0
+    while cp < np_ or cq < nq:
+        ep = pv[(ip + 1) % np_] - pv[ip % np_] if cp < np_ else None
+        eq = qv[(iq + 1) % nq] - qv[iq % nq] if cq < nq else None
+        if eq is None:
+            step = ep
+            ip, cp = ip + 1, cp + 1
+        elif ep is None:
+            step = eq
+            iq, cq = iq + 1, cq + 1
+        else:
+            cross = ep[0] * eq[1] - ep[1] * eq[0]
+            if cross > 0:
+                step = ep
+                ip, cp = ip + 1, cp + 1
+            elif cross < 0:
+                step = eq
+                iq, cq = iq + 1, cq + 1
+            else:
+                step = ep + eq
+                ip, cp = ip + 1, cp + 1
+                iq, cq = iq + 1, cq + 1
+        out.append(out[-1] + step)
+    return Polygon(np.array(out[:-1]))

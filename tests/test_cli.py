@@ -65,6 +65,33 @@ def test_zeros_rejects_polygon_as_usage_error(tmp_path, square_file, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_recover_curvature_rejects_polygon_as_usage_error(tmp_path, square_file, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["recover-curvature", "--body", square_file, "--u-grid", "2",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.strip() == "error: curvature is undefined on a polygon"
+
+
+@pytest.mark.parametrize("vertices", [
+    [[0, 0], [2, 0], [1, 1.5], [2, 2], [0, 2]],  # a reflex vertex
+    [[math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5)] for k in range(5)],
+], ids=["reflex", "pentagram"])
+def test_body_validate_rejects_polygon_out_of_convex_position(tmp_path, vertices, capsys):
+    path = write_body(tmp_path, "p.json", {"kind": "polygon", "vertices": vertices})
+    assert main(["body-validate", "--body", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "convex position" in captured.err
+
+
+def test_body_validate_keeps_a_repeated_vertex(tmp_path, capsys):
+    path = write_body(tmp_path, "sq.json", {"kind": "polygon",
+                                            "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]})
+    assert main(["body-validate", "--body", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["area"] == 1.0
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "polygon",\n vertices: []}')

@@ -35,6 +35,7 @@ from covario.geometry import (
     zonogon,
     zonogon_area_from_generators,
 )
+from polygon_reference import loop_convex_hull, loop_minkowski_sum, loop_zonogon
 from series_reference import loop_boundary, loop_h, loop_h1, loop_rho
 
 SQ2 = math.sqrt(2.0)
@@ -337,3 +338,130 @@ def test_polygon_canonicalization():
     assert q == Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     with pytest.raises(ValueError):
         Polygon([(0, 0), (1, 0), (2, 0)])
+
+
+def test_polygon_keeps_a_repeated_vertex_once():
+    square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    for v in ([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]],
+              [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]):  # closed ring
+        assert Polygon(v) == square and area(Polygon(v)) == 1.0
+
+
+def test_polygon_keeps_a_half_turn_vertex_until_its_neighbours_go():
+    # (2, 2) sits between two points of its own ray from the origin: it turns
+    # by a half turn there and must outlast its two reflex neighbours
+    star = [(-2, -2), (2, -2), (1, 1), (2, 2), (0.5, 0.5), (-2, 2)]
+    assert Polygon(star) == Polygon([(-2, -2), (2, -2), (2, 2), (-2, 2)])
+
+
+def _clouds(kind, rng):
+    n = int(rng.integers(3, 40))
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, (n, 2))
+    if kind == "lattice":  # duplicates and collinear points
+        return rng.integers(-3, 4, (n + 3, 2)).astype(float)
+    if kind == "circle":
+        t = rng.uniform(0.0, 2.0 * math.pi, n)
+        return np.vstack([np.c_[np.cos(t), np.sin(t)], rng.uniform(-0.5, 0.5, (n, 2))])
+    if kind == "flat":
+        return rng.normal(size=(n, 2)) * [1.0, 1e-3]
+    t = 2.0 * math.pi * rng.integers(0, 12, n) / 12.0  # two radii on twelve rays
+    return np.c_[np.cos(t), np.sin(t)] * rng.integers(1, 3, (n, 1))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "circle", "flat", "rays"])
+def test_convex_hull_is_the_monotone_chain(kind):
+    for seed in range(300):
+        pts = _clouds(kind, np.random.default_rng(seed))
+        assert Polygon(convex_hull(pts)) == Polygon(loop_convex_hull(pts))
+    pts = np.random.default_rng(1).uniform(-1.0, 1.0, (10_000, 2))
+    assert Polygon(convex_hull(pts)) == Polygon(loop_convex_hull(pts))
+
+
+def test_convex_hull_edge_cases():
+    with pytest.raises(ValueError):
+        convex_hull([(0, 0), (1, 1), (2, 2), (3, 3), (1, 1)])
+    for seed in range(50):
+        q = np.random.default_rng(seed).uniform(-1.0, 1.0, (5, 2))
+        pts = np.vstack([np.stack([q, -q], axis=1).reshape(-1, 2), [(0.0, 0.0)]])
+        assert np.all(pts.mean(axis=0) == 0.0)  # the mean is one of the points
+        assert not np.any(np.all(convex_hull(pts) == 0.0, axis=1))
+
+
+def _random_generators(rng, n):
+    return [Segment(tuple(p), tuple(p + d))
+            for p, d in zip(rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-1.0, 1.0, (n, 2)))]
+
+
+def test_minkowski_sum_is_the_edge_merge(cw3):
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        h = Polygon(convex_hull(rng.uniform(-1.0, 1.0, (int(rng.integers(3, 15)), 2))))
+        k = reflect(h) if seed % 3 == 0 else Polygon(convex_hull(
+            rng.uniform(-1.0, 1.0, (int(rng.integers(3, 15)), 2)) + rng.uniform(-2.0, 2.0, 2)))
+        assert minkowski_sum_polygons(h, k) == loop_minkowski_sum(h, k)
+    h = polygonal_approximation(cw3, 4096)
+    k = polygonal_approximation(reflect(Disk((0.1, 0.0), 0.9)), 4096)
+    assert minkowski_sum_polygons(h, k) == loop_minkowski_sum(h, k)
+
+
+def test_minkowski_sum_of_shared_edge_directions():
+    # the loop adds two parallel edges in one step, the sort one after the other
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        gens = _random_generators(rng, int(rng.integers(2, 5)))
+        h = zonogon(rng.uniform(-1.0, 1.0, 2), gens)
+        k = [reflect(h), translate(h, rng.uniform(-1.0, 1.0, 2)),
+             zonogon((0, 0), gens[:1] + _random_generators(rng, 2))][seed % 3]
+        new, old = minkowski_sum_polygons(h, k), loop_minkowski_sum(h, k)
+        assert new.vertices.shape == old.vertices.shape
+        assert np.abs(new.vertices - old.vertices).max() <= 4e-15
+
+
+def test_zonogon_is_the_merged_loop(monkeypatch):
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        gens, c = _random_generators(rng, int(rng.integers(2, 7))), rng.uniform(-1.0, 1.0, 2)
+        assert zonogon(c, gens) == loop_zonogon(c, gens)
+    draws = np.random.default_rng(0).uniform(0.5, 1.5, (25, 5))
+    params = [dict(alpha=a, beta=b, gamma=g, delta=d, beta_p=b, delta_p=d, m=e - 1.0,
+                   y=(a - 1.0, e), y_p=(e, b - 1.0)) for a, b, g, d, e in draws]
+    pairs = [example_pair(f, **p) for f in (1, 2, 3, 4) for p in params]
+    monkeypatch.setattr("covario.geometry.zonogon", loop_zonogon)
+    assert pairs == [example_pair(f, **p) for f in (1, 2, 3, 4) for p in params]
+
+
+def test_zonogon_with_parallel_generators():
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        gens = _random_generators(rng, int(rng.integers(2, 5)))
+        s, f, m = gens[int(rng.integers(len(gens)))], rng.choice([-1.7, -0.5, 0.3, 2.0]), \
+            rng.uniform(-1.0, 1.0, 2)
+        gens.append(Segment(tuple(m + f * np.asarray(s.p)), tuple(m + f * np.asarray(s.q))))
+        c = rng.uniform(-1.0, 1.0, 2)
+        new, old = zonogon(c, gens), loop_zonogon(c, gens)
+        assert new.vertices.shape == old.vertices.shape
+        assert np.abs(new.vertices - old.vertices).max() <= 4e-15
+    with pytest.raises(DegenerateZonogon):
+        zonogon((1, 2), [Segment((0, 0), (1, 2)), Segment((3, 3), (2, 1)),
+                         Segment((-1, -1), (0.5, 2))])
+
+
+@pytest.mark.parametrize("vertices", [
+    [[0, 0], [2, 0], [1, 1.5], [2, 2], [0, 2]],  # a reflex vertex: area 3, hull area 4
+    [[math.cos(4 * math.pi * k / 5), math.sin(4 * math.pi * k / 5)] for k in range(5)],
+])
+def test_polygon_spec_rejects_vertices_out_of_convex_position(vertices):
+    with pytest.raises(ValueError, match="convex position"):
+        body_from_spec({"kind": "polygon", "vertices": vertices})
+
+
+def test_polygon_spec_accepts_convex_position():
+    square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    for v in ([[0, 0], [0, 1], [1, 1], [1, 0]],  # clockwise
+              [[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]],  # a collinear extra vertex
+              [[0, 0], [1, 0], [1, 0], [1, 1], [0, 1], [0, 0]]):  # repeated vertices
+        assert body_from_spec({"kind": "polygon", "vertices": v}) == square
+    for seed in range(200):
+        poly = Polygon(convex_hull(np.random.default_rng(seed).uniform(-1.0, 1.0, (12, 2))))
+        assert body_from_spec(body_to_spec(poly)) == poly

@@ -21,11 +21,12 @@ def _rows(path):
 
 @pytest.mark.parametrize("family", ["1", "3"])
 def test_counterexample_grid(tmp_path, family, capsys):
-    _script("counterexample_grid").main(family, str(tmp_path))
+    out = tmp_path / "grids" / "family"  # created by the script
+    _script("counterexample_grid").main(family, str(out))
     first, second = int(family), int(family) + 1
     for f in (first, second):
-        assert len(_rows(tmp_path / f"crosscov_family{f}.csv")) == 1 + 41 * 41
-        assert (tmp_path / f"crosscov_family{f}.meta.json").exists()
+        assert len(_rows(out / f"crosscov_family{f}.csv")) == 1 + 41 * 41
+        assert (out / f"crosscov_family{f}.meta.json").exists()
     assert "pairs are trivial associates: False" in capsys.readouterr().out
 
 
