@@ -10,7 +10,7 @@ import numpy as np
 
 from covario._parallel import parallel_map
 from covario._quadrature import gauss_legendre, panel_table
-from covario.covariogram import FitFailed, cap_pair, cross_covariogram_grid
+from covario.covariogram import FitFailed, cap_pairs, cross_covariogram_grid
 from covario.fourier_laplace import (
     _multiple_zero,
     autocorr_transform_table,
@@ -231,7 +231,7 @@ FIT_FAIL_FRAC = 0.05     # largest share of directions whose pair fit may fail
 @dataclass(frozen=True)
 class DeterminationConfig:
     """Settings of determination_experiment.  The curvature pairs come from
-    covariogram.cap_pair with t_star = 2e-2 h(u), h the support of supp g,
+    covariogram.cap_pairs with t_star = 2e-2 h(u), h the support of supp g,
     which has no settings of its own."""
 
     n_dirs: int = 24
@@ -252,7 +252,13 @@ class DeterminationVerdict:
 
 
 def _radial_table(g, thetas):
-    """Radial extent of supp g along each direction, all bisected together."""
+    """Radial extent of supp g along each direction, all bisected together.
+
+    Each call probes two bisection levels: the midpoint of every open bracket
+    and both midpoints that can follow it.  Every probe is the 0.5 (lo + hi)
+    that plain bisection would form, so the brackets are those of plain
+    bisection, in half the calls.
+    """
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     # the bracket starts at 1.18, not at 1: doubling 1 probes g(2u), which sits
     # on the boundary of supp g for a body of constant width 2 and has the sign
@@ -271,10 +277,17 @@ def _radial_table(g, thetas):
         active = hi - lo > 1e-7 * np.maximum(hi, 1.0)
         if not active.any():
             return 0.5 * (lo + hi)
-        mid = 0.5 * (lo[active] + hi[active])
-        inside = g(mid[:, None] * dirs[active]) > 0
-        lo[active] = np.where(inside, mid, lo[active])
-        hi[active] = np.where(inside, hi[active], mid)
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        probes = np.array([mid, 0.5 * (a + mid), 0.5 * (mid + b)])
+        inside = (g((probes[:, :, None] * dirs[active]).reshape(-1, 2)) > 0).reshape(3, -1)
+        a, b = np.where(inside[0], mid, a), np.where(inside[0], b, mid)
+        # the second level, on the brackets that the first left open
+        mid = np.where(inside[0], probes[2], probes[1])
+        inside = np.where(inside[0], inside[2], inside[1])
+        still_open = b - a > 1e-7 * np.maximum(b, 1.0)
+        lo[active] = np.where(still_open & inside, mid, a)
+        hi[active] = np.where(still_open & ~inside, mid, b)
 
 
 def _support_from_radial(radial, thetas, u):
@@ -392,8 +405,10 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
     Each evaluator takes a batch of points, an array of shape (k, 2), and
     returns g at those points, an array of shape (k,); any other shape raises
     ValueError.  Points are sent in batches: the radial extents of all
-    directions bisect together, each cap fit takes one call for its depth
-    ladder and one for its stencil, and each region's line integrals one.
+    directions bisect together, two bisection levels per call; the depth
+    ladders of all directions go in one call and their stencils in one more
+    (covariogram.cap_pairs); each region's line integrals take one call.
+    A direction whose cap fit fails on either evaluator fails for both.
 
     Recovers the support and the per-direction curvature pairs from each
     evaluator, then compares the sign structure of the g-transform zero
@@ -425,21 +440,19 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
     if details["radial_max_dev"] > RADIAL_TOL:
         return verdict("distinct", (), (), (), reason="support mismatch")
 
-    def pair(g, radial, u):
-        h, anchor = _support_from_radial(radial, fine, u.u)
-        return cap_pair(g, anchor, u, 2e-2 * h).values
+    dirs = [Direction(float(th)) for th in thetas]
 
+    def pairs(g, radial):
+        fits = [_support_from_radial(radial, fine, u.u) for u in dirs]
+        return cap_pairs(g, [anchor for _, anchor in fits], dirs, [2e-2 * h for h, _ in fits])
+
+    # a direction fails when either fit fails
     pairs_a, pairs_b = [], []
-    failures = 0
-    for th in thetas:
-        u = Direction(float(th))
-        try:
-            pairs_a.append(pair(g_a, rad_a, u))
-            pairs_b.append(pair(g_b, rad_b, u))
-        except FitFailed:
-            failures += 1
-            pairs_a.append(None)
-            pairs_b.append(None)
+    for pa, pb in zip(pairs(g_a, rad_a), pairs(g_b, rad_b)):
+        failed = isinstance(pa, FitFailed) or isinstance(pb, FitFailed)
+        pairs_a.append(None if failed else pa.values)
+        pairs_b.append(None if failed else pb.values)
+    failures = pairs_a.count(None)
     if failures > FIT_FAIL_FRAC * len(thetas):
         raise Inconclusive(f"curvature fit failed on {failures}/{len(thetas)} directions")
     pair_dev = 0.0
@@ -459,7 +472,7 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
     relations = []
     for run in regions:
         rep = run[len(run) // 2]
-        u = Direction(float(thetas[rep]))
+        u = dirs[rep]
         w_a, _ = _support_from_radial(rad_a, fine, u.u)
         w_b, _ = _support_from_radial(rad_b, fine, u.u)
         guess = ratios[rep] / (2.0 * w_a)

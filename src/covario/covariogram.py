@@ -308,39 +308,50 @@ def _caps(series, xs, r, alpha, theta, r_max):
     MAX_STEPS steps; such chords are bisected instead (_bisected_chords).
     """
     top = alpha + 0.5 * math.pi
-    # rows (phi_a, phi_b); columns the chords above, then those below
-    longest = np.array([np.tile(theta + math.pi, 2), np.tile(theta, 2)])
+    # columns the chords above, then those below; rows (phi_a, phi_b)
+    x, y, tol, theta, seed = np.tile([xs[:, 0], xs[:, 1], _RESIDUAL_TOL * r_max, theta,
+                                      np.arccos(r / r_max) / (0.5 * math.pi)], 2)
+    longest = np.array([theta + math.pi, theta])
     short = np.array([np.concatenate([top, top + math.pi]), np.concatenate([top, top - math.pi])])
     lo, hi = np.minimum(longest, short), np.maximum(longest, short)
-    phi = longest + np.tile(np.arccos(r / r_max) / (0.5 * math.pi), 2) * (short - longest)
-    x, y, tol = (np.tile(z, 2) for z in (xs[:, 0], xs[:, 1], _RESIDUAL_TOL * r_max))
-    base, step = phi.copy(), np.zeros_like(phi)
-    length, best = np.ones(x.size), np.full(x.size, np.inf)
+    phi = longest + seed * (short - longest)
+    best = np.full(x.size, np.inf)
+    # the unsettled chords, a column each: rows the trial ends, the ends of
+    # least |E| so far, the step from there, the brackets, the step's length,
+    # that least |E| and the targets; compacted only in a step where some
+    # chord settles
     todo = np.arange(x.size)
+    state = np.concatenate([phi, phi, np.zeros_like(phi), lo, hi,
+                            [np.ones(x.size), best, x, y, tol]])
     for _ in range(_MAX_STEPS):
-        if not todo.size:
-            break
+        trial, base, step, lo_i, hi_i = state[0:2], state[2:4], state[4:6], state[6:8], state[8:10]
+        length, least, x_i, y_i, tol_i = state[10:]
         # one evaluation of the boundary p = h n + h' n' at both ends
-        h, h1, rho = series.support.terms(phi[:, todo])
-        c, s = np.cos(phi[:, todo]), np.sin(phi[:, todo])
+        h, h1, (ra, rb) = series.support.terms(trial)
+        c, s = np.cos(trial), np.sin(trial)
         px, py = h * c - h1 * s, h * s + h1 * c
-        ex, ey = px[1] - px[0] - x[todo], py[1] - py[0] - y[todo]
+        ex, ey = px[1] - px[0] - x_i, py[1] - py[0] - y_i
         res = np.hypot(ex, ey)
-        lower = res < best[todo]
-        # a trial that does not lower |E| is retried at half the length
-        k = todo[~lower]
-        length[k] *= 0.5
-        phi[:, k] = base[:, k] + length[k] * step[:, k]
-        k = todo[lower]
-        best[k], base[:, k] = res[lower], phi[:, k]
-        ex, ey, (ca, cb), (sa, sb), (ra, rb) = (z[..., lower] for z in (ex, ey, c, s, rho))
+        # a trial that lowers |E| is the base of a new Newton step; one that
+        # does not is retried at half the length
+        lower = res < least
+        np.copyto(least, res, where=lower)
+        np.copyto(base, trial, where=lower)
+        (ca, cb), (sa, sb) = c, s
         sin_ab = sa * cb - ca * sb
         d = -np.array([(ex * cb + ey * sb) / (ra * sin_ab), (ex * ca + ey * sa) / (rb * sin_ab)])
         with np.errstate(divide="ignore"):
-            room = np.where(d > 0.0, hi[:, k] - base[:, k], base[:, k] - lo[:, k]) / np.abs(d)
-        step[:, k], length[k] = d, np.minimum(1.0, 0.5 * room.min(axis=0))
-        phi[:, k] = base[:, k] + length[k] * d
-        todo = todo[(best[todo] > tol[todo]) & (length[todo] > _SQRT_EPS)]
+            room = np.where(d > 0.0, hi_i - base, base - lo_i) / np.abs(d)
+        np.copyto(step, d, where=lower)
+        length[:] = np.where(lower, np.minimum(1.0, 0.5 * room.min(axis=0)), 0.5 * length)
+        trial[:] = base + length * step
+        going = (least > tol_i) & (length > _SQRT_EPS)
+        if not going.all():
+            phi[:, todo], best[todo] = trial, least
+            todo, state = todo[going], state[:, going]
+            if not todo.size:
+                break
+    phi[:, todo], best[todo] = state[0:2], state[11]
     stuck = np.nonzero(best > tol)[0]
     if stuck.size:
         phi[:, stuck] = _bisected_chords(series.support, np.tile(alpha, 2)[stuck],
@@ -348,8 +359,8 @@ def _caps(series, xs, r, alpha, theta, r_max):
     (a_above, a_below), (b_above, b_below) = phi.reshape(2, 2, -1)
     # the front arc runs counterclockwise from the lower chord's end to the
     # upper one's, the back arc from the upper chord's start to the lower one's
-    g = _cap(series, b_below, b_above) + _cap(series, a_above, a_below)
-    return np.maximum(g, 0.0)
+    front, back = _cap(series, np.array([b_below, a_above]), np.array([b_above, a_below]))
+    return np.maximum(front + back, 0.0)
 
 
 def _bisected_chords(support, alpha, r, longest, short):
@@ -561,11 +572,44 @@ def cap_pair(g, anchor, u: Direction, t_star):
 
     g maps points of shape (k, 2) to values of shape (k,).  fit_residual is
     the largest residual of the stencil fit relative to the largest g^{2/3}
-    on the stencil.
+    on the stencil.  This is cap_pairs for one direction.
     """
+    (pair,) = cap_pairs(g, [anchor], [u], [t_star])
+    if isinstance(pair, FitFailed):
+        raise pair
+    return pair
+
+
+def cap_pairs(g, anchors, us, t_stars):
+    """cap_pair at every (anchor, u, t_star), in two calls to g: one for the
+    depth ladders of all directions, one for the stencils of those whose
+    ladder fit succeeded.  Each slot holds the CurvaturePair or the FitFailed
+    that its fit raised.
+    """
+    fits = [_cap_fit(anchor, u, t_star) for anchor, u, t_star in zip(anchors, us, t_stars)]
+    slots = [None] * len(fits)
+    asks = {i: next(fit) for i, fit in enumerate(fits)}
+    while asks:
+        values = g(np.concatenate(list(asks.values())))
+        ends = np.cumsum([len(points) for points in asks.values()])
+        replies = zip(asks, np.split(values, ends[:-1]))
+        asks = {}
+        for i, vals in replies:
+            try:
+                asks[i] = fits[i].send(vals)
+            except StopIteration as done:
+                slots[i] = done.value
+            except FitFailed as failure:
+                slots[i] = failure
+    return slots
+
+
+def _cap_fit(anchor, u: Direction, t_star):
+    """cap_pair's fit as a generator: it yields the points it needs, receives
+    g at them and returns the CurvaturePair (or raises FitFailed)."""
     uv, tan = u.u, u.perp
     depths = np.geomspace(0.1 * t_star, t_star, 6)
-    g0 = g(anchor - depths[:, None] * uv)
+    g0 = yield anchor - depths[:, None] * uv
     if np.any(g0 <= 0):
         raise FitFailed("empty cap on the depth ladder")
     design = np.stack([np.ones_like(depths), 2.0 * depths], axis=1)
@@ -577,7 +621,7 @@ def cap_pair(g, anchor, u: Direction, t_star):
     qs = np.linspace(-q_max, q_max, 7)
     tarr = np.repeat([0.5 * t_star, t_star], qs.size)
     qarr = np.tile(qs, 2)
-    vals = g(anchor + qarr[:, None] * tan - tarr[:, None] * uv)
+    vals = yield anchor + qarr[:, None] * tan - tarr[:, None] * uv
     inside = vals > 0
     if np.count_nonzero(inside) < 8:
         raise FitFailed("stencil mostly outside the cap")

@@ -6,6 +6,7 @@ import pytest
 from covario.asymptotics import (
     DeterminationConfig,
     Inconclusive,
+    _radial_table,
     crosscov_counterexample,
     determination_experiment,
     kobayashi_report,
@@ -22,6 +23,7 @@ from covario.geometry import (
     reflect,
     translate,
 )
+from strip_reference import loop_radial_table
 
 E1 = Direction(0.0)
 
@@ -144,7 +146,7 @@ def test_determination_batches_evaluator_calls(cw3):
         return lambda points: np.array([g(x) for x in points])
 
     verdict = determination_experiment(*map(counted, evaluators), config=cfg)
-    assert len(calls) <= 100
+    assert len(calls) == 34
     assert verdict.outcome == "identical-up-to-translation"
     assert verdict.region_relations == (1,)
     reference = determination_experiment(*map(per_point, evaluators), config=cfg)
@@ -169,13 +171,57 @@ def test_determination_counts_evaluator_calls_and_points(cw3):
     verdict = determination_experiment(g_a, g_b, config=cfg)
     assert verdict.details["g_calls"] == [len(sent[0]), len(sent[1])]
     assert verdict.details["g_points"] == [sum(sent[0]), sum(sent[1])]
-    assert min(verdict.details["g_calls"]) > 0
+    # per evaluator: 14 radial calls (2 growing the brackets, 12 probing two
+    # bisection levels each), the ladders, the stencils and the line integrals
+    assert verdict.details["g_calls"] == [17, 17]
+    assert verdict.details["g_points"] == [2720, 2720]
     # an early verdict counts too
     disks = determination_experiment(covariogram_evaluator(Disk((0.0, 0.0), 1.0)),
                                      covariogram_evaluator(Disk((0.0, 0.0), 1.05)),
                                      config=DeterminationConfig(n_dirs=4, extent_dirs=16))
     assert disks.outcome == "distinct"
     assert disks.details["g_calls"][0] > 0 and disks.details["g_points"][1] > 0
+
+
+@pytest.mark.parametrize("name", ["cw3", "reflected-cw3", "disk"])
+def test_radial_table_matches_plain_bisection(name, cw3):
+    # two bisection levels per call give plain bisection's brackets in half the calls
+    body = {"cw3": cw3, "reflected-cw3": reflect(cw3), "disk": Disk((0.3, -0.2), 0.8)}[name]
+    g = covariogram_evaluator(body)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+    calls, plain = [], []
+
+    def counted(log):
+        def evaluate(points):
+            log.append(len(points))
+            return g(points)
+        return evaluate
+
+    assert np.array_equal(_radial_table(counted(calls), thetas),
+                          loop_radial_table(counted(plain), thetas))
+    assert len(calls) <= len(plain) // 2 + 2
+
+
+def test_determination_fails_a_direction_on_either_fit(cw3):
+    # g_b finds no cap below the anchor of the second direction only (a
+    # window that no radial-table direction crosses): that direction fails
+    # for both evaluators, and the pairs stay aligned with the directions
+    cfg = DeterminationConfig(n_dirs=24, max_regions_checked=0)
+    g = covariogram_evaluator(cw3)
+    aim = 2.0 * math.pi / cfg.n_dirs
+
+    def g_b(points):
+        near = ((np.abs(np.arctan2(points[:, 1], points[:, 0]) - aim) < 0.01)
+                & (np.hypot(points[:, 0], points[:, 1]) > 1.9))
+        return np.where(near, 0.0, g(points))
+
+    verdict = determination_experiment(g, g_b, config=cfg)
+    reference = determination_experiment(g, g, config=cfg)
+    assert len(verdict.pairs_a) == len(verdict.pairs_b) == cfg.n_dirs
+    assert verdict.pairs_a[1] is None and verdict.pairs_b[1] is None
+    for i in range(cfg.n_dirs):
+        if i != 1:
+            assert verdict.pairs_a[i] == verdict.pairs_b[i] == reference.pairs_a[i]
 
 
 @pytest.mark.parametrize("wrong", [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -289,6 +290,15 @@ def test_recover_curvature_command(tmp_path, disk_file, capsys):
     assert lines[0] == "theta,low,high,residual"
     low = float(lines[1].split(",")[1])
     assert abs(low - 1.0) < 0.02
+
+
+def test_recover_curvature_csv_is_pinned(tmp_path, cw3_file):
+    # the cap fits' CSV for cw3, byte for byte as the per-direction fits wrote it
+    out = tmp_path / "pairs.csv"
+    assert main(["recover-curvature", "--body", cw3_file, "--u-grid", "24",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7e71f4121167059ba0986dc096788e144ece38cf98fdec10d5f3b097ebbb97af")
 
 
 def test_verify_exit_codes(capsys):

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covario.covariogram as covariogram_module
 from clip_oracle import oracle_area
 from covario.cli import _random_family_params
 from covario.covariogram import (
     FitFailed,
     _pair_area,
+    cap_pair,
+    cap_pairs,
     clip_areas_batch,
     covariogram,
     covariogram_evaluator,
@@ -40,6 +43,7 @@ from covario.geometry import (
     zonogon,
 )
 from covario.oracles import mc_area
+from strip_reference import loop_cap_pair, loop_caps
 
 E1 = Direction(0.0)
 LENS_AT_1 = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
@@ -48,6 +52,11 @@ LENS_AT_1 = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
 LOPSIDED = SupportBody(1.0, ((0.1, -0.05), (0.04, -0.06), (0.03, 0.02), (-0.01, 0.008),
                              (0.003, -0.002), (0.001, 0.001), (-0.0005, 0.0008),
                              (0.0004, -0.0002)), center=(0.3, -0.2))
+# rho = 1 - 3 c cos(2 (theta - 0.1)), c = (1 - 1e-4) / 3, falls to 1e-4: two
+# near-corners, where the chords of the points below end and the normal
+# angle is a poor coordinate for the chord ends
+NEAR_CORNERS = SupportBody(1.0, ((0.0, 0.0), ((1.0 - 1e-4) / 3.0 * math.cos(0.2),
+                                              (1.0 - 1e-4) / 3.0 * math.sin(0.2))))
 
 
 def test_intersection_area_examples(unit_square):
@@ -168,17 +177,100 @@ def test_exact_covariogram_rays_decrease(name, cw3):
 
 
 def test_exact_covariogram_next_to_near_corners():
-    # rho = 1 - 3 c cos(2 (theta - 0.1)) falls to 1e-4: two near-corners,
-    # where the chords of the points below end and the normal angle is a
-    # poor coordinate for the chord ends
-    c = (1.0 - 1e-4) / 3.0
-    body = SupportBody(1.0, ((0.0, 0.0), (c * math.cos(0.2), c * math.sin(0.2))))
+    body = NEAR_CORNERS
     thetas = np.linspace(0.0, 0.2, 9)
     rim = np.array([boundary_point(body, Direction(t)) - boundary_point(body, Direction(t + math.pi))
                     for t in thetas])
     xs = np.concatenate([rim * (1.0 - depth) for depth in (1e-1, 1e-3, 1e-5, 1e-7)])
     v = polygonal_approximation(body, 32768).vertices
     assert np.abs(covariogram_evaluator(body)(xs) - clip_areas_batch(v, v, xs)).max() < 1e-8
+
+
+def _rim_points(body, rng, k):
+    """k points x (1 - depth) on rays through the boundary of K - K: three
+    quarters with depth log-uniform in [1e-9, 1], the rest uniform in
+    [-0.1, 1], a few of those outside supp g."""
+    theta = rng.uniform(0.0, 2.0 * math.pi, k)
+    depth = np.concatenate([10.0 ** rng.uniform(-9.0, 0.0, k - k // 4),
+                            rng.uniform(-0.1, 1.0, k // 4)])
+    ends = []
+    for t in (theta, theta + math.pi):
+        h, h1, _ = body.series.terms(t)
+        ends.append(np.stack([h * np.cos(t) - h1 * np.sin(t), h * np.sin(t) + h1 * np.cos(t)],
+                             axis=1))
+    return (ends[0] - ends[1]) * (1.0 - depth)[:, None]
+
+
+@pytest.mark.parametrize("name", ["cw3", "lopsided", "translated-disk", "near-corners"])
+def test_compacted_newton_matches_index_loop(name, cw3, monkeypatch):
+    # the compacted chord-end Newton gives the index loop's floats; next to
+    # near-corners some chords still end in the bisection
+    body = {"cw3": cw3, "lopsided": LOPSIDED, "translated-disk": Disk((0.7, -0.4), 0.8),
+            "near-corners": NEAR_CORNERS}[name]
+    xs = _rim_points(body, np.random.default_rng(19), 20_000)
+    bisected = []
+    bisect = covariogram_module._bisected_chords
+
+    def counted(support, alpha, *args):
+        bisected.append(alpha.size)
+        return bisect(support, alpha, *args)
+
+    monkeypatch.setattr(covariogram_module, "_bisected_chords", counted)
+    values = covariogram_evaluator(body)(xs)
+    if name == "near-corners":
+        assert sum(bisected) > 0
+    monkeypatch.setattr(covariogram_module, "_caps", loop_caps)
+    assert np.array_equal(values, covariogram_evaluator(body)(xs))
+
+
+def _counted(g, log):
+    def evaluate(points):
+        log.append(len(points))
+        return g(points)
+    return evaluate
+
+
+def test_cap_pairs_match_per_direction_fits(cw3):
+    # every cap fit in two calls, each slot the per-direction fit's pair
+    us = [Direction(float(th)) for th in np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)]
+    anchors = [boundary_point(cw3, u) - boundary_point(cw3, u.antipode()) for u in us]
+    t_stars = [5e-4 * width(cw3, u) for u in us]
+    calls = []
+    pairs = cap_pairs(_counted(covariogram_evaluator(cw3), calls), anchors, us, t_stars)
+    assert calls == [6 * len(us), 14 * len(us)]
+    assert pairs == [loop_cap_pair(covariogram_evaluator(cw3), *args)
+                     for args in zip(anchors, us, t_stars)]
+
+
+def test_cap_pairs_isolates_a_failed_direction(cw3):
+    us = [Direction(0.0), Direction(1.0), Direction(2.0)]
+    anchors = [boundary_point(cw3, u) - boundary_point(cw3, u.antipode()) for u in us]
+    # a ladder below an anchor far outside supp g finds no cap
+    anchors[1] = 3.0 * anchors[1]
+    t_stars = [5e-4 * width(cw3, u) for u in us]
+    g = covariogram_evaluator(cw3)
+    pairs = cap_pairs(g, anchors, us, t_stars)
+    assert isinstance(pairs[1], FitFailed)
+    assert str(pairs[1]) == "empty cap on the depth ladder"
+    assert [pairs[0], pairs[2]] == [cap_pair(g, anchors[i], us[i], t_stars[i]) for i in (0, 2)]
+    with pytest.raises(FitFailed, match="^empty cap on the depth ladder$"):
+        cap_pair(g, anchors[1], us[1], t_stars[1])
+
+
+@pytest.mark.parametrize("g, message", [
+    (lambda p: np.zeros(len(p)), "empty cap on the depth ladder"),
+    (lambda p: 2.0 + p[:, 0], "non-positive depth slope"),
+    (lambda p: np.where(p[:, 1] == 0.0, np.abs(1.0 - p[:, 0]) ** 1.5, 0.0),
+     "stencil mostly outside the cap"),
+])
+def test_cap_pair_failures_keep_their_messages(g, message):
+    # the one-direction fit fails where the per-direction loop failed, and says so alike
+    anchor = np.array([1.0, 0.0])
+    with pytest.raises(FitFailed) as expected:
+        loop_cap_pair(g, anchor, E1, 1e-2)
+    with pytest.raises(FitFailed) as raised:
+        cap_pair(g, anchor, E1, 1e-2)
+    assert str(raised.value) == str(expected.value) == message
 
 
 @pytest.mark.parametrize("name", ["cw3", "lopsided"])
