@@ -74,17 +74,13 @@ def kobayashi_report(body, m_range, u_grid):
     u_list = list(u_grid)
     max_zeta = sweep_bound(body, u_list, max(m_list))
     columns = parallel_map(partial(_track_direction, body, m_list, max_zeta), u_list)
-    dev = np.zeros((len(m_list), len(u_list)))
-    im_err = np.zeros_like(dev)
-    re_err = np.zeros_like(dev)
-    for j, (u, col) in enumerate(zip(u_list, columns)):
-        w = width(body, u)
-        target = (math.log(curvature(body, u.antipode()))
-                  - math.log(curvature(body, u)))
-        for i, br in enumerate(col):
-            dev[i, j] = br.deviation
-            im_err[i, j] = abs(br.zeta.imag * 2.0 * w - target)
-            re_err[i, j] = abs(br.zeta.real * 2.0 * w / math.pi - (4 * m_list[i] + 1))
+    zeta, center = np.array([[(br.zeta, br.predicted_center) for br in col] for col in columns]).T
+    w = np.array([width(body, u) for u in u_list])
+    target = np.array([math.log(curvature(body, u.antipode())) - math.log(curvature(body, u))
+                       for u in u_list])
+    dev = np.hypot((zeta - center).real, (zeta - center).imag)  # as br.deviation, bit for bit
+    im_err = np.abs(zeta.imag * 2.0 * w - target)
+    re_err = np.abs(zeta.real * 2.0 * w / math.pi - (4 * np.array(m_list)[:, None] + 1))
     dev_m = dev.max(axis=1)
     if len(m_list) >= 2:
         logm = np.log(np.asarray(m_list, dtype=float))
@@ -145,14 +141,12 @@ def zero_union_check(body, u: Direction, m_range):
         for start in targets:
             z = _multiple_zero(table, nodes, start, ctx.im_cap)
             if min(abs(z - t) for t in targets) > MATCH_TOL:
-                raise UnmatchedZero(
-                    f"g-transform zero {z} matches no branch at m={m}")
+                raise UnmatchedZero(f"g-transform zero {z} matches no branch at m={m}")
             if not any(abs(z - prev) < MATCH_TOL for prev in located):
                 located.append(z)
         resid = abs(complex(fourier_sum(table[0], nodes, f)))
         if resid > RESIDUAL_TOL * sq_area:
-            raise UnmatchedZero(
-                f"g-transform residual {resid:.3e} at branch m={m}")
+            raise UnmatchedZero(f"g-transform residual {resid:.3e} at branch m={m}")
         # multiplicity by argument principle on a rectangle containing f but
         # not its conjugate (unless they coincide)
         half_re = math.pi / (2.0 * ctx.body_width)

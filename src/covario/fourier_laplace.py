@@ -283,28 +283,40 @@ def _raise_first(kind, bad, message):
         raise exc
 
 
-def contour_winding(rows, nodes, center, half_re, half_im, start=None):
+def _contour_start(rows, nodes, centers, offsets):
+    """(f, f') at centers[:, None] + offsets, of shape (2, centers.size, offsets.size):
+    by the shift theorem (rows exp(i t c)) @ exp(i t (x) offsets) for each center c,
+    stacked for at most KERNEL_BLOCK node-contour pairs per product, which numpy
+    runs as one gemm per contour; fourier_sum if the table exceeds KERNEL_BLOCK entries."""
+    if not centers.size or nodes.size * offsets.size > KERNEL_BLOCK:
+        return fourier_sum(rows, nodes, centers[:, None] + offsets)
+    table, step = np.exp(np.outer(nodes, 1j * offsets)), max(1, KERNEL_BLOCK // nodes.size)
+    return np.concatenate([(rows * np.exp(1j * centers[i:i + step, None] * nodes)[:, None]) @ table
+                           for i in range(0, centers.size, step)]).transpose(1, 0, 2)
+
+
+def contour_winding(rows, nodes, center, half_re, half_im):
     """Zeros of f = sum_j a_j exp(i t_j zeta) inside center +- half_re +- i half_im.
 
     a = rows[0] and t = nodes; rows[1] = i t a gives f'.  center may be an
     array; the counts have its shape.  The argument of f is summed from the
-    points center + _contour_offsets(half_re, half_im), where (f, f') is
-    start, of shape (2,) + center.shape + offsets.shape, if given, else a
-    fourier_sum; all contours are refined in one flat array tagged by
-    contour.  On a rectangle about y_c = Im center each |exp(i t_j zeta)| is
-    at most e_j = exp(|t_j| half_im - t_j y_c), so |f''| <= M2 =
-    sum_j |a_j| t_j^2 e_j, and a step of length h with |f| - |f'| h > M2 h^2/2
-    at one of its ends keeps f in a disc about that end's value that excludes
-    0: its principal argument is exact (Ying & Katz, Numer. Math. 53, 1988).
-    Every other step is bisected, for at most MAX_REFINE_ROUNDS rounds.  A
-    value that is 0, not finite, or at most 64 eps sum_j |a_j| e_j, where
-    rounding hides it, raises ValidationFailed, whose index names the contour.
+    points center + _contour_offsets(half_re, half_im), with (f, f') from
+    _contour_start there and from fourier_sum at bisection midpoints; all
+    contours are refined in one flat array tagged by contour.  On a rectangle
+    about y_c = Im center each |exp(i t_j zeta)| is at most
+    e_j = exp(|t_j| half_im - t_j y_c), so |f''| <= M2 = sum_j |a_j| t_j^2 e_j,
+    and a step of length h with |f| - |f'| h > M2 h^2/2 at one of its ends
+    keeps f in a disc about that end's value that excludes 0: its principal
+    argument is exact (Ying & Katz, Numer. Math. 53, 1988).  Every other step
+    is bisected, for at most MAX_REFINE_ROUNDS rounds.  A value that is 0,
+    not finite, or at most 64 eps sum_j |a_j| e_j, where rounding hides it,
+    raises ValidationFailed, whose index names the contour.
     """
     rows, centers = rows[:2], np.asarray(center, dtype=complex)
     flat = centers.reshape(-1)
     offsets, contours = _contour_offsets(half_re, half_im), np.arange(flat.size)
     z, tag = (flat[:, None] + offsets).ravel(), np.repeat(contours, offsets.size)
-    vals = (fourier_sum(rows, nodes, z) if start is None else start).reshape(2, -1)
+    vals = _contour_start(rows, nodes, flat, offsets).reshape(2, -1)
     grow = np.abs(rows[0]) * np.exp(half_im * np.abs(nodes) - np.outer(flat.imag, nodes))
     floor, half_m2 = 64.0 * np.finfo(float).eps * grow.sum(axis=1), 0.5 * grow @ (nodes * nodes)
     for rounds in range(MAX_REFINE_ROUNDS + 1):
@@ -336,19 +348,11 @@ def winding_number(ctx, center, half_re, half_im):
     G_c(zeta) = i zeta exp(-i c zeta) F(zeta), which does not turn as the
     body moves, so the contour's step count does not grow with translation.
     G_c has one zero more than F, at zeta = 0, taken off where the rectangle
-    contains it.  By the shift theorem the start values of each contour are
-    (rows exp(i t center)) @ exp(i t (x) offsets): one exponential per node
-    and a matrix product, unless the table would hold more than KERNEL_BLOCK
-    entries.  A rectangle that leaves the context's box raises PrecisionLoss.
+    contains it.  A rectangle leaving the context's box raises PrecisionLoss.
     """
     centers = np.asarray(center, dtype=complex)
-    offsets = _contour_offsets(half_re, half_im)
-    _check_zeta(ctx, centers[..., None] + offsets)
-    t, start = ctx.nodes, None
-    if centers.size and t.size * offsets.size <= KERNEL_BLOCK:
-        table = np.exp(np.outer(t, 1j * offsets))
-        start = np.stack([(ctx.rows * np.exp(1j * c * t)) @ table for c in centers.ravel()], 1)
-    wind = contour_winding(ctx.rows, t, centers, half_re, half_im, start)
+    _check_zeta(ctx, centers[..., None] + _contour_offsets(half_re, half_im))
+    wind = contour_winding(ctx.rows, ctx.nodes, centers, half_re, half_im)
     return wind - ((np.abs(centers.real) < half_re) & (np.abs(centers.imag) < half_im))
 
 

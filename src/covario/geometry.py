@@ -220,6 +220,8 @@ class SupportBody:
         if len(self.coeffs) > KMAX:
             raise NotC2Plus(f"at most {KMAX} harmonics supported")
         object.__setattr__(self, "coeffs", tuple((float(a), float(b)) for a, b in self.coeffs))
+        if np.shape(self.center) != (2,):
+            raise ValueError(f"center must be two numbers, got {self.center!r}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         ab = np.array(self.coeffs, dtype=float).reshape(-1, 2)
         if not np.isfinite([self.a0, *self.center, *ab.ravel()]).all():

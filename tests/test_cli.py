@@ -127,6 +127,20 @@ def test_non_finite_body_rejected(tmp_path, spec, capsys):
     assert captured.out == "" and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "disk", "center": [0], "radius": 1},
+    {"kind": "disk", "center": [0, 0, 5], "radius": 1},
+    {"kind": "support2d", "a0": 1.0, "coeffs": [], "center": [1]},
+    {"kind": "support2d", "a0": 1.0, "coeffs": [], "center": [1, 0, 0]},
+], ids=["disk-one", "disk-three", "support-one", "support-three"])
+def test_body_center_of_other_length_rejected(tmp_path, spec, capsys):
+    # one number raised an IndexError; a third number was dropped and the body passed
+    path = write_body(tmp_path, "c.json", spec)
+    assert main(["body-validate", "--body", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "center must be two numbers" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["radon", "--u", "nan"],
     ["radon", "--u", "0.0", "--num", "0"],
@@ -301,6 +315,43 @@ def test_recover_curvature_csv_is_pinned(tmp_path, cw3_file):
         "7e71f4121167059ba0986dc096788e144ece38cf98fdec10d5f3b097ebbb97af")
 
 
+def _child_env(**extra):
+    """The environment with extra set, in which a child sees src/ whether or
+    not the package is installed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src, **extra}
+
+
+def _cli_output(args, tmp_path, **env):
+    """Bytes of a covario run in a child process with env set, and of its --out file."""
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "covario.cli", *args, "--out", str(out)],
+                          capture_output=True, env=_child_env(**env), check=True)
+    return proc.stdout, out.read_bytes()
+
+
+def test_zeros_csv_is_pinned_across_blas_threads(tmp_path, cw3_file):
+    # the branch CSV of cw3, byte for byte, whatever thread count BLAS runs
+    # the winding start products on
+    digests = {hashlib.sha256(_cli_output(["zeros", "--body", cw3_file, "--u", "0.4",
+                                           "--m", "1..40"], tmp_path,
+                                          OPENBLAS_NUM_THREADS=blas)[1]).hexdigest()
+               for blas in ("1", "2")}
+    assert digests == {"51c335d74c9337e46b60230477672eec639dd9db9eea97a21c1e347779ef0791"}
+
+
+def test_kobayashi_json_is_pinned_across_thread_counts(tmp_path, cw3_file):
+    # the report of 12 directions, byte for byte, serial or on a two-worker
+    # pool, with one or two BLAS threads
+    digests = {hashlib.sha256(_cli_output(["kobayashi", "--body", cw3_file, "--m", "2..40",
+                                           "--u-grid", "12", "--json"], tmp_path,
+                                          OPENBLAS_NUM_THREADS=blas,
+                                          COVARIO_THREADS=workers)[0]).hexdigest()
+               for blas in ("1", "2") for workers in ("1", "2")}
+    assert digests == {"11a238ad15881439ef52b05b8f57ad7b723c9463aa83031b3b8ff61c8cf28226"}
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "matrix-identities", "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -336,11 +387,7 @@ def test_verify_golden_rows(argv, capsys):
 
 
 def test_console_entry_point():
-    # the child sees src/ whether or not the package is installed
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     proc = subprocess.run([sys.executable, "-m", "covario.cli", "verify",
-                           "matrix-identities"], capture_output=True, text=True, env=env)
+                           "matrix-identities"], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

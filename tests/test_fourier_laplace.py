@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from quadrature_reference import chord_ray_table
+from winding_reference import loop_start
 
 from covario import fourier_laplace
 from covario.asymptotics import kobayashi_report
@@ -350,12 +351,12 @@ def test_contour_winding_counts_powers():
 
 
 def _counting_sum(monkeypatch):
-    """Record the number of zetas of each fourier_sum call."""
+    """Record the zetas of each fourier_sum call."""
     calls = []
     kernel = fourier_laplace.fourier_sum
 
     def counting(rows, nodes, zetas):
-        calls.append(np.size(zetas))
+        calls.append(np.ravel(zetas))
         return kernel(rows, nodes, zetas)
 
     monkeypatch.setattr(fourier_laplace, "fourier_sum", counting)
@@ -364,10 +365,14 @@ def _counting_sum(monkeypatch):
 
 def test_contour_winding_refines_coarse_steps(monkeypatch):
     # on an 8 x 2 rectangle the start steps of (1 - exp(i zeta))^5, 0.8 long
-    # on the long sides, are too long for the step certificate
+    # on the long sides, are too long for the step certificate; the start
+    # values come from the shift-theorem table, so the first fourier_sum is
+    # of the first round's bisection midpoints
     calls = _counting_sum(monkeypatch)
     assert contour_winding(*_power_rows(5), 0j, 4.0, 1.0) == 5
-    assert calls[0] == 4 * fourier_laplace.CONTOUR_START + 1 and len(calls) > 1
+    starts = fourier_laplace._contour_offsets(4.0, 1.0)
+    assert len(calls) > 1
+    assert set(calls[0]) <= set(0.5 * (starts[1:] + starts[:-1]))
 
 
 def test_contour_winding_zero_on_contour():
@@ -382,7 +387,9 @@ def test_contour_winding_unresolved_raises(monkeypatch):
     calls = _counting_sum(monkeypatch)
     with pytest.raises(ValidationFailed, match="unresolved"):
         contour_winding(*_power_rows(1), complex(1.0 / 3.0, 1.0), 1.0, 1.0)
-    assert len(calls) == 1 + MAX_REFINE_ROUNDS
+    # one fourier_sum per round, of its midpoints; the start values come
+    # from the shift-theorem table
+    assert len(calls) == MAX_REFINE_ROUNDS
 
 
 # (1 - exp(i zeta))^k about 0: steps that turn by nearly a multiple of 2 pi
@@ -427,19 +434,6 @@ def test_contour_winding_never_miscounts(k, top, shift_re, shift_im, c_re, c_im,
 WIDE_CENTERS = (complex(0.3, 0.05), complex(7.9, -0.2), complex(-31.4, 0.3), complex(55.0, 0.1))
 
 
-def _capture_starts(monkeypatch):
-    """Record the start argument winding_number passes to contour_winding."""
-    starts = []
-    winding = fourier_laplace.contour_winding
-
-    def capturing(rows, nodes, center, half_re, half_im, start=None):
-        starts.append(start)
-        return winding(rows, nodes, center, half_re, half_im, start)
-
-    monkeypatch.setattr(fourier_laplace, "contour_winding", capturing)
-    return starts
-
-
 @pytest.mark.parametrize("name, centers", [
     ("cw3", WIDE_CENTERS),
     ("disk28", WIDE_CENTERS),
@@ -454,38 +448,72 @@ def test_contour_start_matches_transform(name, centers, monkeypatch):
     # the context holds the centred nodes t_j = s_j - c, c the support midpoint
     assert ctx.mid == 0.5 * (ctx.lo + ctx.hi) and np.all(np.abs(ctx.nodes) <= 0.5 * w + 1e-12)
     half_re, half_im = math.pi / (2.0 * w), 0.5 / w
-    offsets = fourier_laplace._contour_offsets(half_re, half_im)
-    starts = _capture_starts(monkeypatch)
-    counts = winding_number(ctx, np.array(centers), half_re, half_im)
-    assert counts.shape == (len(centers),) and len(starts) == 1
-    assert starts[0].shape == (2, len(centers), offsets.size)
+    offsets, centers = fourier_laplace._contour_offsets(half_re, half_im), np.array(centers)
+    start = fourier_laplace._contour_start(ctx.rows, ctx.nodes, centers, offsets)
+    assert start.shape == (2, len(centers), offsets.size)
+    # the stacked product returns the floats of the per-center loop
+    assert np.array_equal(start, loop_start(ctx, centers, half_re, half_im))
+    counts = winding_number(ctx, centers, half_re, half_im)
+    assert counts.shape == (len(centers),)
     for k, center in enumerate(centers):
         direct = fourier_sum(ctx.rows, ctx.nodes, center + offsets)
         scale = np.abs(ctx.rows).sum(axis=1, keepdims=True) * math.exp(0.5 * w * (abs(center.imag)
                                                                                  + half_im))
-        assert np.all(np.abs(starts[0][:, k] - direct) <= 1e-14 * scale)
+        assert np.all(np.abs(start[:, k] - direct) <= 1e-14 * scale)
         assert counts[k] == winding_number(ctx, center, half_re, half_im)
     # the first rectangle contains zeta = 0, the zero G_c adds to F
     assert abs(centers[0].real) < half_re and counts[0] == 0
     # start points come from the table: fourier_sum sees only refinement midpoints
-    seen = []
-    kernel = fourier_laplace.fourier_sum
-    monkeypatch.setattr(fourier_laplace, "fourier_sum",
-                        lambda rows, nodes, z: seen.extend(np.ravel(z)) or kernel(rows, nodes, z))
-    winding_number(ctx, np.array(centers), half_re, half_im)
-    assert not set(seen) & set((np.array(centers)[:, None] + offsets).ravel())
+    calls = _counting_sum(monkeypatch)
+    winding_number(ctx, centers, half_re, half_im)
+    assert not set(np.concatenate(calls or [[]])) & set((centers[:, None] + offsets).ravel())
+
+
+class _ExpShapes:
+    """numpy as fourier_laplace sees it, recording the shape of each np.exp argument."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.shapes.append(np.shape(x))
+        return np.exp(x, *args, **kwargs)
 
 
 def test_contour_start_table_stays_within_kernel_block(cw3, monkeypatch):
-    # a context whose table would hold more than KERNEL_BLOCK entries builds
-    # none: contour_winding sums its start points with fourier_sum
-    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", 1024)
     ctx = build_context(cw3, Direction(0.4), max_abs_zeta=40.0)
-    assert ctx.nodes.size * (4 * fourier_laplace.CONTOUR_START + 1) > 1024
-    starts = _capture_starts(monkeypatch)
+    n, w = ctx.nodes.size, ctx.body_width
+    offsets = fourier_laplace._contour_offsets(math.pi / (2.0 * w), 0.5 / w)
+    centers = np.array(kobayashi_center(cw3, np.arange(1, 101), ctx.u))
+    expected = loop_start(ctx, centers, math.pi / (2.0 * w), 0.5 / w)
+    # a table that just fits: the 100 contours' stacked factors come in
+    # products of at most KERNEL_BLOCK node-contour pairs, 41 contours each,
+    # with the floats of the per-center loop
+    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * offsets.size)
+    spy = _ExpShapes()
+    monkeypatch.setattr(fourier_laplace, "np", spy)
+    start = fourier_laplace._contour_start(ctx.rows, ctx.nodes, centers, offsets)
+    assert spy.shapes == [(n, offsets.size), (41, n), (41, n), (18, n)]
+    assert np.array_equal(start, expected)
+    # one entry more and no table is built: fourier_sum sums the start points
+    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * offsets.size - 1)
+    spy.shapes.clear()
+    calls = _counting_sum(monkeypatch)
+    start = fourier_laplace._contour_start(ctx.rows, ctx.nodes, centers, offsets)
+    assert (n, offsets.size) not in spy.shapes
+    assert len(calls) == 1 and np.array_equal(calls[0], (centers[:, None] + offsets).ravel())
+    assert np.array_equal(start, fourier_sum(ctx.rows, ctx.nodes, centers[:, None] + offsets))
+    # so does every branch winding of such a context
+    monkeypatch.setattr(fourier_laplace, "np", np)
+    calls.clear()
+    branches = track_branches(ctx, [3, 4, 5])
+    assert [b.m for b in branches] == [3, 4, 5]
+    points = (np.array([b.zeta for b in branches])[:, None] + offsets).ravel()
+    assert any(np.array_equal(z, points) for z in calls)
     assert track_zero(ctx, 5).validated
-    assert [b.m for b in track_branches(ctx, [3, 4, 5])] == [3, 4, 5]
-    assert starts == [None, None]
 
 
 def test_contour_winding_bound_is_sign_aware():

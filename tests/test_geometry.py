@@ -302,6 +302,18 @@ def test_smooth_body_rejects_non_finite(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Disk((0.0,), 1.0),
+    lambda: Disk((0.0, 0.0, 5.0), 1.0),
+    lambda: SupportBody(1.0, (), (1.0,)),
+    lambda: SupportBody(1.0, (), (1.0, 0.0, 0.0)),
+    lambda: SupportBody(1.0, (), 1.0),
+], ids=["disk-one", "disk-three", "support-one", "support-three", "support-scalar"])
+def test_smooth_body_center_is_two_numbers(build):
+    with pytest.raises(ValueError, match="center must be two numbers"):
+        build()
+
+
 def test_disk_is_the_series_h_equals_r():
     c, r = (0.3, -0.2), 1.3
     disk, series = Disk(c, r), SupportBody(r, (), c)
