@@ -118,27 +118,25 @@ def _positive_mean(p, q):
     return (total + span) ** 2 / (8.0 * np.maximum(span, _TINY))
 
 
-def polygon_intersection_area(p: Polygon, q: Polygon):
-    """Exact area of the intersection of two convex polygons."""
-    return _pair_area(p, q, (0.0, 0.0))
-
-
 def _pair_area(bodyA, bodyB, x):
     """lambda_2(A intersect (B + x)) at one point (see _areas)."""
     return float(_areas(bodyA, bodyB, np.reshape(np.asarray(x, dtype=float), (1, 2)))[0])
 
 
-def _smooth_self_pair(bodyA, bodyB):
-    return isinstance(bodyA, SupportBody) and bodyA == bodyB
+def _method(bodyA, bodyB):
+    """How _areas computes the pair: "exact-strip" for a smooth body with
+    itself, "exact-clip" for two polygons and "polyline-approx" for any other
+    pair, whose smooth bodies are replaced by inscribed APPROX_BOUNDARY_POINTS-gons."""
+    if isinstance(bodyA, SupportBody) and bodyA == bodyB:
+        return "exact-strip"
+    if isinstance(bodyA, Polygon) and isinstance(bodyB, Polygon):
+        return "exact-clip"
+    return "polyline-approx"
 
 
 def _areas(bodyA, bodyB, xs):
-    """lambda_2(A intersect (B + x)) for every row x of xs.
-
-    Exact for polygon pairs and for a smooth body with itself; a smooth body
-    met by another body is replaced by its inscribed APPROX_BOUNDARY_POINTS-gon.
-    """
-    if _smooth_self_pair(bodyA, bodyB):
+    """lambda_2(A intersect (B + x)) for every row x of xs, by _method."""
+    if _method(bodyA, bodyB) == "exact-strip":
         return _smooth_covariogram(bodyA, xs)
     return _chunked_areas(_clip_fan(bodyA), _clip_fan(bodyB), xs)
 
@@ -449,11 +447,8 @@ def _support_bbox(bodyH, bodyK):
 
 
 def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
-    """CovariogramGrid of g_{H,K} over the support bounding box.
-
-    method is "exact-clip" for polygon pairs, "exact-strip" for a smooth body
-    with itself and "polyline-approx" for any other pair with a smooth body.
-    """
+    """CovariogramGrid of g_{H,K} over the support bounding box; method is
+    _method's name for the pair."""
     if bbox is None:
         (x0, x1), (y0, y1) = _support_bbox(bodyH, bodyK)
     else:
@@ -464,15 +459,9 @@ def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
     yg = y0 + dy * np.arange(ny)
     xsv, ysv = np.meshgrid(xg, yg)
     pts = np.stack([xsv.ravel(), ysv.ravel()], axis=1)
-    if _smooth_self_pair(bodyH, bodyK):
-        method = "exact-strip"
-    elif isinstance(bodyH, Polygon) and isinstance(bodyK, Polygon):
-        method = "exact-clip"
-    else:
-        method = "polyline-approx"
     values = _areas(bodyH, bodyK, pts).reshape(ny, nx)
-    return CovariogramGrid((float(x0), float(y0)), (float(dx), float(dy)), nx, ny,
-                           values, method, (body_hash(bodyH), body_hash(bodyK)))
+    return CovariogramGrid((float(x0), float(y0)), (float(dx), float(dy)), nx, ny, values,
+                           _method(bodyH, bodyK), (body_hash(bodyH), body_hash(bodyK)))
 
 
 def covariogram_grid(body, nx=41, ny=41, bbox=None):

@@ -100,57 +100,49 @@ class RayTransformContext:
         return self.hi - self.lo
 
 
-def _rule_sizes(body, u, max_abs_zeta):
-    """Starting node counts: N for a smooth body, a Gauss-Legendre order per polygon edge.
+def _boundary_rule(body, u, max_abs_zeta):
+    """(sizes, rule): the starting size of the boundary rule and its builder.
 
-    exp(i zeta s(phi)) turns at most |zeta| max rho per unit of phi, so the
-    trapezoid rule needs N a little above max_abs_zeta max rho plus the top
-    harmonic; on an edge along which s changes by d the Gauss-Legendre order
-    needs a little over |zeta d|/4 points, rounded up to a multiple of 8 so that
-    few orders are ever computed.
-    """
-    if isinstance(body, Polygon):
-        drop = (np.roll(body.vertices, -1, axis=0) - body.vertices) @ u.u
-        return 8 * (np.ceil(max_abs_zeta * np.abs(drop) / 24.0).astype(int) + 1)
-    series = body.series
-    # rho = c0 + sum_k (1 - k^2)(a_k cos k phi + b_k sin k phi)
-    rho_max = series.c0 + float(np.abs(1.0 - series.k ** 2) @ np.hypot(series.a, series.b))
-    top = int(series.k.max()) if series.k.size else 0
-    return math.ceil(1.1 * max_abs_zeta * rho_max) + 24 + 6 * (top + 1)
-
-
-def _grow(sizes):
-    """The next rule of the growth sequence: ceil(5 N/4) trapezoid nodes, or
-    ceil(5 q/4) Gauss-Legendre points on each polygon edge."""
-    return -(-5 * sizes // 4)
-
-
-def _boundary_rule(body, u, sizes):
-    """Nodes s_j = <p_j, u> and amplitudes a_j = <n_j, u> ds_j of the boundary rule.
-
-    A smooth body gets the N-point trapezoid rule in the normal angle phi,
-    with ds = rho dphi; a polygon gets sizes[e] Gauss-Legendre points in arc
-    length on edge e.
+    rule(sizes) returns the nodes s_j = <p_j, u> and amplitudes
+    a_j = <n_j, u> ds_j.  A smooth body gets the N-point trapezoid rule in the
+    normal angle phi, with ds = rho dphi; exp(i zeta s(phi)) turns at most
+    |zeta| max rho per unit of phi, so N starts a little above
+    max_abs_zeta max rho plus the top harmonic.  A polygon gets sizes[e]
+    Gauss-Legendre points in arc length on edge e; on an edge along which s
+    changes by d the order starts a little over |zeta d|/4, rounded up to a
+    multiple of 8 so that few orders are ever computed.
     """
     if isinstance(body, Polygon):
         v = body.vertices
         edge = np.roll(v, -1, axis=0) - v
         start, drop, flux = v @ u.u, edge @ u.u, 0.5 * (edge @ u.perp)
-        rules = [gauss_legendre(int(q)) for q in sizes]
-        return (np.concatenate([s + 0.5 * (x + 1.0) * d
-                                for s, d, (x, _) in zip(start, drop, rules)]),
-                np.concatenate([f * w for f, (_, w) in zip(flux, rules)]))
+
+        def rule(sizes):
+            rules = [gauss_legendre(int(q)) for q in sizes]
+            return (np.concatenate([s + 0.5 * (x + 1.0) * d
+                                    for s, d, (x, _) in zip(start, drop, rules)]),
+                    np.concatenate([f * w for f, (_, w) in zip(flux, rules)]))
+
+        return 8 * (np.ceil(max_abs_zeta * np.abs(drop) / 24.0).astype(int) + 1), rule
     series = body.series
-    phi = np.arange(sizes) * (2.0 * math.pi / sizes)
-    return (series.offsets(phi, u.theta)[0] + np.dot(body.center, u.u),
-            (2.0 * math.pi / sizes) * np.cos(phi - u.theta) * series.terms(phi)[2])
+    # rho = c0 + sum_k (1 - k^2)(a_k cos k phi + b_k sin k phi)
+    rho_max = series.c0 + float(np.abs(1.0 - series.k ** 2) @ np.hypot(series.a, series.b))
+    top = int(series.k.max()) if series.k.size else 0
+
+    def rule(n):
+        phi = np.arange(n) * (2.0 * math.pi / n)
+        return (series.offsets(phi, u.theta)[0] + np.dot(body.center, u.u),
+                (2.0 * math.pi / n) * np.cos(phi - u.theta) * series.terms(phi)[2])
+
+    return math.ceil(1.1 * max_abs_zeta * rho_max) + 24 + 6 * (top + 1), rule
 
 
 def build_context(body, u: Direction, max_abs_zeta=200.0):
     """Boundary rule certified on the box |Re zeta| <= max_abs_zeta, |Im zeta| <= im_cap.
 
-    The node count starts at _rule_sizes and grows by _grow, a factor of
-    about 5/4, until two consecutive rules differ by at most
+    The sizes start where _boundary_rule puts them and grow to ceil(5 N/4)
+    trapezoid nodes, or ceil(5 q/4) Gauss-Legendre points per polygon edge,
+    until two consecutive rules differ by at most
     GAP_TOL area exp(IM_CAP_FACTOR/2) at the box's corners.  The rule with
     more nodes is kept: the error falls geometrically with the node count, so
     the gap bounds its error with room to spare, on the real axis too.  A
@@ -162,19 +154,19 @@ def build_context(body, u: Direction, max_abs_zeta=200.0):
     corners = np.array([complex(re, im) for re in (max_abs_zeta, -max_abs_zeta)
                         for im in (im_cap, -im_cap)])
     tol = GAP_TOL * area(body) * math.exp(IM_CAP_FACTOR / 2.0)
-    sizes = _rule_sizes(body, u, max_abs_zeta)
+    sizes, rule = _boundary_rule(body, u, max_abs_zeta)
     coarse = None
     while True:
         if np.sum(sizes) > MAX_NODES:
             raise PrecisionLoss(f"boundary rule needs more than {MAX_NODES} nodes "
                                 f"for |Re zeta| <= {max_abs_zeta:.3g}")
-        nodes, amps = _boundary_rule(body, u, sizes)
+        nodes, amps = rule(sizes)
         fine = fourier_sum(amps, nodes - mid, corners) / corners
         if coarse is not None:
             gap = float(np.max(np.abs(coarse - fine)))
             if gap <= tol:
                 break
-        sizes, coarse = _grow(sizes), fine
+        sizes, coarse = -(-5 * sizes // 4), fine
     t = nodes - mid
     powers = np.cumprod(np.broadcast_to(t, (SERIES_TERMS, t.size)), axis=0)
     moments = (powers @ amps) / np.cumprod(np.arange(1.0, SERIES_TERMS + 1.0))
@@ -285,14 +277,12 @@ def _raise_first(kind, bad, message):
 
 def _contour_start(rows, nodes, centers, offsets):
     """(f, f') at centers[:, None] + offsets, of shape (2, centers.size, offsets.size):
-    by the shift theorem (rows exp(i t c)) @ exp(i t (x) offsets) for each center c,
-    stacked for at most KERNEL_BLOCK node-contour pairs per product, which numpy
-    runs as one gemm per contour; fourier_sum if the table exceeds KERNEL_BLOCK entries."""
-    if not centers.size or nodes.size * offsets.size > KERNEL_BLOCK:
-        return fourier_sum(rows, nodes, centers[:, None] + offsets)
-    table, step = np.exp(np.outer(nodes, 1j * offsets)), max(1, KERNEL_BLOCK // nodes.size)
-    return np.concatenate([(rows * np.exp(1j * centers[i:i + step, None] * nodes)[:, None]) @ table
-                           for i in range(0, centers.size, step)]).transpose(1, 0, 2)
+    by the shift theorem fourier_sum(rows exp(i t c), nodes, offsets) for each
+    center c, stacked for at most KERNEL_BLOCK // nodes.size centers per call."""
+    step = max(1, KERNEL_BLOCK // nodes.size)
+    shifted = (rows * np.exp(1j * centers[i:i + step, None] * nodes)[:, None]
+               for i in range(0, max(centers.size, 1), step))
+    return np.concatenate([fourier_sum(r, nodes, offsets) for r in shifted]).transpose(1, 0, 2)
 
 
 def contour_winding(rows, nodes, center, half_re, half_im):
@@ -499,15 +489,14 @@ def autocorr_transform_table(body, u: Direction, max_freq):
 
     The integrand is the chord autocorrelation, whose transform, the
     fourier_sum of the amplitudes, equals flt_ray(zeta) * conj(flt_ray(conj zeta)).
+    Its panels are cut at the differences of the chord's ends and breakpoints;
+    a smooth body's only inner one is 0.
     """
     cf = chord_function(body, u)
-    w = cf.width
-    brks = [0.0]
-    if isinstance(body, Polygon):
-        knots = np.concatenate([[cf.lo], np.asarray(cf.breakpoints), [cf.hi]])
-        diffs = (knots[None, :] - knots[:, None]).ravel()
-        brks.extend(diffs.tolist())
-    nodes, weights = panel_table(-w, w, brks, max_freq=max_freq, osc_budget=OSC_BUDGET)
+    knots = np.concatenate([[cf.lo], np.asarray(cf.breakpoints), [cf.hi]])
+    diffs = (knots[None, :] - knots[:, None]).ravel()
+    nodes, weights = panel_table(-cf.width, cf.width, [0.0, *diffs], max_freq=max_freq,
+                                 osc_budget=OSC_BUDGET)
     return nodes, weights * chord_autocorrelation_batch(body, u, nodes)
 
 

@@ -49,10 +49,6 @@ class Direction:
     def antipode(self):
         return Direction((self.theta + math.pi) % (2.0 * math.pi))
 
-    @staticmethod
-    def from_vector(v):
-        return Direction(math.atan2(v[1], v[0]))
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -62,6 +58,9 @@ class Segment:
     q: tuple
 
     def __post_init__(self):
+        for end in (self.p, self.q):
+            if np.shape(end) != (2,):
+                raise ValueError(f"segment endpoint must be two numbers, got {end!r}")
         if np.allclose(self.p, self.q):
             raise ValueError("segment endpoints coincide")
 
@@ -386,6 +385,8 @@ def zonogon(center, generators):
     in c.  Parallel generators give collinear edges, which Polygon merges;
     fewer than two distinct directions raise DegenerateZonogon.
     """
+    if np.shape(center) != (2,):
+        raise ValueError(f"center must be two numbers, got {center!r}")
     if not generators:
         raise DegenerateZonogon("no generators")
     pq = np.array([(seg.p, seg.q) for seg in generators], dtype=float)
@@ -546,7 +547,11 @@ def body_from_spec(spec):
     if unknown:
         raise ValueError(f"unknown keys for {kind!r} body: {sorted(unknown)}")
     for key, value in spec.items():
-        if key != "kind" and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+        try:
+            finite = key == "kind" or np.isfinite(np.asarray(value, dtype=float)).all()
+        except ValueError:
+            finite = True  # a ragged value: the body's constructor names its bad shape
+        if not finite:
             raise ValueError(f"non-finite number in {key!r} of {kind!r} body")
     if kind == "polygon":
         v = np.asarray(spec["vertices"], dtype=float)

@@ -118,11 +118,6 @@ def chord_autocorrelation_batch(body, u: Direction, s_values):
     return out
 
 
-def chord_autocorrelation(body, u: Direction, s):
-    """Autocorrelation of the chord function at shift s (Radon transform of g_K)."""
-    return float(chord_autocorrelation_batch(body, u, [s])[0])
-
-
 def leading_coefficients(body, u: Direction):
     """Leading square-root coefficients (a0, b0) of the chord function at its endpoints.
 

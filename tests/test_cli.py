@@ -132,13 +132,32 @@ def test_non_finite_body_rejected(tmp_path, spec, capsys):
     {"kind": "disk", "center": [0, 0, 5], "radius": 1},
     {"kind": "support2d", "a0": 1.0, "coeffs": [], "center": [1]},
     {"kind": "support2d", "a0": 1.0, "coeffs": [], "center": [1, 0, 0]},
-], ids=["disk-one", "disk-three", "support-one", "support-three"])
+    {"kind": "zonogon", "center": [0], "generators": [[[-1, 0], [1, 0]], [[0, -1], [0, 1]]]},
+    {"kind": "zonogon", "center": [0, 0, 5], "generators": [[[-1, 0], [1, 0]], [[0, -1], [0, 1]]]},
+], ids=["disk-one", "disk-three", "support-one", "support-three", "zonogon-one", "zonogon-three"])
 def test_body_center_of_other_length_rejected(tmp_path, spec, capsys):
-    # one number raised an IndexError; a third number was dropped and the body passed
+    # one number raised an IndexError; a third number was dropped and the body
+    # passed; a zonogon's exited 2 with numpy's vstack text
     path = write_body(tmp_path, "c.json", spec)
     assert main(["body-validate", "--body", path, "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "center must be two numbers" in captured.err
+    assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("generators", [
+    [[[0, 0, 1], [1, 0]], [[0, -1], [0, 1]]],
+    [[[0, 0, 1], [1, 0, 1]], [[0, -1, 0], [0, 1, 0]]],
+], ids=["one-endpoint", "every-endpoint"])
+def test_zonogon_endpoint_of_other_length_rejected(tmp_path, generators, capsys):
+    # these exited 2 with numpy's array-shape or vstack text, which named no value
+    path = write_body(tmp_path, "z.json", {"kind": "zonogon", "center": [0, 0],
+                                           "generators": generators})
+    assert main(["body-validate", "--body", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "segment endpoint must be two numbers, got (0, 0, 1)" in captured.err
+    assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -350,6 +369,33 @@ def test_kobayashi_json_is_pinned_across_thread_counts(tmp_path, cw3_file):
                                           COVARIO_THREADS=workers)[0]).hexdigest()
                for blas in ("1", "2") for workers in ("1", "2")}
     assert digests == {"11a238ad15881439ef52b05b8f57ad7b723c9463aa83031b3b8ff61c8cf28226"}
+
+
+HEXAGON = {"kind": "polygon",
+           "vertices": [[0, 0], [2, 0], [2.5, 1], [1.5, 2], [0.2, 1.8], [-0.5, 0.8]]}
+
+
+@pytest.mark.parametrize("name, blas_counts, digest", [
+    ("cw3", ("1",), "900735905e4bc8651b7caa11ac3f1ef31532e88c1e636850442ff9fe3a704a2c"),
+    ("hexagon", ("1", "2"), "fc496bafee084e4c1800a7b8108ffd57790a7620f2704704d2285d4743830b73"),
+])
+def test_flt_csv_is_pinned(tmp_path, cw3_file, name, blas_counts, digest):
+    # the transform table, byte for byte; cw3's last digits still move with
+    # the BLAS thread count, the hexagon's do not
+    body = cw3_file if name == "cw3" else write_body(tmp_path, "hexagon.json", HEXAGON)
+    digests = {hashlib.sha256(_cli_output(["flt", "--body", body, "--u", "0.7", "--xi-max", "60"],
+                                          tmp_path, OPENBLAS_NUM_THREADS=blas)[1]).hexdigest()
+               for blas in blas_counts}
+    assert digests == {digest}
+
+
+def test_verify_all_json_is_pinned():
+    # every suite's report at seed 39, byte for byte, with one BLAS thread
+    proc = subprocess.run([sys.executable, "-m", "covario.cli", "verify", "all", "--seed", "39",
+                           "--json"], capture_output=True, env=_child_env(OPENBLAS_NUM_THREADS="1"),
+                          check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "48eda490861ceb1094fd242bdfbace7931c8caeb7658cb077a716fabeb13dead")
 
 
 def test_verify_exit_codes(capsys):

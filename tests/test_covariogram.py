@@ -21,7 +21,6 @@ from covario.covariogram import (
     cross_covariogram_grid,
     curvature_pair_from_covariogram,
     directional_derivative_origin,
-    polygon_intersection_area,
     sum_reciprocal_curvatures_from_width,
     support_of_crosscov,
 )
@@ -60,17 +59,17 @@ NEAR_CORNERS = SupportBody(1.0, ((0.0, 0.0), ((1.0 - 1e-4) / 3.0 * math.cos(0.2)
 
 
 def test_intersection_area_examples(unit_square):
-    assert abs(polygon_intersection_area(unit_square, unit_square) - 1.0) < 1e-14
+    assert abs(cross_covariogram(unit_square, unit_square, (0.0, 0.0)) - 1.0) < 1e-14
     shifted = translate(unit_square, (0.5, 0.0))
-    assert abs(polygon_intersection_area(unit_square, shifted) - 0.5) < 1e-14
+    assert abs(cross_covariogram(unit_square, shifted, (0.0, 0.0)) - 0.5) < 1e-14
     far = translate(unit_square, (5.0, 0.0))
-    assert polygon_intersection_area(unit_square, far) == 0.0
+    assert cross_covariogram(unit_square, far, (0.0, 0.0)) == 0.0
 
 
 def test_intersection_area_monte_carlo_oracle():
     tri = Polygon([(0, 0), (1, 0), (0, 1)])
     moved = translate(tri, (0.2, 0.2))
-    exact = polygon_intersection_area(tri, moved)
+    exact = cross_covariogram(tri, moved, (0.0, 0.0))
 
     def member(pts):
         def inside(p, verts):
@@ -355,7 +354,7 @@ def test_disjoint_and_touching_are_exactly_zero(unit_square):
     assert all(covariogram(unit_square, x) == 0.0 for x in xs)
     # sharing the slanted edge x + y = 2
     tri = Polygon([(0, 0), (2, 0), (0, 2)])
-    assert polygon_intersection_area(tri, Polygon([(2, 0), (2, 2), (0, 2)])) == 0.0
+    assert cross_covariogram(tri, Polygon([(2, 0), (2, 2), (0, 2)]), (0.0, 0.0)) == 0.0
 
 
 def test_chunked_smooth_grid_matches_points(cw3):
@@ -452,7 +451,7 @@ def test_supp_is_minkowski_sum(make_polygon):
             val = grid.values[iy, ix]
             probe = Polygon(np.array([p + [-eps, -eps], p + [eps, -eps],
                                       p + [eps, eps], p + [-eps, eps]]))
-            overlap = polygon_intersection_area(supp, probe)
+            overlap = cross_covariogram(supp, probe, (0.0, 0.0))
             if overlap == 0.0:
                 assert val == 0.0
             elif overlap >= (2 * eps) ** 2 * (1 - 1e-9):  # strictly interior

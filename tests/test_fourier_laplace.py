@@ -34,7 +34,7 @@ from covario.fourier_laplace import (
 )
 from covario.geometry import Direction, Disk, Polygon, SupportBody, area
 from covario.oracles import bessel_j1, bessel_j1_zero
-from covario.radon import chord_autocorrelation
+from covario.radon import chord_autocorrelation_batch
 
 E1 = Direction(0.0)
 
@@ -121,7 +121,9 @@ def test_boundary_rule_grows_until_gap_passes(cw3, monkeypatch):
     # start far too coarse: the rule grows by ceil(5N/4), 8 -> 10 -> 13 -> 17
     # -> ... -> 109 -> 137 -> 172 -> 215, and keeps the finer of the first
     # pair whose gap passes
-    monkeypatch.setattr(fourier_laplace, "_rule_sizes", lambda body, u, zeta: 8)
+    rule = fourier_laplace._boundary_rule
+    monkeypatch.setattr(fourier_laplace, "_boundary_rule",
+                        lambda body, u, zeta: (8, rule(body, u, zeta)[1]))
     ctx = build_context(cw3, Direction(0.4), max_abs_zeta=60.0)
     assert ctx.nodes.size in (172, 215)
     assert ctx.quadrature_gap <= GAP_TOL * area(cw3) * math.exp(IM_CAP_FACTOR / 2.0)
@@ -132,9 +134,14 @@ def test_boundary_rule_node_cap_raises_before_building(cw3, monkeypatch):
     built = []
     rule = fourier_laplace._boundary_rule
 
-    def counting_rule(body, u, sizes):
-        built.append(int(np.sum(sizes)))
-        return rule(body, u, sizes)
+    def counting_rule(body, u, max_abs_zeta):
+        sizes, build = rule(body, u, max_abs_zeta)
+
+        def counting_build(sizes):
+            built.append(int(np.sum(sizes)))
+            return build(sizes)
+
+        return sizes, counting_build
 
     monkeypatch.setattr(fourier_laplace, "_boundary_rule", counting_rule)
     monkeypatch.setattr(fourier_laplace, "MAX_NODES", 64)
@@ -366,13 +373,14 @@ def _counting_sum(monkeypatch):
 def test_contour_winding_refines_coarse_steps(monkeypatch):
     # on an 8 x 2 rectangle the start steps of (1 - exp(i zeta))^5, 0.8 long
     # on the long sides, are too long for the step certificate; the start
-    # values come from the shift-theorem table, so the first fourier_sum is
-    # of the first round's bisection midpoints
+    # values take the shift theorem, so the first fourier_sum is of the 41
+    # start offsets and the second of the first round's bisection midpoints
     calls = _counting_sum(monkeypatch)
     assert contour_winding(*_power_rows(5), 0j, 4.0, 1.0) == 5
     starts = fourier_laplace._contour_offsets(4.0, 1.0)
-    assert len(calls) > 1
-    assert set(calls[0]) <= set(0.5 * (starts[1:] + starts[:-1]))
+    assert len(calls) > 2
+    assert np.array_equal(calls[0], starts)
+    assert set(calls[1]) <= set(0.5 * (starts[1:] + starts[:-1]))
 
 
 def test_contour_winding_zero_on_contour():
@@ -387,9 +395,9 @@ def test_contour_winding_unresolved_raises(monkeypatch):
     calls = _counting_sum(monkeypatch)
     with pytest.raises(ValidationFailed, match="unresolved"):
         contour_winding(*_power_rows(1), complex(1.0 / 3.0, 1.0), 1.0, 1.0)
-    # one fourier_sum per round, of its midpoints; the start values come
-    # from the shift-theorem table
-    assert len(calls) == MAX_REFINE_ROUNDS
+    # one fourier_sum for the start values, then one per round, of its
+    # midpoints
+    assert len(calls) == MAX_REFINE_ROUNDS + 1
 
 
 # (1 - exp(i zeta))^k about 0: steps that turn by nearly a multiple of 2 pi
@@ -463,10 +471,12 @@ def test_contour_start_matches_transform(name, centers, monkeypatch):
         assert counts[k] == winding_number(ctx, center, half_re, half_im)
     # the first rectangle contains zeta = 0, the zero G_c adds to F
     assert abs(centers[0].real) < half_re and counts[0] == 0
-    # start points come from the table: fourier_sum sees only refinement midpoints
+    # the start values take the shift theorem: fourier_sum sums at the
+    # offsets about 0, never at a start point itself
     calls = _counting_sum(monkeypatch)
     winding_number(ctx, centers, half_re, half_im)
-    assert not set(np.concatenate(calls or [[]])) & set((centers[:, None] + offsets).ravel())
+    assert np.array_equal(calls[0], offsets)
+    assert not set(np.concatenate(calls)) & set((centers[:, None] + offsets).ravel())
 
 
 class _ExpShapes:
@@ -486,34 +496,32 @@ class _ExpShapes:
 def test_contour_start_table_stays_within_kernel_block(cw3, monkeypatch):
     ctx = build_context(cw3, Direction(0.4), max_abs_zeta=40.0)
     n, w = ctx.nodes.size, ctx.body_width
-    offsets = fourier_laplace._contour_offsets(math.pi / (2.0 * w), 0.5 / w)
+    half_re, half_im = math.pi / (2.0 * w), 0.5 / w
+    offsets = fourier_laplace._contour_offsets(half_re, half_im)
     centers = np.array(kobayashi_center(cw3, np.arange(1, 101), ctx.u))
-    expected = loop_start(ctx, centers, math.pi / (2.0 * w), 0.5 / w)
-    # a table that just fits: the 100 contours' stacked factors come in
-    # products of at most KERNEL_BLOCK node-contour pairs, 41 contours each,
-    # with the floats of the per-center loop
-    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * offsets.size)
+    expected = loop_start(ctx, centers, half_re, half_im)
+    direct = fourier_sum(ctx.rows, ctx.nodes, centers[:, None] + offsets)
+    scale = (np.abs(ctx.rows).sum(axis=1)[:, None, None]
+             * np.exp(0.5 * w * (np.abs(centers.imag) + half_im))[:, None])
+    branches = track_branches(ctx, [3, 4, 5])
     spy = _ExpShapes()
+    # a block that just fits 41 contours: each call's shifted factor
+    # exp(i t c), (centers, n), and fourier_sum's table, (n, 41), hold at
+    # most KERNEL_BLOCK entries, with the floats of the per-center loop
+    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * offsets.size)
     monkeypatch.setattr(fourier_laplace, "np", spy)
     start = fourier_laplace._contour_start(ctx.rows, ctx.nodes, centers, offsets)
-    assert spy.shapes == [(n, offsets.size), (41, n), (41, n), (18, n)]
+    assert spy.shapes == [(41, n), (n, 41), (41, n), (n, 41), (18, n), (n, 41)]
     assert np.array_equal(start, expected)
-    # one entry more and no table is built: fourier_sum sums the start points
+    # one entry less: 40 contours a call, and fourier_sum splits the offsets
     monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * offsets.size - 1)
     spy.shapes.clear()
-    calls = _counting_sum(monkeypatch)
     start = fourier_laplace._contour_start(ctx.rows, ctx.nodes, centers, offsets)
-    assert (n, offsets.size) not in spy.shapes
-    assert len(calls) == 1 and np.array_equal(calls[0], (centers[:, None] + offsets).ravel())
-    assert np.array_equal(start, fourier_sum(ctx.rows, ctx.nodes, centers[:, None] + offsets))
-    # so does every branch winding of such a context
+    assert spy.shapes == 2 * [(40, n), (n, 40), (n, 1)] + [(20, n), (n, 40), (n, 1)]
+    assert np.all(np.abs(start - direct) <= 1e-14 * scale)
+    # every branch winding of such a context counts as before
     monkeypatch.setattr(fourier_laplace, "np", np)
-    calls.clear()
-    branches = track_branches(ctx, [3, 4, 5])
-    assert [b.m for b in branches] == [3, 4, 5]
-    points = (np.array([b.zeta for b in branches])[:, None] + offsets).ravel()
-    assert any(np.array_equal(z, points) for z in calls)
-    assert track_zero(ctx, 5).validated
+    assert track_branches(ctx, [3, 4, 5]) == branches
 
 
 def test_contour_winding_bound_is_sign_aware():
@@ -695,7 +703,8 @@ def test_factorization_identity(unit_disk, centered_square):
     xi = np.array([0.0])
     rep = verify_factorization(unit_disk, E1, xi)
     assert rep.passed
-    ac0 = chord_autocorrelation(unit_disk, E1, 0.0)
+    # the autocorrelation at 0 is the integral of S^2 = 4 (1 - t^2) over [-1, 1]
+    assert abs(chord_autocorrelation_batch(unit_disk, E1, [0.0])[0] - 16.0 / 3.0) < 1e-12
     ctx = build_context(centered_square, E1, max_abs_zeta=10.0)
     assert abs(abs(flt_ray(ctx, 2 * math.pi)) ** 2) < 1e-20
     xi = np.linspace(0.0, 50.0, 256)

@@ -17,7 +17,6 @@ from covario.geometry import (
     polygonal_approximation,
 )
 from covario.radon import (
-    chord_autocorrelation,
     chord_autocorrelation_batch,
     chord_function,
     leading_coefficients,
@@ -82,8 +81,8 @@ def test_chord_nonnegative_and_supported(cw3):
 
 
 def test_autocorrelation_square(unit_square):
-    assert abs(chord_autocorrelation(unit_square, E1, 0.0) - 1.0) < 1e-12
-    assert chord_autocorrelation(unit_square, E1, 1.5) == 0.0
+    assert abs(chord_autocorrelation_batch(unit_square, E1, [0.0])[0] - 1.0) < 1e-12
+    assert chord_autocorrelation_batch(unit_square, E1, [1.5])[0] == 0.0
 
 
 def test_autocorrelation_even_and_peaked(unit_disk, cw3):
@@ -92,14 +91,14 @@ def test_autocorrelation_even_and_peaked(unit_disk, cw3):
         plus = chord_autocorrelation_batch(body, E1, svals)
         minus = chord_autocorrelation_batch(body, E1, -svals)
         assert np.abs(plus - minus).max() < 1e-10
-        peak = chord_autocorrelation(body, E1, 0.0)
+        peak = chord_autocorrelation_batch(body, E1, [0.0])[0]
         assert np.all(plus <= peak + 1e-12)
 
 
 def test_autocorrelation_matches_radon_of_covariogram(unit_disk):
     """The chord autocorrelation is the Radon transform of g_K in the same direction."""
     s = 1.0
-    direct = chord_autocorrelation(unit_disk, E1, s)
+    direct = chord_autocorrelation_batch(unit_disk, E1, [s])[0]
     # independent route: line integral of the clipping-based covariogram
     ext = math.sqrt(4.0 - s * s)
     nodes, weights = panel_table(-ext, ext, [0.0])
