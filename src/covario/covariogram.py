@@ -33,9 +33,9 @@ from covario.geometry import (
 
 # inscribed n-gon standing in for a smooth body met by another body
 APPROX_BOUNDARY_POINTS = 4096
-# the slicing kernel holds a few dozen arrays of (points x knots) values;
-# batches run in chunks of about this many knots, which keep them in cache
-CHUNK_KNOTS = 2 ** 11
+# a slicing call holds about 8 floats per knot and shift and 17 per knot and
+# column; it takes about this many knot x shift elements at most
+CHUNK_KNOTS = 2 ** 16
 
 
 class FitFailed(Exception):
@@ -48,27 +48,29 @@ def _clip_fan(body):
     return slice_table(polygonal_approximation(body, APPROX_BOUNDARY_POINTS).vertices)
 
 
-def _slice_areas(table_a, table_b, xs):
-    """area(A intersect (B + x)) for every row x of xs, from the slice tables of A and B.
+def _slice_areas(table_a, table_b, dx, dy):
+    """area(A intersect (B + (dx[i], dy[i, j]))) at shape (m, k), from the
+    slice tables of A and B: column i holds the shifts of one x-shift dx[i].
 
     On each vertical line the bodies meet in the segment from max(a_A, a_B + y)
     to min(b_A, b_B + y), a and b the lower and upper boundaries.  Between knots
     of A and B + x its length is linear except where the lower or the upper
     boundaries cross, so its positive part integrates exactly piece by piece.
+    The knots and lines depend on dx alone, so they are merged once a column.
     """
     (knots_a, lines_a), (knots_b, lines_b) = table_a, table_b
-    xs = np.asarray(xs, dtype=float).reshape(-1, 2)
-    rows = np.arange(xs.shape[0])[:, None]
-    dx, dy = xs[:, :1], xs[:, 1:]
+    dx = np.asarray(dx, dtype=float)[:, None]
+    dy = np.asarray(dy, dtype=float)[:, :, None]
+    cols = np.arange(dx.shape[0])[:, None]
     shifted = knots_b + dx
     # merge without sorting: each knot of B + x goes right after the knots of A
     # at or left of it, and A's knots fill the other places in order
     at_b = knots_a.searchsorted(shifted, side="right") + np.arange(knots_b.size)
-    is_a = np.ones((xs.shape[0], knots_a.size + knots_b.size), dtype=bool)
-    is_a[rows, at_b] = False
+    is_a = np.ones((dx.shape[0], knots_a.size + knots_b.size), dtype=bool)
+    is_a[cols, at_b] = False
     knots = np.empty(is_a.shape)
-    knots[is_a] = np.tile(knots_a, xs.shape[0])
-    knots[rows, at_b] = shifted
+    knots[is_a] = np.tile(knots_a, dx.shape[0])
+    knots[cols, at_b] = shifted
     # the lines of A and of B + x on the interval right of each knot, from the
     # number of A's knots up to it
     n_a = is_a[:, :-1].cumsum(axis=1)
@@ -78,34 +80,43 @@ def _slice_areas(table_a, table_b, xs):
     # onto one point when the ranges are disjoint
     knots = np.minimum(np.maximum(knots, np.maximum(knots_a[0], shifted[:, :1])),
                        np.minimum(knots_a[-1], shifted[:, -1:]))
+    # so an interval outside it has no width and adds an exact 0 to the
+    # area: only the run of intervals of positive width in some column is read
+    areas = np.zeros((dy.shape[0], dy.shape[1], n_a.shape[1]))
+    wide = np.flatnonzero((knots[:, 1:] > knots[:, :-1]).any(axis=0))
+    if not wide.size:
+        return areas.sum(axis=2)
+    lo, hi = wide[0], wide[-1] + 1
+    knots, ka, kb, live = knots[:, lo:hi + 1], ka[:, lo:hi], kb[:, lo:hi], areas[:, :, lo:hi]
     # (lower, upper) x (left, right end) of every interval, for A and for B + x,
     # each read on the interval's own line: a near-vertical edge is a line too
-    # steep to read anywhere but on its own ulp-wide interval
+    # steep to read anywhere but on its own ulp-wide interval; a column's
+    # values of A and of B before + dy have a shift axis of length 1
     ends = np.array([knots[:, :-1], knots[:, 1:]])
     la, lb = lines_a[:, ka], lines_b[:, kb]
-    va = la[0::2, None] + la[1::2, None] * (ends - knots_a[ka])
-    vb = lb[0::2, None] + lb[1::2, None] * (ends - dx - knots_b[kb]) + dy
-    width = ends[1] - ends[0]
-    p, q = np.minimum(va[1], vb[1]) - np.maximum(va[0], vb[0])
-    areas = width * _positive_mean(p, q)
+    va = (la[0::2, None] + la[1::2, None] * (ends - knots_a[ka]))[:, :, :, None]
+    vb = (lb[0::2, None] + lb[1::2, None] * (ends - dx - knots_b[kb]))[:, :, :, None] + dy
+    width = (ends[1] - ends[0])[:, None]
     # the length is linear on an interval unless the lower or the upper
     # boundaries cross inside it: split only those intervals, at the crossings
-    d = va - vb
-    turns = d[:, 0] * d[:, 1] < 0.0
-    i, j = ((turns[0] | turns[1]) & (width > 0.0)).nonzero()
+    turns = (va - vb).prod(axis=1) < 0.0
+    pq = np.minimum(va[1], vb[1])
+    pq -= np.maximum(va[0], vb[0])
+    live[...] = width * _positive_mean(*pq)
+    i, j, l = ((turns[0] | turns[1]) & (width > 0.0)).nonzero()
     if i.size:
-        va, vb = va[:, :, i, j], vb[:, :, i, j]
+        va, vb = va[:, :, i, 0, l], vb[:, :, i, j, l]
         d = va - vb
         s = np.zeros((4, i.size))
-        np.divide(d[:, 0], d[:, 0] - d[:, 1], out=s[1:3], where=turns[:, i, j])
+        np.divide(d[:, 0], d[:, 0] - d[:, 1], out=s[1:3], where=turns[:, i, j, l])
         s[1:3].sort(axis=0)
         s[3] = 1.0
         fa = va[:, :1] + s * (va[:, 1:] - va[:, :1])
         fb = vb[:, :1] + s * (vb[:, 1:] - vb[:, :1])
         cut = np.minimum(fa[1], fb[1]) - np.maximum(fa[0], fb[0])
         pieces = (s[1:] - s[:-1]) * _positive_mean(cut[:-1], cut[1:])
-        areas[i, j] = width[i, j] * pieces.sum(axis=0)
-    return areas.sum(axis=1)
+        live[i, j, l] = width[i, 0, l] * pieces.sum(axis=0)
+    return areas.sum(axis=2)
 
 
 _TINY = np.finfo(float).tiny
@@ -138,7 +149,7 @@ def _areas(bodyA, bodyB, xs):
     """lambda_2(A intersect (B + x)) for every row x of xs, by _method."""
     if _method(bodyA, bodyB) == "exact-strip":
         return _smooth_covariogram(bodyA, xs)
-    return _chunked_areas(_clip_fan(bodyA), _clip_fan(bodyB), xs)
+    return _point_areas(_clip_fan(bodyA), _clip_fan(bodyB), xs)
 
 
 def covariogram(body, x):
@@ -171,16 +182,28 @@ def cross_covariogram(bodyA, bodyB, x):
 
 def clip_areas_batch(subject_vertices, clip_vertices, xs):
     """Areas of subject intersect (clip + x) for every row x of xs, in vectorized chunks."""
-    return _chunked_areas(slice_table(subject_vertices), slice_table(clip_vertices), xs)
+    return _point_areas(slice_table(subject_vertices), slice_table(clip_vertices), xs)
 
 
-def _chunked_areas(table_a, table_b, xs):
-    """_slice_areas over the rows of xs, in chunks of about CHUNK_KNOTS knots."""
+def _point_areas(table_a, table_b, xs):
+    """_chunked_areas at every row x of xs, each a column of one shift."""
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
-    chunk = max(1, CHUNK_KNOTS // (table_a[0].size + table_b[0].size))
-    out = np.empty(xs.shape[0])
-    for i in range(0, xs.shape[0], chunk):
-        out[i:i + chunk] = _slice_areas(table_a, table_b, xs[i:i + chunk])
+    return _chunked_areas(table_a, table_b, xs[:, 0], xs[:, 1:])[:, 0]
+
+
+def _chunked_areas(table_a, table_b, dx, dy):
+    """_slice_areas over the columns (dx, dy): whole columns while they fit
+    in a call, else one column with its shifts split.  A call takes about
+    CHUNK_KNOTS knot x shift elements at most, each column counted as two
+    more shifts, the memory its merged knots and lines hold."""
+    knots = table_a[0].size + table_b[0].size
+    rows = max(1, min(dy.shape[1], CHUNK_KNOTS // knots - 2))
+    cols = max(1, CHUNK_KNOTS // (knots * (rows + 2)))
+    out = np.empty(dy.shape)
+    for i in range(0, dy.shape[0], cols):
+        for j in range(0, dy.shape[1], rows):
+            out[i:i + cols, j:j + rows] = _slice_areas(table_a, table_b, dx[i:i + cols],
+                                                       dy[i:i + cols, j:j + rows])
     return out
 
 
@@ -448,7 +471,12 @@ def _support_bbox(bodyH, bodyK):
 
 def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
     """CovariogramGrid of g_{H,K} over the support bounding box; method is
-    _method's name for the pair."""
+    _method's name for the pair.
+
+    A pair that goes through chord slicing is sliced a grid column at a
+    time: the knots of H and K + x are merged once for each x-shift and
+    serve every y-shift of the column (_slice_areas).
+    """
     if bbox is None:
         (x0, x1), (y0, y1) = _support_bbox(bodyH, bodyK)
     else:
@@ -457,11 +485,16 @@ def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
     dy = (y1 - y0) / (ny - 1)
     xg = x0 + dx * np.arange(nx)
     yg = y0 + dy * np.arange(ny)
-    xsv, ysv = np.meshgrid(xg, yg)
-    pts = np.stack([xsv.ravel(), ysv.ravel()], axis=1)
-    values = _areas(bodyH, bodyK, pts).reshape(ny, nx)
+    method = _method(bodyH, bodyK)
+    if method == "exact-strip":
+        xsv, ysv = np.meshgrid(xg, yg)
+        pts = np.stack([xsv.ravel(), ysv.ravel()], axis=1)
+        values = _smooth_covariogram(bodyH, pts).reshape(ny, nx)
+    else:
+        values = _chunked_areas(_clip_fan(bodyH), _clip_fan(bodyK), xg,
+                                np.broadcast_to(yg, (nx, ny))).T
     return CovariogramGrid((float(x0), float(y0)), (float(dx), float(dy)), nx, ny, values,
-                           _method(bodyH, bodyK), (body_hash(bodyH), body_hash(bodyK)))
+                           method, (body_hash(bodyH), body_hash(bodyK)))
 
 
 def covariogram_grid(body, nx=41, ny=41, bbox=None):

@@ -50,6 +50,14 @@ class Direction:
         return Direction((self.theta + math.pi) % (2.0 * math.pi))
 
 
+def _is_pair(value):
+    """Whether value has the shape of two numbers; a ragged value has none."""
+    try:
+        return np.shape(value) == (2,)
+    except ValueError:
+        return False
+
+
 @dataclass(frozen=True)
 class Segment:
     """Segment [p, q] in the plane, used as a zonogon generator."""
@@ -59,7 +67,7 @@ class Segment:
 
     def __post_init__(self):
         for end in (self.p, self.q):
-            if np.shape(end) != (2,):
+            if not _is_pair(end):
                 raise ValueError(f"segment endpoint must be two numbers, got {end!r}")
         if np.allclose(self.p, self.q):
             raise ValueError("segment endpoints coincide")
@@ -91,7 +99,7 @@ def _canonicalize_vertices(vertices):
         if v.shape[0] < 3:
             raise ValueError("polygon degenerates after collinear removal")
         prev = v[np.arange(v.shape[0]) - 1]
-        nxt = np.roll(v, -1, axis=0)
+        nxt = v[np.arange(1 - v.shape[0], 1)]
         e1 = v - prev
         e2 = nxt - v
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
@@ -105,12 +113,13 @@ def _canonicalize_vertices(vertices):
     if v.shape[0] < 3 or _shoelace(v) <= 0:
         raise ValueError("vertices do not form a convex polygon with positive area")
     start = np.lexsort((v[:, 1], v[:, 0]))[0]
-    return np.ascontiguousarray(np.roll(v, -start, axis=0))
+    return v[(np.arange(v.shape[0]) + start) % v.shape[0]]
 
 
 def _shoelace(v):
     x, y = v[:, 0], v[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    nxt = np.arange(1 - v.shape[0], 1)
+    return 0.5 * np.sum(x * y[nxt] - x[nxt] * y)
 
 
 class Polygon:
@@ -219,7 +228,7 @@ class SupportBody:
         if len(self.coeffs) > KMAX:
             raise NotC2Plus(f"at most {KMAX} harmonics supported")
         object.__setattr__(self, "coeffs", tuple((float(a), float(b)) for a, b in self.coeffs))
-        if np.shape(self.center) != (2,):
+        if not _is_pair(self.center):
             raise ValueError(f"center must be two numbers, got {self.center!r}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         ab = np.array(self.coeffs, dtype=float).reshape(-1, 2)
@@ -385,7 +394,7 @@ def zonogon(center, generators):
     in c.  Parallel generators give collinear edges, which Polygon merges;
     fewer than two distinct directions raise DegenerateZonogon.
     """
-    if np.shape(center) != (2,):
+    if not _is_pair(center):
         raise ValueError(f"center must be two numbers, got {center!r}")
     if not generators:
         raise DegenerateZonogon("no generators")

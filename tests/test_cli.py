@@ -134,10 +134,15 @@ def test_non_finite_body_rejected(tmp_path, spec, capsys):
     {"kind": "support2d", "a0": 1.0, "coeffs": [], "center": [1, 0, 0]},
     {"kind": "zonogon", "center": [0], "generators": [[[-1, 0], [1, 0]], [[0, -1], [0, 1]]]},
     {"kind": "zonogon", "center": [0, 0, 5], "generators": [[[-1, 0], [1, 0]], [[0, -1], [0, 1]]]},
-], ids=["disk-one", "disk-three", "support-one", "support-three", "zonogon-one", "zonogon-three"])
+    {"kind": "disk", "center": [0, [1, 2]], "radius": 1},
+    {"kind": "support2d", "a0": 1.0, "coeffs": [], "center": [0, [1, 2]]},
+    {"kind": "zonogon", "center": [0, [1, 2]], "generators": [[[-1, 0], [1, 0]], [[0, -1], [0, 1]]]},
+], ids=["disk-one", "disk-three", "support-one", "support-three", "zonogon-one", "zonogon-three",
+        "disk-ragged", "support-ragged", "zonogon-ragged"])
 def test_body_center_of_other_length_rejected(tmp_path, spec, capsys):
     # one number raised an IndexError; a third number was dropped and the body
-    # passed; a zonogon's exited 2 with numpy's vstack text
+    # passed; a zonogon's exited 2 with numpy's vstack text; a ragged center
+    # exited 2 with numpy's "inhomogeneous shape" text
     path = write_body(tmp_path, "c.json", spec)
     assert main(["body-validate", "--body", path, "--json"]) == 2
     captured = capsys.readouterr()
@@ -145,18 +150,20 @@ def test_body_center_of_other_length_rejected(tmp_path, spec, capsys):
     assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("generators", [
-    [[[0, 0, 1], [1, 0]], [[0, -1], [0, 1]]],
-    [[[0, 0, 1], [1, 0, 1]], [[0, -1, 0], [0, 1, 0]]],
-], ids=["one-endpoint", "every-endpoint"])
-def test_zonogon_endpoint_of_other_length_rejected(tmp_path, generators, capsys):
-    # these exited 2 with numpy's array-shape or vstack text, which named no value
+@pytest.mark.parametrize("generators, shown", [
+    ([[[0, 0, 1], [1, 0]], [[0, -1], [0, 1]]], "(0, 0, 1)"),
+    ([[[0, 0, 1], [1, 0, 1]], [[0, -1, 0], [0, 1, 0]]], "(0, 0, 1)"),
+    ([[[-1, [0, 1]], [1, 0]], [[0, -1], [0, 1]]], "(-1, [0, 1])"),
+], ids=["one-endpoint", "every-endpoint", "ragged-endpoint"])
+def test_zonogon_endpoint_of_other_length_rejected(tmp_path, generators, shown, capsys):
+    # these exited 2 with numpy's array-shape, inhomogeneous-shape or vstack
+    # text, which named no value
     path = write_body(tmp_path, "z.json", {"kind": "zonogon", "center": [0, 0],
                                            "generators": generators})
     assert main(["body-validate", "--body", path, "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "segment endpoint must be two numbers, got (0, 0, 1)" in captured.err
+    assert f"segment endpoint must be two numbers, got {shown}" in captured.err
     assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
 
 
@@ -390,12 +397,34 @@ def test_flt_csv_is_pinned(tmp_path, cw3_file, name, blas_counts, digest):
 
 
 def test_verify_all_json_is_pinned():
-    # every suite's report at seed 39, byte for byte, with one BLAS thread
-    proc = subprocess.run([sys.executable, "-m", "covario.cli", "verify", "all", "--seed", "39",
-                           "--json"], capture_output=True, env=_child_env(OPENBLAS_NUM_THREADS="1"),
-                          check=True)
-    assert hashlib.sha256(proc.stdout).hexdigest() == (
-        "48eda490861ceb1094fd242bdfbace7931c8caeb7658cb077a716fabeb13dead")
+    # every suite's report at seed 39, byte for byte, with one or two BLAS threads
+    digests = {hashlib.sha256(subprocess.run(
+        [sys.executable, "-m", "covario.cli", "verify", "all", "--seed", "39", "--json"],
+        capture_output=True, env=_child_env(OPENBLAS_NUM_THREADS=blas), check=True).stdout
+    ).hexdigest() for blas in ("1", "2")}
+    assert digests == {"48eda490861ceb1094fd242bdfbace7931c8caeb7658cb077a716fabeb13dead"}
+
+
+PARALLELOGRAMS = ({"kind": "polygon", "vertices": [[0, 0], [2, 0], [2.6, 1], [0.6, 1]]},
+                  {"kind": "polygon", "vertices": [[0, 0], [1, 0.5], [1.3, 1.7], [0.3, 1.2]]})
+
+
+@pytest.mark.parametrize("pair, grid, digest", [
+    ("parallelograms", "41x41", "84cccb4bad2256816417a5be4c3be3a70a6a2f06c3544e8bc2beeead5edbda39"),
+    ("cw3-disk", "21x21", "c86e4366eaaf448985903bf0fed0829fd028fcb2f5e7ce5251a8dda61523ab6e"),
+], ids=["parallelograms", "cw3-disk"])
+def test_crosscov_csv_is_pinned(tmp_path, cw3_file, pair, grid, digest):
+    # the cross-covariogram grid, byte for byte, of two polygons and of a
+    # smooth body against a disk (their inscribed 4096-gons)
+    if pair == "parallelograms":
+        bodies = [write_body(tmp_path, f"{name}.json", spec)
+                  for name, spec in zip("hk", PARALLELOGRAMS)]
+    else:
+        bodies = [cw3_file, write_body(tmp_path, "disk.json",
+                                       {"kind": "disk", "center": [0.1, 0], "radius": 0.9})]
+    out = _cli_output(["crosscov", "--body", bodies[0], "--body2", bodies[1], "--grid", grid],
+                      tmp_path)[1]
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_verify_exit_codes(capsys):

@@ -9,7 +9,9 @@ import covario.covariogram as covariogram_module
 from clip_oracle import oracle_area
 from covario.cli import _random_family_params
 from covario.covariogram import (
+    CHUNK_KNOTS,
     FitFailed,
+    _clip_fan,
     _pair_area,
     cap_pair,
     cap_pairs,
@@ -37,11 +39,13 @@ from covario.geometry import (
     example_pair,
     polygonal_approximation,
     reflect,
+    slice_table,
     translate,
     width,
     zonogon,
 )
 from covario.oracles import mc_area
+from slice_reference import _chunked_areas as point_chunked_areas
 from strip_reference import loop_cap_pair, loop_caps
 
 E1 = Direction(0.0)
@@ -364,6 +368,98 @@ def test_chunked_smooth_grid_matches_points(cw3):
     xg, yg = grid.points()
     points = np.array([[_pair_area(cw3, cw3, (x, y)) for x in xg] for y in yg])
     assert np.abs(grid.values - points).max() <= 1e-14
+
+
+def _assert_grid_is_per_point(bodyH, bodyK, nx, ny, bbox=None):
+    """The column kernel's grid holds the floats the per-point kernel gives
+    at its points; returns the grid."""
+    grid = cross_covariogram_grid(bodyH, bodyK, nx, ny, bbox=bbox)
+    assert grid.method in ("exact-clip", "polyline-approx")
+    xsv, ysv = np.meshgrid(*grid.points())
+    pts = np.stack([xsv.ravel(), ysv.ravel()], axis=1)
+    ref = point_chunked_areas(_clip_fan(bodyH), _clip_fan(bodyK), pts).reshape(ny, nx)
+    assert np.array_equal(grid.values, ref)
+    return grid
+
+
+def test_counterexample_grids_match_per_point_kernel():
+    # every grid that `verify all --seed 39` compares, pair and bounding box alike
+    for family in (1, 3):
+        rng = np.random.default_rng(39 + family)
+        for _ in range(20):
+            params = _random_family_params(family, rng)
+            g1 = _assert_grid_is_per_point(*example_pair(family, **params), 41, 41)
+            (x0, y0), (dx, dy) = g1.origin, g1.spacing
+            bbox = ((x0, x0 + dx * 40), (y0, y0 + dy * 40))
+            _assert_grid_is_per_point(*example_pair(family + 1, **params), 41, 41, bbox)
+
+
+def test_smooth_cross_grids_match_per_point_kernel(cw3):
+    disk = Disk((0.1, 0.0), 0.9)
+    _assert_grid_is_per_point(polygonal_approximation(disk, 512),
+                              polygonal_approximation(cw3, 512), 41, 41)
+    # 4096-gons: each column is split over its shifts
+    _assert_grid_is_per_point(cw3, disk, 3, 21)
+
+
+def test_ulp_and_tied_knot_grids_match_per_point_kernel():
+    rng = np.random.default_rng(101)
+    for _ in range(3):
+        params = _random_family_params(1, rng)
+    _assert_grid_is_per_point(*example_pair(2, **params), 41, 41)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        p = Polygon(convex_hull(rng.integers(-2, 3, (8, 2)).astype(float)))
+        q = Polygon(convex_hull(rng.integers(-2, 3, (8, 2)).astype(float)))
+        # shifts on the half-integer lattice, where knots of p and q + x tie
+        _assert_grid_is_per_point(p, q, 13, 13, bbox=((-3.0, 3.0), (-3.0, 3.0)))
+
+
+def test_disjoint_grids_match_per_point_kernel(unit_square):
+    tri = Polygon([(0, 0), (2, 0), (0, 2)])
+    # every column apart, some apart, every shift apart in y only
+    for bbox in [((5.0, 7.0), (-1.0, 1.0)), ((-4.0, 4.0), (-1.0, 1.0)),
+                 ((-0.5, 0.5), (3.0, 5.0))]:
+        grid = _assert_grid_is_per_point(unit_square, tri, 9, 5, bbox)
+    assert np.all(grid.values == 0.0)
+
+
+def test_point_batches_match_per_point_kernel(make_polygon):
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-2.5, 2.5, (3000, 2))
+    for _ in range(5):
+        p, q = make_polygon(rng, 12), make_polygon(rng, 9)
+        ref = point_chunked_areas(slice_table(p.vertices), slice_table(q.vertices), xs)
+        assert np.array_equal(clip_areas_batch(p.vertices, q.vertices, xs), ref)
+        ref = point_chunked_areas(_clip_fan(p), _clip_fan(p), xs[:500])
+        assert np.array_equal(covariogram_evaluator(p)(xs[:500]), ref)
+        assert _pair_area(p, q, xs[0]) == point_chunked_areas(_clip_fan(p), _clip_fan(q), xs[:1])[0]
+
+
+def test_slicing_calls_stay_within_chunk_bound(cw3, make_polygon, monkeypatch):
+    # each call holds about CHUNK_KNOTS knot x shift elements at most, a
+    # column counted as two more shifts, and every shift goes to one call
+    calls = []
+    kernel = covariogram_module._slice_areas
+
+    def spy(table_a, table_b, dx, dy):
+        knots = table_a[0].size + table_b[0].size
+        calls.append((knots, dx.size, dy.size))
+        assert knots * dy.size <= knots * (dy.size + 2 * dx.size) <= CHUNK_KNOTS
+        return kernel(table_a, table_b, dx, dy)
+
+    monkeypatch.setattr(covariogram_module, "_slice_areas", spy)
+    rng = np.random.default_rng(2)
+    p, q = make_polygon(rng, 40), make_polygon(rng, 40)
+    clip_areas_batch(p.vertices, q.vertices, rng.uniform(-2.0, 2.0, (5000, 2)))
+    assert sum(shifts for _, _, shifts in calls) == 5000 and len(calls) > 1
+    calls.clear()
+    cross_covariogram_grid(*example_pair(1, alpha=1.0, beta=1.0, gamma=1.0, delta=1.0), 41, 41)
+    assert [(cols, shifts) for _, cols, shifts in calls] == [(41, 41 * 41)]
+    calls.clear()
+    cross_covariogram_grid(cw3, Disk((0.1, 0.0), 0.9), 3, 41)
+    assert sum(shifts for _, _, shifts in calls) == 3 * 41
+    assert all(cols == 1 and shifts < 41 for _, cols, shifts in calls)
 
 
 @settings(deadline=None, max_examples=25)

@@ -308,7 +308,9 @@ def test_smooth_body_rejects_non_finite(build):
     lambda: SupportBody(1.0, (), (1.0,)),
     lambda: SupportBody(1.0, (), (1.0, 0.0, 0.0)),
     lambda: SupportBody(1.0, (), 1.0),
-], ids=["disk-one", "disk-three", "support-one", "support-three", "support-scalar"])
+    lambda: SupportBody(1.0, (), (0.0, (1.0, 2.0))),
+], ids=["disk-one", "disk-three", "support-one", "support-three", "support-scalar",
+        "support-ragged"])
 def test_smooth_body_center_is_two_numbers(build):
     with pytest.raises(ValueError, match="center must be two numbers"):
         build()
