@@ -23,10 +23,14 @@ class UsageError(Exception):
 
 def _load_body(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             spec = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"body file not found: {path}")
+    except OSError as exc:
+        raise UsageError(f"cannot read body file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"body file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}")
     try:

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-C2PLUS_GRID = 4096
 C2PLUS_MARGIN = 1e-9
 COLLINEAR_TOL = 1e-12
 KMAX = 32
@@ -56,6 +55,14 @@ def _is_pair(value):
         return np.shape(value) == (2,)
     except ValueError:
         return False
+
+
+def _one_number(name, value):
+    """value as a float; anything but one number raises a ValueError naming it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be one number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,23 @@ class Harmonics:
         return (self.c0 + f.sum(-1), ((c * self.b - s * self.a) * self.k).sum(-1),
                 self.c0 + (f * (1.0 - self.k * self.k)).sum(-1))
 
+    def least(self):
+        """The least value, exact to rounding: f at the angles of the 2K roots
+        of z^K f'(t), a polynomial in z = e^{it} for the top harmonic K, among
+        them every critical point. Harmonics below eps of the largest are left
+        out of it, so a subnormal one cannot overflow its companion matrix."""
+        size = np.maximum(np.abs(self.a), np.abs(self.b))
+        keep = size > np.finfo(float).eps * size.max(initial=0.0)
+        if not keep.any():
+            return self.c0
+        k = self.k[keep].astype(int)
+        a, b = self.a[keep] / size.max(), self.b[keep] / size.max()
+        top = k.max()
+        poly = np.zeros(2 * top + 1, dtype=complex)
+        poly[top - k] = k * (b + 1j * a)
+        poly[top + k] = k * (b - 1j * a)
+        return float(self.terms(np.angle(np.roots(poly)))[0].min())
+
     def integral(self, s, e):
         """Integral of the series over [s, e], from differences taken as products."""
         half, mid = 0.5 * (e - s), 0.5 * (e + s)
@@ -212,9 +236,9 @@ class Harmonics:
 class SupportBody:
     """Body given by a truncated Fourier series support function h(theta).
 
-    h(theta) = a0 + sum_k (a_k cos k theta + b_k sin k theta), k <= KMAX,
-    with the C2+ condition rho = h + h'' > 0 checked on a dense grid and at
-    its local minima, refined between the grid points.
+    h(theta) = a0 + sum_k (a_k cos k theta + b_k sin k theta), k <= KMAX, with
+    the exact least values of rho = h + h'' above C2PLUS_MARGIN (the C2+
+    condition) and of h above 0 (the origin inside).
     The optional center translates the body.  series holds h as Harmonics;
     every quantity of the body reads it.
     """
@@ -227,40 +251,24 @@ class SupportBody:
     def __post_init__(self):
         if len(self.coeffs) > KMAX:
             raise NotC2Plus(f"at most {KMAX} harmonics supported")
+        for k, c in enumerate(self.coeffs, start=1):
+            if not _is_pair(c):
+                raise ValueError(f"harmonic {k} must be two numbers, got {c!r}")
         object.__setattr__(self, "coeffs", tuple((float(a), float(b)) for a, b in self.coeffs))
         if not _is_pair(self.center):
             raise ValueError(f"center must be two numbers, got {self.center!r}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        object.__setattr__(self, "a0", _one_number("a0", self.a0))
         ab = np.array(self.coeffs, dtype=float).reshape(-1, 2)
         if not np.isfinite([self.a0, *self.center, *ab.ravel()]).all():
             raise ValueError("support body numbers must be finite")
-        object.__setattr__(self, "series", Harmonics.of(
-            self.a0, np.arange(1.0, ab.shape[0] + 1.0), ab[:, 0], ab[:, 1]))
-        theta = np.linspace(0.0, 2.0 * math.pi, C2PLUS_GRID, endpoint=False)
-        rho = self._least_rho(theta)
+        h = Harmonics.of(self.a0, np.arange(1.0, ab.shape[0] + 1.0), ab[:, 0], ab[:, 1])
+        object.__setattr__(self, "series", h)
+        rho = Harmonics.of(h.c0, h.k, (1.0 - h.k * h.k) * h.a, (1.0 - h.k * h.k) * h.b).least()
         if rho <= C2PLUS_MARGIN:
             raise NotC2Plus(f"min(h + h'') = {rho:.3e} <= {C2PLUS_MARGIN}")
-        if self.h(theta).min() <= 0.0:
+        if h.least() <= 0.0:
             raise NotC2Plus("support function must be positive (origin inside body)")
-
-    def _least_rho(self, grid):
-        """Least rho on the grid and at its local minima, each refined by Newton
-        steps on rho' = 0 with the series' exact rho' and rho'' and kept inside
-        the grid cells next to it, so a dip narrower than a cell shows."""
-        h = self.series
-        rho_series = Harmonics(h.c0, h.k, (1.0 - h.k * h.k) * h.a, (1.0 - h.k * h.k) * h.b)
-        rho = rho_series.terms(grid)[0]
-        t = grid[(rho < np.roll(rho, 1)) & (rho <= np.roll(rho, -1))]
-        if not t.size:
-            return float(rho.min())
-        step = grid[1] - grid[0]
-        lo, hi = t - step, t + step
-        for _ in range(4):
-            r, d1, r_plus_d2 = rho_series.terms(t)
-            d2 = r_plus_d2 - r
-            newton = np.where(d2 > 0.0, d1 / np.where(d2 > 0.0, d2, 1.0), 0.0)
-            t = np.clip(t - newton, lo, hi)
-        return float(min(rho.min(), rho_series.terms(t)[0].min()))
 
     def h(self, theta):
         """Support function of the untranslated shape."""
@@ -280,9 +288,10 @@ class Disk(SupportBody):
     """The disk of the given radius about center: the support body h = radius."""
 
     def __init__(self, center, radius):
+        radius = _one_number("radius", radius)
         if not radius > 0:
             raise ValueError("disk radius must be positive")
-        SupportBody.__init__(self, float(radius), (), center)
+        SupportBody.__init__(self, radius, (), center)
 
     @property
     def radius(self):
@@ -539,25 +548,45 @@ def body_to_spec(body):
     raise TypeError(f"not a body: {body!r}")
 
 
-_SPEC_KEYS = {
-    "polygon": {"kind", "vertices"},
-    "disk": {"kind", "center", "radius"},
-    "support2d": {"kind", "a0", "coeffs", "center"},
-    "zonogon": {"kind", "center", "generators"},
+_SPEC_KEYS = {  # the keys each kind needs, then the ones it may leave out
+    "polygon": ({"kind", "vertices"}, set()),
+    "disk": ({"kind", "center", "radius"}, set()),
+    "support2d": ({"kind", "a0"}, {"coeffs", "center"}),
+    "zonogon": ({"kind", "generators"}, {"center"}),
 }
+
+
+def _leaves(value):
+    """The entries of a value nested in lists and tuples, depth first."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
 
 
 def body_from_spec(spec):
     """Body from a specification dict (see body_to_spec for the schema)."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"body spec must be an object, got {spec!r:.40}")
     kind = spec.get("kind")
     if kind not in _SPEC_KEYS:
         raise ValueError(f"unknown body kind {kind!r}")
-    unknown = set(spec) - _SPEC_KEYS[kind]
+    needed, optional = _SPEC_KEYS[kind]
+    unknown = set(spec) - needed - optional
     if unknown:
         raise ValueError(f"unknown keys for {kind!r} body: {sorted(unknown)}")
+    missing = needed - set(spec)
+    if missing:
+        raise ValueError(f"missing key {min(missing)!r} in {kind!r} body")
     for key, value in spec.items():
+        if key == "kind":
+            continue
+        for leaf in _leaves(value):
+            if isinstance(leaf, (bool, str)):  # float() would take either as a number
+                raise ValueError(f"{key!r} of {kind!r} body must hold numbers, got {leaf!r}")
         try:
-            finite = key == "kind" or np.isfinite(np.asarray(value, dtype=float)).all()
+            finite = np.isfinite(np.asarray(value, dtype=float)).all()
         except ValueError:
             finite = True  # a ragged value: the body's constructor names its bad shape
         if not finite:
@@ -570,10 +599,9 @@ def body_from_spec(spec):
             raise ValueError("polygon vertices are not in convex position")
         return poly
     if kind == "disk":
-        return Disk(tuple(spec["center"]), float(spec["radius"]))
+        return Disk(tuple(spec["center"]), spec["radius"])
     if kind == "support2d":
-        return SupportBody(float(spec["a0"]),
-                           tuple((float(a), float(b)) for a, b in spec.get("coeffs", [])),
+        return SupportBody(spec["a0"], tuple(spec.get("coeffs", ())),
                            tuple(spec.get("center", (0.0, 0.0))))
     gens = [Segment(tuple(p), tuple(q)) for p, q in spec["generators"]]
     return zonogon(tuple(spec.get("center", (0.0, 0.0))), gens)

@@ -45,7 +45,8 @@ def test_body_validate_all_kinds(tmp_path, square_file, disk_file, cw3_file, cap
 
 
 def test_body_validate_rejects_dip_between_grid_points(tmp_path, capsys):
-    # rho = h + h'' dips to -1.1e-7 between two points of the 4096-point grid
+    # rho = h + h'' dips to -1.1e-7 between two points of a 4096-point grid;
+    # its least value, at the critical points of the series, shows the dip
     path = write_body(tmp_path, "dip.json", {
         "kind": "support2d", "a0": 1.0,
         "coeffs": [[0.0, 0.0], [0.26798323176795624, 0.1982324978644922]]})
@@ -53,6 +54,16 @@ def test_body_validate_rejects_dip_between_grid_points(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1 and "h + h''" in captured.err
+
+
+def test_body_validate_rejects_origin_outside_between_grid_points(tmp_path, capsys):
+    # h dips to -1.0e-7 between the points of a 4096-point grid; this body was
+    # reported valid with exit code 0
+    path = write_body(tmp_path, "out.json", {
+        "kind": "support2d", "a0": 1.0, "coeffs": [[-0.988140181899701, -0.1535551396575058]]})
+    assert main(["body-validate", "--body", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "origin inside" in captured.err
 
 
 def test_zeros_rejects_polygon_as_usage_error(tmp_path, square_file, capsys):
@@ -199,6 +210,53 @@ def test_malformed_numeric_options_are_usage_errors(tmp_path, disk_file, argv, c
 
 def test_missing_file(capsys):
     assert main(["body-validate", "--body", "/nonexistent/body.json"]) == 2
+
+
+@pytest.mark.parametrize("content, shown", [
+    (None, "Is a directory"),
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b"[1, 2]", "must be an object, got [1, 2]"),
+    (b'"polygon"', "must be an object, got 'polygon'"),
+    (b"null", "must be an object, got None"),
+], ids=["directory", "not-utf8", "list", "string", "null"])
+def test_unreadable_or_non_object_body_file_is_usage_error(tmp_path, content, shown, capsys):
+    # each exited 1 with an IsADirectoryError, UnicodeDecodeError or AttributeError traceback
+    path = tmp_path / "body.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["body-validate", "--body", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and shown in captured.err and str(path) in captured.err
+    assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec, shown", [
+    ({"kind": "disk", "center": [0, 0], "radius": True}, "'radius' of 'disk' body must hold"),
+    ({"kind": "disk", "center": [0, 0], "radius": "2"}, "'radius' of 'disk' body must hold"),
+    ({"kind": "support2d", "a0": "1e0"}, "'a0' of 'support2d' body must hold numbers"),
+    ({"kind": "disk", "center": [True, False], "radius": 1}, "'center' of 'disk' body must hold"),
+    ({"kind": "polygon", "vertices": [["0", "0"], [1, 0], [0, 1]]}, "'vertices' of 'polygon' body"),
+    ({"kind": "polygon"}, "missing key 'vertices'"),
+    ({"kind": "disk", "radius": 1.0}, "missing key 'center'"),
+    ({"kind": "support2d", "a0": 1.0, "coeffs": [[0, 0, 1]]},
+     "harmonic 1 must be two numbers, got [0, 0, 1]"),
+    ({"kind": "support2d", "a0": 1.0, "coeffs": [0.1]}, "harmonic 1 must be two numbers, got 0.1"),
+    ({"kind": "support2d", "a0": 1.0, "coeffs": ["ab"]}, "'coeffs' of 'support2d' body must hold"),
+    ({"kind": "support2d", "a0": [1.0]}, "a0 must be one number, got [1.0]"),
+    ({"kind": "disk", "center": [0, 0], "radius": [1.0]}, "radius must be one number, got [1.0]"),
+], ids=["radius-bool", "radius-string", "a0-string", "center-bools", "vertex-strings",
+        "missing-vertices", "missing-center", "harmonic-three", "harmonic-scalar",
+        "harmonic-string", "a0-list", "radius-list"])
+def test_malformed_body_field_is_named(tmp_path, spec, shown, capsys):
+    # the bools and strings were reported valid; the others showed only the
+    # key, Python's unpacking text or float()'s text
+    path = write_body(tmp_path, "b.json", spec)
+    assert main(["body-validate", "--body", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and shown in captured.err
+    assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
 
 
 def test_covariogram_grid_deterministic(tmp_path, square_file, capsys):

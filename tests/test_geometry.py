@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from covario.geometry import (
     DegenerateZonogon,
     Direction,
     Disk,
+    Harmonics,
     InvalidFamilyParams,
     NotC2Plus,
     Polygon,
@@ -97,8 +99,9 @@ def test_support_body_validation():
 
 
 def test_support_body_rejects_dip_between_grid_points():
-    # rho dips to -1.1e-7 between two points of the 4096-point grid, where it
-    # stays above the margin; cw3, LOPSIDED and the near-corner body of
+    # rho dips to -1.1e-7 between two points of a 4096-point grid, where it
+    # stays above the margin; the least rho, taken at the critical points of
+    # the series, catches the dip. cw3, LOPSIDED and the near-corner body of
     # test_covariogram, all positive, still construct
     a0, coeffs = 1.0, ((0.0, 0.0), (0.26798323176795624, 0.1982324978644922))
     theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
@@ -106,6 +109,93 @@ def test_support_body_rejects_dip_between_grid_points():
                      for k, (a, b) in enumerate(coeffs, start=1))).min() > 1e-9
     with pytest.raises(NotC2Plus, match="-1.1"):
         SupportBody(a0, coeffs)
+
+
+def _sampled_least(c0, a, b, n=10 ** 6):
+    """Least of c0 + sum_k (a_k cos kt + b_k sin kt), k = 1..len(a), over n
+    equal steps, then over 2001 points across the two steps around every
+    sample that may lie next to the minimum (Horner in z = e^{it})."""
+    c = np.asarray(a) - 1j * np.asarray(b)
+    k = np.arange(1, c.size + 1)
+
+    def f(t):
+        z = np.exp(1j * t)
+        p = np.full_like(z, c[-1])
+        for ck in c[-2::-1]:
+            p = p * z + ck
+        return c0 + (p * z).real
+
+    step = 2.0 * math.pi / n
+    t = step * np.arange(n)
+    v = f(t)
+    # a sample lies within step / 2 of the minimum, so it is at most this high
+    near = t[v <= v.min() + np.sum(k * k * np.abs(c)) * step * step / 8.0]
+    return min(f(np.linspace(s - step, s + step, 2001)).min() for s in near)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("top", [1, 2, 3, 8, 17, 32])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_least_matches_sampled_minimum(seed, top, sparse):
+    rng = np.random.default_rng(1000 * top + seed)
+    k = np.arange(1, top + 1)
+    ab = rng.normal(size=(top, 2)) / k[:, None] ** rng.uniform(0.0, 2.0)
+    if sparse:
+        ab[:-1][rng.uniform(size=top - 1) < 0.7] = 0.0
+    c0 = rng.normal()
+    least = Harmonics.of(c0, k.astype(float), ab[:, 0], ab[:, 1]).least()
+    assert abs(least - _sampled_least(c0, ab[:, 0], ab[:, 1])) <= 1e-13 * (
+        abs(c0) + np.abs(ab).sum())
+
+
+def test_least_of_a_series_without_harmonics_is_c0():
+    assert Harmonics.of(1.7, np.arange(1.0, 4.0), np.zeros(3), np.zeros(3)).least() == 1.7
+    assert Disk((0.3, 0.1), 2.5).series.least() == 2.5
+
+
+def test_least_with_only_harmonic_one():
+    # the rho series of such a body has no harmonics: 1 - k^2 = 0
+    series = Harmonics.of(0.5, np.array([1.0]), np.array([0.3]), np.array([0.4]))
+    assert abs(series.least()) < 1e-15
+    body = SupportBody(1.0, ((0.3, 0.4),))
+    assert body.series.least() == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("coeffs", [
+    ((1e-310, 0.0),),
+    ((0.0, 5e-324), (1e-310, 0.0)),
+    ((0.01, 0.0), (0.0, 0.0), (1e-310, 5e-324)),
+    ((5e-324, 0.0), (0.0, 0.0), (0.01, 0.0)),
+], ids=["one", "two", "top", "bottom"])
+def test_subnormal_harmonics_construct_without_warning(coeffs):
+    # left in the polynomial, a subnormal top harmonic overflows the roots' companion matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        body = SupportBody(1.0, coeffs)
+    assert body.series.least() == pytest.approx(1.0 - max(map(max, coeffs)), abs=1e-15)
+
+
+def test_support_body_rejects_origin_outside_between_grid_points():
+    # h dips to -1.0e-7 between the points of a 4096-point grid, where it
+    # stays positive; the body was taken as containing the origin
+    a0, coeffs = 1.0, ((-0.988140181899701, -0.1535551396575058),)
+    theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    assert (a0 + coeffs[0][0] * np.cos(theta) + coeffs[0][1] * np.sin(theta)).min() > 0.0
+    with pytest.raises(NotC2Plus, match="origin inside"):
+        SupportBody(a0, coeffs)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SupportBody(1.0, ((0.0, 0.0, 1.0),)),
+     r"harmonic 1 must be two numbers, got \(0.0, 0.0, 1.0\)"),
+    (lambda: SupportBody(1.0, ((0.0, 0.0), 0.1)), "harmonic 2 must be two numbers, got 0.1"),
+    (lambda: SupportBody(1.0, ("ab",)), "harmonic 1 must be two numbers, got 'ab'"),
+    (lambda: SupportBody([1.0]), r"a0 must be one number, got \[1.0\]"),
+    (lambda: Disk((0.0, 0.0), [1.0]), r"radius must be one number, got \[1.0\]"),
+], ids=["harmonic-three", "harmonic-scalar", "harmonic-string", "a0-list", "radius-list"])
+def test_smooth_body_names_a_malformed_number(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def _random_c2plus_coeffs(rng, harmonics):
