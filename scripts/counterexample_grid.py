@@ -25,9 +25,7 @@ def main(family="1", outdir="."):
     h1, k1 = example_pair(family, **params)
     h2, k2 = example_pair(family + 1, **params)
     g1 = cross_covariogram_grid(h1, k1, nx=41, ny=41)
-    bbox = ((g1.origin[0], g1.origin[0] + g1.spacing[0] * 40),
-            (g1.origin[1], g1.origin[1] + g1.spacing[1] * 40))
-    g2 = cross_covariogram_grid(h2, k2, nx=41, ny=41, bbox=bbox)
+    g2 = cross_covariogram_grid(h2, k2, nx=41, ny=41, bbox=g1.bbox)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     g1.to_csv(out / f"crosscov_family{family}.csv", out / f"crosscov_family{family}.meta.json")

@@ -165,22 +165,22 @@ def _best_cyclic_distance(va, vb):
     return min(np.abs(np.roll(vb, k, axis=0) - va).max() for k in range(n))
 
 
-def trivial_associates(pair_a, pair_b, tol=1e-9):
+ASSOCIATE_TOL = 1e-9          # largest vertex distance of trivially associated pairs
+COUNTEREXAMPLE_GRID = (41, 41)
+COUNTEREXAMPLE_TOL = 1e-9     # largest grid deviation of a reproduced counterexample
+
+
+def trivial_associates(pair_a, pair_b):
     """Whether (H,K) and (H',K') coincide after a common translation, possibly
     combined with the swap (H,K) -> (-K,-H)."""
     h1, k1 = pair_a
     h2, k2 = pair_b
-    # same-order form: (H,K) = (H'+x, K'+x)
-    x = steiner_point(h1) - steiner_point(h2)
-    if (_best_cyclic_distance(h1.vertices, h2.vertices + x) <= tol
-            and _best_cyclic_distance(k1.vertices, k2.vertices + x) <= tol):
-        return True
-    # swapped form: (H,K) = (-K'+x, -H'+x)
-    mk2, mh2 = reflect(k2), reflect(h2)
-    x = steiner_point(h1) - steiner_point(mk2)
-    if (_best_cyclic_distance(h1.vertices, mk2.vertices + x) <= tol
-            and _best_cyclic_distance(k1.vertices, mh2.vertices + x) <= tol):
-        return True
+    # the same-order form (H,K) = (H'+x, K'+x), then the swapped form (-K'+x, -H'+x)
+    for h, k in ((h2, k2), (reflect(k2), reflect(h2))):
+        x = steiner_point(h1) - steiner_point(h)
+        if (_best_cyclic_distance(h1.vertices, h.vertices + x) <= ASSOCIATE_TOL
+                and _best_cyclic_distance(k1.vertices, k.vertices + x) <= ASSOCIATE_TOL):
+            return True
     return False
 
 
@@ -190,28 +190,28 @@ class CounterexampleReport:
     max_deviation: float
     tolerance: float
     trivial: bool
-    grid_shape: tuple
 
     @property
     def passed(self):
         return self.max_deviation <= self.tolerance and not self.trivial
 
 
-def crosscov_counterexample(family, params=None, grid=(41, 41), tol=1e-9):
+def crosscov_counterexample(family, params=None):
     """Grid equality of the two cross-covariograms of a parallelogram family,
-    plus the check that the pairs are not trivial associates."""
+    on the COUNTEREXAMPLE_GRID lattice of the first pair and to
+    COUNTEREXAMPLE_TOL, plus the check that the pairs are not trivial
+    associates."""
     if family not in (1, 3):
         raise ValueError("family must be 1 or 3 (compared against family+1)")
     params = dict(params or {})
     h1, k1 = example_pair(family, **params)
     h2, k2 = example_pair(family + 1, **params)
-    g1 = cross_covariogram_grid(h1, k1, nx=grid[0], ny=grid[1])
-    bbox = ((g1.origin[0], g1.origin[0] + g1.spacing[0] * (g1.nx - 1)),
-            (g1.origin[1], g1.origin[1] + g1.spacing[1] * (g1.ny - 1)))
-    g2 = cross_covariogram_grid(h2, k2, nx=grid[0], ny=grid[1], bbox=bbox)
+    nx, ny = COUNTEREXAMPLE_GRID
+    g1 = cross_covariogram_grid(h1, k1, nx=nx, ny=ny)
+    g2 = cross_covariogram_grid(h2, k2, nx=nx, ny=ny, bbox=g1.bbox)
     dev = float(np.abs(g1.values - g2.values).max())
-    triv = trivial_associates((h1, k1), (h2, k2), tol=1e-9)
-    return CounterexampleReport(family, dev, tol, triv, tuple(grid))
+    triv = trivial_associates((h1, k1), (h2, k2))
+    return CounterexampleReport(family, dev, COUNTEREXAMPLE_TOL, triv)
 
 
 # determination_experiment's decision thresholds
@@ -355,26 +355,16 @@ def _gtransform_im(g, radial, thetas, u: Direction, w_u, im_guess, cfg):
 
 
 def _contiguous_regions(mask):
-    """Maximal runs of True in a circular mask, as index tuples."""
-    n = len(mask)
-    if not np.any(mask):
-        return []
-    if np.all(mask):
-        return [tuple(range(n))]
-    regions = []
-    i = 0
-    while i < n:
-        if mask[i] and not mask[(i - 1) % n]:
-            run = []
-            j = i
-            while mask[j % n]:
-                run.append(j % n)
-                j += 1
-            regions.append(tuple(run))
-            i = j
-        else:
-            i += 1
-    return regions
+    """Maximal runs of True in a circular mask, as index tuples, in the order
+    of their starts; a run across the end of the mask comes last."""
+    mask = np.asarray(mask, dtype=bool)
+    n = mask.size
+    starts = np.flatnonzero(mask & ~np.roll(mask, 1))
+    ends = np.flatnonzero(mask & ~np.roll(mask, -1))
+    if not starts.size:  # all True or all False
+        return [tuple(range(n))] if mask.any() else []
+    ends = np.roll(ends, -int(ends[0] < starts[0]))  # the end of a run across the end goes last
+    return [tuple((np.arange(s, e + 1 + n * (e < s)) % n).tolist()) for s, e in zip(starts, ends)]
 
 
 def _checked_batches(g, tally):

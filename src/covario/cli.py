@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -76,12 +77,26 @@ def _parse_range(text):
     return m_range
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """A block that writes path: an OSError there, such as a missing directory
+    or a directory at path, is a usage error that names the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename or path}: {exc.strerror}")
+
+
+def _write_text(path, text):
+    with _writing(path), open(path, "w") as fh:
+        fh.write(text)
+
+
 def _write_csv(path, header, rows):
     lines = [header]
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _json_safe(obj):
@@ -95,28 +110,25 @@ def _json_safe(obj):
     return obj
 
 
-def _emit(report, as_json):
+def _json_text(command, report):
+    """A command's report under schema_version and command, as strict JSON text."""
+    return json.dumps(_json_safe({"schema_version": SCHEMA_VERSION, "command": command, **report}),
+                      indent=2, sort_keys=True, default=str, allow_nan=False)
+
+
+def _emit(command, report, as_json):
+    """Print the report as JSON text, or as `key: value` lines after `command:`."""
     if as_json:
-        print(json.dumps(_json_safe(report), indent=2, sort_keys=True, default=str,
-                         allow_nan=False))
+        print(_json_text(command, report))
     else:
-        for key, val in report.items():
-            if key == "schema_version":
-                continue
+        for key, val in {"command": command, **report}.items():
             print(f"{key}: {val}")
 
 
 def cmd_body_validate(args):
     body = _load_body(args.body)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "body-validate",
-        "kind": geometry.body_to_spec(body)["kind"],
-        "area": geometry.area(body),
-        "hash": geometry.body_hash(body),
-        "valid": True,
-    }
-    _emit(report, args.json)
+    _emit("body-validate", {"kind": geometry.body_to_spec(body)["kind"], "area": geometry.area(body),
+                            "hash": geometry.body_hash(body), "valid": True}, args.json)
     return 0
 
 
@@ -124,10 +136,11 @@ def cmd_covariogram(args):
     body = _load_body(args.body)
     nx, ny = _parse_grid(args.grid)
     grid = covariogram.covariogram_grid(body, nx=nx, ny=ny)
-    grid.to_csv(args.out, args.out + ".meta.json")
-    _emit({"schema_version": SCHEMA_VERSION, "command": "covariogram", "out": args.out,
-           "method": grid.method, "center_value": float(grid.values[ny // 2, nx // 2]),
-           "area": geometry.area(body)}, args.json)
+    with _writing(args.out):
+        grid.to_csv(args.out, args.out + ".meta.json")
+    _emit("covariogram", {"out": args.out, "method": grid.method,
+                          "center_value": float(grid.values[ny // 2, nx // 2]),
+                          "area": geometry.area(body)}, args.json)
     return 0
 
 
@@ -136,9 +149,10 @@ def cmd_crosscov(args):
     body_k = _load_body(args.body2)
     nx, ny = _parse_grid(args.grid)
     grid = covariogram.cross_covariogram_grid(body_h, body_k, nx=nx, ny=ny)
-    grid.to_csv(args.out, args.out + ".meta.json")
-    _emit({"schema_version": SCHEMA_VERSION, "command": "crosscov", "out": args.out,
-           "method": grid.method, "max_value": float(grid.values.max())}, args.json)
+    with _writing(args.out):
+        grid.to_csv(args.out, args.out + ".meta.json")
+    _emit("crosscov", {"out": args.out, "method": grid.method,
+                       "max_value": float(grid.values.max())}, args.json)
     return 0
 
 
@@ -148,8 +162,7 @@ def cmd_radon(args):
     cf = radon.chord_function(body, u)
     ts = np.linspace(cf.lo, cf.hi, args.num)
     _write_csv(args.out, "t,chord", zip(ts.tolist(), cf(ts).tolist()))
-    _emit({"schema_version": SCHEMA_VERSION, "command": "radon", "out": args.out,
-           "domain": [cf.lo, cf.hi], "method": cf.method}, args.json)
+    _emit("radon", {"out": args.out, "domain": [cf.lo, cf.hi], "method": cf.method}, args.json)
     return 0
 
 
@@ -168,8 +181,8 @@ def cmd_flt(args):
     rows = [(float(x), float(v.real), float(v.imag), float(abs(v) ** 2))
             for x, v in zip(xi, vals)]
     _write_csv(args.out, "xi,re,im,abs2", rows)
-    _emit({"schema_version": SCHEMA_VERSION, "command": "flt", "out": args.out,
-           "value_at_zero": float(vals[0].real), **_rule_report(ctx)}, args.json)
+    _emit("flt", {"out": args.out, "value_at_zero": float(vals[0].real), **_rule_report(ctx)},
+          args.json)
     return 0
 
 
@@ -179,15 +192,12 @@ def cmd_zeros(args):
     m_list = list(_parse_range(args.m))
     ctx = fourier_laplace.build_context(
         body, u, max_abs_zeta=fourier_laplace.sweep_bound(body, [u], max(m_list)))
-    rows = []
-    for br in fourier_laplace.track_branches(ctx, m_list):
-        rows.append((br.m, br.u.theta, br.zeta.real, br.zeta.imag, br.residual,
-                     br.predicted_center.real, br.predicted_center.imag,
-                     int(br.validated)))
-    _write_csv(args.out, "m,theta,re_zeta,im_zeta,residual,pred_re,pred_im,validated", rows)
-    _emit({"schema_version": SCHEMA_VERSION, "command": "zeros", "out": args.out,
-           "n_branches": len(rows), "all_validated": all(r[-1] for r in rows),
-           **_rule_report(ctx)}, args.json)
+    # track_branches returns validated branches only: any other raises
+    rows = [(br.m, br.u.theta, br.zeta.real, br.zeta.imag, br.residual,
+             br.predicted_center.real, br.predicted_center.imag)
+            for br in fourier_laplace.track_branches(ctx, m_list)]
+    _write_csv(args.out, "m,theta,re_zeta,im_zeta,residual,pred_re,pred_im", rows)
+    _emit("zeros", {"out": args.out, "n_branches": len(rows), **_rule_report(ctx)}, args.json)
     return 0
 
 
@@ -198,8 +208,6 @@ def cmd_kobayashi(args):
     rep = asymptotics.kobayashi_report(body, m_range,
                                        [Direction(float(t)) for t in thetas])
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "kobayashi",
         "body": rep.body_id,
         "flags": list(rep.flags),
         "decay_exponent": rep.decay_exponent,
@@ -212,11 +220,12 @@ def cmd_kobayashi(args):
         ],
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(_json_safe(report), fh, indent=2, sort_keys=True, allow_nan=False)
-    _emit(report if args.json else {"schema_version": SCHEMA_VERSION,
-                                    "decay_exponent": rep.decay_exponent,
-                                    "flags": list(rep.flags)}, args.json)
+        _write_text(args.out, _json_text("kobayashi", report))
+    if args.json:
+        _emit("kobayashi", report, True)
+    else:
+        for key in ("decay_exponent", "flags"):
+            print(f"{key}: {report[key]}")
     return 0
 
 
@@ -230,8 +239,7 @@ def cmd_recover_curvature(args):
         pair = covariogram.curvature_pair_from_covariogram(body, Direction(float(th)))
         rows.append((float(th), pair.low, pair.high, pair.fit_residual))
     _write_csv(args.out, "theta,low,high,residual", rows)
-    _emit({"schema_version": SCHEMA_VERSION, "command": "recover-curvature",
-           "out": args.out, "n_directions": len(rows)}, args.json)
+    _emit("recover-curvature", {"out": args.out, "n_directions": len(rows)}, args.json)
     return 0
 
 
@@ -414,13 +422,9 @@ def cmd_verify(args):
     for name in names:
         rows.extend(SUITES[name](args))
     if args.json:
-        print(json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "suites": names,
-            "checks": [{"name": n, "passed": bool(p), "detail": d} for n, p, d in rows],
-            "passed": all(p for _, p, _ in rows),
-        }, indent=2, sort_keys=True))
+        _emit("verify", {"suites": names,
+                         "checks": [{"name": n, "passed": bool(p), "detail": d} for n, p, d in rows],
+                         "passed": all(p for _, p, _ in rows)}, True)
     else:
         width_name = max(len(n) for n, _, _ in rows)
         for name, passed, detail in rows:

@@ -422,7 +422,9 @@ def _cap(series, s, e):
 
 @dataclass(frozen=True)
 class CovariogramGrid:
-    """Sampled covariogram values on a rectangular lattice."""
+    """Sampled covariogram values at origin + spacing * (ix, iy), 0 <= ix < nx,
+    0 <= iy < ny.  bbox holds the first and last x and y of that lattice:
+    cross_covariogram_grid samples another pair there when given it."""
 
     origin: tuple
     spacing: tuple
@@ -436,6 +438,11 @@ class CovariogramGrid:
         xg = self.origin[0] + self.spacing[0] * np.arange(self.nx)
         yg = self.origin[1] + self.spacing[1] * np.arange(self.ny)
         return xg, yg
+
+    @property
+    def bbox(self):
+        (x0, y0), (dx, dy) = self.origin, self.spacing
+        return (x0, x0 + dx * (self.nx - 1)), (y0, y0 + dy * (self.ny - 1))
 
     def to_csv(self, path, sidecar_path=None):
         lines = ["x,y,value"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -422,12 +423,9 @@ def zonogon(center, generators):
 
 def zonogon_area_from_generators(generators):
     """Area of the zonogon as 4 * sum_{i<j} |det(s_i, s_j)| over half-vectors."""
-    halves = [seg.half_vector for seg in generators]
-    total = 0.0
-    for i in range(len(halves)):
-        for j in range(i + 1, len(halves)):
-            total += abs(halves[i][0] * halves[j][1] - halves[i][1] * halves[j][0])
-    return 4.0 * total
+    s = np.array([seg.half_vector for seg in generators]).reshape(-1, 2)
+    det = np.outer(s[:, 0], s[:, 1]) - np.outer(s[:, 1], s[:, 0])
+    return 4.0 * float(np.triu(np.abs(det), 1).sum())
 
 
 _SQ2 = math.sqrt(2.0)
@@ -554,6 +552,7 @@ _SPEC_KEYS = {  # the keys each kind needs, then the ones it may leave out
     "support2d": ({"kind", "a0"}, {"coeffs", "center"}),
     "zonogon": ({"kind", "generators"}, {"center"}),
 }
+_LIST_KEYS = {"vertices", "coeffs", "generators"}  # the keys whose value is a list
 
 
 def _leaves(value):
@@ -570,7 +569,7 @@ def body_from_spec(spec):
     if not isinstance(spec, dict):
         raise ValueError(f"body spec must be an object, got {spec!r:.40}")
     kind = spec.get("kind")
-    if kind not in _SPEC_KEYS:
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise ValueError(f"unknown body kind {kind!r}")
     needed, optional = _SPEC_KEYS[kind]
     unknown = set(spec) - needed - optional
@@ -582,9 +581,12 @@ def body_from_spec(spec):
     for key, value in spec.items():
         if key == "kind":
             continue
+        if key in _LIST_KEYS and not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key!r} of {kind!r} body must be a list, got {value!r:.40}")
         for leaf in _leaves(value):
-            if isinstance(leaf, (bool, str)):  # float() would take either as a number
-                raise ValueError(f"{key!r} of {kind!r} body must hold numbers, got {leaf!r}")
+            # JSON numbers only: float() would take a bool or a numeric string
+            if isinstance(leaf, bool) or not isinstance(leaf, numbers.Real):
+                raise ValueError(f"{key!r} of {kind!r} body must hold numbers, got {leaf!r:.40}")
         try:
             finite = np.isfinite(np.asarray(value, dtype=float)).all()
         except ValueError:
@@ -599,12 +601,16 @@ def body_from_spec(spec):
             raise ValueError("polygon vertices are not in convex position")
         return poly
     if kind == "disk":
-        return Disk(tuple(spec["center"]), spec["radius"])
+        return Disk(spec["center"], spec["radius"])
     if kind == "support2d":
         return SupportBody(spec["a0"], tuple(spec.get("coeffs", ())),
-                           tuple(spec.get("center", (0.0, 0.0))))
+                           spec.get("center", (0.0, 0.0)))
+    for i, gen in enumerate(spec["generators"], start=1):
+        if not (isinstance(gen, (list, tuple)) and len(gen) == 2
+                and all(isinstance(end, (list, tuple)) for end in gen)):
+            raise ValueError(f"generator {i} must be two endpoints, got {gen!r:.40}")
     gens = [Segment(tuple(p), tuple(q)) for p, q in spec["generators"]]
-    return zonogon(tuple(spec.get("center", (0.0, 0.0))), gens)
+    return zonogon(spec.get("center", (0.0, 0.0)), gens)
 
 
 def body_hash(body):

@@ -31,38 +31,36 @@ def _rng(seed, stream):
 _MC_CHUNK_ROWS = 2 ** 16
 
 
-def mc_area(membership, bbox, n, seed, streams=1):
+def mc_area(membership, bbox, n, seed):
     """Monte Carlo measure of {x : membership(x)} inside the box bbox.
 
     bbox is a sequence of (lo, hi) per coordinate; membership must accept a
     (k, d) array, whose columns are contiguous, and return a boolean array.
-    Streams are independent Philox substreams pooled by summed hit counts, so
-    the result is reproducible for a fixed (seed, streams, n).
+    The n points come from one Philox stream, _rng(seed, 0), so the result
+    is reproducible for a fixed (seed, n).
     """
-    if n < 1 or streams < 1:
-        raise ValueError(f"need n >= 1 and streams >= 1, got n={n}, streams={streams}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     bbox = np.asarray(bbox, dtype=float)
     lo, hi = bbox[:, 0], bbox[:, 1]
     width = hi - lo
     vol = float(np.prod(width))
     d = bbox.shape[0]
-    per = [n // streams + (1 if i < n % streams else 0) for i in range(streams)]
-    rows = min(_MC_CHUNK_ROWS, per[0])
+    rows = min(_MC_CHUNK_ROWS, n)
     # rows are drawn in order into one reused buffer, so the chunks see the
     # points of one big row-major draw; coordinate j is then scaled into the
     # contiguous row cols[j] by the same two operations as `pts * w + lo`
     draws = np.empty((rows, d))
     cols = np.empty((d, rows))
+    rng = _rng(seed, 0)
     hits = 0
-    for i, ni in enumerate(per):
-        rng = _rng(seed, i)
-        for start in range(0, ni, _MC_CHUNK_ROWS):
-            k = min(_MC_CHUNK_ROWS, ni - start)
-            rng.random(out=draws[:k])
-            for j in range(d):
-                np.multiply(draws[:k, j], width[j], out=cols[j, :k])
-                cols[j, :k] += lo[j]
-            hits += int(np.count_nonzero(membership(cols[:, :k].T)))
+    for start in range(0, n, _MC_CHUNK_ROWS):
+        k = min(_MC_CHUNK_ROWS, n - start)
+        rng.random(out=draws[:k])
+        for j in range(d):
+            np.multiply(draws[:k, j], width[j], out=cols[j, :k])
+            cols[j, :k] += lo[j]
+        hits += int(np.count_nonzero(membership(cols[:, :k].T)))
     p = hits / n
     se = vol * math.sqrt(max(p * (1.0 - p), 1e-300) / n)
     return MonteCarloEstimate(vol * p, se, n, seed)

@@ -1,10 +1,10 @@
 """Matrix form of the paraboloid Monte Carlo that `oracles.paraboloid_region`
 evaluates column by column.
 
-`reference_hits` draws the points of each stream in one row-major array per
-chunk, scales them out of place and tests them with matmuls and row sums;
-`mc_area` draws the same points and tests them in contiguous coordinate
-columns, and the tests require the same hit count.
+`reference_hits` draws the points in one row-major array per chunk, scales
+them out of place and tests them with matmuls and row sums; `mc_area` draws
+the same points and tests them in contiguous coordinate columns, and the
+tests require the same hit count.
 """
 
 import numpy as np
@@ -26,14 +26,12 @@ def reference_member(a, b, q, t):
     return member
 
 
-def reference_hits(member, bbox, n, seed, streams=1):
+def reference_hits(member, bbox, n, seed):
     bbox = np.asarray(bbox, dtype=float)
     lo, hi = bbox[:, 0], bbox[:, 1]
+    rng = _rng(seed, 0)
     hits = 0
-    for i in range(streams):
-        ni = n // streams + (1 if i < n % streams else 0)
-        rng = _rng(seed, i)
-        for start in range(0, ni, _MC_CHUNK_ROWS):
-            pts = rng.random((min(_MC_CHUNK_ROWS, ni - start), bbox.shape[0])) * (hi - lo) + lo
-            hits += int(np.count_nonzero(member(pts)))
+    for start in range(0, n, _MC_CHUNK_ROWS):
+        pts = rng.random((min(_MC_CHUNK_ROWS, n - start), bbox.shape[0])) * (hi - lo) + lo
+        hits += int(np.count_nonzero(member(pts)))
     return hits

@@ -1,11 +1,11 @@
-"""The chord-end Newton, the radial bisection and the per-direction cap fit
-as `covariogram` and `asymptotics` ran them before their batched forms: one
-probe level per radial call, one evaluator call per ladder and per stencil,
-and a Newton loop that gathers and scatters its unsettled chords by index on
-every step.
+"""The chord-end Newton, the radial bisection, the per-direction cap fit and
+the walk over a circular mask's runs as `covariogram` and `asymptotics` ran
+them before their batched or array forms: one probe level per radial call,
+one evaluator call per ladder and per stencil, a Newton loop that gathers and
+scatters its unsettled chords by index on every step, and an index walk.
 
 Each function is copied verbatim; the tests require the batched forms to
-return the same floats.
+return the same floats, and the array runs the same index tuples.
 """
 
 import math
@@ -174,3 +174,25 @@ def loop_cap_pair(g, anchor, u: Direction, t_star):
     resid = float(np.abs(basis @ coef - y).max() / y.max())
     return CurvaturePair(float(low), float(high), u, resid, depths.size + qarr.size)
 
+
+def walk_contiguous_regions(mask):
+    """Maximal runs of True in a circular mask, as index tuples."""
+    n = len(mask)
+    if not np.any(mask):
+        return []
+    if np.all(mask):
+        return [tuple(range(n))]
+    regions = []
+    i = 0
+    while i < n:
+        if mask[i] and not mask[(i - 1) % n]:
+            run = []
+            j = i
+            while mask[j % n]:
+                run.append(j % n)
+                j += 1
+            regions.append(tuple(run))
+            i = j
+        else:
+            i += 1
+    return regions

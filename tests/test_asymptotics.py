@@ -6,6 +6,7 @@ import pytest
 from covario.asymptotics import (
     DeterminationConfig,
     Inconclusive,
+    _contiguous_regions,
     _radial_table,
     crosscov_counterexample,
     determination_experiment,
@@ -23,7 +24,7 @@ from covario.geometry import (
     reflect,
     translate,
 )
-from strip_reference import loop_radial_table
+from strip_reference import loop_radial_table, walk_contiguous_regions
 
 E1 = Direction(0.0)
 
@@ -94,15 +95,21 @@ def test_counterexample_negative_control():
     h1, k1 = example_pair(1, alpha=1.0, beta=1.0, gamma=1.0, delta=1.0)
     h2, k2 = example_pair(2, alpha=1.1, beta=1.0, gamma=1.0, delta=1.0)
     g1 = cross_covariogram_grid(h1, k1, nx=41, ny=41)
-    bbox = ((g1.origin[0], g1.origin[0] + g1.spacing[0] * 40),
-            (g1.origin[1], g1.origin[1] + g1.spacing[1] * 40))
-    g2 = cross_covariogram_grid(h2, k2, nx=41, ny=41, bbox=bbox)
+    g2 = cross_covariogram_grid(h2, k2, nx=41, ny=41, bbox=g1.bbox)
     assert np.abs(g1.values - g2.values).max() > 1e-3
 
 
 def test_counterexample_rejects_bad_family():
     with pytest.raises(ValueError):
         crosscov_counterexample(2, {})
+
+
+def test_contiguous_regions_match_the_walk():
+    # every circular mask of length 1 to 12
+    for n in range(1, 13):
+        masks = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1 == 1
+        for mask in masks:
+            assert _contiguous_regions(mask) == walk_contiguous_regions(mask), mask
 
 
 def test_trivial_associates_detection(make_polygon):

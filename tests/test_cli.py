@@ -18,21 +18,28 @@ def write_body(tmp_path, name, spec):
     return str(p)
 
 
+BODIES = {  # h and k are two parallelograms
+    "cw3": {"kind": "support2d", "a0": 1.0, "coeffs": [[0, 0], [0, 0], [0.05, 0]]},
+    "square": {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+    "disk": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+    "h": {"kind": "polygon", "vertices": [[0, 0], [2, 0], [2.6, 1], [0.6, 1]]},
+    "k": {"kind": "polygon", "vertices": [[0, 0], [1, 0.5], [1.3, 1.7], [0.3, 1.2]]},
+}
+
+
 @pytest.fixture
 def square_file(tmp_path):
-    return write_body(tmp_path, "square.json",
-                      {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+    return write_body(tmp_path, "square.json", BODIES["square"])
 
 
 @pytest.fixture
 def disk_file(tmp_path):
-    return write_body(tmp_path, "disk.json", {"kind": "disk", "center": [0, 0], "radius": 1.0})
+    return write_body(tmp_path, "disk.json", BODIES["disk"])
 
 
 @pytest.fixture
 def cw3_file(tmp_path):
-    return write_body(tmp_path, "cw3.json",
-                      {"kind": "support2d", "a0": 1.0, "coeffs": [[0, 0], [0, 0], [0.05, 0]]})
+    return write_body(tmp_path, "cw3.json", BODIES["cw3"])
 
 
 def test_body_validate_all_kinds(tmp_path, square_file, disk_file, cw3_file, capsys):
@@ -246,12 +253,20 @@ def test_unreadable_or_non_object_body_file_is_usage_error(tmp_path, content, sh
     ({"kind": "support2d", "a0": 1.0, "coeffs": ["ab"]}, "'coeffs' of 'support2d' body must hold"),
     ({"kind": "support2d", "a0": [1.0]}, "a0 must be one number, got [1.0]"),
     ({"kind": "disk", "center": [0, 0], "radius": [1.0]}, "radius must be one number, got [1.0]"),
+    ({"kind": "support2d", "a0": 1, "coeffs": 5}, "'coeffs' of 'support2d' body must be a list, got 5"),
+    ({"kind": "disk", "center": 0, "radius": 1}, "center must be two numbers, got 0"),
+    ({"kind": "support2d", "a0": 1, "coeffs": {"a": 1}},
+     "'coeffs' of 'support2d' body must be a list, got {'a': 1}"),
+    ({"kind": "zonogon", "generators": [[0, 1], [1, 0]]},
+     "generator 1 must be two endpoints, got [0, 1]"),
+    ({"kind": ["polygon"]}, "unknown body kind ['polygon']"),
 ], ids=["radius-bool", "radius-string", "a0-string", "center-bools", "vertex-strings",
         "missing-vertices", "missing-center", "harmonic-three", "harmonic-scalar",
-        "harmonic-string", "a0-list", "radius-list"])
+        "harmonic-string", "a0-list", "radius-list", "coeffs-number", "center-number",
+        "coeffs-object", "generator-of-numbers", "kind-list"])
 def test_malformed_body_field_is_named(tmp_path, spec, shown, capsys):
     # the bools and strings were reported valid; the others showed only the
-    # key, Python's unpacking text or float()'s text
+    # key, Python's unpacking, iteration or hashing text, or float()'s text
     path = write_body(tmp_path, "b.json", spec)
     assert main(["body-validate", "--body", path, "--json"]) == 2
     captured = capsys.readouterr()
@@ -325,10 +340,10 @@ def test_zeros_command(tmp_path, disk_file, capsys):
     assert main(["zeros", "--body", disk_file, "--u", "0.0", "--m", "1..3",
                  "--out", str(out), "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["n_branches"] == 3 and rep["all_validated"]
+    assert rep["n_branches"] == 3
     assert rep["nodes"] > 0 and 0.0 <= rep["quadrature_gap"] <= 1e-9
     rows = out.read_text().splitlines()
-    assert rows[0].startswith("m,theta,re_zeta")
+    assert rows[0] == "m,theta,re_zeta,im_zeta,residual,pred_re,pred_im"
     assert len(rows) == 4
 
 
@@ -338,7 +353,6 @@ def test_zeros_narrow_disk(tmp_path, capsys):
     out = tmp_path / "z.csv"
     assert main(["zeros", "--body", body, "--u", "0.0", "--m", "1..3",
                  "--out", str(out), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["all_validated"]
     re_zeta = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
     assert np.abs(re_zeta - np.array([76.634119404, 140.311733396, 203.469362701])).max() <= 1e-8
 
@@ -407,12 +421,16 @@ def _child_env(**extra):
     return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src, **extra}
 
 
+def _cli_run(args, **env):
+    """The stdout bytes of a covario run in a child process with env set."""
+    return subprocess.run([sys.executable, "-m", "covario.cli", *args],
+                          capture_output=True, env=_child_env(**env), check=True).stdout
+
+
 def _cli_output(args, tmp_path, **env):
     """Bytes of a covario run in a child process with env set, and of its --out file."""
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-m", "covario.cli", *args, "--out", str(out)],
-                          capture_output=True, env=_child_env(**env), check=True)
-    return proc.stdout, out.read_bytes()
+    return _cli_run([*args, "--out", str(out)], **env), out.read_bytes()
 
 
 def test_zeros_csv_is_pinned_across_blas_threads(tmp_path, cw3_file):
@@ -422,7 +440,7 @@ def test_zeros_csv_is_pinned_across_blas_threads(tmp_path, cw3_file):
                                            "--m", "1..40"], tmp_path,
                                           OPENBLAS_NUM_THREADS=blas)[1]).hexdigest()
                for blas in ("1", "2")}
-    assert digests == {"51c335d74c9337e46b60230477672eec639dd9db9eea97a21c1e347779ef0791"}
+    assert digests == {"9a196aba2196361e48bd64f27861f1ce9e5789208e592b5f64f9f402fb9330fe"}
 
 
 def test_kobayashi_json_is_pinned_across_thread_counts(tmp_path, cw3_file):
@@ -456,15 +474,87 @@ def test_flt_csv_is_pinned(tmp_path, cw3_file, name, blas_counts, digest):
 
 def test_verify_all_json_is_pinned():
     # every suite's report at seed 39, byte for byte, with one or two BLAS threads
-    digests = {hashlib.sha256(subprocess.run(
-        [sys.executable, "-m", "covario.cli", "verify", "all", "--seed", "39", "--json"],
-        capture_output=True, env=_child_env(OPENBLAS_NUM_THREADS=blas), check=True).stdout
-    ).hexdigest() for blas in ("1", "2")}
+    digests = {hashlib.sha256(_cli_run(["verify", "all", "--seed", "39", "--json"],
+                                       OPENBLAS_NUM_THREADS=blas)).hexdigest()
+               for blas in ("1", "2")}
     assert digests == {"48eda490861ceb1094fd242bdfbace7931c8caeb7658cb077a716fabeb13dead"}
 
 
-PARALLELOGRAMS = ({"kind": "polygon", "vertices": [[0, 0], [2, 0], [2.6, 1], [0.6, 1]]},
-                  {"kind": "polygon", "vertices": [[0, 0], [1, 0.5], [1.3, 1.7], [0.3, 1.2]]})
+def test_verify_all_text_is_pinned():
+    # the PASS/FAIL table of every suite at seed 39, byte for byte
+    assert hashlib.sha256(_cli_run(["verify", "all", "--seed", "39"],
+                                   OPENBLAS_NUM_THREADS="1")).hexdigest() == (
+        "04adf536478a1f2128150b20e8c5e4fa57bd6382f129ddd2fbd3b2c385b51644")
+
+
+# the text-mode stdout of each command, the --out path shown as <out>
+TEXT_OUTPUTS = [
+    (["body-validate", "--body", "cw3"],
+     "command: body-validate\nkind: support2d\narea: 3.1101767270538954\n"
+     "hash: ee212029abb0578d\nvalid: True\n"),
+    (["covariogram", "--body", "cw3", "--grid", "21x21"],
+     "command: covariogram\nout: <out>\nmethod: exact-strip\n"
+     "center_value: 3.1101767270538954\narea: 3.1101767270538954\n"),
+    (["crosscov", "--body", "h", "--body2", "k"],
+     "command: crosscov\nout: <out>\nmethod: exact-clip\nmax_value: 0.8356250000000001\n"),
+    (["radon", "--body", "cw3", "--u", "0.3"],
+     "command: radon\nout: <out>\ndomain: [-0.9689195015864667, 1.0310804984135333]\n"
+     "method: support-rootfind\n"),
+    (["flt", "--body", "cw3", "--u", "0.7", "--xi-max", "60"],
+     "command: flt\nout: <out>\nvalue_at_zero: 3.110176727053896\nnodes: 177\n"
+     "quadrature_gap: 1.886084321341632e-12\n"),
+    (["zeros", "--body", "cw3", "--u", "0.4", "--m", "1..40"],
+     "command: zeros\nout: <out>\nn_branches: 40\nnodes: 324\n"
+     "quadrature_gap: 3.2350047976349793e-12\n"),
+    (["kobayashi", "--body", "cw3", "--m", "2..40", "--u-grid", "12"],
+     "decay_exponent: -0.9538818246418727\nflags: []\n"),
+    (["recover-curvature", "--body", "cw3", "--u-grid", "24"],
+     "command: recover-curvature\nout: <out>\nn_directions: 24\n"),
+]
+
+
+@pytest.mark.parametrize("argv, text", TEXT_OUTPUTS, ids=[argv[0] for argv, _ in TEXT_OUTPUTS])
+def test_text_output_is_pinned(tmp_path, argv, text):
+    args = [write_body(tmp_path, f"{a}.json", BODIES[a]) if a in BODIES else a for a in argv]
+    out = tmp_path / "out"
+    if args[0] != "body-validate":
+        args += ["--out", str(out)]
+    stdout = _cli_run(args, OPENBLAS_NUM_THREADS="1").decode()
+    assert stdout.replace(str(out), "<out>") == text
+
+
+@pytest.mark.parametrize("body, digest", [
+    ("cw3", "4cf861f20f617522e4c145580e28cfbb1486c00d0180496b42d56af0b16cdb69"),
+    ("square", "b6019cd6e4aea5fcbb6e289e9c6d2e6c48bcbf23bf5e6d0c2d72441ed217aab2"),
+    ("disk", "2ddfef879c5378ed398bb8f8c72e6c47c2cbcad9cbdc468cc05ddaf1a59ebab2"),
+])
+def test_radon_csv_is_pinned(tmp_path, body, digest):
+    # the chord table of a smooth body, a polygon and a disk's closed form
+    path = write_body(tmp_path, f"{body}.json", BODIES[body])
+    out = _cli_output(["radon", "--body", path, "--u", "0.3"], tmp_path,
+                      OPENBLAS_NUM_THREADS="1")[1]
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["covariogram", "--grid", "5x5"],
+    ["crosscov", "--body2", "{body}", "--grid", "5x5"],
+    ["radon", "--u", "0.3"],
+    ["flt", "--u", "0.3", "--num", "8"],
+    ["zeros", "--u", "0.3", "--m", "1..2"],
+    ["kobayashi", "--m", "2..3", "--u-grid", "2"],
+    ["recover-curvature", "--u-grid", "2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, disk_file, argv, where, capsys):
+    # each exited 1 with a FileNotFoundError or IsADirectoryError traceback
+    out = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
+    args = [a.format(body=disk_file) for a in argv]
+    args[1:1] = ["--body", disk_file, "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("pair, grid, digest", [
@@ -475,8 +565,7 @@ def test_crosscov_csv_is_pinned(tmp_path, cw3_file, pair, grid, digest):
     # the cross-covariogram grid, byte for byte, of two polygons and of a
     # smooth body against a disk (their inscribed 4096-gons)
     if pair == "parallelograms":
-        bodies = [write_body(tmp_path, f"{name}.json", spec)
-                  for name, spec in zip("hk", PARALLELOGRAMS)]
+        bodies = [write_body(tmp_path, f"{name}.json", BODIES[name]) for name in "hk"]
     else:
         bodies = [cw3_file, write_body(tmp_path, "disk.json",
                                        {"kind": "disk", "center": [0.1, 0], "radius": 0.9})]

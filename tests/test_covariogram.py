@@ -389,9 +389,7 @@ def test_counterexample_grids_match_per_point_kernel():
         for _ in range(20):
             params = _random_family_params(family, rng)
             g1 = _assert_grid_is_per_point(*example_pair(family, **params), 41, 41)
-            (x0, y0), (dx, dy) = g1.origin, g1.spacing
-            bbox = ((x0, x0 + dx * 40), (y0, y0 + dy * 40))
-            _assert_grid_is_per_point(*example_pair(family + 1, **params), 41, 41, bbox)
+            _assert_grid_is_per_point(*example_pair(family + 1, **params), 41, 41, g1.bbox)
 
 
 def test_smooth_cross_grids_match_per_point_kernel(cw3):

@@ -378,6 +378,22 @@ def test_body_spec_rejects_non_finite(spec):
         body_from_spec(spec)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "support2d", "a0": 1, "coeffs": 5}, "'coeffs' of 'support2d' body must be a list, got 5"),
+    ({"kind": "disk", "center": 0, "radius": 1}, "center must be two numbers, got 0"),
+    ({"kind": "support2d", "a0": 1, "coeffs": {"a": 1}},
+     r"'coeffs' of 'support2d' body must be a list, got \{'a': 1\}"),
+    ({"kind": "zonogon", "generators": [[0, 1], [1, 0]]},
+     r"generator 1 must be two endpoints, got \[0, 1\]"),
+    ({"kind": ["polygon"]}, r"unknown body kind \['polygon'\]"),
+], ids=["coeffs-number", "center-number", "coeffs-object", "generator-of-numbers", "kind-list"])
+def test_malformed_body_field_is_named(spec, message):
+    # these raised TypeError with Python's iteration, float() or hashing
+    # text, or named no generator
+    with pytest.raises(ValueError, match=message):
+        body_from_spec(spec)
+
+
 @pytest.mark.parametrize("build", [
     lambda: SupportBody(math.nan),
     lambda: SupportBody(1.0, ((math.nan, 0.0),)),

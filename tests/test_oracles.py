@@ -37,10 +37,10 @@ def test_mc_area_unit_square():
 
 
 def test_mc_area_reproducible():
-    a = mc_area(square_membership, [(0, 2), (0, 2)], 200_000, seed=11, streams=4)
-    b = mc_area(square_membership, [(0, 2), (0, 2)], 200_000, seed=11, streams=4)
+    a = mc_area(square_membership, [(0, 2), (0, 2)], 200_000, seed=11)
+    b = mc_area(square_membership, [(0, 2), (0, 2)], 200_000, seed=11)
     assert a.mean == b.mean and a.standard_error == b.standard_error
-    c = mc_area(square_membership, [(0, 2), (0, 2)], 200_000, seed=12, streams=4)
+    c = mc_area(square_membership, [(0, 2), (0, 2)], 200_000, seed=12)
     assert c.mean != a.mean
 
 
@@ -60,23 +60,22 @@ def test_mc_area_disk_and_lens():
 
 
 def test_mc_area_rejects_empty_draws():
-    for n, streams in ((0, 1), (-5, 1), (10, 0)):
+    for n in (0, -5):
         with pytest.raises(ValueError):
-            mc_area(square_membership, [(0, 2), (0, 2)], n, seed=1, streams=streams)
+            mc_area(square_membership, [(0, 2), (0, 2)], n, seed=1)
 
 
-@pytest.mark.parametrize("streams", [1, 3])
-def test_mc_area_column_layout_keeps_row_major_hits(streams):
-    # n is not a multiple of the chunk, so every stream ends on a short chunk
+def test_mc_area_column_layout_keeps_row_major_hits():
+    # n is not a multiple of the chunk, so the draw ends on a short chunk
     rng = np.random.default_rng(5)
     a, b = random_spd(3, rng, (0.5, 3.0)), random_spd(3, rng, (0.5, 3.0))
     q, t = rng.uniform(-0.3, 0.3, size=3), 1.1
     member, bbox = paraboloid_region(a, b, q, t)
     n = 2 * 2 ** 16 + 12345
-    est = mc_area(member, bbox, n, seed=7, streams=streams)
+    est = mc_area(member, bbox, n, seed=7)
     volume = float(np.prod([hi - lo for lo, hi in bbox]))
     for oracle in (member, reference_member(a, b, q, t)):
-        hits = reference_hits(oracle, bbox, n, seed=7, streams=streams)
+        hits = reference_hits(oracle, bbox, n, seed=7)
         assert est.mean == volume * (hits / n)
 
 
