@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-GL_CACHE = {}
 # Gauss-Legendre points per half-panel of the chord and autocorrelation tables
 PANEL_ORDER = 64
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre(order):
-    if order not in GL_CACHE:
-        GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def panel_table(lo, hi, breakpoints=(), order=PANEL_ORDER, max_freq=0.0, osc_budget=40.0):

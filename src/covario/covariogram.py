@@ -287,24 +287,25 @@ def _longest_chord(width, alpha):
     p_D(theta*) = w n + w' n', the boundary point of K - K with normal
     theta*.  The angle of p_D(theta) relative to alpha, theta - alpha +
     atan(w'/w), increases with theta and changes sign on alpha -+ pi/2: a
-    Newton iteration on it is safeguarded by bisection on that bracket.
+    Newton iteration on it is safeguarded by bisection on that bracket, its
+    unsettled angles compacted only in a step where some angle settles.
     """
-    theta = alpha.copy()
+    out = np.empty_like(alpha)
+    todo, theta = np.arange(alpha.size), alpha.copy()
     lo, hi = alpha - 0.5 * math.pi, alpha + 0.5 * math.pi
-    todo = np.arange(alpha.size)
     for _ in range(_MAX_STEPS):
         if not todo.size:
-            w, w1, _ = width.terms(theta)
-            return theta, np.hypot(w, w1)
-        t = theta[todo]
-        w, w1, rho = width.terms(t)
-        f = t - alpha[todo] + np.arctan(w1 / w)
-        lo[todo] = np.where(f < 0.0, t, lo[todo])
-        hi[todo] = np.where(f > 0.0, t, hi[todo])
-        new = t - f * (w * w + w1 * w1) / (w * rho)
-        inside = (new >= lo[todo]) & (new <= hi[todo])
-        theta[todo] = np.where(inside, new, 0.5 * (lo[todo] + hi[todo]))
-        todo = todo[np.abs(f) > _RESIDUAL_TOL]
+            w, w1, _ = width.terms(out)
+            return out, np.hypot(w, w1)
+        w, w1, rho = width.terms(theta)
+        f = theta - alpha + np.arctan(w1 / w)
+        lo, hi = np.where(f < 0.0, theta, lo), np.where(f > 0.0, theta, hi)
+        new = theta - f * (w * w + w1 * w1) / (w * rho)
+        theta = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        going = np.abs(f) > _RESIDUAL_TOL
+        if not going.all():
+            out[todo] = theta
+            todo, theta, alpha, lo, hi = (z[going] for z in (todo, theta, alpha, lo, hi))
     raise ArithmeticError("longest-chord iteration did not converge")
 
 
@@ -337,21 +338,18 @@ def _caps(series, xs, r, alpha, theta, r_max):
     lo, hi = np.minimum(longest, short), np.maximum(longest, short)
     phi = longest + seed * (short - longest)
     best = np.full(x.size, np.inf)
-    # the unsettled chords, a column each: rows the trial ends, the ends of
-    # least |E| so far, the step from there, the brackets, the step's length,
-    # that least |E| and the targets; compacted only in a step where some
-    # chord settles
-    todo = np.arange(x.size)
-    state = np.concatenate([phi, phi, np.zeros_like(phi), lo, hi,
-                            [np.ones(x.size), best, x, y, tol]])
+    # the unsettled chords, a column each: the trial ends, the ends of least
+    # |E| so far, the step from there, the brackets, the step's length, that
+    # least |E| and the targets; compacted only in a step where some chord
+    # settles
+    todo, trial, base, step = np.arange(x.size), phi.copy(), phi.copy(), np.zeros_like(phi)
+    length, least, tol_i = np.ones(x.size), best.copy(), tol
     for _ in range(_MAX_STEPS):
-        trial, base, step, lo_i, hi_i = state[0:2], state[2:4], state[4:6], state[6:8], state[8:10]
-        length, least, x_i, y_i, tol_i = state[10:]
         # one evaluation of the boundary p = h n + h' n' at both ends
         h, h1, (ra, rb) = series.support.terms(trial)
         c, s = np.cos(trial), np.sin(trial)
         px, py = h * c - h1 * s, h * s + h1 * c
-        ex, ey = px[1] - px[0] - x_i, py[1] - py[0] - y_i
+        ex, ey = px[1] - px[0] - x, py[1] - py[0] - y
         res = np.hypot(ex, ey)
         # a trial that lowers |E| is the base of a new Newton step; one that
         # does not is retried at half the length
@@ -362,17 +360,19 @@ def _caps(series, xs, r, alpha, theta, r_max):
         sin_ab = sa * cb - ca * sb
         d = -np.array([(ex * cb + ey * sb) / (ra * sin_ab), (ex * ca + ey * sa) / (rb * sin_ab)])
         with np.errstate(divide="ignore"):
-            room = np.where(d > 0.0, hi_i - base, base - lo_i) / np.abs(d)
+            room = np.where(d > 0.0, hi - base, base - lo) / np.abs(d)
         np.copyto(step, d, where=lower)
-        length[:] = np.where(lower, np.minimum(1.0, 0.5 * room.min(axis=0)), 0.5 * length)
-        trial[:] = base + length * step
+        length = np.where(lower, np.minimum(1.0, 0.5 * room.min(axis=0)), 0.5 * length)
+        trial = base + length * step
         going = (least > tol_i) & (length > _SQRT_EPS)
         if not going.all():
             phi[:, todo], best[todo] = trial, least
-            todo, state = todo[going], state[:, going]
+            todo, length, least, x, y, tol_i = (
+                z[going] for z in (todo, length, least, x, y, tol_i))
+            trial, base, step, lo, hi = (z[:, going] for z in (trial, base, step, lo, hi))
             if not todo.size:
                 break
-    phi[:, todo], best[todo] = state[0:2], state[11]
+    phi[:, todo], best[todo] = trial, least
     stuck = np.nonzero(best > tol)[0]
     if stuck.size:
         phi[:, stuck] = _bisected_chords(series.support, np.tile(alpha, 2)[stuck],
@@ -398,10 +398,9 @@ def _bisected_chords(support, alpha, r, longest, short):
     s_long, s_short = support.offsets(longest[1], e)[0], support.offsets(short[1], e)[0]
     for _ in range(64):
         s = 0.5 * (s_long + s_short)
-        ends = support.normal_at_offset(s, e, longest, short)
         # e perp points along -(cos alpha, sin alpha), from p(phi_b) to p(phi_a)
-        along = support.offsets(ends, e)[1]
-        longer = along[0] - along[1] > r
+        ends, length = support.chord_at_offset(s, e, longest, short)
+        longer = length > r
         s_long, s_short = np.where(longer, s, s_long), np.where(longer, s_short, s)
         longest, short = np.where(longer, ends, longest), np.where(longer, short, ends)
     return 0.5 * (longest + short)
@@ -539,7 +538,6 @@ def support_of_crosscov(bodyH, bodyK, n_dirs=360):
 class MatheronDerivative:
     geometric: float
     finite_difference: float
-    step: float
 
 
 def directional_derivative_origin(body, v: Direction, step=1e-4):
@@ -552,7 +550,7 @@ def directional_derivative_origin(body, v: Direction, step=1e-4):
     geo = -width(body, Direction(v.theta + math.pi / 2.0))
     g0 = covariogram(body, (0.0, 0.0))
     g1 = covariogram(body, step * v.u)
-    return MatheronDerivative(geo, (g1 - g0) / step, step)
+    return MatheronDerivative(geo, (g1 - g0) / step)
 
 
 def sum_reciprocal_curvatures_from_width(body: SupportBody, u: Direction):
@@ -575,9 +573,7 @@ class CurvaturePair:
 
     low: float
     high: float
-    direction: Direction
     fit_residual: float
-    n_samples: int
 
     @property
     def values(self):
@@ -670,7 +666,7 @@ def _cap_fit(anchor, u: Direction, t_star):
     if low <= 0:
         raise FitFailed("non-positive curvature root")
     resid = float(np.abs(basis @ coef - y).max() / y.max())
-    return CurvaturePair(float(low), float(high), u, resid, depths.size + qarr.size)
+    return CurvaturePair(float(low), float(high), resid)
 
 
 def curvature_pair_from_covariogram(body, u: Direction):

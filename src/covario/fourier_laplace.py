@@ -459,7 +459,6 @@ def sweep_bound(body, u_list, m_max):
 class IdentityReport:
     max_deviation: float
     tolerance: float
-    n_samples: int
 
     @property
     def passed(self):
@@ -481,7 +480,7 @@ def verify_reflection_identity(body, seed=0):
         growth = math.exp(abs(z.imag) * max(abs(ctx_k.lo), abs(ctx_k.hi)))
         dev = abs(flt_ray(ctx_r, z) - flt_ray(ctx_k, z.conjugate()).conjugate())
         worst = max(worst, dev / (scale * growth))
-    return IdentityReport(worst, REFLECTION_TOL, REFLECTION_SAMPLES)
+    return IdentityReport(worst, REFLECTION_TOL)
 
 
 def autocorr_transform_table(body, u: Direction, max_freq):
@@ -515,4 +514,4 @@ def verify_factorization(body, u: Direction, xi_grid):
     rhs = np.abs(flt_ray_many(ctx, xi)) ** 2
     dev = float(np.abs(lhs - rhs).max())
     scale = area(body) ** 2
-    return IdentityReport(dev / scale, FACTORIZATION_TOL, xi.shape[0])
+    return IdentityReport(dev / scale, FACTORIZATION_TOL)

@@ -33,9 +33,12 @@ class InvalidFamilyParams(Exception):
 
 @dataclass(frozen=True)
 class Direction:
-    """Unit direction on the circle, stored by its angle in radians."""
+    """Unit direction on the circle, stored by its angle in radians in [0, 2 pi)."""
 
     theta: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta", self.theta % (2.0 * math.pi))
 
     @property
     def u(self):
@@ -47,7 +50,7 @@ class Direction:
         return np.array([-math.sin(self.theta), math.cos(self.theta)])
 
     def antipode(self):
-        return Direction((self.theta + math.pi) % (2.0 * math.pi))
+        return Direction(self.theta + math.pi)
 
 
 def _is_pair(value):
@@ -136,7 +139,11 @@ class Polygon:
     __slots__ = ("vertices", "_hash")
 
     def __init__(self, vertices):
-        v = _canonicalize_vertices(vertices)
+        try:
+            with np.errstate(over="raise"):
+                v = _canonicalize_vertices(vertices)
+        except FloatingPointError:
+            raise ValueError("polygon coordinates overflow in its edge products") from None
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_hash", hash(v.tobytes()))
@@ -217,12 +224,14 @@ class Harmonics:
         c, s = np.cos(phi - e), np.sin(phi - e)
         return f * c - f1 * s, f * s + f1 * c
 
-    def normal_at_offset(self, s, e, a, b):
-        """The normal angle phi between a and b with <p(phi), e> = s.
+    def chord_at_offset(self, s, e, a, b):
+        """The chord on the line <p, e> = s: its ends' normal angles phi, the
+        one between a[0] and b[0] first, and its length <p(phi[0]) - p(phi[1]),
+        e perp>.
 
-        <p(phi), e> must be monotone on [a, b] and s lie between its values
-        at the ends; every argument broadcasts, so one call bisects many
-        brackets together.
+        <p(phi), e> must be monotone on each bracket [a[i], b[i]] and s lie
+        between its values at the ends; every argument broadcasts, so one call
+        bisects many chords together.
         """
         fa = self.offsets(a, e)[0] - s
         for _ in range(BISECTION_STEPS):
@@ -230,7 +239,9 @@ class Harmonics:
             fm = self.offsets(mid, e)[0] - s
             left = fa * fm <= 0.0
             a, b, fa = np.where(left, a, mid), np.where(left, mid, b), np.where(left, fa, fm)
-        return 0.5 * (a + b)
+        phi = 0.5 * (a + b)
+        along = self.offsets(phi, e)[1]
+        return phi, along[0] - along[1]
 
 
 @dataclass(frozen=True)
@@ -263,6 +274,12 @@ class SupportBody:
         ab = np.array(self.coeffs, dtype=float).reshape(-1, 2)
         if not np.isfinite([self.a0, *self.center, *ab.ravel()]).all():
             raise ValueError("support body numbers must be finite")
+        try:
+            finite = math.isfinite(area(self))
+        except OverflowError:  # a0 ** 2 past the largest float
+            finite = False
+        if not finite:
+            raise ValueError("support body area is not finite: its numbers are too large")
         h = Harmonics.of(self.a0, np.arange(1.0, ab.shape[0] + 1.0), ab[:, 0], ab[:, 1])
         object.__setattr__(self, "series", h)
         rho = Harmonics.of(h.c0, h.k, (1.0 - h.k * h.k) * h.a, (1.0 - h.k * h.k) * h.b).least()

@@ -150,7 +150,6 @@ def paraboloid_cap_volume_closed_form(a, b, q, t):
 class ParaboloidReport:
     estimate: MonteCarloEstimate
     closed_form: float
-    statement_level: float
     z_closed_form: float
     z_statement_level: float
 
@@ -211,15 +210,15 @@ def paraboloid_volume(a, b, q, t, n_samples, seed):
     """Monte Carlo volume of {f2(x) <= x' <= f1(x)} against both candidate constants.
 
     f1(x) = t - <A(x-q), x-q>/2 and f2(x) = <Bx, x>/2.  The closed form carries
-    the proof-consistent constant; statement_level is that value times
-    2^{(n+1)/2}, the extra factor rejected by this oracle.
+    the proof-consistent constant; z_statement_level scores the estimate
+    against that value times 2^{(n+1)/2}, the extra factor this oracle rejects.
     """
     n = np.atleast_2d(np.asarray(a, dtype=float)).shape[0] + 1
     closed = paraboloid_cap_volume_closed_form(a, b, q, t)
     member, bbox = paraboloid_region(a, b, q, t)
     est = mc_area(member, bbox, n_samples, seed)
     alt = closed * 2.0 ** ((n + 1) / 2.0)
-    return ParaboloidReport(est, closed, alt, est.z_score(closed), est.z_score(alt))
+    return ParaboloidReport(est, closed, est.z_score(closed), est.z_score(alt))
 
 
 _J1_SWITCH = 12.0

@@ -16,7 +16,6 @@ from covario.geometry import Direction, Disk, Polygon, SupportBody, curvature, s
 class ChordFunction:
     """Evaluator t -> S_K(u, t) = length of the chord at signed offset t along u."""
 
-    direction: Direction
     lo: float
     hi: float
     method: str
@@ -48,7 +47,7 @@ def chord_function(body, u: Direction):
         def ev(t):
             return np.interp(t, knots, vals, left=0.0, right=0.0)
 
-        return ChordFunction(u, lo, hi, "polygon-exact", ev, tuple(knots[1:-1]))
+        return ChordFunction(lo, hi, "polygon-exact", ev, tuple(knots[1:-1]))
     if isinstance(body, Disk):
         c = float(np.dot(body.center, u.u))
         r = body.radius
@@ -56,7 +55,7 @@ def chord_function(body, u: Direction):
         def ev(t):
             return 2.0 * np.sqrt(np.clip(r * r - (t - c) ** 2, 0.0, None))
 
-        return ChordFunction(u, c - r, c + r, "disk-closed-form", ev)
+        return ChordFunction(c - r, c + r, "disk-closed-form", ev)
     if isinstance(body, SupportBody):
         return _support_chord_function(body, u)
     raise TypeError(f"not a body: {body!r}")
@@ -73,11 +72,10 @@ def _support_chord_function(body, u: Direction):
     start, end = np.array([[th], [th - math.pi]]), np.array([[th + math.pi], [th]])
 
     def ev(t):
-        phi = body.series.normal_at_offset(np.clip(t - shift, -hmu, hu), th, start, end)
-        along = body.series.offsets(phi, th)[1]
-        return np.where((lo < t) & (t < hi), np.maximum(along[0] - along[1], 0.0), 0.0)
+        _, length = body.series.chord_at_offset(np.clip(t - shift, -hmu, hu), th, start, end)
+        return np.where((lo < t) & (t < hi), np.maximum(length, 0.0), 0.0)
 
-    return ChordFunction(u, lo, hi, "support-rootfind", ev)
+    return ChordFunction(lo, hi, "support-rootfind", ev)
 
 
 def radon(body, u: Direction, t):

@@ -172,7 +172,7 @@ def loop_cap_pair(g, anchor, u: Direction, t_star):
     if low <= 0:
         raise FitFailed("non-positive curvature root")
     resid = float(np.abs(basis @ coef - y).max() / y.max())
-    return CurvaturePair(float(low), float(high), u, resid, depths.size + qarr.size)
+    return CurvaturePair(float(low), float(high), resid)
 
 
 def walk_contiguous_regions(mask):

@@ -260,13 +260,20 @@ def test_unreadable_or_non_object_body_file_is_usage_error(tmp_path, content, sh
     ({"kind": "zonogon", "generators": [[0, 1], [1, 0]]},
      "generator 1 must be two endpoints, got [0, 1]"),
     ({"kind": ["polygon"]}, "unknown body kind ['polygon']"),
+    ({"kind": "support2d", "a0": 1e200}, "support body area is not finite"),
+    ({"kind": "disk", "center": [0, 0], "radius": 1e308}, "support body area is not finite"),
+    ({"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
+     "polygon coordinates overflow"),
 ], ids=["radius-bool", "radius-string", "a0-string", "center-bools", "vertex-strings",
         "missing-vertices", "missing-center", "harmonic-three", "harmonic-scalar",
         "harmonic-string", "a0-list", "radius-list", "coeffs-number", "center-number",
-        "coeffs-object", "generator-of-numbers", "kind-list"])
+        "coeffs-object", "generator-of-numbers", "kind-list", "a0-overflow", "radius-overflow",
+        "vertices-overflow"])
 def test_malformed_body_field_is_named(tmp_path, spec, shown, capsys):
     # the bools and strings were reported valid; the others showed only the
-    # key, Python's unpacking, iteration or hashing text, or float()'s text
+    # key, Python's unpacking, iteration or hashing text, or float()'s text;
+    # the overflowing areas exited 1 with an OverflowError traceback, the
+    # overflowing vertices warned and blamed collinear removal
     path = write_body(tmp_path, "b.json", spec)
     assert main(["body-validate", "--body", path, "--json"]) == 2
     captured = capsys.readouterr()
@@ -305,6 +312,19 @@ def test_radon_command(tmp_path, cw3_file, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,chord"
     assert len(lines) == 202
+
+
+@pytest.mark.parametrize("argv", [["radon"], ["zeros", "--m", "1..5"]], ids=["radon", "zeros"])
+def test_huge_angle_is_its_reduced_angle(tmp_path, cw3_file, argv, capsys):
+    # at 1e300, th + pi == th: radon's domain on cw3, of constant width 2,
+    # had width 2.096, and zeros failed its damping
+    outputs = []
+    for u in (1e300, 1e300 % (2.0 * math.pi)):
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert main([argv[0], "--body", cw3_file, "--u", repr(u), *argv[1:], "--out", str(out),
+                     "--json"]) == 0
+        outputs.append((capsys.readouterr().out.replace(str(out), "<out>"), out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_flt_command(tmp_path, disk_file, capsys):
@@ -422,9 +442,12 @@ def _child_env(**extra):
 
 
 def _cli_run(args, **env):
-    """The stdout bytes of a covario run in a child process with env set."""
-    return subprocess.run([sys.executable, "-m", "covario.cli", *args],
-                          capture_output=True, env=_child_env(**env), check=True).stdout
+    """The stdout bytes of a covario run in a child process with env set; it
+    must write nothing to stderr, a warning included."""
+    run = subprocess.run([sys.executable, "-m", "covario.cli", *args],
+                         capture_output=True, env=_child_env(**env), check=True)
+    assert run.stderr == b""
+    return run.stdout
 
 
 def _cli_output(args, tmp_path, **env):

@@ -50,6 +50,18 @@ def test_direction_unit_and_antipode():
     assert np.allclose(u.antipode().u, -u.u, atol=1e-14)
 
 
+def test_direction_reduces_its_angle(cw3):
+    # an angle in [0, 2 pi) keeps its bits; at 1e300, th + pi == th made the
+    # antipode the direction itself
+    for theta in (0.0, 1.234, math.pi, np.nextafter(2.0 * math.pi, 0.0)):
+        assert Direction(theta).theta == theta
+    assert Direction(-0.5).theta == -0.5 % (2.0 * math.pi)
+    u = Direction(1e300)
+    assert 0.0 <= u.theta < 2.0 * math.pi and u.theta == 1e300 % (2.0 * math.pi)
+    assert abs(u.antipode().theta - u.theta) == pytest.approx(math.pi, abs=1e-15)
+    assert abs(width(cw3, u) - 2.0) < 1e-12
+
+
 def test_support_examples(unit_square):
     assert support(unit_square, Direction(0.0)) == 1.0
     disk = Disk((0.0, 0.0), 2.0)
@@ -458,6 +470,13 @@ def test_polygon_canonicalization():
     assert q == Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     with pytest.raises(ValueError):
         Polygon([(0, 0), (1, 0), (2, 0)])
+
+
+def test_polygon_coordinate_overflow_is_named():
+    # the edge products overflowed with RuntimeWarnings, and the error blamed
+    # collinear removal
+    with pytest.raises(ValueError, match="^polygon coordinates overflow"):
+        Polygon([(0, 0), (1e200, 0), (0, 1e200)])
 
 
 def test_polygon_keeps_a_repeated_vertex_once():
