@@ -234,10 +234,10 @@ def cmd_recover_curvature(args):
     if isinstance(body, geometry.Polygon):
         raise UsageError("curvature is undefined on a polygon")
     thetas = np.linspace(0.0, 2.0 * math.pi, args.u_grid, endpoint=False)
-    rows = []
-    for th in thetas:
-        pair = covariogram.curvature_pair_from_covariogram(body, Direction(float(th)))
-        rows.append((float(th), pair.low, pair.high, pair.fit_residual))
+    pairs = covariogram.curvature_pairs_from_covariogram(body, [Direction(float(th))
+                                                               for th in thetas])
+    rows = [(float(th), pair.low, pair.high, pair.fit_residual)
+            for th, pair in zip(thetas, pairs)]
     _write_csv(args.out, "theta,low,high,residual", rows)
     _emit("recover-curvature", {"out": args.out, "n_directions": len(rows)}, args.json)
     return 0

@@ -675,7 +675,18 @@ def curvature_pair_from_covariogram(body, u: Direction):
     cap_pair at the exact anchor p(u) - p(-u) with t_star = 5e-4 w(u), a depth
     relative to the width, so the recovered pair scales as 1 / size.
     """
+    (pair,) = curvature_pairs_from_covariogram(body, [u])
+    return pair
+
+
+def curvature_pairs_from_covariogram(body, us):
+    """curvature_pair_from_covariogram along each direction of us, from one
+    cap_pairs call; the first direction whose fit fails raises its FitFailed."""
     if not isinstance(body, SupportBody):
         raise FitFailed("cap asymptotics require a smooth body")
-    anchor = boundary_point(body, u) - boundary_point(body, u.antipode())
-    return cap_pair(covariogram_evaluator(body), anchor, u, 5e-4 * width(body, u))
+    anchors = [boundary_point(body, u) - boundary_point(body, u.antipode()) for u in us]
+    pairs = cap_pairs(covariogram_evaluator(body), anchors, us, [5e-4 * width(body, u) for u in us])
+    for pair in pairs:
+        if isinstance(pair, FitFailed):
+            raise pair
+    return pairs

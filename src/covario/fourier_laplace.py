@@ -59,10 +59,76 @@ def fourier_sum(rows, nodes, zetas):
 def derivative_rows(nodes, amplitudes, order):
     """Rows (a, i t a, ..., (i t)^order a): their fourier_sum is the sum with
     amplitudes a and its first order zeta-derivatives."""
-    rows = [np.asarray(amplitudes, dtype=complex)]
+    rows, step = [np.asarray(amplitudes, dtype=complex)], 1j * nodes
     for _ in range(order):
-        rows.append(1j * nodes * rows[-1])
+        rows.append(step * rows[-1])
     return np.stack(rows)
+
+
+@dataclass(frozen=True)
+class Expansion:
+    """Taylor polynomials of f = sum_j a_j exp(i t_j zeta) about an array of centers.
+
+    a = rows[0], t = nodes, and rows[1] = i t a gives f'.  coeffs[k, 0]
+    holds f^(k)(c)/k! at each center c, from one fourier_sum of
+    derivative_rows(t, a, K) at the centers, taken in 2-row slices, and
+    coeffs[k, 1] = (k + 1) coeffs[k + 1, 0] those of f'.  For |t_j d| <= rho
+    the tail of exp(i t_j d) past its term of order K is at most
+    rho^(K+1) e^rho/(K+1)!; K is the least order that puts it below eps/4
+    over the reach rho = max |t_j| radius, raised to odd so that the K + 1
+    rows pair up.  Called at points z, it returns (f, f') by Horner's rule
+    about each point's center; a point farther than radius from it is
+    summed directly, never extrapolated.
+    """
+
+    rows: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False)
+    centers: np.ndarray
+    radius: float
+    coeffs: np.ndarray = field(repr=False)
+
+    @classmethod
+    def about(cls, rows, nodes, centers, radius):
+        centers = np.asarray(centers, dtype=complex).reshape(-1)
+        reach = float(np.max(np.abs(nodes), initial=0.0)) * radius
+        order, tail = 0, reach * math.exp(reach)
+        while tail >= 0.25 * np.finfo(float).eps:
+            order += 1
+            tail *= reach / (order + 1)
+        order |= 1
+        table = derivative_rows(nodes, rows[0], order).reshape(-1, 2, nodes.size)
+        factorials = np.cumprod(np.maximum(np.arange(order + 1.0), 1.0))[:, None]
+        coeffs = np.zeros((order + 1, 2, centers.size), complex)
+        coeffs[:, 0] = fourier_sum(table, nodes, centers).reshape(order + 1, -1) / factorials
+        coeffs[:-1, 1] = np.arange(1.0, order + 1.0)[:, None] * coeffs[1:, 0]
+        return cls(rows[:2], nodes, centers, radius, coeffs)
+
+    @property
+    def order(self):
+        return self.coeffs.shape[0] - 1
+
+    def __call__(self, z, owner=None):
+        """(f, f') at the points z, shape (2, z.size): Horner's rule in
+        z - centers[owner], owner by default each point's nearest center,
+        where that is at most radius, and a direct sum elsewhere."""
+        z = np.asarray(z, dtype=complex).reshape(-1)
+        if owner is None:  # searched for at most KERNEL_BLOCK point-center pairs at a time
+            step = max(1, KERNEL_BLOCK // max(self.centers.size, 1))
+            owner = np.zeros(z.size, int)
+            for i in range(0, z.size, step):
+                owner[i:i + step] = np.abs(z[i:i + step, None] - self.centers).argmin(axis=1)
+        d = z - self.centers[owner]
+        near = np.abs(d) <= self.radius
+        x, own = d[near], owner[near]
+        value = self.coeffs[-1].take(own, axis=1)
+        for k in range(self.order - 1, -1, -1):
+            value *= x
+            value += self.coeffs[k].take(own, axis=1)
+        out = np.empty((2, z.size), complex)
+        out[:, near] = value
+        if not near.all():
+            out[:, ~near] = fourier_sum(self.rows, self.nodes, z[~near])
+        return out
 
 
 @dataclass(frozen=True)
@@ -184,15 +250,16 @@ def _check_zeta(ctx, zeta):
     return z
 
 
-def _centred_transform(ctx, zetas, order):
+def _centred_transform(ctx, zetas, order, sums=None):
     """(H,) for order 0, (H, H') for order 1, at each zeta, H = exp(-i c zeta) F:
-    G_c/(i zeta) and (-i G_c' - H)/zeta from one fourier_sum, or the moment
-    series where |zeta| w/2 <= SERIES_RADIUS."""
+    G_c/(i zeta) and (-i G_c' - H)/zeta from one fourier_sum, or from
+    sums(zetas) = (G_c, G_c') at a 1-d array when an Expansion of G_c is
+    passed, or the moment series where |zeta| w/2 <= SERIES_RADIUS."""
     z = _check_zeta(ctx, zetas)
     near = np.abs(z) * (0.5 * ctx.body_width) <= SERIES_RADIUS
     any_near = np.count_nonzero(near)
     far = np.where(near, 1.0, z) if any_near else z
-    g = fourier_sum(ctx.rows[:order + 1], ctx.nodes, z)
+    g = fourier_sum(ctx.rows[:order + 1], ctx.nodes, z) if sums is None else sums(z)
     h = g[0] / (1j * far)
     out = (h, (-1j * g[1] - h) / far) if order else (h,)
     if not any_near:
@@ -275,38 +342,41 @@ def _raise_first(kind, bad, message):
         raise exc
 
 
-def _contour_start(rows, nodes, centers, offsets):
-    """(f, f') at centers[:, None] + offsets, of shape (2, centers.size, offsets.size):
-    by the shift theorem fourier_sum(rows exp(i t c), nodes, offsets) for each
-    center c, stacked for at most KERNEL_BLOCK // nodes.size centers per call."""
-    step = max(1, KERNEL_BLOCK // nodes.size)
-    shifted = (rows * np.exp(1j * centers[i:i + step, None] * nodes)[:, None]
-               for i in range(0, max(centers.size, 1), step))
-    return np.concatenate([fourier_sum(r, nodes, offsets) for r in shifted]).transpose(1, 0, 2)
-
-
-def contour_winding(rows, nodes, center, half_re, half_im):
+def contour_winding(rows, nodes, center, half_re, half_im, sums=None):
     """Zeros of f = sum_j a_j exp(i t_j zeta) inside center +- half_re +- i half_im.
 
     a = rows[0] and t = nodes; rows[1] = i t a gives f'.  center may be an
     array; the counts have its shape.  The argument of f is summed from the
-    points center + _contour_offsets(half_re, half_im), with (f, f') from
-    _contour_start there and from fourier_sum at bisection midpoints; all
-    contours are refined in one flat array tagged by contour.  On a rectangle
-    about y_c = Im center each |exp(i t_j zeta)| is at most
-    e_j = exp(|t_j| half_im - t_j y_c), so |f''| <= M2 = sum_j |a_j| t_j^2 e_j,
-    and a step of length h with |f| - |f'| h > M2 h^2/2 at one of its ends
-    keeps f in a disc about that end's value that excludes 0: its principal
-    argument is exact (Ying & Katz, Numer. Math. 53, 1988).  Every other step
-    is bisected, for at most MAX_REFINE_ROUNDS rounds.  A value that is 0,
-    not finite, or at most 64 eps sum_j |a_j| e_j, where rounding hides it,
-    raises ValidationFailed, whose index names the contour.
+    points center + _contour_offsets(half_re, half_im), refined by bisection;
+    all contours are refined in one flat array tagged by contour.  (f, f')
+    come from sums, an Expansion of f with one center per contour, each
+    point expanded about its contour's center.  Without one the contour
+    builds its own about the contour centers, of radius d the distance of
+    the farthest start point (a corner), when its reach max |t_j| d is at
+    most that of a branch's expansion; a wider contour sums every point
+    directly.  On a rectangle about y_c = Im center each |exp(i t_j zeta)|
+    is at most e_j = exp(|t_j| half_im - t_j y_c), so |f''| <= M2 =
+    sum_j |a_j| t_j^2 e_j, and a step of length h with |f| - |f'| h >
+    M2 h^2/2 at one of its ends keeps f in a disc about that end's value
+    that excludes 0: its principal argument is exact (Ying & Katz,
+    Numer. Math. 53, 1988).  Every other step is bisected, for at most
+    MAX_REFINE_ROUNDS rounds.  A value that is 0, not finite, or at most
+    64 eps sum_j |a_j| e_j, where rounding hides it, raises
+    ValidationFailed, whose index names the contour.
     """
     rows, centers = rows[:2], np.asarray(center, dtype=complex)
     flat = centers.reshape(-1)
     offsets, contours = _contour_offsets(half_re, half_im), np.arange(flat.size)
     z, tag = (flat[:, None] + offsets).ravel(), np.repeat(contours, offsets.size)
-    vals = _contour_start(rows, nodes, flat, offsets).reshape(2, -1)
+    diagonal = float(np.max(np.abs(z - flat[tag]), initial=0.0))
+    branch_reach = 0.5 * _branch_radius(1.0)  # w/2 times _branch_radius(w), for any w
+    if sums is None and np.max(np.abs(nodes), initial=0.0) * diagonal <= branch_reach:
+        sums = Expansion.about(rows, nodes, flat, diagonal)
+
+    def values(p, tag):
+        return fourier_sum(rows, nodes, p) if sums is None else sums(p, tag)
+
+    vals = values(z, tag)
     grow = np.abs(rows[0]) * np.exp(half_im * np.abs(nodes) - np.outer(flat.imag, nodes))
     floor, half_m2 = 64.0 * np.finfo(float).eps * grow.sum(axis=1), 0.5 * grow @ (nodes * nodes)
     for rounds in range(MAX_REFINE_ROUNDS + 1):
@@ -324,25 +394,26 @@ def contour_winding(rows, nodes, center, half_re, half_im):
             _raise_first(ValidationFailed, np.isin(contours, tag[coarse]),
                          lambda k: f"contour unresolved after {MAX_REFINE_ROUNDS} refinement rounds")
         mid = 0.5 * (z[coarse] + z[coarse + 1])
+        vals = np.insert(vals, coarse + 1, values(mid, tag[coarse]), axis=1)
         z, tag = np.insert(z, coarse + 1, mid), np.insert(tag, coarse + 1, tag[coarse])
-        vals = np.insert(vals, coarse + 1, fourier_sum(rows, nodes, mid), axis=1)
     turns = np.bincount(tag[step], np.angle(vals[0, step + 1] / vals[0, step]), flat.size)
     counts = np.rint(turns / (2.0 * math.pi)).astype(int).reshape(centers.shape)
     return counts if counts.ndim else int(counts)
 
 
-def winding_number(ctx, center, half_re, half_im):
+def winding_number(ctx, center, half_re, half_im, sums=None):
     """Zeros of the transform inside each rectangle center +- half_re +- i half_im.
 
     contour_winding counts them on the context's centred sum
     G_c(zeta) = i zeta exp(-i c zeta) F(zeta), which does not turn as the
-    body moves, so the contour's step count does not grow with translation.
+    body moves, so the contour's step count does not grow with translation;
+    sums, an Expansion of G_c with one center per rectangle, is passed on.
     G_c has one zero more than F, at zeta = 0, taken off where the rectangle
     contains it.  A rectangle leaving the context's box raises PrecisionLoss.
     """
     centers = np.asarray(center, dtype=complex)
     _check_zeta(ctx, centers[..., None] + _contour_offsets(half_re, half_im))
-    wind = contour_winding(ctx.rows, ctx.nodes, centers, half_re, half_im)
+    wind = contour_winding(ctx.rows, ctx.nodes, centers, half_re, half_im, sums)
     return wind - ((np.abs(centers.real) < half_re) & (np.abs(centers.imag) < half_im))
 
 
@@ -392,21 +463,33 @@ def _newton(values, z, inside):
                      lambda k: f"no convergence after {NEWTON_MAX_ITER} iterations")
 
 
+def _branch_radius(w):
+    """How far from its Newton start _track evaluates a branch of a body of
+    width w: pi/w, past which the zero fails its check, plus the
+    half-diagonal of its validation rectangle (pi/(2w), 0.5/w).  Its reach
+    w/2 times this is 2.40 for every body, so a branch's Expansion has
+    order 27."""
+    return math.pi / w + math.hypot(0.5 * math.pi / w, 0.5 / w)
+
+
 def _track(ctx, m_list, starts):
     """The branches m_list from their starts: one _newton on H = exp(-i c zeta) F,
     which has F's zeros but does not turn as the body moves, then one
-    residual, one pi/w and one winding_number check for all of them.  A
-    failure names its m and direction."""
-    starts, w = np.asarray(starts, dtype=complex), ctx.body_width
+    residual, one pi/w and one winding_number check for all of them.  One
+    Expansion of the centred sum G_c about the starts, of radius
+    _branch_radius, gives every Newton and contour value.  A failure names
+    its m and direction."""
+    starts, w = _check_zeta(ctx, starts), ctx.body_width
+    sums = Expansion.about(ctx.rows, ctx.nodes, starts, _branch_radius(w))
     try:
-        z, (h, dh) = _newton(lambda p: _centred_transform(ctx, p, 1), starts,
+        z, (h, dh) = _newton(lambda p: _centred_transform(ctx, p, 1, sums), starts,
                              lambda p: (np.abs(p.imag) <= ctx.im_cap)
                              & (np.abs(p.real) <= ctx.max_abs_zeta))
         _raise_first(NewtonDiverged, np.abs(h) > 1e-9 * np.abs(dh),
                      lambda k: f"residual {abs(h[k]):.3e} above 1e-9 * {abs(dh[k]):.3e}")
         _raise_first(ValidationFailed, np.abs(z - starts) >= math.pi / w,
                      lambda k: f"zero {z[k]:.6g} lies pi/w or more from its start {starts[k]:.6g}")
-        wind = winding_number(ctx, z, math.pi / (2.0 * w), 0.5 / w)
+        wind = winding_number(ctx, z, math.pi / (2.0 * w), 0.5 / w, sums)
         _raise_first(ValidationFailed, wind != 1, lambda k: f"winding {wind[k]} != 1")
     except (NewtonDiverged, ValidationFailed) as exc:
         m = list(m_list)[getattr(exc, "index", 0)]

@@ -67,6 +67,8 @@ def _one_number(name, value):
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be one number, got {value!r}") from None
+    except OverflowError:  # an int past the largest float
+        raise ValueError(f"{name} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -605,9 +607,10 @@ def body_from_spec(spec):
             if isinstance(leaf, bool) or not isinstance(leaf, numbers.Real):
                 raise ValueError(f"{key!r} of {kind!r} body must hold numbers, got {leaf!r:.40}")
         try:
-            finite = np.isfinite(np.asarray(value, dtype=float)).all()
-        except ValueError:
-            finite = True  # a ragged value: the body's constructor names its bad shape
+            finite = all(math.isfinite(leaf) for leaf in _leaves(value))
+        except OverflowError:  # a JSON integer past the largest float
+            raise ValueError(
+                f"{key!r} of {kind!r} body holds a number beyond the float range") from None
         if not finite:
             raise ValueError(f"non-finite number in {key!r} of {kind!r} body")
     if kind == "polygon":

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covario import cli, geometry
 from covario.cli import main
 
 
@@ -264,21 +267,65 @@ def test_unreadable_or_non_object_body_file_is_usage_error(tmp_path, content, sh
     ({"kind": "disk", "center": [0, 0], "radius": 1e308}, "support body area is not finite"),
     ({"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
      "polygon coordinates overflow"),
+    ({"kind": "disk", "center": [0, 0], "radius": 10 ** 400},
+     "'radius' of 'disk' body holds a number beyond the float range"),
+    ({"kind": "support2d", "a0": 10 ** 400},
+     "'a0' of 'support2d' body holds a number beyond the float range"),
+    ({"kind": "polygon", "vertices": [[0, 0], [10 ** 400, 0], [0, 1]]},
+     "'vertices' of 'polygon' body holds a number beyond the float range"),
 ], ids=["radius-bool", "radius-string", "a0-string", "center-bools", "vertex-strings",
         "missing-vertices", "missing-center", "harmonic-three", "harmonic-scalar",
         "harmonic-string", "a0-list", "radius-list", "coeffs-number", "center-number",
         "coeffs-object", "generator-of-numbers", "kind-list", "a0-overflow", "radius-overflow",
-        "vertices-overflow"])
+        "vertices-overflow", "radius-huge-int", "a0-huge-int", "vertex-huge-int"])
 def test_malformed_body_field_is_named(tmp_path, spec, shown, capsys):
     # the bools and strings were reported valid; the others showed only the
     # key, Python's unpacking, iteration or hashing text, or float()'s text;
     # the overflowing areas exited 1 with an OverflowError traceback, the
-    # overflowing vertices warned and blamed collinear removal
+    # overflowing vertices warned and blamed collinear removal; a JSON
+    # integer of 401 digits exited 1 with an OverflowError traceback
     path = write_body(tmp_path, "b.json", spec)
     assert main(["body-validate", "--body", path, "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and shown in captured.err
     assert "Traceback" not in captured.err and len(captured.err.strip().splitlines()) == 1
+
+
+# spec numbers: floats up to +-1e308, integers up to 10^400, and small ones
+# that build real bodies
+_NUMBER = st.one_of(st.floats(-1e308, 1e308), st.integers(-10 ** 400, 10 ** 400),
+                    st.floats(-3.0, 3.0), st.integers(-3, 3))
+_RAGGED = st.recursive(_NUMBER, lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+_PAIR = st.lists(_NUMBER, min_size=2, max_size=2)
+_SPECS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("polygon"),
+                           "vertices": st.one_of(st.lists(_PAIR, min_size=3, max_size=6),
+                                                 st.lists(_RAGGED, max_size=4))}),
+    st.fixed_dictionaries({"kind": st.just("disk"), "center": st.one_of(_PAIR, _RAGGED),
+                           "radius": st.one_of(_NUMBER, _RAGGED)}),
+    st.fixed_dictionaries({"kind": st.just("support2d"), "a0": st.one_of(_NUMBER, _RAGGED)},
+                          optional={"coeffs": st.lists(st.one_of(_PAIR, _RAGGED), max_size=4),
+                                    "center": st.one_of(_PAIR, _RAGGED)}),
+    st.fixed_dictionaries({"kind": st.just("zonogon"),
+                           "generators": st.lists(st.one_of(st.lists(_PAIR, min_size=2,
+                                                                      max_size=2), _RAGGED),
+                                                  max_size=4)},
+                          optional={"center": st.one_of(_PAIR, _RAGGED)}),
+)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(_SPECS)
+def test_body_spec_builds_or_exits_2(tmp_path_factory, spec):
+    # every spec builds a body of finite positive area or is rejected with
+    # exit code 2; a 401-digit integer raised OverflowError (exit 1)
+    path = tmp_path_factory.mktemp("spec") / "b.json"
+    path.write_text(json.dumps(spec))
+    try:
+        body = cli._load_body(str(path))
+    except cli.UsageError:
+        return
+    assert 0.0 < geometry.area(body) < math.inf
 
 
 def test_covariogram_grid_deterministic(tmp_path, square_file, capsys):
@@ -458,12 +505,12 @@ def _cli_output(args, tmp_path, **env):
 
 def test_zeros_csv_is_pinned_across_blas_threads(tmp_path, cw3_file):
     # the branch CSV of cw3, byte for byte, whatever thread count BLAS runs
-    # the winding start products on
+    # the expansion's coefficient products on
     digests = {hashlib.sha256(_cli_output(["zeros", "--body", cw3_file, "--u", "0.4",
                                            "--m", "1..40"], tmp_path,
                                           OPENBLAS_NUM_THREADS=blas)[1]).hexdigest()
                for blas in ("1", "2")}
-    assert digests == {"9a196aba2196361e48bd64f27861f1ce9e5789208e592b5f64f9f402fb9330fe"}
+    assert digests == {"5eba62c82f9d74f45352970824ffc7306140cea141d5a765fd6c9c4361a074a6"}
 
 
 def test_kobayashi_json_is_pinned_across_thread_counts(tmp_path, cw3_file):
@@ -474,7 +521,7 @@ def test_kobayashi_json_is_pinned_across_thread_counts(tmp_path, cw3_file):
                                           OPENBLAS_NUM_THREADS=blas,
                                           COVARIO_THREADS=workers)[0]).hexdigest()
                for blas in ("1", "2") for workers in ("1", "2")}
-    assert digests == {"11a238ad15881439ef52b05b8f57ad7b723c9463aa83031b3b8ff61c8cf28226"}
+    assert digests == {"88c52211f79a728e9fef942312c7f16f904024faafd822bb44f7510bd956b682"}
 
 
 HEXAGON = {"kind": "polygon",
@@ -530,7 +577,7 @@ TEXT_OUTPUTS = [
      "command: zeros\nout: <out>\nn_branches: 40\nnodes: 324\n"
      "quadrature_gap: 3.2350047976349793e-12\n"),
     (["kobayashi", "--body", "cw3", "--m", "2..40", "--u-grid", "12"],
-     "decay_exponent: -0.9538818246418727\nflags: []\n"),
+     "decay_exponent: -0.9538818246419226\nflags: []\n"),
     (["recover-curvature", "--body", "cw3", "--u-grid", "24"],
      "command: recover-curvature\nout: <out>\nn_directions: 24\n"),
 ]

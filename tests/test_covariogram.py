@@ -22,6 +22,7 @@ from covario.covariogram import (
     cross_covariogram,
     cross_covariogram_grid,
     curvature_pair_from_covariogram,
+    curvature_pairs_from_covariogram,
     directional_derivative_origin,
     sum_reciprocal_curvatures_from_width,
     support_of_crosscov,
@@ -627,6 +628,20 @@ def test_curvature_pair_scale_equivariant(cw3):
     small, large = curvature_pair_from_covariogram(cw3, u), curvature_pair_from_covariogram(big, u)
     assert large.low == pytest.approx(small.low / 10.0, rel=1e-9)
     assert large.high == pytest.approx(small.high / 10.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("body", [
+    SupportBody(1.0, ((0.02, -0.01), (0.03, 0.02), (0.05, 0.0)), center=(0.7, -0.4)),
+    Disk((0.0, 0.0), 1.0),
+], ids=["off-centre-3-harmonic", "disk"])
+def test_curvature_pairs_are_the_per_direction_fits(body):
+    # one cap_pairs call for 24 directions gives each pair of a cap_pair fit
+    # of that direction alone, bit for bit
+    us = [Direction(float(th)) for th in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)]
+    g = covariogram_evaluator(body)
+    alone = [cap_pair(g, boundary_point(body, u) - boundary_point(body, u.antipode()), u,
+                      5e-4 * width(body, u)) for u in us]
+    assert curvature_pairs_from_covariogram(body, us) == alone
 
 
 def test_curvature_pair_rejects_polygon(unit_square):

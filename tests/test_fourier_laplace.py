@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from quadrature_reference import chord_ray_table
-from winding_reference import loop_start
 
 from covario import fourier_laplace
 from covario.asymptotics import kobayashi_report
@@ -15,6 +14,7 @@ from covario.fourier_laplace import (
     KERNEL_BLOCK,
     MAX_REFINE_ROUNDS,
     SERIES_RADIUS,
+    Expansion,
     NewtonDiverged,
     PrecisionLoss,
     ValidationFailed,
@@ -26,6 +26,7 @@ from covario.fourier_laplace import (
     flt_ray_many,
     fourier_sum,
     kobayashi_center,
+    sweep_bound,
     track_branches,
     track_zero,
     verify_factorization,
@@ -372,9 +373,10 @@ def _counting_sum(monkeypatch):
 
 def test_contour_winding_refines_coarse_steps(monkeypatch):
     # on an 8 x 2 rectangle the start steps of (1 - exp(i zeta))^5, 0.8 long
-    # on the long sides, are too long for the step certificate; the start
-    # values take the shift theorem, so the first fourier_sum is of the 41
-    # start offsets and the second of the first round's bisection midpoints
+    # on the long sides, are too long for the step certificate; its reach,
+    # 5 times the half-diagonal, is past a branch's, so the contour sums
+    # directly: the first fourier_sum is of the 41 start points and the
+    # second of the first round's bisection midpoints
     calls = _counting_sum(monkeypatch)
     assert contour_winding(*_power_rows(5), 0j, 4.0, 1.0) == 5
     starts = fourier_laplace._contour_offsets(4.0, 1.0)
@@ -393,11 +395,21 @@ def test_contour_winding_unresolved_raises(monkeypatch):
     # the zero at 0 lies on the lower side a third of the way along, where no
     # bisection midpoint falls, and no step across it can be certified
     calls = _counting_sum(monkeypatch)
+    evaluations = []
+    expansion_values = Expansion.__call__
+
+    def counting_values(self, z, owner=None):
+        evaluations.append(np.array(z))
+        return expansion_values(self, z, owner)
+
+    monkeypatch.setattr(Expansion, "__call__", counting_values)
     with pytest.raises(ValidationFailed, match="unresolved"):
         contour_winding(*_power_rows(1), complex(1.0 / 3.0, 1.0), 1.0, 1.0)
-    # one fourier_sum for the start values, then one per round, of its
-    # midpoints
-    assert len(calls) == MAX_REFINE_ROUNDS + 1
+    # one evaluation for the start values, then one per round, of its
+    # midpoints, all from the contour's own expansion: its one fourier_sum
+    # is at the center
+    assert len(evaluations) == MAX_REFINE_ROUNDS + 1
+    assert len(calls) == 1 and np.array_equal(calls[0], [complex(1.0 / 3.0, 1.0)])
 
 
 # (1 - exp(i zeta))^k about 0: steps that turn by nearly a multiple of 2 pi
@@ -448,8 +460,9 @@ WIDE_CENTERS = (complex(0.3, 0.05), complex(7.9, -0.2), complex(-31.4, 0.3), com
     ("nonagon", WIDE_CENTERS),
 ])
 def test_contour_start_matches_transform(name, centers, monkeypatch):
-    # the shift-theorem start values (f, f') of the centred sum
-    # G_c = sum_j a_j exp(i (s_j - c) zeta) equal its fourier_sum
+    # the start values (f, f') of the centred sum
+    # G_c = sum_j a_j exp(i (s_j - c) zeta), from the contour's own expansion
+    # about its center, equal its fourier_sum
     body = Disk((28.0, 0.0), 1.0) if name == "disk28" else RULE_BODIES[name]
     ctx = build_context(body, Direction(0.4), max_abs_zeta=60.0)
     w = ctx.body_width
@@ -457,10 +470,11 @@ def test_contour_start_matches_transform(name, centers, monkeypatch):
     assert ctx.mid == 0.5 * (ctx.lo + ctx.hi) and np.all(np.abs(ctx.nodes) <= 0.5 * w + 1e-12)
     half_re, half_im = math.pi / (2.0 * w), 0.5 / w
     offsets, centers = fourier_laplace._contour_offsets(half_re, half_im), np.array(centers)
-    start = fourier_laplace._contour_start(ctx.rows, ctx.nodes, centers, offsets)
-    assert start.shape == (2, len(centers), offsets.size)
-    # the stacked product returns the floats of the per-center loop
-    assert np.array_equal(start, loop_start(ctx, centers, half_re, half_im))
+    points, owner = (centers[:, None] + offsets).ravel(), np.repeat(np.arange(centers.size), 41)
+    sums = Expansion.about(ctx.rows, ctx.nodes, centers, np.abs(points - centers[owner]).max())
+    start = sums(points, owner)
+    assert start.shape == (2, centers.size * offsets.size)
+    start = start.reshape(2, centers.size, offsets.size)
     counts = winding_number(ctx, centers, half_re, half_im)
     assert counts.shape == (len(centers),)
     for k, center in enumerate(centers):
@@ -471,12 +485,11 @@ def test_contour_start_matches_transform(name, centers, monkeypatch):
         assert counts[k] == winding_number(ctx, center, half_re, half_im)
     # the first rectangle contains zeta = 0, the zero G_c adds to F
     assert abs(centers[0].real) < half_re and counts[0] == 0
-    # the start values take the shift theorem: fourier_sum sums at the
-    # offsets about 0, never at a start point itself
+    # the start values come from the expansion: the one fourier_sum sums
+    # its rows at the centers, never at a contour point
     calls = _counting_sum(monkeypatch)
     winding_number(ctx, centers, half_re, half_im)
-    assert np.array_equal(calls[0], offsets)
-    assert not set(np.concatenate(calls)) & set((centers[:, None] + offsets).ravel())
+    assert len(calls) == 1 and np.array_equal(calls[0], centers)
 
 
 class _ExpShapes:
@@ -495,33 +508,28 @@ class _ExpShapes:
 
 def test_contour_start_table_stays_within_kernel_block(cw3, monkeypatch):
     ctx = build_context(cw3, Direction(0.4), max_abs_zeta=40.0)
-    n, w = ctx.nodes.size, ctx.body_width
-    half_re, half_im = math.pi / (2.0 * w), 0.5 / w
-    offsets = fourier_laplace._contour_offsets(half_re, half_im)
+    n, radius = ctx.nodes.size, fourier_laplace._branch_radius(ctx.body_width)
     centers = np.array(kobayashi_center(cw3, np.arange(1, 101), ctx.u))
-    expected = loop_start(ctx, centers, half_re, half_im)
-    direct = fourier_sum(ctx.rows, ctx.nodes, centers[:, None] + offsets)
-    scale = (np.abs(ctx.rows).sum(axis=1)[:, None, None]
-             * np.exp(0.5 * w * (np.abs(centers.imag) + half_im))[:, None])
-    branches = track_branches(ctx, [3, 4, 5])
+    expected = Expansion.about(ctx.rows, ctx.nodes, centers, radius).coeffs
+    branches = track_branches(ctx, range(1, 12))
     spy = _ExpShapes()
-    # a block that just fits 41 contours: each call's shifted factor
-    # exp(i t c), (centers, n), and fourier_sum's table, (n, 41), hold at
-    # most KERNEL_BLOCK entries, with the floats of the per-center loop
-    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * offsets.size)
+    # a block that just fits 41 centers: each exponential table of the
+    # expansion's fourier_sum, (n, centers), holds at most KERNEL_BLOCK
+    # entries, and the coefficients are the floats of one table
+    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * 41)
     monkeypatch.setattr(fourier_laplace, "np", spy)
-    start = fourier_laplace._contour_start(ctx.rows, ctx.nodes, centers, offsets)
-    assert spy.shapes == [(41, n), (n, 41), (41, n), (n, 41), (18, n), (n, 41)]
-    assert np.array_equal(start, expected)
-    # one entry less: 40 contours a call, and fourier_sum splits the offsets
-    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * offsets.size - 1)
+    assert np.array_equal(Expansion.about(ctx.rows, ctx.nodes, centers, radius).coeffs, expected)
+    assert spy.shapes == [(n, 41), (n, 41), (n, 18)]
+    # one entry less: 40 centers a table
+    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * 41 - 1)
     spy.shapes.clear()
-    start = fourier_laplace._contour_start(ctx.rows, ctx.nodes, centers, offsets)
-    assert spy.shapes == 2 * [(40, n), (n, 40), (n, 1)] + [(20, n), (n, 40), (n, 1)]
-    assert np.all(np.abs(start - direct) <= 1e-14 * scale)
-    # every branch winding of such a context counts as before
+    assert np.array_equal(Expansion.about(ctx.rows, ctx.nodes, centers, radius).coeffs, expected)
+    assert spy.shapes == [(n, 40), (n, 40), (n, 20)]
+    # every branch of a context whose starts fill three tables is found as
+    # before
+    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * 4)
     monkeypatch.setattr(fourier_laplace, "np", np)
-    assert track_branches(ctx, [3, 4, 5]) == branches
+    assert track_branches(ctx, range(1, 12)) == branches
 
 
 def test_contour_winding_bound_is_sign_aware():
@@ -547,30 +555,34 @@ def test_winding_number_rectangle_leaving_box_raises(unit_disk):
 
 
 def test_track_zero_one_kernel_call_per_candidate(cw3, monkeypatch):
-    # each Newton round gets (H, H') of every moving candidate from one 2-row
-    # fourier_sum, and the converged points' values serve the residual check,
-    # so no point is evaluated twice
+    # a _track makes one fourier_sum, of the expansion's 28 derivative rows
+    # in 2-row slices at the starts; each Newton round gets (H, H') of every
+    # moving candidate from its polynomials, with no kernel call, and the
+    # converged points' values serve the residual check, so no point is
+    # evaluated twice
     ctx = build_context(cw3, Direction(0.4), max_abs_zeta=100.0)
     kernel, transform = fourier_laplace.fourier_sum, fourier_laplace._centred_transform
-    sums, rounds = [], []
+    kernel_calls, rounds = [], []
 
     def counting_sum(rows, nodes, zetas):
-        sums.append((np.array(zetas), rows.shape[0]))
+        kernel_calls.append((np.array(zetas), rows.shape))
         return kernel(rows, nodes, zetas)
 
-    def counting_transform(ctx, zetas, order):
-        before = len(sums)
-        out = transform(ctx, zetas, order)
-        assert len(sums) == before + 1 and sums[-1][1] == 2
-        assert np.array_equal(sums[-1][0], zetas)
+    def counting_transform(ctx, zetas, order, sums=None):
+        before = len(kernel_calls)
+        out = transform(ctx, zetas, order, sums)
+        assert sums is not None and len(kernel_calls) == before
         rounds.append(np.array(zetas))
         return out
 
     monkeypatch.setattr(fourier_laplace, "fourier_sum", counting_sum)
     monkeypatch.setattr(fourier_laplace, "_centred_transform", counting_transform)
     for m_list in ([3], [12], [25], [3, 12, 25]):
+        kernel_calls.clear()
         rounds.clear()
         branches = track_branches(ctx, m_list) if len(m_list) > 1 else [track_zero(ctx, m_list[0])]
+        assert len(kernel_calls) == 1 and kernel_calls[0][1] == (14, 2, ctx.nodes.size)
+        assert np.array_equal(kernel_calls[0][0], [br.predicted_center for br in branches])
         assert len(rounds) >= 3
         assert np.array_equal(rounds[0], [br.predicted_center for br in branches])
         assert all(r.size <= len(m_list) for r in rounds)
@@ -582,6 +594,73 @@ def test_track_zero_one_kernel_call_per_candidate(cw3, monkeypatch):
             # a later candidate can only be a sub-tolerance step that did not lower |H|
             later = own[np.flatnonzero(own == br.zeta)[0] + 1:]
             assert np.all(np.abs(later - br.zeta) <= 1e-12 * (1.0 + abs(br.zeta)))
+
+
+EXPANSION_BODIES = {
+    "cw3": RULE_BODIES["cw3"],
+    "harmonic4": RULE_BODIES["harmonic4"],
+    "off-centre": SupportBody(1.0, ((0.0, 0.0), (0.03, 0.02), (0.05, 0.0)), center=(6.0, -4.0)),
+    "disk": Disk((0.0, 0.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_BODIES))
+def test_expansion_matches_direct_sum(name, monkeypatch):
+    # at every Newton and contour point of the branches 2..40, on contexts at
+    # their sweep bound, the expansion's (G_c, G_c') equal a direct
+    # fourier_sum within 8 eps sum_j |a_j| e_j, e_j = |exp(i t_j zeta)| (and
+    # |t_j a_j| for G_c'), an eighth of the winding floor; no point is
+    # summed directly
+    body = EXPANSION_BODIES[name]
+    evaluate = Expansion.__call__
+    seen = []
+
+    def recording(self, z, owner=None):
+        out = evaluate(self, z, owner)
+        seen.append((np.array(z), out))
+        return out
+
+    monkeypatch.setattr(Expansion, "__call__", recording)
+    worst = 0.0
+    for theta in np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False):
+        u = Direction(float(theta))
+        ctx = build_context(body, u, max_abs_zeta=sweep_bound(body, [u], 40))
+        branch = Expansion.about(ctx.rows, ctx.nodes, [0j],
+                                 fourier_laplace._branch_radius(ctx.body_width))
+        assert branch.order == 27
+        seen.clear()
+        calls = _counting_sum(monkeypatch)
+        track_branches(ctx, range(2, 41))
+        monkeypatch.setattr(fourier_laplace, "fourier_sum", fourier_sum)
+        assert len(calls) == 1 and len(seen) >= 4
+        for z, out in seen:
+            direct = fourier_sum(ctx.rows, ctx.nodes, z)
+            scale = np.abs(ctx.rows) @ np.exp(-np.outer(ctx.nodes, z.imag))
+            worst = max(worst, float(np.max(np.abs(out - direct) / scale)))
+    assert worst <= 8.0 * np.finfo(float).eps
+
+
+def test_expansion_sums_far_points_directly(cw3, monkeypatch):
+    # a point farther than the radius from its center is summed directly,
+    # never extrapolated: the only kernel call after the coefficients is at
+    # the far points
+    ctx = build_context(cw3, Direction(0.4), max_abs_zeta=60.0)
+    centers = kobayashi_center(cw3, np.array([3, 8]), ctx.u)
+    sums = Expansion.about(ctx.rows, ctx.nodes, centers, 1.0)
+    near, far = centers + np.array([0.6, -0.8j]), centers + np.array([1.01, 2j])
+    calls = _counting_sum(monkeypatch)
+    values = sums(np.concatenate([near, far]))
+    assert len(calls) == 1 and np.array_equal(calls[0], far)
+    monkeypatch.setattr(fourier_laplace, "fourier_sum", fourier_sum)
+    assert np.array_equal(values[:, 2:], fourier_sum(ctx.rows, ctx.nodes, far))
+    scale = np.abs(ctx.rows) @ np.exp(-np.outer(ctx.nodes, near.imag))
+    assert np.all(np.abs(values[:, :2] - fourier_sum(ctx.rows, ctx.nodes, near))
+                  <= 8.0 * np.finfo(float).eps * scale)
+    # owner names the center a point is expanded about: about the other
+    # center the near points are far
+    calls = _counting_sum(monkeypatch)
+    sums(near, np.array([1, 0]))
+    assert len(calls) == 1 and np.array_equal(calls[0], near)
 
 
 def test_winding_disk_first_five_bessel_zeros(unit_disk):
@@ -646,7 +725,8 @@ def test_track_branches_matches_track_zero(cw3, monkeypatch):
         track_branches(ctx, [2, 3, 0, 5])
     # so is one whose winding fails
     monkeypatch.setattr(fourier_laplace, "winding_number",
-                        lambda ctx, z, half_re, half_im: np.where(np.arange(z.size) == 2, 2, 1))
+                        lambda ctx, z, half_re, half_im, sums:
+                        np.where(np.arange(z.size) == 2, 2, 1))
     with pytest.raises(ValidationFailed, match=r"\(m=9, theta=0\.400000\): winding 2 != 1"):
         track_branches(ctx, [7, 8, 9, 10])
 

@@ -204,7 +204,10 @@ def test_support_body_rejects_origin_outside_between_grid_points():
     (lambda: SupportBody(1.0, ("ab",)), "harmonic 1 must be two numbers, got 'ab'"),
     (lambda: SupportBody([1.0]), r"a0 must be one number, got \[1.0\]"),
     (lambda: Disk((0.0, 0.0), [1.0]), r"radius must be one number, got \[1.0\]"),
-], ids=["harmonic-three", "harmonic-scalar", "harmonic-string", "a0-list", "radius-list"])
+    (lambda: SupportBody(10 ** 400), "a0 is beyond the float range"),
+    (lambda: Disk((0.0, 0.0), 10 ** 400), "radius is beyond the float range"),
+], ids=["harmonic-three", "harmonic-scalar", "harmonic-string", "a0-list", "radius-list",
+        "a0-huge-int", "radius-huge-int"])
 def test_smooth_body_names_a_malformed_number(build, message):
     with pytest.raises(ValueError, match=message):
         build()
