@@ -73,10 +73,10 @@ class Expansion:
     holds f^(k)(c)/k! at each center c, from one fourier_sum of
     derivative_rows(t, a, K) at the centers, taken in 2-row slices, and
     coeffs[k, 1] = (k + 1) coeffs[k + 1, 0] those of f'.  For |t_j d| <= rho
-    the tail of exp(i t_j d) past its term of order K is at most
-    rho^(K+1) e^rho/(K+1)!; K is the least order that puts it below eps/4
-    over the reach rho = max |t_j| radius, raised to odd so that the K + 1
-    rows pair up.  Called at points z, it returns (f, f') by Horner's rule
+    the tail of exp(i t_j d) past its term of order K - 1, which f' takes,
+    is at most rho^K e^rho/K!, and bounds the tail past order K, which f
+    takes; K is the least order that puts it below eps/4 over the reach
+    rho = max |t_j| radius, raised to odd so that the K + 1 rows pair up.  Called at points z, it returns (f, f') by Horner's rule
     about each point's center; a point farther than radius from it is
     summed directly, never extrapolated.
     """
@@ -91,10 +91,10 @@ class Expansion:
     def about(cls, rows, nodes, centers, radius):
         centers = np.asarray(centers, dtype=complex).reshape(-1)
         reach = float(np.max(np.abs(nodes), initial=0.0)) * radius
-        order, tail = 0, reach * math.exp(reach)
+        order, tail = 0, math.exp(reach)
         while tail >= 0.25 * np.finfo(float).eps:
             order += 1
-            tail *= reach / (order + 1)
+            tail *= reach / order
         order |= 1
         table = derivative_rows(nodes, rows[0], order).reshape(-1, 2, nodes.size)
         factorials = np.cumprod(np.maximum(np.arange(order + 1.0), 1.0))[:, None]
@@ -350,28 +350,21 @@ def contour_winding(rows, nodes, center, half_re, half_im, sums=None):
     points center + _contour_offsets(half_re, half_im), refined by bisection;
     all contours are refined in one flat array tagged by contour.  (f, f')
     come from sums, an Expansion of f with one center per contour, each
-    point expanded about its contour's center.  Without one the contour
-    builds its own about the contour centers, of radius d the distance of
-    the farthest start point (a corner), when its reach max |t_j| d is at
-    most that of a branch's expansion; a wider contour sums every point
-    directly.  On a rectangle about y_c = Im center each |exp(i t_j zeta)|
-    is at most e_j = exp(|t_j| half_im - t_j y_c), so |f''| <= M2 =
-    sum_j |a_j| t_j^2 e_j, and a step of length h with |f| - |f'| h >
-    M2 h^2/2 at one of its ends keeps f in a disc about that end's value
-    that excludes 0: its principal argument is exact (Ying & Katz,
-    Numer. Math. 53, 1988).  Every other step is bisected, for at most
-    MAX_REFINE_ROUNDS rounds.  A value that is 0, not finite, or at most
-    64 eps sum_j |a_j| e_j, where rounding hides it, raises
+    point expanded about its contour's center, or without one from
+    fourier_sum.  On a rectangle about y_c = Im center each
+    |exp(i t_j zeta)| is at most e_j = exp(|t_j| half_im - t_j y_c), so
+    |f''| <= M2 = sum_j |a_j| t_j^2 e_j, and a step of length h with
+    |f| - |f'| h > M2 h^2/2 at one of its ends keeps f in a disc about
+    that end's value that excludes 0: its principal argument is exact
+    (Ying & Katz, Numer. Math. 53, 1988).  Every other step is bisected,
+    for at most MAX_REFINE_ROUNDS rounds.  A value that is 0, not finite,
+    or at most 64 eps sum_j |a_j| e_j, where rounding hides it, raises
     ValidationFailed, whose index names the contour.
     """
     rows, centers = rows[:2], np.asarray(center, dtype=complex)
     flat = centers.reshape(-1)
     offsets, contours = _contour_offsets(half_re, half_im), np.arange(flat.size)
     z, tag = (flat[:, None] + offsets).ravel(), np.repeat(contours, offsets.size)
-    diagonal = float(np.max(np.abs(z - flat[tag]), initial=0.0))
-    branch_reach = 0.5 * _branch_radius(1.0)  # w/2 times _branch_radius(w), for any w
-    if sums is None and np.max(np.abs(nodes), initial=0.0) * diagonal <= branch_reach:
-        sums = Expansion.about(rows, nodes, flat, diagonal)
 
     def values(p, tag):
         return fourier_sum(rows, nodes, p) if sums is None else sums(p, tag)

@@ -373,10 +373,9 @@ def _counting_sum(monkeypatch):
 
 def test_contour_winding_refines_coarse_steps(monkeypatch):
     # on an 8 x 2 rectangle the start steps of (1 - exp(i zeta))^5, 0.8 long
-    # on the long sides, are too long for the step certificate; its reach,
-    # 5 times the half-diagonal, is past a branch's, so the contour sums
-    # directly: the first fourier_sum is of the 41 start points and the
-    # second of the first round's bisection midpoints
+    # on the long sides, are too long for the step certificate; without an
+    # expansion the contour sums directly: the first fourier_sum is of the
+    # 41 start points and the second of the first round's bisection midpoints
     calls = _counting_sum(monkeypatch)
     assert contour_winding(*_power_rows(5), 0j, 4.0, 1.0) == 5
     starts = fourier_laplace._contour_offsets(4.0, 1.0)
@@ -395,21 +394,11 @@ def test_contour_winding_unresolved_raises(monkeypatch):
     # the zero at 0 lies on the lower side a third of the way along, where no
     # bisection midpoint falls, and no step across it can be certified
     calls = _counting_sum(monkeypatch)
-    evaluations = []
-    expansion_values = Expansion.__call__
-
-    def counting_values(self, z, owner=None):
-        evaluations.append(np.array(z))
-        return expansion_values(self, z, owner)
-
-    monkeypatch.setattr(Expansion, "__call__", counting_values)
     with pytest.raises(ValidationFailed, match="unresolved"):
         contour_winding(*_power_rows(1), complex(1.0 / 3.0, 1.0), 1.0, 1.0)
-    # one evaluation for the start values, then one per round, of its
-    # midpoints, all from the contour's own expansion: its one fourier_sum
-    # is at the center
-    assert len(evaluations) == MAX_REFINE_ROUNDS + 1
-    assert len(calls) == 1 and np.array_equal(calls[0], [complex(1.0 / 3.0, 1.0)])
+    # one fourier_sum for the start values, then one per round, of its
+    # midpoints
+    assert len(calls) == MAX_REFINE_ROUNDS + 1
 
 
 # (1 - exp(i zeta))^k about 0: steps that turn by nearly a multiple of 2 pi
@@ -460,9 +449,10 @@ WIDE_CENTERS = (complex(0.3, 0.05), complex(7.9, -0.2), complex(-31.4, 0.3), com
     ("nonagon", WIDE_CENTERS),
 ])
 def test_contour_start_matches_transform(name, centers, monkeypatch):
-    # the start values (f, f') of the centred sum
-    # G_c = sum_j a_j exp(i (s_j - c) zeta), from the contour's own expansion
-    # about its center, equal its fourier_sum
+    # without an expansion the start values (f, f') of the centred sum
+    # G_c = sum_j a_j exp(i (s_j - c) zeta) are one fourier_sum at the
+    # contour points of all centers, equal to the sum at each center's own
+    # points, and the counts equal those of one center at a time
     body = Disk((28.0, 0.0), 1.0) if name == "disk28" else RULE_BODIES[name]
     ctx = build_context(body, Direction(0.4), max_abs_zeta=60.0)
     w = ctx.body_width
@@ -470,12 +460,14 @@ def test_contour_start_matches_transform(name, centers, monkeypatch):
     assert ctx.mid == 0.5 * (ctx.lo + ctx.hi) and np.all(np.abs(ctx.nodes) <= 0.5 * w + 1e-12)
     half_re, half_im = math.pi / (2.0 * w), 0.5 / w
     offsets, centers = fourier_laplace._contour_offsets(half_re, half_im), np.array(centers)
-    points, owner = (centers[:, None] + offsets).ravel(), np.repeat(np.arange(centers.size), 41)
-    sums = Expansion.about(ctx.rows, ctx.nodes, centers, np.abs(points - centers[owner]).max())
-    start = sums(points, owner)
+    points = (centers[:, None] + offsets).ravel()
+    calls = _counting_sum(monkeypatch)
+    counts = winding_number(ctx, centers, half_re, half_im)
+    assert np.array_equal(calls[0], points)
+    monkeypatch.setattr(fourier_laplace, "fourier_sum", fourier_sum)
+    start = fourier_sum(ctx.rows, ctx.nodes, points)
     assert start.shape == (2, centers.size * offsets.size)
     start = start.reshape(2, centers.size, offsets.size)
-    counts = winding_number(ctx, centers, half_re, half_im)
     assert counts.shape == (len(centers),)
     for k, center in enumerate(centers):
         direct = fourier_sum(ctx.rows, ctx.nodes, center + offsets)
@@ -485,11 +477,6 @@ def test_contour_start_matches_transform(name, centers, monkeypatch):
         assert counts[k] == winding_number(ctx, center, half_re, half_im)
     # the first rectangle contains zeta = 0, the zero G_c adds to F
     assert abs(centers[0].real) < half_re and counts[0] == 0
-    # the start values come from the expansion: the one fourier_sum sums
-    # its rows at the centers, never at a contour point
-    calls = _counting_sum(monkeypatch)
-    winding_number(ctx, centers, half_re, half_im)
-    assert len(calls) == 1 and np.array_equal(calls[0], centers)
 
 
 class _ExpShapes:
