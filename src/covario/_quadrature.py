@@ -6,6 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from covario.geometry import sorted_distinct
+
 # Gauss-Legendre points per half-panel of the chord and autocorrelation tables
 PANEL_ORDER = 64
 
@@ -30,7 +32,7 @@ def panel_table(lo, hi, breakpoints=(), order=PANEL_ORDER, max_freq=0.0, osc_bud
     for b in breakpoints:
         if lo + 1e-14 * (hi - lo) < b < hi - 1e-14 * (hi - lo):
             cuts.append(float(b))
-    cuts = np.unique(np.asarray(cuts, dtype=float))
+    cuts = sorted_distinct(np.asarray(cuts, dtype=float))
     edges = []
     max_len = (hi - lo) if max_freq <= 0 else max(osc_budget / max_freq, 1e-9 * (hi - lo))
     for a, b in zip(cuts[:-1], cuts[1:]):

@@ -131,6 +131,8 @@ def zero_union_check(body, u: Direction, m_range):
     max_zeta = sweep_bound(body, [u], max(m_list))
     ctx = build_context(body, u, max_abs_zeta=max_zeta)
     nodes, amplitudes = autocorr_transform_table(body, u, max_zeta)
+    # the half-line table mirrored to -t: the autocorrelation is even
+    nodes, amplitudes = np.concatenate([nodes, -nodes]), np.tile(amplitudes, 2)
     table = derivative_rows(nodes, amplitudes, 2)
     sq_area = area(body) ** 2
     rows = []

@@ -560,32 +560,36 @@ def verify_reflection_identity(body, seed=0):
 
 
 def autocorr_transform_table(body, u: Direction, max_freq):
-    """Quadrature table (nodes, amplitudes) for the transform of g_K on the ray u.
+    """Half-line table (nodes, amplitudes) for the transform of g_K on the ray u.
 
-    The integrand is the chord autocorrelation, whose transform, the
-    fourier_sum of the amplitudes, equals flt_ray(zeta) * conj(flt_ray(conj zeta)).
-    Its panels are cut at the differences of the chord's ends and breakpoints;
-    a smooth body's only inner one is 0.
+    The integrand is the chord autocorrelation C, which is even, so the table
+    holds it on [0, w] only, cut at the positive differences of the chord's
+    ends and breakpoints.  Mirrored to -t, its fourier_sum equals
+    flt_ray(zeta) * conj(flt_ray(conj zeta)); on the real axis that is the
+    cosine sum 2 sum_j a_j cos(t_j xi).
     """
     cf = chord_function(body, u)
     knots = np.concatenate([[cf.lo], np.asarray(cf.breakpoints), [cf.hi]])
     diffs = (knots[None, :] - knots[:, None]).ravel()
-    nodes, weights = panel_table(-cf.width, cf.width, [0.0, *diffs], max_freq=max_freq,
-                                 osc_budget=OSC_BUDGET)
+    nodes, weights = panel_table(0.0, cf.width, diffs, max_freq=max_freq, osc_budget=OSC_BUDGET)
     return nodes, weights * chord_autocorrelation_batch(body, u, nodes)
 
 
 def verify_factorization(body, u: Direction, xi_grid):
     """Check FT(autocorrelation)(xi) = |flt_ray(xi)|^2 on a real xi grid.
 
-    The two sides are independent formulations: the left one integrates the
-    chord autocorrelation on panel Gauss-Legendre nodes, the right one sums
-    the boundary rule of build_context, which never evaluates a chord.
+    The two sides are independent formulations: the left one is the cosine
+    sum of the half-line autocorrelation table, built for at most
+    KERNEL_BLOCK node-xi products at a time and summed by numpy, not BLAS, so
+    its bits do not follow the thread count; the right one sums the boundary
+    rule of build_context, which never evaluates a chord.
     """
     xi = np.asarray(xi_grid, dtype=float)
     max_xi = float(np.abs(xi).max())
     nodes, amplitudes = autocorr_transform_table(body, u, max_xi)
-    lhs = fourier_sum(amplitudes, nodes, xi)
+    step = max(1, KERNEL_BLOCK // nodes.size)
+    lhs = 2.0 * np.concatenate([np.sum(amplitudes * np.cos(xi[i:i + step, None] * nodes), axis=1)
+                                for i in range(0, xi.size, step)])
     ctx = build_context(body, u, max_abs_zeta=max_xi)
     rhs = np.abs(flt_ray_many(ctx, xi)) ** 2
     dev = float(np.abs(lhs - rhs).max())

@@ -400,6 +400,13 @@ def reflect(body):
     raise TypeError(f"not a body: {body!r}")
 
 
+def sorted_distinct(x):
+    """np.unique(x) of a 1-D array by its own steps: sort, then drop each entry
+    equal to its predecessor.  np.unique also imports numpy.ma, about 6 ms."""
+    x = np.sort(x)
+    return np.concatenate([x[:1], x[1:][x[1:] != x[:-1]]])
+
+
 def convex_hull(points):
     """Convex hull vertices (CCW) of a point cloud.
 
@@ -408,7 +415,9 @@ def convex_hull(points):
     Polygon drops its reflex and collinear vertices until none are left, and
     what remains is the hull.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    # the distinct (x, y) records, as np.unique(axis=0) sorts them
+    records = np.ascontiguousarray(points, dtype=float).view([("x", float), ("y", float)])
+    pts = sorted_distinct(records.ravel()).view(float).reshape(-1, 2)
     if pts.shape[0] < 3:
         raise ValueError("need at least 3 distinct points")
     d = pts - pts.mean(axis=0)
@@ -538,7 +547,7 @@ def slice_table(vertices):
     v = np.asarray(vertices, dtype=float)
     n = v.shape[0]
     lo, hi = int(np.argmin(v[:, 0])), int(np.argmax(v[:, 0]))
-    knots = np.unique(v[:, 0])
+    knots = sorted_distinct(v[:, 0])
     mid = 0.5 * (knots[:-1] + knots[1:])
     lines = []
     for chain in (v[(lo + np.arange((hi - lo) % n + 1)) % n],   # lower: counterclockwise

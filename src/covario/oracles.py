@@ -28,7 +28,7 @@ def _rng(seed, stream):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
 
 
-_MC_CHUNK_ROWS = 2 ** 16
+_MC_CHUNK_ROWS = 2 ** 14  # a chunk's rows and temporaries stay in cache
 
 
 def mc_area(membership, bbox, n, seed):
@@ -157,9 +157,10 @@ class ParaboloidReport:
 def paraboloid_region(a, b, q, t):
     """Membership test and bounding box of {f2(x) <= x' <= f1(x)} in R^{d+1}.
 
-    f1(x) = t - <A(x-q), x-q>/2 and f2(x) = <Bx, x>/2; the test takes a
-    (k, d + 1) array of points (x, x') and reads it one column at a time, so
-    it is fastest on contiguous columns, as `mc_area` passes them.
+    f1(x) = t - |L_A^T (x-q)|^2/2 and f2(x) = |L_B^T x|^2/2, with A = L_A L_A^T
+    and B = L_B L_B^T the Cholesky factors; the test takes a (k, d + 1) array
+    of points (x, x') and evaluates each form by one matrix product on its
+    coordinate rows, which are contiguous as `mc_area` passes them.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -171,37 +172,15 @@ def paraboloid_region(a, b, q, t):
     s = t - 0.5 * float(q @ np.linalg.inv(np.linalg.inv(a) + np.linalg.inv(b)) @ q)
     half = np.sqrt(2.0 * s * np.diag(np.linalg.inv(apb)))
     bbox = [(x0[i] - half[i], x0[i] + half[i]) for i in range(d)] + [(0.0, t)]
-
-    def quadratic_form(m, cols, total, row, tmp):
-        # <M y, y> one column at a time: d is 1 to 3, too narrow for a matmul
-        total.fill(0.0)
-        for i in range(d):
-            np.multiply(cols[0], m[i, 0], out=row)
-            for j in range(1, d):
-                np.multiply(cols[j], m[i, j], out=tmp)
-                row += tmp
-            row *= cols[i]
-            total += row
-
-    buf = np.empty((d + 4, 0))
+    la_t, lb_t = np.linalg.cholesky(a).T, np.linalg.cholesky(b).T
 
     def member(pts):
-        # work rows are kept between calls and grown only for a larger batch
-        nonlocal buf
-        k = pts.shape[0]
-        if buf.shape[1] < k:
-            buf = np.empty((d + 4, k))
-        dq, (row, tmp, f1, f2) = buf[:d, :k], buf[d:, :k]
-        xs = [pts[:, i] for i in range(d)]
-        for i in range(d):
-            np.subtract(xs[i], q[i], out=dq[i])
-        quadratic_form(a, dq, f1, row, tmp)
-        f1 *= -0.5
-        f1 += t
-        quadratic_form(b, xs, f2, row, tmp)
-        f2 *= 0.5
+        x = pts[:, :d].T
+        ya = la_t @ (x - q[:, None])
+        yb = lb_t @ x
         xp = pts[:, d]
-        return (f2 <= xp) & (xp <= f1)
+        return ((0.5 * np.einsum("ik,ik->k", yb, yb) <= xp)
+                & (xp <= t - 0.5 * np.einsum("ik,ik->k", ya, ya)))
 
     return member, bbox
 

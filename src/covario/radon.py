@@ -21,6 +21,7 @@ class ChordFunction:
     method: str
     _eval: callable = field(repr=False)
     breakpoints: tuple = ()
+    autocorr_order: int = PANEL_ORDER  # half-panel order of S(t) S(t + s)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -47,7 +48,9 @@ def chord_function(body, u: Direction):
         def ev(t):
             return np.interp(t, knots, vals, left=0.0, right=0.0)
 
-        return ChordFunction(lo, hi, "polygon-exact", ev, tuple(knots[1:-1]))
+        # S(t) S(t + s) is quadratic between cuts; under t = end +/- tau^2 it
+        # has degree 5 in tau, which 3 Gauss-Legendre points integrate exactly
+        return ChordFunction(lo, hi, "polygon-exact", ev, tuple(knots[1:-1]), 3)
     if isinstance(body, Disk):
         c = float(np.dot(body.center, u.u))
         r = body.radius
@@ -88,8 +91,8 @@ def chord_autocorrelation_batch(body, u: Direction, s_values):
 
     For each shift the overlap [a, b] of [lo, hi] and [lo - s, hi - s] is cut
     at the breakpoints, the shifted breakpoints and the four chord ends that
-    fall strictly inside it; every panel between two cuts gets panel_nodes.
-    Shifts go in chunks of at most about 2**18 nodes, so memory stays bounded.
+    fall strictly inside it; every panel between two cuts gets panel_nodes of
+    the autocorr_order.  Shifts go in chunks of about 2**18 nodes, bounding memory.
     """
     cf = chord_function(body, u)
     s_values = np.asarray(s_values, dtype=float)
@@ -97,7 +100,8 @@ def chord_autocorrelation_batch(body, u: Direction, s_values):
     out = np.zeros_like(s_values)
     # a row holds a, b and the candidate cuts fixed and fixed - s
     panels = 2 * fixed.size + 1
-    chunk = max(1, 2 ** 18 // (panels * 2 * PANEL_ORDER))
+    order = cf.autocorr_order
+    chunk = max(1, 2 ** 18 // (panels * 2 * order))
     for start in range(0, s_values.shape[0], chunk):
         s = s_values[start:start + chunk]
         a = np.maximum(cf.lo, cf.lo - s)
@@ -109,8 +113,8 @@ def chord_autocorrelation_batch(body, u: Direction, s_values):
         # cuts outside the open margin collapse onto a, leaving zero-length panels
         cuts = np.sort(np.concatenate([a, b, np.where(inside, cand, a)], axis=1), axis=1)
         keep = cuts[:, 1:] > cuts[:, :-1]
-        nodes, weights = panel_nodes(cuts[:, :-1][keep], cuts[:, 1:][keep])
-        node_rows = np.repeat(np.nonzero(keep)[0], 2 * PANEL_ORDER)
+        nodes, weights = panel_nodes(cuts[:, :-1][keep], cuts[:, 1:][keep], order)
+        node_rows = np.repeat(np.nonzero(keep)[0], 2 * order)
         integrand = weights * cf(nodes) * cf(nodes + s[node_rows, 0])
         out[start + rows] = np.bincount(node_rows, weights=integrand, minlength=rows.size)
     return out

@@ -1,10 +1,11 @@
-"""Matrix form of the paraboloid Monte Carlo that `oracles.paraboloid_region`
-evaluates column by column.
+"""Row-major form of the paraboloid Monte Carlo that `oracles.paraboloid_region`
+evaluates on coordinate rows.
 
 `reference_hits` draws the points in one row-major array per chunk, scales
-them out of place and tests them with matmuls and row sums; `mc_area` draws
-the same points and tests them in contiguous coordinate columns, and the
-tests require the same hit count.
+them out of place and tests them with <A(x-q), x-q> and <Bx, x> as matmuls by
+A and B and row sums; `mc_area` draws the same points into contiguous
+coordinate rows, and `paraboloid_region` tests them by the Cholesky forms
+|L^T (x-q)|^2, one matrix product each.  The tests require the same hit count.
 """
 
 import numpy as np

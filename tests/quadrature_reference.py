@@ -1,18 +1,20 @@
-"""Loop forms of the panel quadrature and the chord autocorrelation, and the
-chord form of the ray transform.
+"""Loop forms of the panel quadrature and the chord autocorrelation, the
+chord form of the ray transform and the full-line autocorrelation table.
 
 The loops are the per-panel and per-shift loops that `panel_nodes` and
 `chord_autocorrelation_batch` vectorize; the tests require equal arrays, since
 the arithmetic and the node order are the same.  `chord_ray_table` integrates
 the ray transform over the chord function, an oracle independent of the
-boundary rule of `build_context`.
+boundary rule of `build_context`.  `full_line_autocorr_table` tabulates the
+chord autocorrelation on all of [-w, w], where `autocorr_transform_table`
+keeps the half-line [0, w] of the even function.
 """
 
 import numpy as np
 
 from covario._quadrature import gauss_legendre, panel_table
 from covario.fourier_laplace import OSC_BUDGET
-from covario.radon import chord_function
+from covario.radon import chord_autocorrelation_batch, chord_function
 
 
 def chord_ray_table(body, u, max_abs_zeta):
@@ -23,6 +25,17 @@ def chord_ray_table(body, u, max_abs_zeta):
     nodes, weights = panel_table(cf.lo, cf.hi, cf.breakpoints, max_freq=max_abs_zeta,
                                  osc_budget=OSC_BUDGET)
     return nodes, weights * cf(nodes)
+
+
+def full_line_autocorr_table(body, u, max_freq):
+    """(nodes, amplitudes) of the chord autocorrelation on [-w, w], cut at 0
+    and at every difference of the chord's ends and breakpoints."""
+    cf = chord_function(body, u)
+    knots = np.concatenate([[cf.lo], np.asarray(cf.breakpoints), [cf.hi]])
+    diffs = (knots[None, :] - knots[:, None]).ravel()
+    nodes, weights = panel_table(-cf.width, cf.width, [0.0, *diffs], max_freq=max_freq,
+                                 osc_budget=OSC_BUDGET)
+    return nodes, weights * chord_autocorrelation_batch(body, u, nodes)
 
 
 def loop_panel_table(lo, hi, breakpoints=(), order=64, max_freq=0.0, osc_budget=40.0):

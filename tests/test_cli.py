@@ -547,14 +547,71 @@ def test_verify_all_json_is_pinned():
     digests = {hashlib.sha256(_cli_run(["verify", "all", "--seed", "39", "--json"],
                                        OPENBLAS_NUM_THREADS=blas)).hexdigest()
                for blas in ("1", "2")}
-    assert digests == {"48eda490861ceb1094fd242bdfbace7931c8caeb7658cb077a716fabeb13dead"}
+    assert digests == {"2aba6d6aa92164e2bfa9643c8303502eebdec71777d34dec1e4a9761b53c9e7e"}
 
 
 def test_verify_all_text_is_pinned():
     # the PASS/FAIL table of every suite at seed 39, byte for byte
     assert hashlib.sha256(_cli_run(["verify", "all", "--seed", "39"],
                                    OPENBLAS_NUM_THREADS="1")).hexdigest() == (
-        "04adf536478a1f2128150b20e8c5e4fa57bd6382f129ddd2fbd3b2c385b51644")
+        "17d853be2ff342dd6b7b375bb5cd72d62e4729c51e15f9f2e96fab7267db8b12")
+
+
+@pytest.mark.parametrize("seed", [1, 3, 191])
+def test_verify_factorization_json_is_blas_thread_independent(seed):
+    # the cosine sum of the autocorrelation table takes no BLAS reduction, so
+    # its last digits do not follow the thread count
+    outputs = {_cli_run(["verify", "factorization", "--seed", str(seed), "--json"],
+                        OPENBLAS_NUM_THREADS=blas) for blas in ("1", "2")}
+    assert len(outputs) == 1
+
+
+# the paraboloid suite's JSON at each seed the benchmark's verify-all draws,
+# as the column-by-column quadratic forms wrote it
+PARABOLOID_DIGESTS = {
+    39: "e05149b22c9b73a03d073bb09615df8907be01aaaa52a5d29a488d088b09bbf9",
+    55: "b646f105e20dd7d68d78d1e38769bf20c40e2560dec03ffa7e387006185b4839",
+    109: "8b38b35a4f621a83851f6b1d76554e14931d22befd5dfdfb71f551f3b9a38bf5",
+    129: "96358e2fe20ba01a39304339f1286f5f9075c6d21200bf8c52b294b4cefe0a8b",
+    133: "e64d582c3ce49bde9760e31ba57464f967cedbbe53bbc6d191c70b5a6ea8f1a5",
+    191: "afe26e5f4db074bb6bd1a2defaf1fddb6234246fd38b75a76ed7f0a645f22fa2",
+    268: "855b65b4d592a34cf6c99b0c3a703372c7b5ec27875a7f00995fbec242d956b9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PARABOLOID_DIGESTS))
+def test_verify_paraboloid_json_is_pinned(seed):
+    # every Monte Carlo hit count, with one or two BLAS threads
+    digests = {hashlib.sha256(_cli_run(["verify", "paraboloid", "--seed", str(seed), "--json"],
+                                       OPENBLAS_NUM_THREADS=blas)).hexdigest()
+               for blas in ("1", "2")}
+    assert digests == {PARABOLOID_DIGESTS[seed]}
+
+
+NO_MASKED_ARRAYS = """
+import contextlib, io, math, sys
+from covario import asymptotics, covariogram, geometry
+from covario.cli import main
+cw3 = geometry.SupportBody(1.0, ((0.0, 0.0), (0.0, 0.0), (0.05, 0.0)))
+config = asymptotics.DeterminationConfig(n_dirs=4, extent_dirs=32, t_order=16, s_order=8,
+                                         max_regions_checked=1)
+asymptotics.determination_experiment(
+    covariogram.covariogram_evaluator(cw3, n=256),
+    covariogram.covariogram_evaluator(geometry.reflect(cw3), n=256),
+    u_grid=[geometry.Direction(math.pi * j / 2) for j in range(4)], config=config)
+loaded = ["numpy.ma" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "all", "--seed", "39"]) == 0
+print(loaded + ["numpy.ma" in sys.modules])
+"""
+
+
+def test_solves_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma, about 6 ms on its first call in a process;
+    # neither the determination experiment nor verify all may call it
+    run = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], capture_output=True,
+                         env=_child_env(), check=True)
+    assert run.stderr == b"" and run.stdout == b"[False, False]\n"
 
 
 # the text-mode stdout of each command, the --out path shown as <out>

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from quadrature_reference import chord_ray_table
+from quadrature_reference import chord_ray_table, full_line_autocorr_table
 
 from covario import fourier_laplace
 from covario.asymptotics import kobayashi_report
@@ -15,6 +15,7 @@ from covario.fourier_laplace import (
     MAX_REFINE_ROUNDS,
     SERIES_RADIUS,
     Expansion,
+    autocorr_transform_table,
     NewtonDiverged,
     PrecisionLoss,
     ValidationFailed,
@@ -777,6 +778,23 @@ def test_factorization_identity(unit_disk, centered_square):
     xi = np.linspace(0.0, 50.0, 256)
     rep = verify_factorization(unit_disk, E1, xi)
     assert rep.max_deviation <= 1e-6
+
+
+def test_half_line_table_mirrors_full_line(unit_disk, cw3, make_polygon):
+    # C is even: the [0, w] table mirrored to -t sums to the [-w, w] table's
+    # transform within rounding, on the real axis and off it, with half the nodes
+    poly = make_polygon(np.random.default_rng(39), n_points=9)
+    for body, u in ((unit_disk, E1), (cw3, Direction(0.2)), (poly, Direction(0.7))):
+        half_nodes, half_amplitudes = autocorr_transform_table(body, u, 20.0)
+        nodes, amplitudes = full_line_autocorr_table(body, u, 20.0)
+        assert 2 * half_nodes.size == nodes.size and np.all(half_nodes > 0.0)
+        w = float(np.max(nodes))
+        zetas = np.concatenate([np.linspace(-20.0, 20.0, 201),
+                                np.linspace(-20.0, 20.0, 41) + 2.0j / w])
+        mirrored = fourier_sum(np.tile(half_amplitudes, 2),
+                               np.concatenate([half_nodes, -half_nodes]), zetas)
+        scale = area(body) ** 2 * np.exp(np.abs(zetas.imag) * w)
+        assert np.max(np.abs(mirrored - fourier_sum(amplitudes, nodes, zetas)) / scale) <= 1e-14
 
 
 def test_validation_failure_reported(unit_disk):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import pickle
 import warnings
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covario import geometry
 from covario.geometry import (
     KMAX,
     DegenerateZonogon,
@@ -30,6 +32,7 @@ from covario.geometry import (
     minkowski_sum_polygons,
     polygonal_approximation,
     reflect,
+    sorted_distinct,
     steiner_point,
     support,
     translate,
@@ -528,6 +531,28 @@ def test_convex_hull_edge_cases():
         pts = np.vstack([np.stack([q, -q], axis=1).reshape(-1, 2), [(0.0, 0.0)]])
         assert np.all(pts.mean(axis=0) == 0.0)  # the mean is one of the points
         assert not np.any(np.all(convex_hull(pts) == 0.0, axis=1))
+
+
+def test_sorted_distinct_gives_np_unique_bytes(monkeypatch):
+    # panel_table, slice_table and convex_hull drop np.unique, which imports
+    # numpy.ma; their sort-and-mask steps keep its bytes, -0.0 and 0.0 included
+    seen = []
+
+    def spy(x):
+        seen.append(sorted_distinct(x))
+        return seen[-1]
+
+    monkeypatch.setattr(geometry, "sorted_distinct", spy)
+    for seed in range(500):
+        rng = np.random.default_rng(seed)
+        values = np.array([-1.5, -0.0, 0.0, 0.25, 1.0, rng.uniform(-1.0, 1.0)])
+        x = rng.choice(values, size=int(rng.integers(1, 40)))
+        assert sorted_distinct(x).tobytes() == np.unique(x).tobytes()
+        pts = rng.choice(values, size=(int(rng.integers(3, 40)), 2))
+        seen.clear()
+        with contextlib.suppress(ValueError):  # fewer than 3 distinct points
+            convex_hull(pts)
+        assert seen[0].view(float).reshape(-1, 2).tobytes() == np.unique(pts, axis=0).tobytes()
 
 
 def _random_generators(rng, n):

@@ -107,7 +107,8 @@ def test_autocorrelation_matches_radon_of_covariogram(unit_disk):
 
 
 def _verify_polygon_shifts():
-    """The polygon and outer nodes of `verify factorization --seed 39`."""
+    """The polygon of `verify factorization --seed 39` and the nodes of its
+    autocorrelation table on [-w, w], shifts of both signs."""
     rng = np.random.default_rng(39)  # as cli.suite_factorization
     poly = Polygon(convex_hull(rng.uniform(-1.0, 1.0, size=(9, 2))))
     u = Direction(0.7)
@@ -136,9 +137,26 @@ def test_autocorrelation_batch_equals_loop(unit_disk, unit_square):
     for body, v, shifts in cases:
         shifts = np.concatenate([shifts, _edge_shifts(body, v)])
         batch = chord_autocorrelation_batch(body, v, shifts)
-        assert np.array_equal(batch, loop_chord_autocorrelation_batch(body, v, shifts))
+        order = chord_function(body, v).autocorr_order
+        assert np.array_equal(batch, loop_chord_autocorrelation_batch(body, v, shifts, order))
     edge = chord_autocorrelation_batch(poly, u, _edge_shifts(poly, u)[:5])
     assert edge[0] > 0.0 and np.all(edge[1:] == 0.0)
+
+
+def test_polygon_autocorrelation_order_3_is_exact(make_polygon):
+    # S(t) S(t + s) is quadratic between cuts, so 3 points per half-panel give
+    # the 64-point values to rounding, relative to the peak C(0)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        poly = make_polygon(rng, n_points=int(rng.integers(3, 12)))
+        u = Direction(float(rng.uniform(0.0, 2.0 * math.pi)))
+        cf = chord_function(poly, u)
+        assert cf.autocorr_order == 3
+        shifts = np.concatenate([[0.0], rng.uniform(-cf.width, cf.width, 40),
+                                 _edge_shifts(poly, u)])
+        batch = chord_autocorrelation_batch(poly, u, shifts)
+        loop = loop_chord_autocorrelation_batch(poly, u, shifts, order=64)
+        assert np.abs(batch - loop).max() <= 1e-14 * loop[0]
 
 
 def test_autocorrelation_batch_equals_loop_smooth(cw3):
