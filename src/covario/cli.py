@@ -166,12 +166,6 @@ def cmd_radon(args):
     return 0
 
 
-def _rule_report(ctx):
-    """The transform's boundary rule as reported in --json: node count and its
-    gap to the previous rule of the growth sequence."""
-    return {"nodes": int(ctx.nodes.size), "quadrature_gap": ctx.quadrature_gap}
-
-
 def cmd_flt(args):
     body = _load_body(args.body)
     u = Direction(args.u)
@@ -181,8 +175,8 @@ def cmd_flt(args):
     rows = [(float(x), float(v.real), float(v.imag), float(abs(v) ** 2))
             for x, v in zip(xi, vals)]
     _write_csv(args.out, "xi,re,im,abs2", rows)
-    _emit("flt", {"out": args.out, "value_at_zero": float(vals[0].real), **_rule_report(ctx)},
-          args.json)
+    _emit("flt", {"out": args.out, "value_at_zero": float(vals[0].real),
+                  "nodes": ctx.nodes.size}, args.json)
     return 0
 
 
@@ -197,7 +191,7 @@ def cmd_zeros(args):
              br.predicted_center.real, br.predicted_center.imag)
             for br in fourier_laplace.track_branches(ctx, m_list)]
     _write_csv(args.out, "m,theta,re_zeta,im_zeta,residual,pred_re,pred_im", rows)
-    _emit("zeros", {"out": args.out, "n_branches": len(rows), **_rule_report(ctx)}, args.json)
+    _emit("zeros", {"out": args.out, "n_branches": len(rows), "nodes": ctx.nodes.size}, args.json)
     return 0
 
 

@@ -21,7 +21,6 @@ NEWTON_MAX_ITER = 50     # _newton's steps
 REFLECTION_SAMPLES = 50  # random (ray, zeta) draws of verify_reflection_identity
 REFLECTION_TOL = 1e-9    # its deviation bound, relative to area * exp(|Im zeta| h)
 FACTORIZATION_TOL = 1e-6  # verify_factorization's deviation bound, relative to area^2
-GAP_TOL = 1e-12          # largest N vs 5N/4 gap of a rule, relative to area * exp(IM_CAP_FACTOR/2)
 MAX_NODES = 2 ** 20      # a boundary rule that needs more nodes raises PrecisionLoss
 SERIES_RADIUS = 0.5      # |zeta| w/2 at or below which the transform is its moment series
 SERIES_TERMS = 16        # terms of that series: 0.5^16/17! < 1e-19
@@ -40,17 +39,19 @@ class ValidationFailed(Exception):
     """Raised when a located zero fails argument-principle validation."""
 
 
-def fourier_sum(rows, nodes, zetas):
+def fourier_sum(rows, nodes, zetas, blas=True):
     """rows @ exp(i outer(nodes, zetas)): sum_j rows[..., j] exp(i t_j zeta) for each zeta.
 
     rows has shape (..., n) for the n nodes t_j; the result has shape
     rows.shape[:-1] + zetas.shape.  The exponentials are built for at most
     KERNEL_BLOCK node-zeta products at a time, so memory stays bounded.
+    blas=False sums them by numpy, whose bits do not follow the thread count.
     """
     zetas = np.asarray(zetas, dtype=complex)
     flat = 1j * zetas.reshape(-1)
     step = max(1, KERNEL_BLOCK // nodes.size)
-    blocks = [rows @ np.exp(nodes[:, None] * flat[i:i + step])
+    blocks = [rows @ np.exp(nodes[:, None] * flat[i:i + step]) if blas
+              else np.sum(rows[..., None, :] * np.exp(flat[i:i + step, None] * nodes), axis=-1)
               for i in range(0, max(flat.size, 1), step)]
     out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
     return out.reshape(rows.shape[:-1] + zetas.shape)
@@ -141,10 +142,8 @@ class RayTransformContext:
     the centred sum: nodes t_j = s_j - c about the support midpoint c = mid,
     and amplitudes a_j = <n_j, u> ds_j, which sum to 0, so H = exp(-i c zeta) F
     is G_c/(i zeta), G_c the fourier_sum of rows[0] = a; rows[1] = i t a
-    gives G_c'.  The rule is certified on the box |Re zeta| <= max_abs_zeta,
-    |Im zeta| <= im_cap: quadrature_gap is its largest difference at the box's
-    corners from the previous rule of its growth sequence, which has about
-    4/5 of its nodes.  Where |zeta| (hi - lo)/2 <= SERIES_RADIUS, H is the
+    gives G_c'.  _boundary_rule sizes it for the box |Re zeta| <= max_abs_zeta,
+    |Im zeta| <= im_cap.  Where |zeta| (hi - lo)/2 <= SERIES_RADIUS, H is the
     series sum_n moments[n] (i zeta)^n, moments[n] = sum_j a_j t_j^(n+1)/(n+1)!,
     where G_c/(i zeta) would cancel.
     """
@@ -159,85 +158,91 @@ class RayTransformContext:
     nodes: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
     moments: np.ndarray = field(repr=False)
-    quadrature_gap: float
 
     @property
     def body_width(self):
         return self.hi - self.lo
 
 
-def _boundary_rule(body, u, max_abs_zeta):
-    """(sizes, rule): the starting size of the boundary rule and its builder.
+def _boundary_rule(body, u, zeta_max, w):
+    """(sizes, rule): the node counts, as floats, of the boundary rule for the
+    box |Re zeta| <= zeta_max, |Im zeta| <= IM_CAP_FACTOR/w, w the
+    width along u, and its builder of nodes <p_j, u> and amplitudes <n_j, u> ds_j.
 
-    rule(sizes) returns the nodes s_j = <p_j, u> and amplitudes
-    a_j = <n_j, u> ds_j.  A smooth body gets the N-point trapezoid rule in the
-    normal angle phi, with ds = rho dphi; exp(i zeta s(phi)) turns at most
-    |zeta| max rho per unit of phi, so N starts a little above
-    max_abs_zeta max rho plus the top harmonic.  A polygon gets sizes[e]
-    Gauss-Legendre points in arc length on edge e; on an edge along which s
-    changes by d the order starts a little over |zeta d|/4, rounded up to a
-    multiple of 8 so that few orders are ever computed.
+    Each size is the least at which an error bound, minimised over a grid of a,
+    keeps F = exp(i c zeta) G_c/(i zeta) within eps area exp(|Im zeta| w/2) for
+    |zeta| > 1/w.  That factor bounds each |exp(i zeta t_j)|, so the bound M
+    takes only the growth off the real axis; over |zeta| >= max(x, 1/w) its
+    part exp(x S) is convex in x = |Re zeta|, so growth takes it at an end.
+    A smooth body gets the N-point trapezoid rule in the normal angle phi, of
+    error at most 4 pi M/(exp(a N) - 1) for M on |Im phi| < a (Trefethen &
+    Weideman, SIAM Rev. 56, 2014, Thm 3.2).  Harmonic k of h, of amplitude
+    r_k, gives <p, u> amplitudes (1 + k) r_k/2 at frequency |k - 1| and
+    |1 - k| r_k/2 at k + 1, and c0 gives c0 at 1; these tau_j bound Im <p, u>
+    by S = sum tau_j sinh(j a) and Re <p, u> past its range by
+    sum tau_j (cosh(j a) - 1), and |cos(phi - theta) rho| is at most
+    cosh a (c0 + sum |1 - k^2| r_k cosh(k a)).  A polygon gets sizes[e]
+    Gauss-Legendre points on edge e, of drop d, which err on exp(i zeta x d/2),
+    x in [-1, 1], by at most 64 M/(15 (1 - rho^-2) rho^(2q)) for M on the
+    Bernstein ellipse rho = e^a (Trefethen, ATAP, Thm 19.3, whose n is q - 1);
+    each edge meets eps area/sum |flux| at an even order, so that a cold run
+    builds half the tables.  An order past sqrt(MAX_NODES), whose q x q matrix
+    gauss_legendre builds, counts as infinitely many nodes.
     """
+    a, log_tol = np.exp(np.arange(-7.0, 2.8, 0.04)), math.log(np.finfo(float).eps * area(body))
+
+    def growth(s, r):  # log of the largest exp(x s + |Im zeta| r)/max(x, 1/w) on the box
+        return IM_CAP_FACTOR / w * r + np.maximum(math.log(w) + min(zeta_max, 1.0 / w) * s,
+                                                  zeta_max * s - math.log(max(zeta_max, 1.0 / w)))
+
     if isinstance(body, Polygon):
-        v = body.vertices
-        edge = np.roll(v, -1, axis=0) - v
-        start, drop, flux = v @ u.u, edge @ u.u, 0.5 * (edge @ u.perp)
+        edge = np.roll(body.vertices, -1, axis=0) - body.vertices
+        start, drop, flux = body.vertices @ u.u, edge @ u.u, 0.5 * (edge @ u.perp)
+        half = 0.5 * np.abs(drop)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_err = (math.log(64.0 / 15.0 * np.abs(flux).sum()) - np.log1p(-np.exp(-2.0 * a))
+                       + growth(half * np.sinh(a), half * (np.cosh(a) - 1.0)))
+            q = 2.0 * np.ceil(np.min((log_err - log_tol) / (4.0 * a), axis=1))
+            sizes = np.where(q * q > MAX_NODES, np.inf, q)
 
         def rule(sizes):
-            rules = [gauss_legendre(int(q)) for q in sizes]
-            return (np.concatenate([s + 0.5 * (x + 1.0) * d
-                                    for s, d, (x, _) in zip(start, drop, rules)]),
-                    np.concatenate([f * w for f, (_, w) in zip(flux, rules)]))
+            x, weight = map(np.concatenate, zip(*[gauss_legendre(int(q)) for q in sizes]))
+            return (np.repeat(start, sizes) + 0.5 * (x + 1.0) * np.repeat(drop, sizes),
+                    np.repeat(flux, sizes) * weight)
 
-        return 8 * (np.ceil(max_abs_zeta * np.abs(drop) / 24.0).astype(int) + 1), rule
+        return sizes, rule
     series = body.series
-    # rho = c0 + sum_k (1 - k^2)(a_k cos k phi + b_k sin k phi)
-    rho_max = series.c0 + float(np.abs(1.0 - series.k ** 2) @ np.hypot(series.a, series.b))
-    top = int(series.k.max()) if series.k.size else 0
+    r, k = np.hypot(series.a, series.b), series.k
+    ja = np.outer(a, np.concatenate([[1.0], np.abs(k - 1.0), k + 1.0]))
+    tau = np.concatenate([[series.c0], 0.5 * (1.0 + k) * r, 0.5 * np.abs(1.0 - k) * r])
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = np.cosh(a) * (series.c0 + np.cosh(np.outer(a, k)) @ (np.abs(1.0 - k * k) * r))
+        log_err = (math.log(4.0 * math.pi) + np.log(amp)
+                   + growth(np.sinh(ja) @ tau, (np.cosh(ja) - 1.0) @ tau))
+        sizes = np.ceil(np.min(np.logaddexp(0.0, log_err - log_tol) / a))
 
     def rule(n):
         phi = np.arange(n) * (2.0 * math.pi / n)
         return (series.offsets(phi, u.theta)[0] + np.dot(body.center, u.u),
                 (2.0 * math.pi / n) * np.cos(phi - u.theta) * series.terms(phi)[2])
 
-    return math.ceil(1.1 * max_abs_zeta * rho_max) + 24 + 6 * (top + 1), rule
+    return sizes, rule
 
 
 def build_context(body, u: Direction, max_abs_zeta=200.0):
-    """Boundary rule certified on the box |Re zeta| <= max_abs_zeta, |Im zeta| <= im_cap.
-
-    The sizes start where _boundary_rule puts them and grow to ceil(5 N/4)
-    trapezoid nodes, or ceil(5 q/4) Gauss-Legendre points per polygon edge,
-    until two consecutive rules differ by at most
-    GAP_TOL area exp(IM_CAP_FACTOR/2) at the box's corners.  The rule with
-    more nodes is kept: the error falls geometrically with the node count, so
-    the gap bounds its error with room to spare, on the real axis too.  A
-    rule of more than MAX_NODES nodes raises PrecisionLoss before it is built.
-    """
+    """The boundary rule built once at _boundary_rule's sizes, or PrecisionLoss past MAX_NODES."""
     lo, hi = -support(body, u.antipode()), support(body, u)
     mid = 0.5 * (lo + hi)
-    im_cap = IM_CAP_FACTOR / (hi - lo)
-    corners = np.array([complex(re, im) for re in (max_abs_zeta, -max_abs_zeta)
-                        for im in (im_cap, -im_cap)])
-    tol = GAP_TOL * area(body) * math.exp(IM_CAP_FACTOR / 2.0)
-    sizes, rule = _boundary_rule(body, u, max_abs_zeta)
-    coarse = None
-    while True:
-        if np.sum(sizes) > MAX_NODES:
-            raise PrecisionLoss(f"boundary rule needs more than {MAX_NODES} nodes "
-                                f"for |Re zeta| <= {max_abs_zeta:.3g}")
-        nodes, amps = rule(sizes)
-        fine = fourier_sum(amps, nodes - mid, corners) / corners
-        if coarse is not None:
-            gap = float(np.max(np.abs(coarse - fine)))
-            if gap <= tol:
-                break
-        sizes, coarse = -(-5 * sizes // 4), fine
+    sizes, rule = _boundary_rule(body, u, max_abs_zeta, hi - lo)
+    if not np.sum(sizes) <= MAX_NODES:
+        raise PrecisionLoss(f"boundary rule needs more than {MAX_NODES} nodes "
+                            f"for |Re zeta| <= {max_abs_zeta:.3g}")
+    nodes, amps = rule(sizes.astype(int))
     t = nodes - mid
     powers = np.cumprod(np.broadcast_to(t, (SERIES_TERMS, t.size)), axis=0)
     moments = (powers @ amps) / np.cumprod(np.arange(1.0, SERIES_TERMS + 1.0))
-    return RayTransformContext(body, u, max_abs_zeta, im_cap, lo, hi, mid, t,
-                               derivative_rows(t, amps, 1), moments, gap)
+    return RayTransformContext(body, u, max_abs_zeta, IM_CAP_FACTOR / (hi - lo), lo, hi, mid, t,
+                               derivative_rows(t, amps, 1), moments)
 
 
 def _check_zeta(ctx, zeta):
@@ -259,7 +264,7 @@ def _centred_transform(ctx, zetas, order, sums=None):
     near = np.abs(z) * (0.5 * ctx.body_width) <= SERIES_RADIUS
     any_near = np.count_nonzero(near)
     far = np.where(near, 1.0, z) if any_near else z
-    g = fourier_sum(ctx.rows[:order + 1], ctx.nodes, z) if sums is None else sums(z)
+    g = fourier_sum(ctx.rows[:order + 1], ctx.nodes, z, blas=False) if sums is None else sums(z)
     h = g[0] / (1j * far)
     out = (h, (-1j * g[1] - h) / far) if order else (h,)
     if not any_near:

@@ -9,8 +9,6 @@ from quadrature_reference import chord_ray_table, full_line_autocorr_table
 from covario import fourier_laplace
 from covario.asymptotics import kobayashi_report
 from covario.fourier_laplace import (
-    GAP_TOL,
-    IM_CAP_FACTOR,
     KERNEL_BLOCK,
     MAX_REFINE_ROUNDS,
     SERIES_RADIUS,
@@ -83,15 +81,13 @@ def test_boundary_rule_matches_chord_table(name):
     body = RULE_BODIES[name]
     for k, theta in enumerate((0.4, 2.3)):
         ctx = build_context(body, Direction(theta), max_abs_zeta=130.0)
-        assert ctx.quadrature_gap <= GAP_TOL * area(body) * math.exp(IM_CAP_FACTOR / 2.0)
         assert _chord_deviation(ctx, _box_zetas(ctx, 200, k)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(RULE_BODIES))
 def test_boundary_rule_real_axis_accuracy(name):
-    # the kept rule is the finer of its N vs ceil(5N/4) pair, so the real
-    # axis, where flt and verify_factorization evaluate, is accurate to
-    # rounding and not only to the gap tolerance
+    # the rule is sized for eps area on the whole box, so the real axis,
+    # where flt and verify_factorization evaluate, is accurate to rounding
     body = RULE_BODIES[name]
     for max_abs_zeta in (50.0, 130.0):
         for theta in (0.4, 2.3):
@@ -100,12 +96,23 @@ def test_boundary_rule_real_axis_accuracy(name):
             assert _chord_deviation(ctx, xi) <= 1e-14
 
 
-def test_boundary_rule_node_count_cw3(cw3):
-    # the chord panel table needs 896 nodes for the same box; the boundary
-    # rule's first pair, 249 and ceil(5 * 249/4) = 312 nodes, passes its gap
-    # check, and the 312-node rule is kept
-    for theta in (0.0, 0.4, 1.3, 2.9):
-        assert build_context(cw3, Direction(theta), max_abs_zeta=130.0).nodes.size <= 336
+# nodes of each body's rule at (max_abs_zeta, theta) when the rule grew from a
+# start size until two rules agreed; sized from the error bounds it needs no more
+RULE_NODE_CEILINGS = {
+    "cw3": {50.0: (157, 157), 130.0: (312, 312)},
+    "harmonic4": {50.0: (165, 165), 130.0: (322, 322)},
+    "disk": {50.0: (108, 108), 130.0: (217, 217)},
+    "nonagon": {50.0: (230, 220), 130.0: (360, 330)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_BODIES))
+@pytest.mark.parametrize("max_abs_zeta", [50.0, 130.0])
+def test_boundary_rule_node_count(name, max_abs_zeta):
+    # the chord panel table needs 896 nodes for cw3 at max_abs_zeta = 130
+    for theta, ceiling in zip((0.4, 2.3), RULE_NODE_CEILINGS[name][max_abs_zeta]):
+        ctx = build_context(RULE_BODIES[name], Direction(theta), max_abs_zeta=max_abs_zeta)
+        assert ctx.nodes.size <= ceiling
 
 
 def test_build_context_evaluates_no_chord(monkeypatch):
@@ -119,25 +126,12 @@ def test_build_context_evaluates_no_chord(monkeypatch):
         flt_ray_many(ctx, _box_zetas(ctx, 20, 0))
 
 
-def test_boundary_rule_grows_until_gap_passes(cw3, monkeypatch):
-    # start far too coarse: the rule grows by ceil(5N/4), 8 -> 10 -> 13 -> 17
-    # -> ... -> 109 -> 137 -> 172 -> 215, and keeps the finer of the first
-    # pair whose gap passes
-    rule = fourier_laplace._boundary_rule
-    monkeypatch.setattr(fourier_laplace, "_boundary_rule",
-                        lambda body, u, zeta: (8, rule(body, u, zeta)[1]))
-    ctx = build_context(cw3, Direction(0.4), max_abs_zeta=60.0)
-    assert ctx.nodes.size in (172, 215)
-    assert ctx.quadrature_gap <= GAP_TOL * area(cw3) * math.exp(IM_CAP_FACTOR / 2.0)
-    assert _chord_deviation(ctx, _box_zetas(ctx, 100, 3)) <= 1e-12
-
-
-def test_boundary_rule_node_cap_raises_before_building(cw3, monkeypatch):
-    built = []
+def _counting_rule(monkeypatch, built):
+    """Wrap _boundary_rule so that every rule it builds appends its node count to built."""
     rule = fourier_laplace._boundary_rule
 
-    def counting_rule(body, u, max_abs_zeta):
-        sizes, build = rule(body, u, max_abs_zeta)
+    def counting_rule(body, u, max_abs_zeta, w):
+        sizes, build = rule(body, u, max_abs_zeta, w)
 
         def counting_build(sizes):
             built.append(int(np.sum(sizes)))
@@ -146,17 +140,45 @@ def test_boundary_rule_node_cap_raises_before_building(cw3, monkeypatch):
         return sizes, counting_build
 
     monkeypatch.setattr(fourier_laplace, "_boundary_rule", counting_rule)
+
+
+def test_build_context_builds_one_rule(monkeypatch):
+    # the sizes come from the error bounds, so no second rule is built to check the first
+    built = []
+    _counting_rule(monkeypatch, built)
+    for body in RULE_BODIES.values():
+        for max_abs_zeta in (10.0, 60.0, 130.0):
+            built.clear()
+            ctx = build_context(body, Direction(0.4), max_abs_zeta=max_abs_zeta)
+            assert built == [ctx.nodes.size]
+
+
+def test_boundary_rule_node_cap_raises_before_building(cw3, unit_square, monkeypatch):
+    built = []
+    _counting_rule(monkeypatch, built)
     monkeypatch.setattr(fourier_laplace, "MAX_NODES", 64)
     for body in (cw3, RULE_BODIES["nonagon"]):
         built.clear()
         with pytest.raises(PrecisionLoss, match="more than 64 nodes"):
             build_context(body, Direction(0.4), max_abs_zeta=60.0)
         assert max(built, default=0) <= 64
-    # a box far too wide for any rule raises before a single node is made
+    # a box far too wide for any rule raises before a single node or
+    # Gauss-Legendre table is made
     monkeypatch.setattr(fourier_laplace, "MAX_NODES", 2 ** 20)
-    built.clear()
+
+    def forbidden(order):
+        raise AssertionError(f"gauss_legendre({order}) called")
+
+    monkeypatch.setattr(fourier_laplace, "gauss_legendre", forbidden)
+    for body in (cw3, RULE_BODIES["nonagon"]):
+        built.clear()
+        with pytest.raises(PrecisionLoss, match="nodes"):
+            build_context(body, Direction(0.4), max_abs_zeta=1e8)
+        assert built == []
+    # 1e5 on the unit square: about 1e5 nodes, below the cap, but two edges
+    # need orders past sqrt(MAX_NODES) = 1024, each a q x q matrix
     with pytest.raises(PrecisionLoss, match="nodes"):
-        build_context(cw3, Direction(0.4), max_abs_zeta=1e8)
+        build_context(unit_square, Direction(0.3), max_abs_zeta=1e5)
     assert built == []
 
 
