@@ -227,7 +227,7 @@ FIT_FAIL_FRAC = 0.05     # largest share of directions whose pair fit may fail
 @dataclass(frozen=True)
 class DeterminationConfig:
     """Settings of determination_experiment.  The curvature pairs come from
-    covariogram.cap_pairs with t_star = 2e-2 h(u), h the support of supp g,
+    covariogram.cap_pairs with t_star = 5e-4 h(u), h the support of supp g,
     which has no settings of its own."""
 
     n_dirs: int = 24
@@ -430,7 +430,7 @@ def determination_experiment(g_a, g_b, u_grid=None, config=None):
 
     def pairs(g, radial):
         fits = [_support_from_radial(radial, fine, u.u) for u in dirs]
-        return cap_pairs(g, [anchor for _, anchor in fits], dirs, [2e-2 * h for h, _ in fits])
+        return cap_pairs(g, [anchor for _, anchor in fits], dirs, [5e-4 * h for h, _ in fits])
 
     # a direction fails when either fit fails
     pairs_a, pairs_b = [], []

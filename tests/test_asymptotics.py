@@ -253,6 +253,18 @@ def test_determination_pairs_on_240_directions(cw3):
         assert max(abs(pair[0] - truth[0]) / truth[0], abs(pair[1] - truth[1]) / truth[1]) < 0.05, th
 
 
+def test_determination_pairs_on_240_directions_to_half_a_percent(cw3):
+    # the cap fit at t* = 5e-4 h(u) keeps every pair within 0.5% (0.095% seen)
+    g = covariogram_evaluator(cw3)
+    cfg = DeterminationConfig(n_dirs=240, max_regions_checked=0)
+    verdict = determination_experiment(g, g, config=cfg)
+    assert None not in verdict.pairs_a
+    for th, pair in zip(verdict.thetas, verdict.pairs_a):
+        u = Direction(float(th))
+        truth = sorted((curvature(cw3, u), curvature(cw3, u.antipode())))
+        assert max(abs(pair[0] - truth[0]) / truth[0], abs(pair[1] - truth[1]) / truth[1]) < 5e-3, th
+
+
 def test_determination_distinct_disks():
     cfg = DeterminationConfig(n_dirs=8, extent_dirs=48, max_regions_checked=0)
     g_a = covariogram_evaluator(Disk((0.0, 0.0), 1.0), n=512)

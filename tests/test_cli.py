@@ -621,19 +621,25 @@ asymptotics.determination_experiment(
     covariogram.covariogram_evaluator(cw3, n=256),
     covariogram.covariogram_evaluator(geometry.reflect(cw3), n=256),
     u_grid=[geometry.Direction(math.pi * j / 2) for j in range(4)], config=config)
-loaded = ["numpy.ma" in sys.modules]
+loaded = ["numpy.ma" in sys.modules, "numpy.polynomial" in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["verify", "all", "--seed", "39"]) == 0
-print(loaded + ["numpy.ma" in sys.modules])
+loaded += ["numpy.ma" in sys.modules, "numpy.polynomial" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["flt", "--body", sys.argv[1], "--u", "0.3", "--out", sys.argv[2]]) == 0
+print(loaded + ["numpy.polynomial" in sys.modules])
 """
 
 
-def test_solves_do_not_import_numpy_ma():
+def test_solves_do_not_import_numpy_ma(tmp_path, square_file):
     # np.unique imports numpy.ma, about 6 ms on its first call in a process;
-    # neither the determination experiment nor verify all may call it
-    run = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], capture_output=True,
-                         env=_child_env(), check=True)
-    assert run.stderr == b"" and run.stdout == b"[False, False]\n"
+    # neither the determination experiment nor verify all may call it.  Nor
+    # may they, or a polygon's flt, import numpy.polynomial: _quadrature
+    # builds the Gauss-Legendre tables itself
+    run = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS,
+                          str(square_file), str(tmp_path / "flt.csv")],
+                         capture_output=True, env=_child_env(), check=True)
+    assert run.stderr == b"" and run.stdout == b"[False, False, False, False, False]\n"
 
 
 # the text-mode stdout of each command, the --out path shown as <out>

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 from quadrature_reference import loop_panel_table
 
-from covario._quadrature import panel_table
+from covario._quadrature import gauss_legendre, panel_table
 from covario.fourier_laplace import OSC_BUDGET
 from covario.geometry import Direction
 from covario.radon import chord_function
@@ -29,3 +30,20 @@ def test_panel_table_equals_loop_breakpoints():
         _assert_same(panel_table(-1.0, 2.0, brk, order=order, max_freq=max_freq),
                      loop_panel_table(-1.0, 2.0, brk, order=order, max_freq=max_freq))
     assert panel_table(1.0, 1.0)[0].size == 0
+
+
+def test_gauss_legendre_equals_numpy_leggauss():
+    # the port keeps numpy's bits, signs of zero included; numpy.polynomial is
+    # the oracle here only
+    from numpy.polynomial.legendre import leggauss
+
+    for order in range(1, 301):
+        for ours, theirs in zip(gauss_legendre(order), leggauss(order)):
+            assert np.array_equal(ours, theirs), order
+            assert np.array_equal(np.signbit(ours), np.signbit(theirs)), order
+
+
+@pytest.mark.parametrize("order, error", [(0, ValueError), (-3, ValueError), (2.5, TypeError)])
+def test_gauss_legendre_rejects_order(order, error):
+    with pytest.raises(error):
+        gauss_legendre(order)
