@@ -17,6 +17,7 @@ OSC_BUDGET = 40.0
 CONTOUR_START = 10
 MAX_REFINE_ROUNDS = 12
 KERNEL_BLOCK = 2 ** 16   # largest node-zeta product count of one exponential block
+NODE_CHUNK = 2 ** 13     # nodes per dot product, too few for OpenBLAS to split across threads
 NEWTON_MAX_ITER = 50     # _newton's steps
 REFLECTION_SAMPLES = 50  # random (ray, zeta) draws of verify_reflection_identity
 REFLECTION_TOL = 1e-9    # its deviation bound, relative to area * exp(|Im zeta| h)
@@ -39,21 +40,22 @@ class ValidationFailed(Exception):
     """Raised when a located zero fails argument-principle validation."""
 
 
-def fourier_sum(rows, nodes, zetas, blas=True):
-    """rows @ exp(i outer(nodes, zetas)): sum_j rows[..., j] exp(i t_j zeta) for each zeta.
+def fourier_sum(rows, nodes, zetas):
+    """sum_j rows[..., j] exp(i t_j zeta) for each zeta, t = nodes.
 
-    rows has shape (..., n) for the n nodes t_j; the result has shape
-    rows.shape[:-1] + zetas.shape.  The exponentials are built for at most
-    KERNEL_BLOCK node-zeta products at a time, so memory stays bounded.
-    blas=False sums them by numpy, whose bits do not follow the thread count.
+    rows has shape (..., n); the result has shape rows.shape[:-1] + zetas.shape.
+    The exponentials are built for at most KERNEL_BLOCK node-zeta products at
+    a time.  Each value is np.vecdot(conj(row), exp(i zeta t)) summed over
+    NODE_CHUNK nodes at a time, in order, so its bits follow neither the BLAS
+    thread count nor the other zetas of the call.
     """
     zetas = np.asarray(zetas, dtype=complex)
-    flat = 1j * zetas.reshape(-1)
-    step = max(1, KERNEL_BLOCK // nodes.size)
-    blocks = [rows @ np.exp(nodes[:, None] * flat[i:i + step]) if blas
-              else np.sum(rows[..., None, :] * np.exp(flat[i:i + step, None] * nodes), axis=-1)
-              for i in range(0, max(flat.size, 1), step)]
-    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+    flat, conj = 1j * zetas.reshape(-1), np.conj(rows)[..., None, :]
+    out, step = np.zeros(rows.shape[:-1] + flat.shape, complex), max(1, KERNEL_BLOCK // nodes.size)
+    for i in range(0, flat.size, step):
+        exp = np.exp(flat[i:i + step, None] * nodes)
+        for j in range(0, nodes.size, NODE_CHUNK):
+            out[..., i:i + step] += np.vecdot(conj[..., j:j + NODE_CHUNK], exp[:, j:j + NODE_CHUNK])
     return out.reshape(rows.shape[:-1] + zetas.shape)
 
 
@@ -72,14 +74,14 @@ class Expansion:
 
     a = rows[0], t = nodes, and rows[1] = i t a gives f'.  coeffs[k, 0]
     holds f^(k)(c)/k! at each center c, from one fourier_sum of
-    derivative_rows(t, a, K) at the centers, taken in 2-row slices, and
-    coeffs[k, 1] = (k + 1) coeffs[k + 1, 0] those of f'.  For |t_j d| <= rho
-    the tail of exp(i t_j d) past its term of order K - 1, which f' takes,
-    is at most rho^K e^rho/K!, and bounds the tail past order K, which f
-    takes; K is the least order that puts it below eps/4 over the reach
-    rho = max |t_j| radius, raised to odd so that the K + 1 rows pair up.  Called at points z, it returns (f, f') by Horner's rule
-    about each point's center; a point farther than radius from it is
-    summed directly, never extrapolated.
+    derivative_rows(t, a, K) at the centers, and coeffs[k, 1] =
+    (k + 1) coeffs[k + 1, 0] those of f'.  For |t_j d| <= rho the tail of
+    exp(i t_j d) past its term of order K - 1, which f' takes, is at most
+    rho^K e^rho/K!, and bounds the tail past order K, which f takes; K is
+    the least order that puts it below eps/4 over the reach
+    rho = max |t_j| radius.  Called at points z, it returns (f, f') by
+    Horner's rule about each point's center; a point farther than radius
+    from it is summed directly, never extrapolated.
     """
 
     rows: np.ndarray = field(repr=False)
@@ -96,11 +98,9 @@ class Expansion:
         while tail >= 0.25 * np.finfo(float).eps:
             order += 1
             tail *= reach / order
-        order |= 1
-        table = derivative_rows(nodes, rows[0], order).reshape(-1, 2, nodes.size)
         factorials = np.cumprod(np.maximum(np.arange(order + 1.0), 1.0))[:, None]
         coeffs = np.zeros((order + 1, 2, centers.size), complex)
-        coeffs[:, 0] = fourier_sum(table, nodes, centers).reshape(order + 1, -1) / factorials
+        coeffs[:, 0] = fourier_sum(derivative_rows(nodes, rows[0], order), nodes, centers) / factorials
         coeffs[:-1, 1] = np.arange(1.0, order + 1.0)[:, None] * coeffs[1:, 0]
         return cls(rows[:2], nodes, centers, radius, coeffs)
 
@@ -264,7 +264,7 @@ def _centred_transform(ctx, zetas, order, sums=None):
     near = np.abs(z) * (0.5 * ctx.body_width) <= SERIES_RADIUS
     any_near = np.count_nonzero(near)
     far = np.where(near, 1.0, z) if any_near else z
-    g = fourier_sum(ctx.rows[:order + 1], ctx.nodes, z, blas=False) if sums is None else sums(z)
+    g = fourier_sum(ctx.rows[:order + 1], ctx.nodes, z) if sums is None else sums(z)
     h = g[0] / (1j * far)
     out = (h, (-1j * g[1] - h) / far) if order else (h,)
     if not any_near:

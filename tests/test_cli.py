@@ -504,14 +504,20 @@ def _cli_output(args, tmp_path, **env):
     return _cli_run([*args, "--out", str(out)], **env), out.read_bytes()
 
 
+ZEROS_DIGESTS = {
+    ("0.4", "1..40"): "f1e9a395370a2acde779446772900062f24fbebd1a4affa0506caa00647336ab",
+    ("0.7", "1..100"): "ed3b58fb9ffc5daf0ee0b653fd2225b4ca4105531e4876ed6dd474cb37aba5fc",
+}
+
+
 def test_zeros_csv_is_pinned_across_blas_threads(tmp_path, cw3_file):
-    # the branch CSV of cw3, byte for byte, whatever thread count BLAS runs
+    # the branch CSVs of cw3, byte for byte, whatever thread count BLAS runs
     # the expansion's coefficient products on
-    digests = {hashlib.sha256(_cli_output(["zeros", "--body", cw3_file, "--u", "0.4",
-                                           "--m", "1..40"], tmp_path,
-                                          OPENBLAS_NUM_THREADS=blas)[1]).hexdigest()
-               for blas in ("1", "2")}
-    assert digests == {"52aa75612eba33bab1544bca575f1cc155a1850850a873434952c2ddee5b71ca"}
+    for (u, m), digest in ZEROS_DIGESTS.items():
+        digests = {hashlib.sha256(_cli_output(["zeros", "--body", cw3_file, "--u", u, "--m", m],
+                                              tmp_path, OPENBLAS_NUM_THREADS=blas)[1]).hexdigest()
+                   for blas in ("1", "2")}
+        assert digests == {digest}, (u, m)
 
 
 def test_kobayashi_json_is_pinned_across_thread_counts(tmp_path, cw3_file):
@@ -522,7 +528,7 @@ def test_kobayashi_json_is_pinned_across_thread_counts(tmp_path, cw3_file):
                                           OPENBLAS_NUM_THREADS=blas,
                                           COVARIO_THREADS=workers)[0]).hexdigest()
                for blas in ("1", "2") for workers in ("1", "2")}
-    assert digests == {"64045ca1a3e4cdef044e482bda40812c04b1133295476cb28e97054da7a7644d"}
+    assert digests == {"e431fe697bde4ce8a706982d2d5ec24e556927f1c0bac312a4b68a5d4552b513"}
 
 
 HEXAGON = {"kind": "polygon",
@@ -530,15 +536,15 @@ HEXAGON = {"kind": "polygon",
 
 
 FLT_DIGESTS = {
-    "cw3": "92f6a9f6be51f61d9da37510ebd659cdc2c2c6ccddfa2fec6c9e245ee9c1c7e8",
-    "hexagon": "0f3b1ca725437ba23f26a5dde877e6fe791e1d5ba6542dbabc08de1f02464a38",
+    "cw3": "2bfcbcbed4bede74621830ba31cc65b3bf3517bb3c461b7bcc0bd56542983033",
+    "hexagon": "931d2df8894d46a0ac63cae3f7c4f5ab54cc93731a9d52fc0e3c6ab8584bf676",
 }
 
 
 @pytest.mark.parametrize("name", sorted(FLT_DIGESTS))
 def test_flt_csv_is_pinned(tmp_path, cw3_file, name):
     # the transform table, byte for byte, with one or two BLAS threads: the
-    # boundary rule is summed by numpy, not BLAS
+    # boundary rule is summed in node chunks too short for BLAS to split
     body = cw3_file if name == "cw3" else write_body(tmp_path, "hexagon.json", HEXAGON)
     digests = {hashlib.sha256(_cli_output(["flt", "--body", body, "--u", "0.7", "--xi-max", "60"],
                                           tmp_path, OPENBLAS_NUM_THREADS=blas)[1]).hexdigest()
@@ -569,14 +575,14 @@ def test_verify_all_json_is_pinned():
     digests = {hashlib.sha256(_cli_run(["verify", "all", "--seed", "39", "--json"],
                                        OPENBLAS_NUM_THREADS=blas)).hexdigest()
                for blas in ("1", "2")}
-    assert digests == {"2c834a22df4cd7ed8ff68306a38fb65fb6b650e8cab5aefae085377356682059"}
+    assert digests == {"39911acf56d5133488b683c45f3bc9e026f7572f5295172c34e41d2d71cffe79"}
 
 
 def test_verify_all_text_is_pinned():
     # the PASS/FAIL table of every suite at seed 39, byte for byte
     assert hashlib.sha256(_cli_run(["verify", "all", "--seed", "39"],
                                    OPENBLAS_NUM_THREADS="1")).hexdigest() == (
-        "d14715bbf991f0109e10d4b9d4c479fe2bd7ebd7deec8259e9112d7851431c5a")
+        "4313e22bfa0f26ad2db6ccb288c3074f158d23ec46df5692cbe188bca7548382")
 
 
 @pytest.mark.parametrize("seed", [1, 3, 191])

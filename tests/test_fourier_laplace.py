@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +251,51 @@ def test_fourier_sum_blocks_match_one_shot_product(cw3):
     scale = np.abs(ctx.rows).sum(axis=1, keepdims=True) * math.exp(2.0 * max(-ctx.lo, ctx.hi))
     assert np.all(np.abs(got.reshape(2, -1) - one_shot) <= 1e-13 * scale)
     assert fourier_sum(ctx.rows[0], ctx.nodes, zetas[0, 0]).shape == ()
+
+
+def test_fourier_sum_value_does_not_follow_its_call(cw3, monkeypatch):
+    # a zeta's bits are the same summed alone, among 500 zetas, or in a call
+    # that a smaller KERNEL_BLOCK splits into blocks of 7
+    ctx = build_context(cw3, Direction(0.4), max_abs_zeta=40.0)
+    rows = derivative_rows(ctx.nodes, ctx.rows[0], 27)
+    rng = np.random.default_rng(11)
+    zetas = rng.uniform(-40.0, 40.0, 500) + 1j * rng.uniform(-2.0, 2.0, 500)
+    many = fourier_sum(rows, ctx.nodes, zetas)
+    for k in (0, 123, 499):
+        assert np.array_equal(fourier_sum(rows, ctx.nodes, zetas[k]), many[:, k])
+    monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", 7 * ctx.nodes.size)
+    assert np.array_equal(fourier_sum(rows, ctx.nodes, zetas), many)
+
+
+def test_fourier_sum_of_no_zetas(cw3):
+    ctx = build_context(cw3, Direction(0.4), max_abs_zeta=40.0)
+    assert fourier_sum(ctx.rows, ctx.nodes, np.array([])).shape == (2, 0)
+    assert fourier_sum(ctx.rows, ctx.nodes, np.zeros((3, 0))).shape == (2, 3, 0)
+    assert fourier_sum(ctx.rows[0], ctx.nodes, []).shape == (0,)
+
+
+FOURIER_SUM_DIGEST = """
+import hashlib
+import numpy as np
+from covario.fourier_laplace import fourier_sum
+rng = np.random.default_rng(20)
+nodes = rng.uniform(-1.0, 1.0, 20000)
+rows = rng.standard_normal((2, 20000)) + 1j * rng.standard_normal((2, 20000))
+zetas = rng.uniform(-30.0, 30.0, 40) + 1j * rng.uniform(-1.0, 1.0, 40)
+print(hashlib.sha256(fourier_sum(rows, nodes, zetas).tobytes()).hexdigest())
+"""
+
+
+def test_fourier_sum_is_blas_thread_independent():
+    # OpenBLAS splits a dot product of more than 10,000 entries across its
+    # threads; a 20,000-node sum is summed in chunks too short for that
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    digests = {subprocess.run([sys.executable, "-c", FOURIER_SUM_DIGEST], capture_output=True,
+                              check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": blas,
+                                               "PYTHONPATH": src + os.pathsep + path if path
+                                               else src}).stdout for blas in ("1", "2")}
+    assert len(digests) == 1
 
 
 def test_precision_loss_cap(unit_disk):
@@ -524,17 +573,17 @@ def test_contour_start_table_stays_within_kernel_block(cw3, monkeypatch):
     branches = track_branches(ctx, range(1, 12))
     spy = _ExpShapes()
     # a block that just fits 41 centers: each exponential table of the
-    # expansion's fourier_sum, (n, centers), holds at most KERNEL_BLOCK
+    # expansion's fourier_sum, (centers, n), holds at most KERNEL_BLOCK
     # entries, and the coefficients are the floats of one table
     monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * 41)
     monkeypatch.setattr(fourier_laplace, "np", spy)
     assert np.array_equal(Expansion.about(ctx.rows, ctx.nodes, centers, radius).coeffs, expected)
-    assert spy.shapes == [(n, 41), (n, 41), (n, 18)]
+    assert spy.shapes == [(41, n), (41, n), (18, n)]
     # one entry less: 40 centers a table
     monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * 41 - 1)
     spy.shapes.clear()
     assert np.array_equal(Expansion.about(ctx.rows, ctx.nodes, centers, radius).coeffs, expected)
-    assert spy.shapes == [(n, 40), (n, 40), (n, 20)]
+    assert spy.shapes == [(40, n), (40, n), (20, n)]
     # every branch of a context whose starts fill three tables is found as
     # before
     monkeypatch.setattr(fourier_laplace, "KERNEL_BLOCK", n * 4)
@@ -566,7 +615,7 @@ def test_winding_number_rectangle_leaving_box_raises(unit_disk):
 
 def test_track_zero_one_kernel_call_per_candidate(cw3, monkeypatch):
     # a _track makes one fourier_sum, of the expansion's 28 derivative rows
-    # in 2-row slices at the starts; each Newton round gets (H, H') of every
+    # (order 27) at the starts; each Newton round gets (H, H') of every
     # moving candidate from its polynomials, with no kernel call, and the
     # converged points' values serve the residual check, so no point is
     # evaluated twice
@@ -591,7 +640,7 @@ def test_track_zero_one_kernel_call_per_candidate(cw3, monkeypatch):
         kernel_calls.clear()
         rounds.clear()
         branches = track_branches(ctx, m_list) if len(m_list) > 1 else [track_zero(ctx, m_list[0])]
-        assert len(kernel_calls) == 1 and kernel_calls[0][1] == (14, 2, ctx.nodes.size)
+        assert len(kernel_calls) == 1 and kernel_calls[0][1] == (28, ctx.nodes.size)
         assert np.array_equal(kernel_calls[0][0], [br.predicted_center for br in branches])
         assert len(rounds) >= 3
         assert np.array_equal(rounds[0], [br.predicted_center for br in branches])
