@@ -53,13 +53,13 @@ def _parse_grid(text):
 
 
 def _check_options(args):
-    """Reject a non-finite --u or --xi-max, a --num, --u-grid or --mc-n below 1
-    and a negative --seed."""
+    """Reject a non-finite --u or --xi-max, a --num or --u-grid below 1 and a
+    negative --seed."""
     for name in ("u", "xi_max"):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
-    for name, least in (("num", 1), ("u_grid", 1), ("mc_n", 1), ("seed", 0)):
+    for name, least in (("num", 1), ("u_grid", 1), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise UsageError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
@@ -243,6 +243,8 @@ def cmd_recover_curvature(args):
 MATRIX_PAIRS = 1000          # random SPD pairs of the matrix-identity suite
 MATRIX_TOL = 1e-10           # its largest relative deviation
 PARABOLOID_INSTANCES = 10    # random paraboloid caps checked against the closed form
+PARABOLOID_TOL = 1e-12       # relative gap of the cap quadrature from the closed form
+STATEMENT_GAP = 0.5          # least relative gap from the 2^((n+1)/2)-inflated value
 COUNTEREXAMPLE_DRAWS = 20    # random parameter draws per parallelogram family
 DISK_ZERO_TOL = 1e-6         # largest |zeta - j_1m| of the disk's tracked zeros
 
@@ -261,29 +263,28 @@ def suite_matrix_identities(seed=0):
         worst = max(worst, oracles.matrix_identities(spd[0::2], spd[1::2]).max_deviation)
     return [("matrix-identities", worst <= MATRIX_TOL, f"max relative deviation {worst:.3e}")]
 
-def suite_paraboloid(seed=0, n_samples=1_000_000):
+def suite_paraboloid(seed=0):
     rows = []
-    ref = oracles.paraboloid_volume(np.eye(1), np.eye(1), np.zeros(1), 1.0,
-                                    n_samples, seed)
-    ok_ref = ref.z_closed_form <= 3.0 and abs(ref.estimate.mean - 4.0 / 3.0) <= 0.01 * (4.0 / 3.0)
+    ref = oracles.paraboloid_volume(np.eye(1), np.eye(1), np.zeros(1), 1.0)
+    ok_ref = (ref.gap_closed_form <= PARABOLOID_TOL
+              and abs(ref.estimate.value - 4.0 / 3.0) <= PARABOLOID_TOL * (4.0 / 3.0))
     rows.append(("paraboloid-reference", ok_ref,
-                 f"volume {ref.estimate.mean:.5f} vs 4/3, z={ref.z_closed_form:.2f}"))
-    rows.append(("paraboloid-rejects-statement-constant", ref.z_statement_level > 10.0,
-                 f"z={ref.z_statement_level:.1f} against the 2^((n+1)/2)-inflated value"))
+                 f"volume {ref.estimate.value:.15f} vs 4/3, relative gap {ref.gap_closed_form:.2e}"))
+    rows.append(("paraboloid-rejects-statement-constant", ref.gap_statement_level >= STATEMENT_GAP,
+                 f"relative gap {ref.gap_statement_level:.3f} from the 2^((n+1)/2)-inflated value"))
     rng = np.random.default_rng(seed + 1)
     all_ok, worst = True, 0.0
-    for i in range(PARABOLOID_INSTANCES):
+    for _ in range(PARABOLOID_INSTANCES):
         d = int(rng.integers(1, 4))
         a = oracles.random_spd(d, rng, (0.5, 3.0))
         b = oracles.random_spd(d, rng, (0.5, 3.0))
         q = rng.uniform(-0.3, 0.3, size=d)
         t = rng.uniform(0.5, 1.5)
-        rep = oracles.paraboloid_volume(a, b, q, t, n_samples, seed + 2 + i)
-        rel = abs(rep.estimate.mean - rep.closed_form) / rep.closed_form
-        all_ok &= rep.z_closed_form <= 3.0 and rel <= 0.01
-        worst = max(worst, rel)
+        rep = oracles.paraboloid_volume(a, b, q, t)
+        all_ok &= rep.gap_closed_form <= PARABOLOID_TOL
+        worst = max(worst, rep.gap_closed_form)
     rows.append(("paraboloid-random-instances", all_ok,
-                 f"{PARABOLOID_INSTANCES} draws, worst relative gap {worst:.4f}"))
+                 f"{PARABOLOID_INSTANCES} draws, worst relative gap {worst:.2e}"))
     return rows
 
 def suite_factorization(seed=0):
@@ -401,7 +402,7 @@ def suite_properties(seed=0):
 
 SUITES = {
     "matrix-identities": lambda args: suite_matrix_identities(seed=args.seed),
-    "paraboloid": lambda args: suite_paraboloid(seed=args.seed, n_samples=args.mc_n),
+    "paraboloid": lambda args: suite_paraboloid(seed=args.seed),
     "factorization": lambda args: suite_factorization(seed=args.seed),
     "counterexample": lambda args: suite_counterexample(
         seed=args.seed, families=(args.family,) if args.family else (1, 3)),
@@ -499,7 +500,6 @@ def build_parser():
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
     sp.add_argument("--family", type=int, choices=(1, 3), default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--mc-n", type=int, default=1_000_000)
     add_common(sp)
     sp.set_defaults(func=cmd_verify)
     return p

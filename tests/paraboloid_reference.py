@@ -1,4 +1,4 @@
-"""Row-major form of the paraboloid Monte Carlo that `oracles.paraboloid_region`
+"""Row-major form of the paraboloid Monte Carlo that `mc_oracle.paraboloid_region`
 evaluates on coordinate rows.
 
 `reference_hits` draws the points in one row-major array per chunk, scales
@@ -10,7 +10,7 @@ coordinate rows, and `paraboloid_region` tests them by the Cholesky forms
 
 import numpy as np
 
-from covario.oracles import _MC_CHUNK_ROWS, _rng
+from mc_oracle import _MC_CHUNK_ROWS, _rng
 
 
 def reference_member(a, b, q, t):

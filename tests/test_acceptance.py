@@ -29,9 +29,9 @@ from covario.geometry import (
 from covario.oracles import (
     bessel_j1_zero,
     matrix_identities,
-    paraboloid_volume,
     random_spd,
 )
+from mc_oracle import paraboloid_volume
 
 DISK = Disk((0.0, 0.0), 1.0)
 CW3 = SupportBody(1.0, ((0.0, 0.0), (0.0, 0.0), (0.05, 0.0)))

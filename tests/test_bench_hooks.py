@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import covario.cli  # noqa: F401  (imports every covario module, as the benchmark does)
+from covario.oracles import paraboloid_volume
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -30,6 +33,17 @@ def test_trace_targets_resolve():
         for part in path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{mod_name}.{path}"
+
+
+def test_paraboloid_trace_counts_quadrature_points():
+    # the tracer records each paraboloid_volume's point count from its report
+    attrs = {path: fn for mod_name, path, fn in _tracing().TARGETS
+             if mod_name == "covario.oracles"}["paraboloid_volume"]
+    for d in (1, 2, 3):
+        args = (np.eye(d), 2.0 * np.eye(d), np.full(d, 0.1), 1.0)
+        report = paraboloid_volume(*args)
+        assert attrs(args, {}, report) == {"n": 20 ** d}
+    assert attrs(args, {}, None) == {"n": 0}
 
 
 def test_traced_caches_have_cache_info():

@@ -45,7 +45,7 @@ from covario.geometry import (
     width,
     zonogon,
 )
-from covario.oracles import mc_area
+from mc_oracle import mc_area
 from slice_reference import _chunked_areas as point_chunked_areas
 from strip_reference import loop_cap_pair, loop_caps
 

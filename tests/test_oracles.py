@@ -10,14 +10,13 @@ from covario.oracles import (
     bessel_j1,
     bessel_j1_zero,
     matrix_identities,
-    mc_area,
+    paraboloid_cap_quadrature,
     paraboloid_cap_volume_closed_form,
-    paraboloid_region,
-    paraboloid_volume,
     random_spd,
 )
 from covario.cli import suite_matrix_identities
 from matrix_reference import reference_worst
+from mc_oracle import mc_area, paraboloid_region, paraboloid_volume
 from paraboloid_reference import reference_hits, reference_member
 
 # published reference values (Abramowitz & Stegun table 9.5)
@@ -176,6 +175,45 @@ def test_paraboloid_hits_match_matrix_form():
 def test_paraboloid_invalid_cap():
     with pytest.raises(InvalidCap):
         paraboloid_cap_volume_closed_form(np.eye(1), np.eye(1), np.array([10.0]), 0.1)
+    with pytest.raises(InvalidCap):
+        paraboloid_cap_quadrature(np.eye(1), np.eye(1), np.array([10.0]), 0.1)
+
+
+def _suite_instances(seed):
+    # the random caps of `verify paraboloid --seed seed`, drawn as the suite draws them
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(10):
+        d = int(rng.integers(1, 4))
+        a = random_spd(d, rng, (0.5, 3.0))
+        b = random_spd(d, rng, (0.5, 3.0))
+        yield a, b, rng.uniform(-0.3, 0.3, size=d), rng.uniform(0.5, 1.5)
+
+
+def test_paraboloid_quadrature_meets_closed_form():
+    worst = 0.0
+    for seed in range(40):
+        for a, b, q, t in _suite_instances(seed):
+            est = paraboloid_cap_quadrature(a, b, q, t)
+            assert est.n == 20 ** a.shape[0]
+            closed = paraboloid_cap_volume_closed_form(a, b, q, t)
+            worst = max(worst, abs(est.value - closed) / closed)
+    assert worst <= 1e-12
+    assert abs(paraboloid_cap_quadrature(np.eye(1), np.eye(1), np.zeros(1), 1.0).value
+               - 4.0 / 3.0) <= 1e-12 * (4.0 / 3.0)
+
+
+def test_paraboloid_quadrature_does_not_use_the_closed_form(monkeypatch):
+    from covario import oracles
+
+    instances = [(np.eye(1), np.eye(1), np.zeros(1), 1.0), *_suite_instances(0)]
+    values = [paraboloid_cap_quadrature(*inst).value for inst in instances]
+
+    def forbidden(*args):
+        raise AssertionError("the quadrature must not use the closed form")
+
+    monkeypatch.setattr(oracles, "paraboloid_cap_volume_closed_form", forbidden)
+    monkeypatch.setattr(oracles, "sphere_surface_area", forbidden)
+    assert [paraboloid_cap_quadrature(*inst).value for inst in instances] == values
 
 
 def test_bessel_j1_value_and_zeros():
