@@ -731,6 +731,33 @@ def test_crosscov_csv_is_pinned(tmp_path, cw3_file, pair, grid, digest):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+# the (CSV, .meta.json) digests of three grid commands
+GRID_DIGESTS = {
+    ("covariogram", "square", "41x41"): (
+        "ad9d24467644b9b1f9ecd9ada89241cf173610fb756163477b5118169edf453d",
+        "c32a1f9944f6989918262a62e07d81888e02a5f9ec0e24755c52df08ef03049c"),
+    ("covariogram", "cw3", "41x41"): (
+        "9e1eebfc19104b99c2be2ef8b2ad5ef1ca0d4d56643d05d08da3a61599c08d23",
+        "32267a3363c29e8834e8a77639df6cb20f336754b9f47ae2759aeb8d2f401b33"),
+    ("crosscov", "square", "21x21"): (
+        "c3a65e32c4b13d4a81aecfdb71144d1c61e9a9b142e0eb5f09cb2d4c28f9edc6",
+        "d30f6bdb3df1043717a4922112369e029fe54a377fe3f7ec269d661ab76090cc"),
+}
+
+
+@pytest.mark.parametrize("command, body, grid", sorted(GRID_DIGESTS))
+def test_grid_artifacts_are_pinned(tmp_path, command, body, grid):
+    # the grid CSV and its sidecar, byte for byte; crosscov samples the
+    # square against the unit disk
+    args = [command, "--body", write_body(tmp_path, f"{body}.json", BODIES[body]), "--grid", grid]
+    if command == "crosscov":
+        args += ["--body2", write_body(tmp_path, "disk.json", BODIES["disk"])]
+    csv = _cli_output(args, tmp_path)[1]
+    meta = (tmp_path / "out.meta.json").read_bytes()
+    assert (hashlib.sha256(csv).hexdigest(),
+            hashlib.sha256(meta).hexdigest()) == GRID_DIGESTS[command, body, grid]
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "matrix-identities", "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
