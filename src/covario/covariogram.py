@@ -7,7 +7,6 @@ integrated in closed form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,10 +21,7 @@ from covario.geometry import (
     area,
     body_hash,
     boundary_point,
-    curvature,
-    minkowski_sum_polygons,
     polygonal_approximation,
-    reflect,
     slice_table,
     support,
     width,
@@ -173,11 +169,6 @@ def covariogram_evaluator(body, n=None):
         return _areas(body, body, x)
 
     return evaluate
-
-
-def cross_covariogram(bodyA, bodyB, x):
-    """g_{H,K}(x) = area(H intersect (K + x)); exact for polygon pairs."""
-    return _pair_area(bodyA, bodyB, x)
 
 
 def clip_areas_batch(subject_vertices, clip_vertices, xs):
@@ -443,18 +434,6 @@ class CovariogramGrid:
         (x0, y0), (dx, dy) = self.origin, self.spacing
         return (x0, x0 + dx * (self.nx - 1)), (y0, y0 + dy * (self.ny - 1))
 
-    def to_csv(self, path, sidecar_path=None):
-        lines = ["x,y,value"]
-        xg, yg = self.points()
-        for iy in range(self.ny):
-            for ix in range(self.nx):
-                lines.append(f"{float(xg[ix])!r},{float(yg[iy])!r},{float(self.values[iy, ix])!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        if sidecar_path is not None:
-            with open(sidecar_path, "w") as fh:
-                json.dump(self.sidecar(), fh, indent=2, sort_keys=True)
-
     def sidecar(self):
         return {
             "schema_version": 1,
@@ -508,62 +487,6 @@ def covariogram_grid(body, nx=41, ny=41, bbox=None):
     return cross_covariogram_grid(body, body, nx=nx, ny=ny, bbox=bbox)
 
 
-@dataclass(frozen=True)
-class MinkowskiSupport:
-    body: Polygon
-    max_width_deviation: float
-    tolerance: float
-
-
-def support_of_crosscov(bodyH, bodyK, n_dirs=360):
-    """H + (-K), the support of g_{H,K}, with the width-sum identity checked."""
-    total = minkowski_sum_polygons(polygonal_approximation(bodyH, APPROX_BOUNDARY_POINTS),
-                                   polygonal_approximation(reflect(bodyK), APPROX_BOUNDARY_POINTS))
-    tol = 1e-12 if isinstance(bodyH, Polygon) and isinstance(bodyK, Polygon) else 1e-5
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
-    scale = 1.0
-    dev = 0.0
-    for th in thetas:
-        u = Direction(float(th))
-        ws = width(total, u)
-        target = width(bodyH, u) + width(bodyK, u)
-        scale = max(scale, abs(target))
-        dev = max(dev, abs(ws - target))
-    if dev > tol * scale:
-        raise AssertionError(f"width-sum identity violated: {dev:.3e} > {tol:.1e}*{scale:.3g}")
-    return MinkowskiSupport(total, dev, tol * scale)
-
-
-@dataclass(frozen=True)
-class MatheronDerivative:
-    geometric: float
-    finite_difference: float
-
-
-def directional_derivative_origin(body, v: Direction, step=1e-4):
-    """One-sided derivative of g_K at the origin in direction v.
-
-    The geometric value is -lambda_1(K | v_perp), the negated length of the
-    projection of K onto the line orthogonal to v; the finite difference
-    (g(step*v) - g(0)) / step validates it.
-    """
-    geo = -width(body, Direction(v.theta + math.pi / 2.0))
-    g0 = covariogram(body, (0.0, 0.0))
-    g1 = covariogram(body, step * v.u)
-    return MatheronDerivative(geo, (g1 - g0) / step)
-
-
-def sum_reciprocal_curvatures_from_width(body: SupportBody, u: Direction):
-    """w(theta) + w''(theta), which equals 1/tau(u) + 1/tau(-u) (checked to 1e-10)."""
-    if not isinstance(body, SupportBody):
-        raise TypeError("closed-form width differentiation needs a SupportBody")
-    val = float(_strip_series(body).width.terms(u.theta)[2])
-    target = 1.0 / curvature(body, u) + 1.0 / curvature(body, u.antipode())
-    if abs(val - target) > 1e-10:
-        raise AssertionError(f"width/curvature mismatch: {val} vs {target}")
-    return val
-
-
 CAP_PREFACTOR = 2.0 / 3.0  # omega_1 / (n^2 - 1) for n = 2, proof-consistent
 
 
@@ -580,9 +503,9 @@ class CurvaturePair:
         return (self.low, self.high)
 
 
-def cap_pair(g, anchor, u: Direction, t_star):
-    """Unordered curvature pair {tau(u), tau(-u)} from g_K near the point anchor
-    of the boundary of supp g_K = K - K with outer normal u.
+def cap_pairs(g, anchors, us, t_stars):
+    """Unordered curvature pair {tau(u), tau(-u)} from g_K near each anchor,
+    a point of the boundary of supp g_K = K - K with outer normal u.
 
     At depth t below anchor along -u and offset q along u perp, the cap law
     reads g^{2/3} = alpha (2t - Q q^2) + ..., with alpha =
@@ -595,21 +518,12 @@ def cap_pair(g, anchor, u: Direction, t_star):
     and u perp lands in the 1 and q terms.  A negative discriminant is
     clipped to 0 (an equal pair); one below -D^2/4 raises FitFailed.
 
-    g maps points of shape (k, 2) to values of shape (k,).  fit_residual is
-    the largest residual of the stencil fit relative to the largest g^{2/3}
-    on the stencil.  This is cap_pairs for one direction.
-    """
-    (pair,) = cap_pairs(g, [anchor], [u], [t_star])
-    if isinstance(pair, FitFailed):
-        raise pair
-    return pair
-
-
-def cap_pairs(g, anchors, us, t_stars):
-    """cap_pair at every (anchor, u, t_star), in two calls to g: one for the
-    depth ladders of all directions, one for the stencils of those whose
-    ladder fit succeeded.  Each slot holds the CurvaturePair or the FitFailed
-    that its fit raised.
+    g maps points of shape (k, 2) to values of shape (k,); it is called
+    twice: once for the depth ladders of all directions, once for the
+    stencils of those whose ladder fit succeeded.  Each slot holds the
+    CurvaturePair or the FitFailed that its fit raised.  fit_residual is the
+    largest residual of the stencil fit relative to the largest g^{2/3} on
+    the stencil.
     """
     fits = [_cap_fit(anchor, u, t_star) for anchor, u, t_star in zip(anchors, us, t_stars)]
     slots = [None] * len(fits)
@@ -630,7 +544,7 @@ def cap_pairs(g, anchors, us, t_stars):
 
 
 def _cap_fit(anchor, u: Direction, t_star):
-    """cap_pair's fit as a generator: it yields the points it needs, receives
+    """One direction's cap fit as a generator: it yields the points it needs, receives
     g at them and returns the CurvaturePair (or raises FitFailed)."""
     uv, tan = u.u, u.perp
     depths = np.geomspace(0.1 * t_star, t_star, 6)
@@ -672,7 +586,7 @@ def _cap_fit(anchor, u: Direction, t_star):
 def curvature_pair_from_covariogram(body, u: Direction):
     """Recover {tau(u), tau(-u)} of a smooth body from its exact covariogram.
 
-    cap_pair at the exact anchor p(u) - p(-u) with t_star = 5e-4 w(u), a depth
+    The cap fit at the exact anchor p(u) - p(-u) with t_star = 5e-4 w(u), a depth
     relative to the width, so the recovered pair scales as 1 / size.
     """
     (pair,) = curvature_pairs_from_covariogram(body, [u])

@@ -82,7 +82,7 @@ class Segment:
         for end in (self.p, self.q):
             if not _is_pair(end):
                 raise ValueError(f"segment endpoint must be two numbers, got {end!r}")
-        if np.allclose(self.p, self.q):
+        if np.array_equal(self.p, self.q):
             raise ValueError("segment endpoints coincide")
 
     @property
@@ -447,13 +447,6 @@ def zonogon(center, generators):
         return Polygon(np.vstack([lower, 2.0 * c - lower]))
     except ValueError as exc:
         raise DegenerateZonogon("all generators are parallel") from exc
-
-
-def zonogon_area_from_generators(generators):
-    """Area of the zonogon as 4 * sum_{i<j} |det(s_i, s_j)| over half-vectors."""
-    s = np.array([seg.half_vector for seg in generators]).reshape(-1, 2)
-    det = np.outer(s[:, 0], s[:, 1]) - np.outer(s[:, 1], s[:, 0])
-    return 4.0 * float(np.triu(np.abs(det), 1).sum())
 
 
 _SQ2 = math.sqrt(2.0)

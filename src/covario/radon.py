@@ -81,11 +81,6 @@ def _support_chord_function(body, u: Direction):
     return ChordFunction(lo, hi, "support-rootfind", ev)
 
 
-def radon(body, u: Direction, t):
-    """S_K(u, t): length of the chord of the body on the line <x, u> = t."""
-    return chord_function(body, u)(t)
-
-
 def chord_autocorrelation_batch(body, u: Direction, s_values):
     """integral S(t) S(t + s) dt for every s in s_values.
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covario import cli, geometry
+from covario import cli, geometry, oracles
+from covario.asymptotics import COUNTEREXAMPLE_TOL
 from covario.cli import main
 
 
@@ -53,6 +54,28 @@ def test_body_validate_all_kinds(tmp_path, square_file, disk_file, cw3_file, cap
         assert main(["body-validate", "--body", path, "--json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["schema_version"] == 1 and out["valid"]
+
+
+@pytest.mark.parametrize("generator, area", [
+    ([[1e6, 0], [1e6 + 5, 0]], 5.0),
+    ([[0, 0], [1e-9, 0]], 1e-9),
+], ids=["far-from-origin", "short"])
+def test_body_validate_keeps_a_zonogon_generator_with_close_endpoints(tmp_path, generator, area,
+                                                                       capsys):
+    # both exited 2 with "segment endpoints coincide", under np.allclose's
+    # relative and absolute tolerances; as a polygon file the body was valid
+    path = write_body(tmp_path, "z.json", {"kind": "zonogon", "center": [0, 0],
+                                           "generators": [generator, [[0, 0], [0, 1]]]})
+    assert main(["body-validate", "--body", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["area"] == pytest.approx(area, rel=1e-12)
+
+
+def test_body_validate_rejects_a_zonogon_generator_with_equal_endpoints(tmp_path, capsys):
+    path = write_body(tmp_path, "z.json", {"kind": "zonogon", "center": [0, 0],
+                                           "generators": [[[1, 2], [1, 2]], [[0, 0], [0, 1]]]})
+    assert main(["body-validate", "--body", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "segment endpoints coincide" in captured.err
 
 
 def test_body_validate_rejects_dip_between_grid_points(tmp_path, capsys):
@@ -764,6 +787,16 @@ def test_verify_exit_codes(capsys):
     assert rep["schema_version"] == 1 and rep["passed"]
 
 
+@pytest.mark.parametrize("suite", ["matrix-identities", "paraboloid", "factorization",
+                                   "kobayashi-disk", "properties"])
+def test_verify_family_outside_counterexample_is_usage_error(suite, capsys):
+    # each ran its suite and exited 0, ignoring --family
+    assert main(["verify", suite, "--family", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --family ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 # pinned `checks` of three verify runs: the oracles' draws and per-element
 # arithmetic fix them to the last digit, so a reordering of either shows here;
 # the disk suite's rows read the same for any BLAS thread count
@@ -807,3 +840,39 @@ def test_console_entry_point():
                            "matrix-identities"], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def _csv_columns(path):
+    """The columns of a CSV written by the CLI, as float arrays by header name."""
+    header, *rows = path.read_text().splitlines()
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    return dict(zip(header.split(","), values.T))
+
+
+def test_zeros_of_the_disk_are_the_bessel_zeros(tmp_path, disk_file):
+    # the branch table of the unit disk against the zeros j_1m of J1
+    out = tmp_path / "zeros.csv"
+    assert main(["zeros", "--body", disk_file, "--u", "0", "--m", "1..20", "--out", str(out)]) == 0
+    cols = _csv_columns(out)
+    assert cols["m"].tolist() == list(range(1, 21))
+    zeta = cols["re_zeta"] + 1j * cols["im_zeta"]
+    bessel = np.array([oracles.bessel_j1_zero(m) for m in range(1, 21)])
+    assert np.abs(zeta - bessel).max() <= cli.DISK_ZERO_TOL
+
+
+def test_crosscov_of_the_family_1_and_2_pairs_agree(tmp_path, capsys):
+    # the two parallelogram pairs are not trivial associates, yet their
+    # cross-covariogram grids share the lattice and agree to rounding
+    params = dict(alpha=1.0, beta=0.8, gamma=1.2, delta=0.9)
+    grids = []
+    for family in (1, 2):
+        h, k = (write_body(tmp_path, f"{name}{family}.json", geometry.body_to_spec(body))
+                for name, body in zip("hk", geometry.example_pair(family, **params)))
+        out = tmp_path / f"family{family}.csv"
+        assert main(["crosscov", "--body", h, "--body2", k, "--out", str(out)]) == 0
+        grids.append(_csv_columns(out))
+    first, second = grids
+    assert first["x"].size == 41 * 41
+    for axis in ("x", "y"):
+        assert np.abs(first[axis] - second[axis]).max() <= 1e-12
+    assert np.abs(first["value"] - second["value"]).max() <= COUNTEREXAMPLE_TOL

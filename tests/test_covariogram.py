@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,25 +8,21 @@ from hypothesis import strategies as st
 
 import covario.covariogram as covariogram_module
 from clip_oracle import oracle_area
-from covario.cli import _random_family_params
+from covario.cli import _random_family_params, main
 from covario.covariogram import (
     CHUNK_KNOTS,
     FitFailed,
     _clip_fan,
     _pair_area,
-    cap_pair,
+    _strip_series,
     cap_pairs,
     clip_areas_batch,
     covariogram,
     covariogram_evaluator,
     covariogram_grid,
-    cross_covariogram,
     cross_covariogram_grid,
     curvature_pair_from_covariogram,
     curvature_pairs_from_covariogram,
-    directional_derivative_origin,
-    sum_reciprocal_curvatures_from_width,
-    support_of_crosscov,
 )
 from covario.geometry import (
     Direction,
@@ -34,10 +31,12 @@ from covario.geometry import (
     Segment,
     SupportBody,
     area,
+    body_to_spec,
     boundary_point,
     convex_hull,
     curvature,
     example_pair,
+    minkowski_sum_polygons,
     polygonal_approximation,
     reflect,
     slice_table,
@@ -64,17 +63,17 @@ NEAR_CORNERS = SupportBody(1.0, ((0.0, 0.0), ((1.0 - 1e-4) / 3.0 * math.cos(0.2)
 
 
 def test_intersection_area_examples(unit_square):
-    assert abs(cross_covariogram(unit_square, unit_square, (0.0, 0.0)) - 1.0) < 1e-14
+    assert abs(_pair_area(unit_square, unit_square, (0.0, 0.0)) - 1.0) < 1e-14
     shifted = translate(unit_square, (0.5, 0.0))
-    assert abs(cross_covariogram(unit_square, shifted, (0.0, 0.0)) - 0.5) < 1e-14
+    assert abs(_pair_area(unit_square, shifted, (0.0, 0.0)) - 0.5) < 1e-14
     far = translate(unit_square, (5.0, 0.0))
-    assert cross_covariogram(unit_square, far, (0.0, 0.0)) == 0.0
+    assert _pair_area(unit_square, far, (0.0, 0.0)) == 0.0
 
 
 def test_intersection_area_monte_carlo_oracle():
     tri = Polygon([(0, 0), (1, 0), (0, 1)])
     moved = translate(tri, (0.2, 0.2))
-    exact = cross_covariogram(tri, moved, (0.0, 0.0))
+    exact = _pair_area(tri, moved, (0.0, 0.0))
 
     def member(pts):
         def inside(p, verts):
@@ -256,9 +255,10 @@ def test_cap_pairs_isolates_a_failed_direction(cw3):
     pairs = cap_pairs(g, anchors, us, t_stars)
     assert isinstance(pairs[1], FitFailed)
     assert str(pairs[1]) == "empty cap on the depth ladder"
-    assert [pairs[0], pairs[2]] == [cap_pair(g, anchors[i], us[i], t_stars[i]) for i in (0, 2)]
-    with pytest.raises(FitFailed, match="^empty cap on the depth ladder$"):
-        cap_pair(g, anchors[1], us[1], t_stars[1])
+    assert [pairs[0], pairs[2]] == [cap_pairs(g, [anchors[i]], [us[i]], [t_stars[i]])[0]
+                                    for i in (0, 2)]
+    (alone,) = cap_pairs(g, [anchors[1]], [us[1]], [t_stars[1]])
+    assert isinstance(alone, FitFailed) and str(alone) == "empty cap on the depth ladder"
 
 
 @pytest.mark.parametrize("g, message", [
@@ -272,9 +272,9 @@ def test_cap_pair_failures_keep_their_messages(g, message):
     anchor = np.array([1.0, 0.0])
     with pytest.raises(FitFailed) as expected:
         loop_cap_pair(g, anchor, E1, 1e-2)
-    with pytest.raises(FitFailed) as raised:
-        cap_pair(g, anchor, E1, 1e-2)
-    assert str(raised.value) == str(expected.value) == message
+    (failed,) = cap_pairs(g, [anchor], [E1], [1e-2])
+    assert isinstance(failed, FitFailed)
+    assert str(failed) == str(expected.value) == message
 
 
 @pytest.mark.parametrize("name", ["cw3", "lopsided"])
@@ -294,12 +294,12 @@ def test_inscribed_polygons_converge_to_exact_covariogram(name, cw3):
 
 
 def test_cross_covariogram_examples(unit_square):
-    assert abs(cross_covariogram(unit_square, unit_square, (0.0, 0.0)) - 1.0) < 1e-14
-    assert cross_covariogram(unit_square, unit_square, (9.0, 0.0)) == 0.0
+    assert abs(_pair_area(unit_square, unit_square, (0.0, 0.0)) - 1.0) < 1e-14
+    assert _pair_area(unit_square, unit_square, (9.0, 0.0)) == 0.0
     h1, k1 = example_pair(1, alpha=1, beta=1, gamma=1, delta=1)
     h2, k2 = example_pair(2, alpha=1, beta=1, gamma=1, delta=1)
     x = (0.3, 0.1)
-    assert abs(cross_covariogram(h1, k1, x) - cross_covariogram(h2, k2, x)) < 1e-12
+    assert abs(_pair_area(h1, k1, x) - _pair_area(h2, k2, x)) < 1e-12
 
 
 def test_batched_kernel_matches_clip_oracle(make_polygon):
@@ -359,7 +359,7 @@ def test_disjoint_and_touching_are_exactly_zero(unit_square):
     assert all(covariogram(unit_square, x) == 0.0 for x in xs)
     # sharing the slanted edge x + y = 2
     tri = Polygon([(0, 0), (2, 0), (0, 2)])
-    assert cross_covariogram(tri, Polygon([(2, 0), (2, 2), (0, 2)]), (0.0, 0.0)) == 0.0
+    assert _pair_area(tri, Polygon([(2, 0), (2, 2), (0, 2)]), (0.0, 0.0)) == 0.0
 
 
 def test_chunked_smooth_grid_matches_points(cw3):
@@ -490,8 +490,8 @@ def test_cross_trivial_associate_invariance(seed):
     h = Polygon(convex_hull(rng.uniform(-1.5, 1.5, (7, 2))))
     k = Polygon(convex_hull(rng.uniform(-1.5, 1.5, (6, 2))))
     x = rng.uniform(-2, 2, 2)
-    assert abs(cross_covariogram(h, k, x)
-               - cross_covariogram(reflect(k), reflect(h), x)) < 1e-12
+    assert abs(_pair_area(h, k, x)
+               - _pair_area(reflect(k), reflect(h), x)) < 1e-12
 
 
 def test_ray_monotonicity(make_polygon):
@@ -504,12 +504,11 @@ def test_ray_monotonicity(make_polygon):
 
 
 def test_support_of_crosscov_examples(unit_square):
-    rep = support_of_crosscov(unit_square, unit_square)
-    assert abs(width(rep.body, E1) - 2.0) < 1e-12
-    assert np.allclose(sorted(map(tuple, rep.body.vertices)),
+    # supp g_{H,K} = H + (-K)
+    supp = minkowski_sum_polygons(unit_square, reflect(unit_square))
+    assert abs(width(supp, E1) - 2.0) < 1e-12
+    assert np.allclose(sorted(map(tuple, supp.vertices)),
                        [(-1, -1), (-1, 1), (1, -1), (1, 1)])
-    disks = support_of_crosscov(Disk((0, 0), 1.0), Disk((0, 0), 2.0))
-    assert abs(width(disks.body, Direction(0.9)) - 6.0) < 1e-4
 
 
 def test_support_of_crosscov_zonogon_generators():
@@ -526,8 +525,8 @@ def test_support_of_crosscov_zonogon_generators():
             Segment((params["delta"] / sq2, -params["delta"] / sq2),
                     (-params["delta"] / sq2, params["delta"] / sq2))]
     target = zonogon((0, 0), gens)
-    s1 = support_of_crosscov(h1, k1).body
-    s2 = support_of_crosscov(h2, k2).body
+    s1 = minkowski_sum_polygons(h1, reflect(k1))
+    s2 = minkowski_sum_polygons(h2, reflect(k2))
     assert np.abs(s1.vertices - target.vertices).max() < 1e-12
     assert np.abs(s2.vertices - target.vertices).max() < 1e-12
 
@@ -536,7 +535,7 @@ def test_supp_is_minkowski_sum(make_polygon):
     rng = np.random.default_rng(8)
     h = make_polygon(rng, 6)
     k = make_polygon(rng, 7)
-    supp = support_of_crosscov(h, k).body
+    supp = minkowski_sum_polygons(h, reflect(k))
     grid = cross_covariogram_grid(h, k, nx=21, ny=21)
     xg, yg = grid.points()
     eps = 1e-6
@@ -546,32 +545,46 @@ def test_supp_is_minkowski_sum(make_polygon):
             val = grid.values[iy, ix]
             probe = Polygon(np.array([p + [-eps, -eps], p + [eps, -eps],
                                       p + [eps, eps], p + [-eps, eps]]))
-            overlap = cross_covariogram(supp, probe, (0.0, 0.0))
+            overlap = _pair_area(supp, probe, (0.0, 0.0))
             if overlap == 0.0:
                 assert val == 0.0
             elif overlap >= (2 * eps) ** 2 * (1 - 1e-9):  # strictly interior
                 assert val > 0.0
 
 
+def _matheron_derivative(body, v, step=1e-4):
+    """Matheron's one-sided derivative of g_K at the origin along v,
+    -lambda_1(K | v perp), and the finite difference (g(step v) - g(0)) / step."""
+    geometric = -width(body, Direction(v.theta + math.pi / 2.0))
+    return geometric, (covariogram(body, step * v.u) - covariogram(body, (0.0, 0.0))) / step
+
+
 def test_directional_derivative(unit_square, unit_disk, cw3):
-    rep = directional_derivative_origin(unit_square, E1)
-    assert rep.geometric == -1.0
-    assert abs(rep.finite_difference - rep.geometric) < 1e-3
-    rep = directional_derivative_origin(unit_disk, Direction(0.8))
-    assert abs(rep.geometric + 2.0) < 1e-12
-    assert abs(rep.finite_difference - rep.geometric) < 1e-3
-    rep = directional_derivative_origin(cw3, E1)
-    assert abs(rep.geometric + 2.0) < 1e-12
-    assert abs(rep.finite_difference - rep.geometric) < 1e-3
+    geometric, finite_difference = _matheron_derivative(unit_square, E1)
+    assert geometric == -1.0
+    assert abs(finite_difference - geometric) < 1e-3
+    geometric, finite_difference = _matheron_derivative(unit_disk, Direction(0.8))
+    assert abs(geometric + 2.0) < 1e-12
+    assert abs(finite_difference - geometric) < 1e-3
+    geometric, finite_difference = _matheron_derivative(cw3, E1)
+    assert abs(geometric + 2.0) < 1e-12
+    assert abs(finite_difference - geometric) < 1e-3
+
+
+def _width_plus_second_derivative(body, u):
+    """w + w'' at u from the width series; it equals 1/tau(u) + 1/tau(-u)."""
+    value = float(_strip_series(body).width.terms(u.theta)[2])
+    assert abs(value - (1.0 / curvature(body, u) + 1.0 / curvature(body, u.antipode()))) <= 1e-10
+    return value
 
 
 def test_sum_reciprocal_curvatures(cw3):
     disk_like = SupportBody(1.0)
-    assert abs(sum_reciprocal_curvatures_from_width(disk_like, E1) - 2.0) < 1e-12
+    assert abs(_width_plus_second_derivative(disk_like, E1) - 2.0) < 1e-12
     for th in np.linspace(0, 2 * math.pi, 12):
-        assert abs(sum_reciprocal_curvatures_from_width(cw3, Direction(float(th))) - 2.0) < 1e-12
+        assert abs(_width_plus_second_derivative(cw3, Direction(float(th))) - 2.0) < 1e-12
     k2 = SupportBody(1.0, ((0.0, 0.0), (0.02, 0.0)))
-    assert abs(sum_reciprocal_curvatures_from_width(k2, E1) - 1.88) < 1e-12
+    assert abs(_width_plus_second_derivative(k2, E1) - 1.88) < 1e-12
 
 
 def test_disk_covariogram_is_the_series_covariogram():
@@ -581,7 +594,7 @@ def test_disk_covariogram_is_the_series_covariogram():
     xs = rng.uniform(-2.8, 2.8, (200, 2))
     assert np.abs(covariogram_evaluator(disk)(xs) - covariogram_evaluator(series)(xs)).max() < 1e-14
     for th in np.linspace(0.0, 2.0 * math.pi, 7):
-        assert sum_reciprocal_curvatures_from_width(disk, Direction(float(th))) == 2.0 * r
+        assert _width_plus_second_derivative(disk, Direction(float(th))) == 2.0 * r
 
 
 def test_curvature_pair_disk(unit_disk):
@@ -635,12 +648,12 @@ def test_curvature_pair_scale_equivariant(cw3):
     Disk((0.0, 0.0), 1.0),
 ], ids=["off-centre-3-harmonic", "disk"])
 def test_curvature_pairs_are_the_per_direction_fits(body):
-    # one cap_pairs call for 24 directions gives each pair of a cap_pair fit
+    # one cap_pairs call for 24 directions gives each pair of a cap fit
     # of that direction alone, bit for bit
     us = [Direction(float(th)) for th in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)]
     g = covariogram_evaluator(body)
-    alone = [cap_pair(g, boundary_point(body, u) - boundary_point(body, u.antipode()), u,
-                      5e-4 * width(body, u)) for u in us]
+    alone = [cap_pairs(g, [boundary_point(body, u) - boundary_point(body, u.antipode())], [u],
+                       [5e-4 * width(body, u)])[0] for u in us]
     assert curvature_pairs_from_covariogram(body, us) == alone
 
 
@@ -657,15 +670,15 @@ def test_grid_center_and_evenness(unit_square, cw3):
     assert abs(grid_s.values[5, 5] - area(cw3)) < 1e-5 * max(1.0, area(cw3))
 
 
-def test_grid_csv_determinism(tmp_path, unit_square):
-    g1 = covariogram_grid(unit_square, nx=9, ny=9)
-    g2 = covariogram_grid(unit_square, nx=9, ny=9)
+def test_grid_csv_determinism(tmp_path, unit_square, capsys):
+    body = tmp_path / "square.json"
+    body.write_text(json.dumps(body_to_spec(unit_square)))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    g1.to_csv(p1, tmp_path / "a.json")
-    g2.to_csv(p2, tmp_path / "b.json")
+    for out in (p1, p2):
+        assert main(["covariogram", "--body", str(body), "--grid", "9x9", "--out", str(out)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
-    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
-    side = g1.sidecar()
+    assert (tmp_path / "a.csv.meta.json").read_text() == (tmp_path / "b.csv.meta.json").read_text()
+    side = json.loads((tmp_path / "a.csv.meta.json").read_text())
     assert side["schema_version"] == 1
     assert side["method"] == "exact-clip"
     assert len(side["bodies"]) == 2

@@ -20,17 +20,16 @@ from covario.radon import (
     chord_autocorrelation_batch,
     chord_function,
     leading_coefficients,
-    radon,
 )
 
 E1 = Direction(0.0)
 
 
 def test_chord_examples(unit_square, unit_disk):
-    assert abs(radon(unit_disk, E1, 0.0) - 2.0) < 1e-14
-    assert abs(radon(unit_square, E1, 0.5) - 1.0) < 1e-14
-    assert radon(unit_square, E1, 1.5) == 0.0
-    assert radon(unit_square, E1, -0.5) == 0.0
+    assert abs(chord_function(unit_disk, E1)(0.0) - 2.0) < 1e-14
+    assert abs(chord_function(unit_square, E1)(0.5) - 1.0) < 1e-14
+    assert chord_function(unit_square, E1)(1.5) == 0.0
+    assert chord_function(unit_square, E1)(-0.5) == 0.0
 
 
 def test_support_chord_ends_are_zero(cw3):
@@ -48,7 +47,7 @@ def test_support_chord_ends_are_zero(cw3):
 def test_smooth_chord_vs_polygonal_oracle(cw3):
     approx = polygonal_approximation(cw3, 4096)
     for t in (-0.6, -0.2, 0.0, 0.3, 0.8):
-        assert abs(radon(cw3, E1, t) - radon(approx, E1, t)) < 1e-6
+        assert abs(chord_function(cw3, E1)(t) - chord_function(approx, E1)(t)) < 1e-6
 
 
 def test_area_identity_all_kinds(unit_square, unit_disk, cw3):
@@ -68,7 +67,7 @@ def test_chord_antisymmetry(cw3, unit_square):
             u = Direction(float(th))
             mu = u.antipode()
             for t in rng.uniform(-1.2, 1.2, 8):
-                assert abs(radon(body, u, t) - radon(body, mu, -t)) < 1e-10
+                assert abs(chord_function(body, u)(t) - chord_function(body, mu)(-t)) < 1e-10
 
 
 def test_chord_nonnegative_and_supported(cw3):
@@ -200,14 +199,14 @@ def test_square_root_coefficient_fit(unit_disk):
     # S(u, h - delta) / sqrt(delta) tends to b0 = 2 sqrt(2) for the unit disk
     _, b0 = leading_coefficients(unit_disk, E1)
     deltas = np.geomspace(1e-6, 1e-4, 8)
-    fitted = np.mean([radon(unit_disk, E1, 1.0 - d) / math.sqrt(d) for d in deltas])
+    fitted = np.mean([chord_function(unit_disk, E1)(1.0 - d) / math.sqrt(d) for d in deltas])
     assert abs(fitted - b0) / b0 < 0.01
 
 
 def test_polygon_chord_with_parallel_edge(unit_square):
     # chords at the projections of the vertical edges
-    assert abs(radon(unit_square, E1, 0.0) - 1.0) < 1e-14
-    assert abs(radon(unit_square, E1, 1.0) - 1.0) < 1e-14
+    assert abs(chord_function(unit_square, E1)(0.0) - 1.0) < 1e-14
+    assert abs(chord_function(unit_square, E1)(1.0) - 1.0) < 1e-14
 
 
 def test_translated_support_body_chords(cw3):
@@ -218,4 +217,4 @@ def test_translated_support_body_chords(cw3):
     u = Direction(0.5)
     off = float(shift @ u.u)
     for t in (-0.5, 0.0, 0.4):
-        assert abs(radon(moved, u, t + off) - radon(cw3, u, t)) < 1e-10
+        assert abs(chord_function(moved, u)(t + off) - chord_function(cw3, u)(t)) < 1e-10
