@@ -13,6 +13,7 @@ from covario._quadrature import gauss_legendre, panel_table
 from covario.covariogram import FitFailed, cap_pairs, cross_covariogram_grid
 from covario.fourier_laplace import (
     _multiple_zero,
+    _raise_first,
     autocorr_transform_table,
     build_context,
     contour_winding,
@@ -98,6 +99,11 @@ def kobayashi_report(body, m_range, u_grid):
 
 @dataclass(frozen=True)
 class ZeroUnionRow:
+    """One branch F_m: located holds the distinct g-transform zeros reached from
+    F_m and conj F_m, and multiplicity counts the zeros in F_m +- pi/(2w) +- i h.
+    Where |Im F_m| >= 0.25/w, h = 1.2 |Im F_m| leaves conj F_m out; elsewhere
+    h = 0.5/w holds it too, so a real double zero or a simple pair counts 2."""
+
     m: int
     branch_zeta: complex
     located: tuple
@@ -120,44 +126,45 @@ MATCH_TOL = 1e-6         # largest distance of a g-transform zero from its branc
 RESIDUAL_TOL = 1e-8      # largest |g-transform| at a branch, relative to area^2
 
 
+def _mirrored_table(nodes, amplitudes):
+    """(derivative_rows(..., 2), nodes) of an even integrand's half-line table
+    mirrored to -t: the g-transform and its first two derivatives."""
+    nodes = np.concatenate([nodes, -nodes])
+    return derivative_rows(nodes, np.tile(amplitudes, 2), 2), nodes
+
+
 def zero_union_check(body, u: Direction, m_range):
     """Zeros of the g_K ray transform against the branch set {F_m, conj F_m}.
 
     The transform of g_K on the ray factors as flt(zeta) * conj(flt(conj zeta)),
     so its zero set is the union of the branch set and its conjugate; each
-    located zero must match a member within MATCH_TOL.
+    located zero must match a member within MATCH_TOL.  Each step is one array
+    pass over all branches; _multiple_zero starts from every F_m and conj F_m.
     """
     m_list = list(m_range)
     max_zeta = sweep_bound(body, [u], max(m_list))
     ctx = build_context(body, u, max_abs_zeta=max_zeta)
-    nodes, amplitudes = autocorr_transform_table(body, u, max_zeta)
-    # the half-line table mirrored to -t: the autocorrelation is even
-    nodes, amplitudes = np.concatenate([nodes, -nodes]), np.tile(amplitudes, 2)
-    table = derivative_rows(nodes, amplitudes, 2)
-    sq_area = area(body) ** 2
-    rows = []
-    for branch in track_branches(ctx, m_list):
-        m, f = branch.m, branch.zeta
-        targets = (f, f.conjugate())
-        located = []
-        for start in targets:
-            z = _multiple_zero(table, nodes, start, ctx.im_cap)
-            if min(abs(z - t) for t in targets) > MATCH_TOL:
-                raise UnmatchedZero(f"g-transform zero {z} matches no branch at m={m}")
-            if not any(abs(z - prev) < MATCH_TOL for prev in located):
-                located.append(z)
-        resid = abs(complex(fourier_sum(table[0], nodes, f)))
-        if resid > RESIDUAL_TOL * sq_area:
-            raise UnmatchedZero(f"g-transform residual {resid:.3e} at branch m={m}")
-        # multiplicity by argument principle on a rectangle containing f but
-        # not its conjugate (unless they coincide)
-        half_re = math.pi / (2.0 * ctx.body_width)
-        half_im = 0.5 / ctx.body_width
-        if abs(f.imag) >= 0.5 * half_im:
-            half_im = 1.2 * abs(f.imag)
-        mult = contour_winding(table[:2], nodes, f, half_re, half_im)
-        rows.append(ZeroUnionRow(m, f, tuple(located), mult, resid))
-    return ZeroUnionReport(body_hash(body), u.theta, tuple(rows))
+    table, nodes = _mirrored_table(*autocorr_transform_table(body, u, max_zeta))
+    f = np.array([branch.zeta for branch in track_branches(ctx, m_list)], dtype=complex)
+    targets = np.stack([f, f.conj()], axis=1)
+    z = _multiple_zero(table, nodes, targets.reshape(-1), ctx.im_cap).reshape(-1, 2)
+    # moduli by np.hypot, bit for bit those of Python's abs, which np.abs is not
+    gap = z[:, :, None] - targets[:, None, :]
+    _raise_first(UnmatchedZero, np.hypot(gap.real, gap.imag).min(axis=2).reshape(-1) > MATCH_TOL,
+                 lambda k: f"g-transform zero {z.flat[k]} matches no branch at m={m_list[k // 2]}")
+    split = z[:, 1] - z[:, 0]
+    distinct = np.hypot(split.real, split.imag) >= MATCH_TOL
+    g = fourier_sum(table[0], nodes, f)
+    resid = np.hypot(g.real, g.imag)
+    _raise_first(UnmatchedZero, resid > RESIDUAL_TOL * area(body) ** 2,
+                 lambda k: f"g-transform residual {resid[k]:.3e} at branch m={m_list[k]}")
+    # multiplicity by argument principle on ZeroUnionRow's rectangles
+    half_im = 0.5 / ctx.body_width
+    half_im = np.where(np.abs(f.imag) >= 0.5 * half_im, 1.2 * np.abs(f.imag), half_im)
+    mult = contour_winding(table[:2], nodes, f, math.pi / (2.0 * ctx.body_width), half_im)
+    rows = tuple(ZeroUnionRow(m, complex(fm), tuple(map(complex, zm[:1 + d])), int(k), float(r))
+                 for m, fm, zm, d, k, r in zip(m_list, f, z, distinct, mult, resid))
+    return ZeroUnionReport(body_hash(body), u.theta, rows)
 
 
 def _best_cyclic_distance(va, vb):
@@ -336,11 +343,8 @@ def _line_integrals(g, uv, perp, ts, smin, smax, order):
 
 
 def _gtransform_im(g, radial, thetas, u: Direction, w_u, im_guess, cfg):
-    """Imaginary part of the g-transform zero near branch SIGN_M along u.
-
-    R_g(u, t) is even in t, so the half-line table on [0, w_u] is mirrored to
-    -t, which makes its cosine sum the Fourier sum of both halves.
-    """
+    """Imaginary part of the g-transform zero near branch SIGN_M along u, from
+    R_g(u, t), even in t, tabulated on [0, w_u]."""
     uv = u.u
     perp = u.perp
     zeta_c = math.pi * (4 * SIGN_M + 1) / (2.0 * w_u)
@@ -350,10 +354,9 @@ def _gtransform_im(g, radial, thetas, u: Direction, w_u, im_guess, cfg):
     r_vals = np.zeros_like(t_nodes)
     r_vals[~miss] = _line_integrals(g, uv, perp, t_nodes[~miss], smin[~miss], smax[~miss],
                                     cfg.s_order)
-    nodes = np.concatenate([t_nodes, -t_nodes])
-    table = derivative_rows(nodes, np.tile(t_weights * r_vals, 2), 2)
+    table, nodes = _mirrored_table(t_nodes, t_weights * r_vals)
     cap = 3.0 * (abs(im_guess) + 1.0 / w_u)
-    return _multiple_zero(table, nodes, complex(zeta_c, im_guess), cap).imag
+    return _multiple_zero(table, nodes, np.array([complex(zeta_c, im_guess)]), cap)[0].imag
 
 
 def _contiguous_regions(mask):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
@@ -79,9 +79,9 @@ class Expansion:
     exp(i t_j d) past its term of order K - 1, which f' takes, is at most
     rho^K e^rho/K!, and bounds the tail past order K, which f takes; K is
     the least order that puts it below eps/4 over the reach
-    rho = max |t_j| radius.  Called at points z, it returns (f, f') by
-    Horner's rule about each point's center; a point farther than radius
-    from it is summed directly, never extrapolated.
+    rho = max |t_j| radius.  Called at points z and their centers' indices,
+    it returns (f, f') by Horner's rule about each point's center; a point
+    farther than radius from it is summed directly, never extrapolated.
     """
 
     rows: np.ndarray = field(repr=False)
@@ -108,16 +108,11 @@ class Expansion:
     def order(self):
         return self.coeffs.shape[0] - 1
 
-    def __call__(self, z, owner=None):
+    def __call__(self, z, owner):
         """(f, f') at the points z, shape (2, z.size): Horner's rule in
-        z - centers[owner], owner by default each point's nearest center,
-        where that is at most radius, and a direct sum elsewhere."""
+        z - centers[owner], owner[i] the center of point i, where that is
+        at most radius, and a direct sum elsewhere."""
         z = np.asarray(z, dtype=complex).reshape(-1)
-        if owner is None:  # searched for at most KERNEL_BLOCK point-center pairs at a time
-            step = max(1, KERNEL_BLOCK // max(self.centers.size, 1))
-            owner = np.zeros(z.size, int)
-            for i in range(0, z.size, step):
-                owner[i:i + step] = np.abs(z[i:i + step, None] - self.centers).argmin(axis=1)
         d = z - self.centers[owner]
         near = np.abs(d) <= self.radius
         x, own = d[near], owner[near]
@@ -323,19 +318,17 @@ class ZeroBranch:
         return abs(self.zeta - self.predicted_center)
 
 
-@lru_cache(maxsize=64)
 def _contour_offsets(half_re, half_im):
-    """contour_winding's start points about center 0: CONTOUR_START equispaced
-    points per side of the rectangle +- half_re +- i half_im, counterclockwise
-    from its upper right corner, and that corner again (read-only, cached)."""
-    corners = np.array([complex(half_re, half_im), complex(-half_re, half_im),
-                        complex(-half_re, -half_im), complex(half_re, -half_im),
-                        complex(half_re, half_im)])
+    """contour_winding's start points about center 0, one row per rectangle
+    +- half_re +- i half_im: CONTOUR_START equispaced points per side of the
+    unit square, counterclockwise from its upper right corner, and that
+    corner again, scaled by half_re and half_im."""
+    corners = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
     frac = np.arange(CONTOUR_START) / CONTOUR_START
-    sides = corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * frac
-    offsets = np.append(sides.ravel(), corners[-1])
-    offsets.flags.writeable = False
-    return offsets
+    unit = np.append((corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * frac).ravel(),
+                     corners[-1])
+    return (np.multiply.outer(half_re, unit.real)
+            + 1j * np.multiply.outer(half_im, unit.imag))
 
 
 def _raise_first(kind, bad, message):
@@ -350,13 +343,14 @@ def _raise_first(kind, bad, message):
 def contour_winding(rows, nodes, center, half_re, half_im, sums=None):
     """Zeros of f = sum_j a_j exp(i t_j zeta) inside center +- half_re +- i half_im.
 
-    a = rows[0] and t = nodes; rows[1] = i t a gives f'.  center may be an
-    array; the counts have its shape.  The argument of f is summed from the
-    points center + _contour_offsets(half_re, half_im), refined by bisection;
-    all contours are refined in one flat array tagged by contour.  (f, f')
-    come from sums, an Expansion of f with one center per contour, each
-    point expanded about its contour's center, or without one from
-    fourier_sum.  On a rectangle about y_c = Im center each
+    a = rows[0] and t = nodes; rows[1] = i t a gives f'.  center, half_re
+    and half_im may be arrays that broadcast, one rectangle per element;
+    the counts have their shape.  The argument of f is summed from the
+    points center + _contour_offsets(half_re, half_im), refined by
+    bisection; all contours are refined in one flat array tagged by
+    contour.  (f, f') come from sums, an Expansion of f with one center per
+    contour, each point expanded about its contour's center, or without one
+    from fourier_sum.  On a rectangle about y_c = Im center each
     |exp(i t_j zeta)| is at most e_j = exp(|t_j| half_im - t_j y_c), so
     |f''| <= M2 = sum_j |a_j| t_j^2 e_j, and a step of length h with
     |f| - |f'| h > M2 h^2/2 at one of its ends keeps f in a disc about
@@ -366,16 +360,16 @@ def contour_winding(rows, nodes, center, half_re, half_im, sums=None):
     or at most 64 eps sum_j |a_j| e_j, where rounding hides it, raises
     ValidationFailed, whose index names the contour.
     """
-    rows, centers = rows[:2], np.asarray(center, dtype=complex)
-    flat = centers.reshape(-1)
-    offsets, contours = _contour_offsets(half_re, half_im), np.arange(flat.size)
-    z, tag = (flat[:, None] + offsets).ravel(), np.repeat(contours, offsets.size)
+    rows, (center, half_re, half_im) = rows[:2], np.broadcast_arrays(center, half_re, half_im)
+    offsets, contours = _contour_offsets(half_re, half_im), np.arange(center.size)
+    z, tag = (center[..., None] + offsets).ravel(), np.repeat(contours, offsets.shape[-1])
 
     def values(p, tag):
         return fourier_sum(rows, nodes, p) if sums is None else sums(p, tag)
 
     vals = values(z, tag)
-    grow = np.abs(rows[0]) * np.exp(half_im * np.abs(nodes) - np.outer(flat.imag, nodes))
+    grow = np.abs(rows[0]) * np.exp(np.outer(half_im, np.abs(nodes))
+                                    - np.outer(center.imag, nodes))
     floor, half_m2 = 64.0 * np.finfo(float).eps * grow.sum(axis=1), 0.5 * grow @ (nodes * nodes)
     for rounds in range(MAX_REFINE_ROUNDS + 1):
         size, slope = np.abs(vals)
@@ -394,8 +388,8 @@ def contour_winding(rows, nodes, center, half_re, half_im, sums=None):
         mid = 0.5 * (z[coarse] + z[coarse + 1])
         vals = np.insert(vals, coarse + 1, values(mid, tag[coarse]), axis=1)
         z, tag = np.insert(z, coarse + 1, mid), np.insert(tag, coarse + 1, tag[coarse])
-    turns = np.bincount(tag[step], np.angle(vals[0, step + 1] / vals[0, step]), flat.size)
-    counts = np.rint(turns / (2.0 * math.pi)).astype(int).reshape(centers.shape)
+    turns = np.bincount(tag[step], np.angle(vals[0, step + 1] / vals[0, step]), center.size)
+    counts = np.rint(turns / (2.0 * math.pi)).astype(int).reshape(center.shape)
     return counts if counts.ndim else int(counts)
 
 
@@ -416,8 +410,9 @@ def winding_number(ctx, center, half_re, half_im, sums=None):
 
 
 def _newton(values, z, inside):
-    """Damped complex Newton on f from each start in the array z; values(z) is
-    (f, f') at an array of points, inside(z) the box test.
+    """Damped complex Newton on f from each start in the array z; values(p, k)
+    is (f, f') at an array of points p, k[i] the index of the start p[i]
+    comes from, and inside(p) the box test.
 
     Each start's step f/f' is halved while it leaves the box or fails to
     lower |f|, and taken once halved below 1e-6; the start stops at
@@ -429,7 +424,7 @@ def _newton(values, z, inside):
     the start.  Returns the zeros and their (f, f').
     """
     z = np.array(z, dtype=complex)
-    f, df = (np.array(v, dtype=complex) for v in values(z))
+    f, df = (np.array(v, dtype=complex) for v in values(z, np.arange(z.size)))
     step, lam, (halvings, steps) = np.zeros_like(z), np.ones(z.size), np.zeros((2, z.size), int)
     moving, fresh = np.ones(z.size, bool), np.ones(z.size, bool)
     while True:
@@ -448,7 +443,7 @@ def _newton(values, z, inside):
         tried = np.flatnonzero(moving)
         if tried.size == 0:
             return z, (f, df)
-        f_cand, df_cand = values(cand[tried])
+        f_cand, df_cand = values(cand[tried], tried)
         small = np.abs(cand[tried] - z[tried]) <= 1e-12 * (1.0 + np.abs(cand[tried]))
         take = (np.abs(f_cand) < np.abs(f[tried])) | (lam[tried] < 1e-6)
         go, lost = tried[take], tried[~take & ~small]
@@ -475,13 +470,13 @@ def _track(ctx, m_list, starts):
     which has F's zeros but does not turn as the body moves, then one
     residual, one pi/w and one winding_number check for all of them.  One
     Expansion of the centred sum G_c about the starts, of radius
-    _branch_radius, gives every Newton and contour value.  A failure names
-    its m and direction."""
+    _branch_radius, gives every Newton and contour value, each point
+    expanded about its own start.  A failure names its m and direction."""
     starts, w = _check_zeta(ctx, starts), ctx.body_width
     sums = Expansion.about(ctx.rows, ctx.nodes, starts, _branch_radius(w))
     try:
-        z, (h, dh) = _newton(lambda p: _centred_transform(ctx, p, 1, sums), starts,
-                             lambda p: (np.abs(p.imag) <= ctx.im_cap)
+        z, (h, dh) = _newton(lambda p, k: _centred_transform(ctx, p, 1, partial(sums, owner=k)),
+                             starts, lambda p: (np.abs(p.imag) <= ctx.im_cap)
                              & (np.abs(p.real) <= ctx.max_abs_zeta))
         _raise_first(NewtonDiverged, np.abs(h) > 1e-9 * np.abs(dh),
                      lambda k: f"residual {abs(h[k]):.3e} above 1e-9 * {abs(dh[k]):.3e}")
@@ -512,18 +507,19 @@ def track_branches(ctx, m_list):
     return _track(ctx, m_list, kobayashi_center(ctx.body, np.asarray(m_list), ctx.u))
 
 
-def _multiple_zero(table, nodes, start, im_cap):
-    """_newton in the band |Im zeta| <= im_cap on f/f', which has simple zeros
-    at zeros of f of any multiplicity.  f is the Fourier sum of table[0] on
-    nodes; table holds the rows (a, i t a, (i t)^2 a) of derivative_rows, so
-    one fourier_sum gives (f, f', f'') and with them (f/f', 1 - f f''/f'^2).
+def _multiple_zero(table, nodes, starts, im_cap):
+    """The zeros reached from the array starts by _newton in the band
+    |Im zeta| <= im_cap on f/f', which has simple zeros at zeros of f of any
+    multiplicity.  f is the Fourier sum of table[0] on nodes; table holds
+    the rows (a, i t a, (i t)^2 a) of derivative_rows, so one fourier_sum
+    gives (f, f', f'') and with them (f/f', 1 - f f''/f'^2).
     """
-    def values(z):
+    def values(z, _):
         f, df, d2f = fourier_sum(table, nodes, z)
         with np.errstate(divide="ignore", invalid="ignore"):  # f' = 0 is non-finite
             return f / df, 1.0 - (f / df) * d2f / df
 
-    return complex(_newton(values, [start], lambda p: np.abs(p.imag) <= im_cap)[0][0])
+    return _newton(values, starts, lambda p: np.abs(p.imag) <= im_cap)[0]
 
 
 def sweep_bound(body, u_list, m_max):

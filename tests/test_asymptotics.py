@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from covario import asymptotics
 from covario.asymptotics import (
+    MATCH_TOL,
     DeterminationConfig,
     Inconclusive,
     _contiguous_regions,
@@ -15,14 +17,26 @@ from covario.asymptotics import (
     zero_union_check,
 )
 from covario.covariogram import covariogram_evaluator, cross_covariogram_grid
+from covario.fourier_laplace import (
+    _multiple_zero,
+    autocorr_transform_table,
+    build_context,
+    contour_winding,
+    derivative_rows,
+    fourier_sum,
+    sweep_bound,
+    track_branches,
+)
 from covario.geometry import (
     Direction,
     Disk,
+    SupportBody,
     area,
     curvature,
     example_pair,
     reflect,
     translate,
+    width,
 )
 from strip_reference import loop_radial_table, walk_contiguous_regions
 
@@ -80,6 +94,74 @@ def test_zero_union_cw3(cw3):
         za, zb = row.located
         assert abs(za - zb.conjugate()) < 1e-6
         assert row.residual <= 1e-8 * area(cw3) ** 2
+
+
+def _loop_zero_union_rows(body, u, m_list):
+    """zero_union_check's rows one branch at a time: two one-start
+    _multiple_zero calls, one fourier_sum and one contour_winding per branch."""
+    max_zeta = sweep_bound(body, [u], max(m_list))
+    ctx = build_context(body, u, max_abs_zeta=max_zeta)
+    nodes, amplitudes = autocorr_transform_table(body, u, max_zeta)
+    nodes, amplitudes = np.concatenate([nodes, -nodes]), np.tile(amplitudes, 2)
+    table = derivative_rows(nodes, amplitudes, 2)
+    rows = []
+    for branch in track_branches(ctx, m_list):
+        f = branch.zeta
+        targets = (f, f.conjugate())
+        located = []
+        for start in targets:
+            z = complex(_multiple_zero(table, nodes, np.array([start]), ctx.im_cap)[0])
+            assert min(abs(z - t) for t in targets) <= MATCH_TOL
+            if not any(abs(z - prev) < MATCH_TOL for prev in located):
+                located.append(z)
+        resid = abs(complex(fourier_sum(table[0], nodes, f)))
+        half_re, half_im = math.pi / (2.0 * ctx.body_width), 0.5 / ctx.body_width
+        if abs(f.imag) >= 0.5 * half_im:
+            half_im = 1.2 * abs(f.imag)
+        mult = contour_winding(table[:2], nodes, f, half_re, half_im)
+        rows.append((branch.m, f, tuple(located), mult, resid))
+    return rows
+
+
+CW3 = SupportBody(1.0, ((0.0, 0.0), (0.0, 0.0), (0.05, 0.0)))
+
+
+@pytest.mark.parametrize("body, theta, m_range", [
+    (Disk((0.0, 0.0), 1.0), 0.0, range(1, 5)),
+    (Disk((0.3, -0.2), 1.3), 0.7, range(1, 9)),
+    (CW3, 0.2, range(3, 6)),
+    (CW3, math.pi / 6.0 + 0.1, range(3, 5)),
+], ids=["disk", "disk-off-centre", "cw3-apart", "cw3-close"])
+def test_zero_union_one_pass_equals_branch_loop(body, theta, m_range, monkeypatch):
+    # one array pass gives, bit for bit, the rows of the loop over branches,
+    # with one contour_winding and one residual fourier_sum per check
+    u = Direction(theta)
+    expected = _loop_zero_union_rows(body, u, list(m_range))
+    calls = {"contour_winding": 0, "fourier_sum": 0}
+
+    def counted(name):
+        kernel = getattr(asymptotics, name)
+
+        def count(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(asymptotics, name, counted(name))
+    rep = zero_union_check(body, u, m_range)
+    assert calls == {"contour_winding": 1, "fourier_sum": 1}
+    rows = [(r.m, r.branch_zeta, r.located, r.multiplicity, r.residual) for r in rep.rows]
+    assert repr(rows) == repr(expected)
+    assert all(type(v) is type(w) for row, ref in zip(rows, expected) for v, w in zip(row, ref))
+    if theta > 0.5 and body is CW3:
+        # |Im f| < 0.25/w: the least rectangle holds conj f too, so the count
+        # is of two distinct simple zeros
+        for r in rep.rows:
+            assert 0.0 < abs(r.branch_zeta.imag) < 0.25 / width(body, u)
+            assert r.multiplicity == 2 and len(r.located) == 2
+            assert abs(r.located[0] - r.located[1]) > 0.1
 
 
 def test_counterexample_families():

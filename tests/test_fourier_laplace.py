@@ -369,10 +369,27 @@ def test_multiple_zero_adapter(k):
     # about 2^k eps, blurs a k-fold zero over about (2^k eps)^(1/k)
     nodes = np.arange(k + 1.0)
     amps = np.array([(-1.0) ** j * math.comb(k, j) for j in range(k + 1)])
-    z = fourier_laplace._multiple_zero(derivative_rows(nodes, amps, 2), nodes,
-                                       complex(2.0 * math.pi + 0.3, 0.1), 1.0)
+    z, = fourier_laplace._multiple_zero(derivative_rows(nodes, amps, 2), nodes,
+                                        np.array([complex(2.0 * math.pi + 0.3, 0.1)]), 1.0)
     blur = 10.0 * (2.0 ** k * np.finfo(float).eps) ** (1.0 / k)
     assert abs(z - 2.0 * math.pi) <= max(1e-12, blur)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_multiple_zero_array_equals_one_start_calls(k):
+    # the rows of (1 - exp(i zeta))^k again: from an array of starts, near
+    # the k-fold zeros at 0, 2 pi and 4 pi, each zero equals bit for bit the
+    # zero of its one-start call
+    nodes = np.arange(k + 1.0)
+    table = derivative_rows(nodes, np.array([(-1.0) ** j * math.comb(k, j) for j in range(k + 1)]),
+                            2)
+    starts = np.array([2.0 * math.pi + 0.3 + 0.1j, 0.4 - 0.2j, 4.0 * math.pi - 0.5 + 0.3j,
+                       2.0 * math.pi - 0.2 - 0.4j])
+    zeros = fourier_laplace._multiple_zero(table, nodes, starts, 1.0)
+    assert zeros.shape == starts.shape
+    for start, z in zip(starts, zeros):
+        assert fourier_laplace._multiple_zero(table, nodes, np.array([start]), 1.0).tolist() == [z]
+    assert np.allclose(zeros, 2.0 * math.pi * np.array([1, 0, 2, 1]), atol=1e-4)
 
 
 @pytest.mark.parametrize("pair", [(math.nan, 1.0), (1.0, math.nan), (1.0, 0.0)])
@@ -382,8 +399,9 @@ def test_newton_raises_on_bad_values(pair):
     starts = np.array([2.0 + 0.5j, 1.0 + 1.0j, 3.0 - 0.5j])
     evaluated = []
 
-    def values(z):
+    def values(z, k):
         evaluated.append(z.copy())
+        assert np.array_equal(k, np.arange(z.size))
         f, df = z * z - 4.0, 2.0 * z
         f[z == 1.0 + 1.0j], df[z == 1.0 + 1.0j] = pair
         return f, df
@@ -397,7 +415,7 @@ def test_newton_raises_on_bad_values(pair):
 def test_newton_raises_when_no_candidate_is_inside():
     evaluated = []
 
-    def square(z):
+    def square(z, k):
         evaluated.append(z.copy())
         return z * z - 4.0, 2.0 * z
 
@@ -603,6 +621,12 @@ def test_contour_winding_bound_is_sign_aware():
     counts = contour_winding(*_power_rows(2, 0.0, 10.0), np.array([center, center + math.pi]),
                              1.0, 0.5)
     assert counts.tolist() == [2, 0]
+    # and with one half-height per rectangle, each as its own scalar call
+    centers = center + np.array([0.0, 0.0, math.pi, 2.0 * math.pi])
+    half_im = np.array([0.5, 0.2, 0.5, 0.35])
+    counts = contour_winding(*_power_rows(2, 0.0, 10.0), centers, 1.0, half_im)
+    assert counts.tolist() == [contour_winding(*_power_rows(2, 0.0, 10.0), c, 1.0, h)
+                               for c, h in zip(centers, half_im)] == [2, 0, 0, 2]
 
 
 def test_winding_number_rectangle_leaving_box_raises(unit_disk):
@@ -674,7 +698,7 @@ def test_expansion_matches_direct_sum(name, monkeypatch):
     evaluate = Expansion.__call__
     seen = []
 
-    def recording(self, z, owner=None):
+    def recording(self, z, owner):
         out = evaluate(self, z, owner)
         seen.append((np.array(z), out))
         return out
@@ -708,7 +732,7 @@ def test_expansion_sums_far_points_directly(cw3, monkeypatch):
     sums = Expansion.about(ctx.rows, ctx.nodes, centers, 1.0)
     near, far = centers + np.array([0.6, -0.8j]), centers + np.array([1.01, 2j])
     calls = _counting_sum(monkeypatch)
-    values = sums(np.concatenate([near, far]))
+    values = sums(np.concatenate([near, far]), np.array([0, 1, 0, 1]))
     assert len(calls) == 1 and np.array_equal(calls[0], far)
     monkeypatch.setattr(fourier_laplace, "fourier_sum", fourier_sum)
     assert np.array_equal(values[:, 2:], fourier_sum(ctx.rows, ctx.nodes, far))
