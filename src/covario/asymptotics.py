@@ -8,12 +8,14 @@ from functools import partial
 
 import numpy as np
 
-from covario._parallel import parallel_map
+from covario._parallel import parallel_map, thread_count
 from covario._quadrature import gauss_legendre, panel_table
 from covario.covariogram import FitFailed, cap_pairs, cross_covariogram_grid
 from covario.fourier_laplace import (
+    CONTOUR_START,
     _multiple_zero,
     _raise_first,
+    _track,
     autocorr_transform_table,
     build_context,
     contour_winding,
@@ -60,9 +62,25 @@ class KobayashiReport:
     branches: tuple = field(default=(), repr=False)
 
 
-def _track_direction(body, m_list, max_zeta, u):
-    """Branches m_list along u; module level so that worker processes can unpickle it."""
-    return track_branches(build_context(body, u, max_abs_zeta=max_zeta), m_list)
+SWEEP_BLOCK_POINTS = 2 ** 16  # most contour start points of one kobayashi_report block
+
+
+def _track_directions(body, m_list, max_zeta, u_block):
+    """Branches m_list along each direction of a block, one list per
+    direction, from one _track pass over the block's contexts; module level
+    so that worker processes can unpickle it."""
+    return _track([build_context(body, u, max_abs_zeta=max_zeta) for u in u_block], m_list)
+
+
+def _sweep_blocks(u_list, n_m):
+    """u_list cut into contiguous blocks of near-equal size: one per worker
+    of thread_count(), and more only where a block would otherwise hold
+    more than SWEEP_BLOCK_POINTS contour start points, 4 CONTOUR_START + 1
+    per branch; then as many for each worker."""
+    per = max(1, SWEEP_BLOCK_POINTS // (n_m * (4 * CONTOUR_START + 1)))
+    workers = min(thread_count(), len(u_list))
+    count = min(len(u_list), -(-len(u_list) // (per * workers)) * workers)
+    return [u_list[i * len(u_list) // count:(i + 1) * len(u_list) // count] for i in range(count)]
 
 
 def kobayashi_report(body, m_range, u_grid):
@@ -74,7 +92,9 @@ def kobayashi_report(body, m_range, u_grid):
     m_list = list(m_range)
     u_list = list(u_grid)
     max_zeta = sweep_bound(body, u_list, max(m_list))
-    columns = parallel_map(partial(_track_direction, body, m_list, max_zeta), u_list)
+    blocks = parallel_map(partial(_track_directions, body, m_list, max_zeta),
+                          _sweep_blocks(u_list, len(m_list)))
+    columns = [col for block in blocks for col in block]
     zeta, center = np.array([[(br.zeta, br.predicted_center) for br in col] for col in columns]).T
     w = np.array([width(body, u) for u in u_list])
     target = np.array([math.log(curvature(body, u.antipode())) - math.log(curvature(body, u))

@@ -68,41 +68,72 @@ def derivative_rows(nodes, amplitudes, order):
     return np.stack(rows)
 
 
+def _as_parts(rows, nodes, *arrays):
+    """(rows, nodes, arrays, shape): rows and nodes as lists of D sums (one
+    if single arrays), and the arrays broadcast to shape, then cut into D
+    rows, one per sum."""
+    arrays = np.broadcast_arrays(*arrays)
+    if isinstance(nodes, np.ndarray):
+        rows, nodes = [rows], [nodes]
+    return rows, nodes, [a.reshape(len(nodes), -1) for a in arrays], arrays[0].shape
+
+
+def _part_sums(rows, nodes, z, part):
+    """fourier_sum(rows[d], nodes[d], z[i]) at each point z[i], d = part[i]."""
+    if len(nodes) == 1:
+        return fourier_sum(rows[0], nodes[0], z)
+    out = np.empty(rows[0].shape[:-1] + z.shape, complex)
+    for d in np.unique(part):
+        at = part == d
+        out[..., at] = fourier_sum(rows[d], nodes[d], z[at])
+    return out
+
+
 @dataclass(frozen=True)
 class Expansion:
     """Taylor polynomials of f = sum_j a_j exp(i t_j zeta) about an array of centers.
 
-    a = rows[0], t = nodes, and rows[1] = i t a gives f'.  coeffs[k, 0]
-    holds f^(k)(c)/k! at each center c, from one fourier_sum of
-    derivative_rows(t, a, K) at the centers, and coeffs[k, 1] =
-    (k + 1) coeffs[k + 1, 0] those of f'.  For |t_j d| <= rho the tail of
-    exp(i t_j d) past its term of order K - 1, which f' takes, is at most
-    rho^K e^rho/K!, and bounds the tail past order K, which f takes; K is
-    the least order that puts it below eps/4 over the reach
-    rho = max |t_j| radius.  Called at points z and their centers' indices,
-    it returns (f, f') by Horner's rule about each point's center; a point
-    farther than radius from it is summed directly, never extrapolated.
+    a = rows[0], t = nodes, and rows[1] = i t a gives f'; or rows and nodes
+    are lists of D sums, whose centers are the D rows of centers, with one
+    radius or one each.  coeffs[k, 0] holds f^(k)(c)/k! at each center c,
+    from one fourier_sum of derivative_rows(t, a, K) per sum, and
+    coeffs[k, 1] = (k + 1) coeffs[k + 1, 0] those of f'.  For
+    |t_j d| <= rho the tail of exp(i t_j d) past its term of order K - 1,
+    which f' takes, is at most rho^K e^rho/K!, and bounds the tail past
+    order K, which f takes; K is the least order that puts it below eps/4
+    over the reach rho = max |t_j| radius, padded with zero coefficients
+    to the highest K of the sums.  Called at points z and their centers'
+    flat indices, it returns (f, f') by Horner's rule about each point's
+    center; a point farther than radius from it is summed directly.
     """
 
-    rows: np.ndarray = field(repr=False)
-    nodes: np.ndarray = field(repr=False)
+    rows: list = field(repr=False)
+    nodes: list = field(repr=False)
     centers: np.ndarray
-    radius: float
+    part: np.ndarray = field(repr=False)
+    radius: np.ndarray
     coeffs: np.ndarray = field(repr=False)
 
     @classmethod
     def about(cls, rows, nodes, centers, radius):
-        centers = np.asarray(centers, dtype=complex).reshape(-1)
-        reach = float(np.max(np.abs(nodes), initial=0.0)) * radius
-        order, tail = 0, math.exp(reach)
-        while tail >= 0.25 * np.finfo(float).eps:
-            order += 1
-            tail *= reach / order
-        factorials = np.cumprod(np.maximum(np.arange(order + 1.0), 1.0))[:, None]
-        coeffs = np.zeros((order + 1, 2, centers.size), complex)
-        coeffs[:, 0] = fourier_sum(derivative_rows(nodes, rows[0], order), nodes, centers) / factorials
-        coeffs[:-1, 1] = np.arange(1.0, order + 1.0)[:, None] * coeffs[1:, 0]
-        return cls(rows[:2], nodes, centers, radius, coeffs)
+        rows, nodes, (centers,), _ = _as_parts(rows, nodes, np.asarray(centers, dtype=complex))
+        radius, eps, blocks = np.broadcast_to(radius, len(nodes)), np.finfo(float).eps, []
+        for a, t, c, r in zip(rows, nodes, centers, radius):
+            reach = float(np.max(np.abs(t), initial=0.0)) * r
+            order, tail = 0, math.exp(reach)
+            while tail >= 0.25 * eps:
+                order += 1
+                tail *= reach / order
+            factorials = np.cumprod(np.maximum(np.arange(order + 1.0), 1.0))[:, None]
+            block = np.zeros((order + 1, 2, c.size), complex)
+            block[:, 0] = fourier_sum(derivative_rows(t, a[0], order), t, c) / factorials
+            block[:-1, 1] = np.arange(1.0, order + 1.0)[:, None] * block[1:, 0]
+            blocks.append(block)
+        top = max(b.shape[0] for b in blocks)
+        coeffs = np.concatenate([np.pad(b, ((0, top - b.shape[0]), (0, 0), (0, 0)))
+                                 for b in blocks], axis=2)
+        part = np.repeat(np.arange(len(nodes)), centers.shape[1])
+        return cls([a[:2] for a in rows], nodes, centers.ravel(), part, radius[part], coeffs)
 
     @property
     def order(self):
@@ -111,10 +142,10 @@ class Expansion:
     def __call__(self, z, owner):
         """(f, f') at the points z, shape (2, z.size): Horner's rule in
         z - centers[owner], owner[i] the center of point i, where that is
-        at most radius, and a direct sum elsewhere."""
+        at most its radius, and a direct sum elsewhere."""
         z = np.asarray(z, dtype=complex).reshape(-1)
         d = z - self.centers[owner]
-        near = np.abs(d) <= self.radius
+        near = np.abs(d) <= self.radius[owner]
         x, own = d[near], owner[near]
         value = self.coeffs[-1].take(own, axis=1)
         for k in range(self.order - 1, -1, -1):
@@ -123,7 +154,8 @@ class Expansion:
         out = np.empty((2, z.size), complex)
         out[:, near] = value
         if not near.all():
-            out[:, ~near] = fourier_sum(self.rows, self.nodes, z[~near])
+            far = ~near
+            out[:, far] = _part_sums(self.rows, self.nodes, z[far], self.part[owner[far]])
         return out
 
 
@@ -241,20 +273,49 @@ def build_context(body, u: Direction, max_abs_zeta=200.0):
 
 
 def _check_zeta(ctx, zeta):
-    """zeta as a complex array; PrecisionLoss if it leaves the certified box."""
+    """zeta as a complex array; PrecisionLoss if it leaves the certified box,
+    whose im_cap and max_abs_zeta may be arrays that broadcast against zeta,
+    one box per point."""
     z = np.asarray(zeta, dtype=complex)
-    if np.count_nonzero(np.abs(z.imag) > ctx.im_cap * (1.0 + 1e-12)):
-        raise PrecisionLoss(f"|Im zeta| exceeds cap {ctx.im_cap:.3g}")
-    if np.count_nonzero(np.abs(z.real) > ctx.max_abs_zeta * (1.0 + 1e-12)):
-        raise PrecisionLoss(f"|Re zeta| exceeds the certified bound {ctx.max_abs_zeta:.3g}")
+    for part, bound, what in ((z.imag, ctx.im_cap, "|Im zeta| exceeds cap"),
+                              (z.real, ctx.max_abs_zeta, "|Re zeta| exceeds the certified bound")):
+        out = np.abs(part) > bound * (1.0 + 1e-12)
+        if np.count_nonzero(out):
+            raise PrecisionLoss(f"{what} {np.broadcast_to(bound, out.shape)[out][0]:.3g}")
     return z
+
+
+@dataclass(frozen=True)
+class _Boxes:
+    """The box (im_cap, max_abs_zeta), body_width, mid and moments of each
+    point's context in a pass over several, one entry (moments column) each."""
+
+    im_cap: np.ndarray
+    max_abs_zeta: np.ndarray
+    body_width: np.ndarray
+    mid: np.ndarray
+    moments: np.ndarray
+
+    @classmethod
+    def of(cls, contexts, per):
+        """Each context's fields, repeated for its per points."""
+        def each(name):
+            return np.repeat([getattr(c, name) for c in contexts], per)
+
+        return cls(*map(each, ("im_cap", "max_abs_zeta", "body_width", "mid")),
+                   np.repeat(np.stack([c.moments for c in contexts], axis=1), per, axis=1))
+
+    def __getitem__(self, k):
+        return _Boxes(self.im_cap[k], self.max_abs_zeta[k], self.body_width[k], self.mid[k],
+                      self.moments[:, k])
 
 
 def _centred_transform(ctx, zetas, order, sums=None):
     """(H,) for order 0, (H, H') for order 1, at each zeta, H = exp(-i c zeta) F:
     G_c/(i zeta) and (-i G_c' - H)/zeta from one fourier_sum, or from
     sums(zetas) = (G_c, G_c') at a 1-d array when an Expansion of G_c is
-    passed, or the moment series where |zeta| w/2 <= SERIES_RADIUS."""
+    passed, or the moment series where |zeta| w/2 <= SERIES_RADIUS; ctx may
+    be the _Boxes of the zetas."""
     z = _check_zeta(ctx, zetas)
     near = np.abs(z) * (0.5 * ctx.body_width) <= SERIES_RADIUS
     any_near = np.count_nonzero(near)
@@ -265,7 +326,8 @@ def _centred_transform(ctx, zetas, order, sums=None):
     if not any_near:
         return out
     w, m = 1j * z, ctx.moments
-    series = (np.polyval(m[::-1], w), 1j * np.polyval((m[1:] * np.arange(1.0, m.size))[::-1], w))
+    dm = (m[1:].T * np.arange(1.0, len(m))).T  # H' series
+    series = (np.polyval(m[::-1], w), 1j * np.polyval(dm[::-1], w))
     return tuple(np.where(near, v_near, v) for v_near, v in zip(series, out))
 
 
@@ -345,32 +407,37 @@ def contour_winding(rows, nodes, center, half_re, half_im, sums=None):
 
     a = rows[0] and t = nodes; rows[1] = i t a gives f'.  center, half_re
     and half_im may be arrays that broadcast, one rectangle per element;
-    the counts have their shape.  The argument of f is summed from the
-    points center + _contour_offsets(half_re, half_im), refined by
-    bisection; all contours are refined in one flat array tagged by
-    contour.  (f, f') come from sums, an Expansion of f with one center per
-    contour, each point expanded about its contour's center, or without one
-    from fourier_sum.  On a rectangle about y_c = Im center each
-    |exp(i t_j zeta)| is at most e_j = exp(|t_j| half_im - t_j y_c), so
-    |f''| <= M2 = sum_j |a_j| t_j^2 e_j, and a step of length h with
-    |f| - |f'| h > M2 h^2/2 at one of its ends keeps f in a disc about
-    that end's value that excludes 0: its principal argument is exact
-    (Ying & Katz, Numer. Math. 53, 1988).  Every other step is bisected,
-    for at most MAX_REFINE_ROUNDS rounds.  A value that is 0, not finite,
-    or at most 64 eps sum_j |a_j| e_j, where rounding hides it, raises
-    ValidationFailed, whose index names the contour.
+    the counts have their shape.  rows and nodes may be lists of D sums,
+    whose rectangles are the D rows of the broadcast arrays.  The argument
+    of f is summed from the points center + _contour_offsets(half_re,
+    half_im), refined by bisection; all contours are refined in one flat
+    array tagged by contour.  (f, f') come from sums, an Expansion of f
+    with one center per contour, each point expanded about its contour's
+    center, or without one from fourier_sum.  On a rectangle about
+    y_c = Im center each |exp(i t_j zeta)| is at most
+    e_j = exp(|t_j| half_im - t_j y_c), so |f''| <= M2 = sum_j |a_j| t_j^2 e_j,
+    and a step of length h with |f| - |f'| h > M2 h^2/2 at one of its ends
+    keeps f in a disc about that end's value that excludes 0: its principal
+    argument is exact (Ying & Katz, Numer. Math. 53, 1988).  Every other
+    step is bisected, for at most MAX_REFINE_ROUNDS rounds.  A value that is
+    0, not finite, or at most 64 eps sum_j |a_j| e_j, where rounding hides
+    it, raises ValidationFailed, whose index names the contour.
     """
-    rows, (center, half_re, half_im) = rows[:2], np.broadcast_arrays(center, half_re, half_im)
+    rows, nodes, rects, shape = _as_parts(rows, nodes, center, half_re, half_im)
+    rows, (center, half_re, half_im) = [a[:2] for a in rows], rects
     offsets, contours = _contour_offsets(half_re, half_im), np.arange(center.size)
     z, tag = (center[..., None] + offsets).ravel(), np.repeat(contours, offsets.shape[-1])
+    part = contours // center.shape[1]
 
     def values(p, tag):
-        return fourier_sum(rows, nodes, p) if sums is None else sums(p, tag)
+        return _part_sums(rows, nodes, p, part[tag]) if sums is None else sums(p, tag)
 
     vals = values(z, tag)
-    grow = np.abs(rows[0]) * np.exp(np.outer(half_im, np.abs(nodes))
-                                    - np.outer(center.imag, nodes))
-    floor, half_m2 = 64.0 * np.finfo(float).eps * grow.sum(axis=1), 0.5 * grow @ (nodes * nodes)
+    floor, half_m2 = np.empty((2, center.size))
+    for a, t, at in zip(rows, nodes, np.split(contours, len(nodes))):
+        grow = np.abs(a[0]) * np.exp(np.outer(half_im.flat[at], np.abs(t))
+                                     - np.outer(center.flat[at].imag, t))
+        floor[at], half_m2[at] = 64.0 * np.finfo(float).eps * grow.sum(axis=1), 0.5 * grow @ (t * t)
     for rounds in range(MAX_REFINE_ROUNDS + 1):
         size, slope = np.abs(vals)
         bad = ~(np.isfinite(vals).all(axis=0) & (size > floor[tag]))
@@ -389,7 +456,7 @@ def contour_winding(rows, nodes, center, half_re, half_im, sums=None):
         vals = np.insert(vals, coarse + 1, values(mid, tag[coarse]), axis=1)
         z, tag = np.insert(z, coarse + 1, mid), np.insert(tag, coarse + 1, tag[coarse])
     turns = np.bincount(tag[step], np.angle(vals[0, step + 1] / vals[0, step]), center.size)
-    counts = np.rint(turns / (2.0 * math.pi)).astype(int).reshape(center.shape)
+    counts = np.rint(turns / (2.0 * math.pi)).astype(int).reshape(shape)
     return counts if counts.ndim else int(counts)
 
 
@@ -400,13 +467,20 @@ def winding_number(ctx, center, half_re, half_im, sums=None):
     G_c(zeta) = i zeta exp(-i c zeta) F(zeta), which does not turn as the
     body moves, so the contour's step count does not grow with translation;
     sums, an Expansion of G_c with one center per rectangle, is passed on.
-    G_c has one zero more than F, at zeta = 0, taken off where the rectangle
-    contains it.  A rectangle leaving the context's box raises PrecisionLoss.
+    ctx may be a list of D contexts, whose rectangles are then the D rows
+    of center, half_re and half_im.  G_c has one zero more than F, at
+    zeta = 0, taken off where the rectangle contains it.  A rectangle
+    leaving its context's box raises PrecisionLoss.
     """
-    centers = np.asarray(center, dtype=complex)
-    _check_zeta(ctx, centers[..., None] + _contour_offsets(half_re, half_im))
-    wind = contour_winding(ctx.rows, ctx.nodes, centers, half_re, half_im, sums)
-    return wind - ((np.abs(centers.real) < half_re) & (np.abs(centers.imag) < half_im))
+    contexts = [ctx] if isinstance(ctx, RayTransformContext) else ctx
+    rows, nodes, (centers, half_re, half_im), shape = _as_parts(
+        [c.rows for c in contexts], [c.nodes for c in contexts],
+        np.asarray(center, dtype=complex), half_re, half_im)
+    for c, cen, h_re, h_im in zip(contexts, centers, half_re, half_im):
+        _check_zeta(c, cen[:, None] + _contour_offsets(h_re, h_im))
+    wind = contour_winding(rows, nodes, centers, half_re, half_im, sums)
+    wind -= (np.abs(centers.real) < half_re) & (np.abs(centers.imag) < half_im)
+    return wind.reshape(shape) if shape else int(wind[0, 0])
 
 
 def _newton(values, z, inside):
@@ -465,31 +539,49 @@ def _branch_radius(w):
     return math.pi / w + math.hypot(0.5 * math.pi / w, 0.5 / w)
 
 
-def _track(ctx, m_list, starts):
-    """The branches m_list from their starts: one _newton on H = exp(-i c zeta) F,
-    which has F's zeros but does not turn as the body moves, then one
-    residual, one pi/w and one winding_number check for all of them.  One
-    Expansion of the centred sum G_c about the starts, of radius
-    _branch_radius, gives every Newton and contour value, each point
-    expanded about its own start.  A failure names its m and direction."""
-    starts, w = _check_zeta(ctx, starts), ctx.body_width
-    sums = Expansion.about(ctx.rows, ctx.nodes, starts, _branch_radius(w))
+def _track(contexts, m_list, starts=None):
+    """The branches m_list of every context in one array pass, from starts[d][i]
+    for branch m_list[i] of contexts[d], by default its kobayashi_center: one
+    _newton on H = exp(-i c zeta) F, which has F's zeros but does not turn
+    as the body moves, then one residual, one pi/w and one winding_number
+    check for all of them.  One Expansion of the contexts' centred sums G_c
+    about the starts, of radius _branch_radius, gives every Newton and
+    contour value, each point expanded about its own start.  Each point
+    reads only its own context's _Boxes entry, so no branch depends on the
+    other contexts.  Returns a list of branches per context; a failure
+    names its m and direction."""
+    m_list = list(m_list)
+    shape = (len(contexts), len(m_list))
+    if starts is None:
+        starts = [kobayashi_center(c.body, np.asarray(m_list), c.u) for c in contexts]
+    boxes = _Boxes.of(contexts, shape[1])
+    starts = _check_zeta(boxes, np.reshape(starts, -1))
+    sums = Expansion.about([c.rows for c in contexts], [c.nodes for c in contexts],
+                           starts.reshape(shape), [_branch_radius(c.body_width) for c in contexts])
+
+    def values(p, k):
+        return _centred_transform(boxes[k], p, 1, partial(sums, owner=k))
+
+    def inside(p):
+        return (np.abs(p.imag) <= boxes.im_cap) & (np.abs(p.real) <= boxes.max_abs_zeta)
+
+    w = boxes.body_width
     try:
-        z, (h, dh) = _newton(lambda p, k: _centred_transform(ctx, p, 1, partial(sums, owner=k)),
-                             starts, lambda p: (np.abs(p.imag) <= ctx.im_cap)
-                             & (np.abs(p.real) <= ctx.max_abs_zeta))
+        z, (h, dh) = _newton(values, starts, inside)
         _raise_first(NewtonDiverged, np.abs(h) > 1e-9 * np.abs(dh),
                      lambda k: f"residual {abs(h[k]):.3e} above 1e-9 * {abs(dh[k]):.3e}")
         _raise_first(ValidationFailed, np.abs(z - starts) >= math.pi / w,
                      lambda k: f"zero {z[k]:.6g} lies pi/w or more from its start {starts[k]:.6g}")
-        wind = winding_number(ctx, z, math.pi / (2.0 * w), 0.5 / w, sums)
+        rects = (a.reshape(shape) for a in (z, math.pi / (2.0 * w), 0.5 / w))
+        wind = winding_number(contexts, *rects, sums).ravel()
         _raise_first(ValidationFailed, wind != 1, lambda k: f"winding {wind[k]} != 1")
     except (NewtonDiverged, ValidationFailed) as exc:
-        m = list(m_list)[getattr(exc, "index", 0)]
-        raise type(exc)(f"(m={m}, theta={ctx.u.theta:.6f}): {exc}") from exc
-    residual = np.abs(h) * np.exp(-ctx.mid * z.imag)  # |F| = |exp(i c zeta) H|
-    return [ZeroBranch(int(m), ctx.u, complex(zm), float(r), True, complex(s))
-            for m, zm, r, s in zip(m_list, z, residual, starts)]
+        d, i = divmod(getattr(exc, "index", 0), shape[1])
+        raise type(exc)(f"(m={m_list[i]}, theta={contexts[d].u.theta:.6f}): {exc}") from exc
+    residual = np.abs(h) * np.exp(-boxes.mid * z.imag)  # |F| = |exp(i c zeta) H|
+    return [[ZeroBranch(int(m), c.u, complex(zm), float(r), True, complex(s))
+             for m, zm, r, s in zip(m_list, *per)]
+            for c, *per in zip(contexts, *(a.reshape(shape) for a in (z, residual, starts)))]
 
 
 def track_zero(ctx, m, start=None):
@@ -498,13 +590,15 @@ def track_zero(ctx, m, start=None):
     less than pi/w, half the spacing of neighbouring centers, from start, so
     that a branch cannot take another's zero, and winding number 1 on a
     rectangle of half-sides (pi/(2w), 0.5/w) about it."""
-    return _track(ctx, [m], [kobayashi_center(ctx.body, m, ctx.u) if start is None else start])[0]
+    start = kobayashi_center(ctx.body, m, ctx.u) if start is None else start
+    return _track([ctx], [m], [start])[0][0]
 
 
 def track_branches(ctx, m_list):
     """track_zero for every m on one context, from its kobayashi_center, in
-    one array pass; a failure names its m and direction."""
-    return _track(ctx, m_list, kobayashi_center(ctx.body, np.asarray(m_list), ctx.u))
+    one array pass: the one-context case of _track; a failure names its m
+    and direction."""
+    return _track([ctx], m_list)[0]
 
 
 def _multiple_zero(table, nodes, starts, im_cap):

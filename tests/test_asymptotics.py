@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covario import asymptotics
+from covario import asymptotics, fourier_laplace
 from covario.asymptotics import (
     MATCH_TOL,
     DeterminationConfig,
@@ -58,17 +58,65 @@ def test_kobayashi_report_cw3(cw3):
     assert rep.re_error_per_m[-1] <= 2e-2
 
 
+def _recording_blocks(monkeypatch):
+    """Record the block sizes that kobayashi_report hands parallel_map."""
+    sizes, pooled = [], asymptotics.parallel_map
+
+    def recording(fn, items):
+        items = list(items)
+        sizes.append([len(block) for block in items])
+        return pooled(fn, items)
+
+    monkeypatch.setattr(asymptotics, "parallel_map", recording)
+    return sizes
+
+
 def test_kobayashi_report_same_in_worker_processes(unit_disk, monkeypatch):
-    # COVARIO_THREADS=2 takes the process pool whatever the CPU count.
+    # COVARIO_THREADS=2 takes the process pool whatever the CPU count: one
+    # direction a worker
     grid = [Direction(0.0), Direction(1.0)]
+    sizes = _recording_blocks(monkeypatch)
     monkeypatch.setenv("COVARIO_THREADS", "1")
     serial = kobayashi_report(unit_disk, range(2, 5), grid)
     monkeypatch.setenv("COVARIO_THREADS", "2")
     pooled = kobayashi_report(unit_disk, range(2, 5), grid)
+    assert sizes == [[2], [1, 1]]
     for name in ("deviations", "im_error_per_m", "re_error_per_m"):
         np.testing.assert_array_equal(getattr(pooled, name), getattr(serial, name))
     assert len(pooled.branches) == 6
     assert pooled.branches == serial.branches
+
+
+def test_kobayashi_report_equals_direction_loop(monkeypatch):
+    # one array pass over a block of directions gives, bit for bit, the
+    # branches of one track_branches per direction, where the directions'
+    # contexts have different node counts, serially, on the pool, and in
+    # blocks cut by the contour budget
+    body = SupportBody(1.0, ((0.1, 0), (0.2, 0.05), (0.03, 0)))
+    grid = [Direction(float(t)) for t in np.linspace(0, 2 * math.pi, 12, endpoint=False)]
+    m_list = range(2, 41)
+    contexts = [build_context(body, u, max_abs_zeta=sweep_bound(body, grid, 40)) for u in grid]
+    assert len({ctx.nodes.size for ctx in contexts}) > 1
+    loop = tuple(br for ctx in contexts for br in track_branches(ctx, m_list))
+    sizes = _recording_blocks(monkeypatch)
+    default = asymptotics.SWEEP_BLOCK_POINTS
+    for threads, budget in (("1", default), ("2", default), ("1", 5 * 39 * 41), ("2", 2 * 39 * 41)):
+        monkeypatch.setenv("COVARIO_THREADS", threads)
+        monkeypatch.setattr(asymptotics, "SWEEP_BLOCK_POINTS", budget)
+        assert kobayashi_report(body, m_list, grid).branches == loop
+    assert sizes == [[12], [6, 6], [4, 4, 4], [2] * 6]
+
+
+def test_kobayashi_report_names_the_failing_direction(cw3, monkeypatch):
+    # a failure in the second direction of one pass names that direction's
+    # m and theta
+    monkeypatch.setenv("COVARIO_THREADS", "1")
+    monkeypatch.setattr(fourier_laplace, "winding_number",
+                        lambda ctx, z, half_re, half_im, sums:
+                        np.where(np.arange(z.size).reshape(z.shape) == 4, 2, 1))
+    with pytest.raises(fourier_laplace.ValidationFailed,
+                       match=r"\(m=3, theta=1\.000000\): winding 2 != 1"):
+        kobayashi_report(cw3, range(2, 5), [Direction(0.0), Direction(1.0)])
 
 
 def test_kobayashi_report_flags_polygon(unit_square):

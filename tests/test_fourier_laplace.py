@@ -474,6 +474,32 @@ def test_contour_winding_refines_coarse_steps(monkeypatch):
     assert set(calls[1]) <= set(0.5 * (starts[1:] + starts[:-1]))
 
 
+def test_contour_winding_parts_refine_as_one_part_calls(monkeypatch):
+    # each part's steps are certified by its own M2 bound and floor: one call
+    # over (1 - exp(i zeta)) and (1 - exp(i zeta))^5 on the 8 x 2 rectangle
+    # sums each part at the points its own call sums
+    parts = [_power_rows(1), _power_rows(5)]
+    kernel, seen = fourier_laplace.fourier_sum, []
+
+    def recording(rows, nodes, zetas):
+        seen.append((nodes.size, np.ravel(zetas)))
+        return kernel(rows, nodes, zetas)
+
+    def points():
+        out = {n: np.sort_complex(np.concatenate([z for m, z in seen if m == n])) for n in (2, 6)}
+        seen.clear()
+        return out
+
+    monkeypatch.setattr(fourier_laplace, "fourier_sum", recording)
+    counts = contour_winding([a for a, _ in parts], [t for _, t in parts], [[0j], [0j]], 4.0, 1.0)
+    assert counts.tolist() == [[1], [5]]
+    together = points()
+    assert [contour_winding(a, t, 0j, 4.0, 1.0) for a, t in parts] == [1, 5]
+    alone = points()
+    assert all(np.array_equal(together[n], alone[n]) for n in (2, 6))
+    assert alone[6].size > alone[2].size > 0
+
+
 def test_contour_winding_zero_on_contour():
     # the zero of 1 - exp(i zeta) at 0 is the rectangle's upper right corner
     with pytest.raises(ValidationFailed, match="vanishes"):
@@ -744,6 +770,36 @@ def test_expansion_sums_far_points_directly(cw3, monkeypatch):
     calls = _counting_sum(monkeypatch)
     sums(near, np.array([1, 0]))
     assert len(calls) == 1 and np.array_equal(calls[0], near)
+
+
+def test_parts_equal_one_part_calls(cw3):
+    # an Expansion, a contour_winding and a _track over several sums, one
+    # part each, give bit for bit what one call per part gives, where the
+    # parts differ in node count, order and radius
+    contexts = [build_context(body, Direction(0.4), max_abs_zeta=60.0)
+                for body in (cw3, RULE_BODIES["disk"], RULE_BODIES["harmonic4"])]
+    rows, nodes = [ctx.rows for ctx in contexts], [ctx.nodes for ctx in contexts]
+    centers = np.array([kobayashi_center(ctx.body, np.array([3, 8]), ctx.u) for ctx in contexts])
+    radius = [1.0, 0.3, fourier_laplace._branch_radius(contexts[2].body_width)]
+    sums = Expansion.about(rows, nodes, centers, radius)
+    alone = [Expansion.about(a, t, c, r) for a, t, c, r in zip(rows, nodes, centers, radius)]
+    assert len({e.order for e in alone}) == 3 and sums.order == max(e.order for e in alone)
+    # one point near each center and one far from it, except for the largest radius
+    owner = np.tile(np.arange(6), 2)
+    z = sums.centers[owner] + np.repeat([0.25 + 0.1j, 2.5 - 0.5j], 6)
+    values = sums(z, owner)
+    for d, one in enumerate(alone):
+        mine = owner // 2 == d
+        assert np.array_equal(values[:, mine], one(z[mine], owner[mine] % 2))
+    half_im = np.array([[0.2], [0.3], [0.25]])
+    for given in (None, sums):
+        counts = contour_winding(rows, nodes, centers, 1.0, half_im, given)
+        assert counts.shape == (3, 2)
+        for d, one in enumerate(alone):
+            assert np.array_equal(counts[d], contour_winding(
+                rows[d], nodes[d], centers[d], 1.0, half_im[d], one if given else None))
+    branches = fourier_laplace._track(contexts, range(2, 7))
+    assert branches == [track_branches(ctx, range(2, 7)) for ctx in contexts]
 
 
 def test_winding_disk_first_five_bessel_zeros(unit_disk):
