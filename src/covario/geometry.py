@@ -85,14 +85,6 @@ class Segment:
         if np.array_equal(self.p, self.q):
             raise ValueError("segment endpoints coincide")
 
-    @property
-    def half_vector(self):
-        return 0.5 * (np.asarray(self.q, dtype=float) - np.asarray(self.p, dtype=float))
-
-    @property
-    def midpoint(self):
-        return 0.5 * (np.asarray(self.q, dtype=float) + np.asarray(self.p, dtype=float))
-
     def scaled(self, factor):
         return Segment(tuple(factor * np.asarray(self.p, dtype=float)),
                        tuple(factor * np.asarray(self.q, dtype=float)))
@@ -495,16 +487,6 @@ def example_pair(family, alpha=1.0, beta=1.0, gamma=1.0, delta=1.0,
             k = zonogon(y_p, [_I1.scaled(alpha_p), i5.scaled(delta_p)])
         return h, k
     raise InvalidFamilyParams(f"family must be 1..4, got {family}")
-
-
-def minkowski_sum_polygons(p, q):
-    """Exact Minkowski sum of two convex polygons: from the sum of their bottom
-    vertices, both polygons' edges added in order of angle in [0, 2 pi)."""
-    pv, qv = p.vertices, q.vertices
-    edges = np.vstack([np.roll(pv, -1, axis=0) - pv, np.roll(qv, -1, axis=0) - qv])
-    order = np.argsort(np.arctan2(edges[:, 1], edges[:, 0]) % (2.0 * math.pi), kind="stable")
-    start = pv[np.lexsort((pv[:, 0], pv[:, 1]))[0]] + qv[np.lexsort((qv[:, 0], qv[:, 1]))[0]]
-    return Polygon(np.cumsum(np.vstack([start, edges[order]]), axis=0)[:-1])
 
 
 def steiner_point(poly: Polygon):

@@ -1,10 +1,11 @@
 """Vertex loops for the convex hull, the zonogon and the Minkowski sum of
 convex polygons, which the constructions in `geometry` replace by leaving the
-collinear and reflex bookkeeping to `Polygon`.
+collinear and reflex bookkeeping to `Polygon`; and the sorted-edge Minkowski
+sum and the segment half-vector and midpoint, which only the tests use.
 
-Each function returns what the loop returned: hull vertices as an array, the
+Each `loop_` function returns what the loop returned: hull vertices as an array, the
 zonogon and the sum as a `Polygon`. The tests require the `geometry`
-constructions to give the same `Polygon`s.
+constructions, and `minkowski_sum_polygons`, to give the same `Polygon`s.
 """
 
 import math
@@ -12,6 +13,15 @@ import math
 import numpy as np
 
 from covario.geometry import DegenerateZonogon, Polygon
+
+
+def half_vector(seg):
+    """Half of the segment's vector, q - p."""
+    return 0.5 * (np.asarray(seg.q, dtype=float) - np.asarray(seg.p, dtype=float))
+
+
+def midpoint(seg):
+    return 0.5 * (np.asarray(seg.q, dtype=float) + np.asarray(seg.p, dtype=float))
 
 
 def loop_convex_hull(points):
@@ -45,8 +55,8 @@ def loop_zonogon(center, generators):
     c = np.asarray(center, dtype=float)
     halves = []
     for seg in generators:
-        s = seg.half_vector
-        c = c + seg.midpoint
+        s = half_vector(seg)
+        c = c + midpoint(seg)
         ang = math.atan2(s[1], s[0])
         if ang < 0 or ang >= math.pi - 1e-15:
             s = -s
@@ -106,3 +116,13 @@ def loop_minkowski_sum(p, q):
                 iq, cq = iq + 1, cq + 1
         out.append(out[-1] + step)
     return Polygon(np.array(out[:-1]))
+
+
+def minkowski_sum_polygons(p, q):
+    """Exact Minkowski sum of two convex polygons: from the sum of their bottom
+    vertices, both polygons' edges added in order of angle in [0, 2 pi)."""
+    pv, qv = p.vertices, q.vertices
+    edges = np.vstack([np.roll(pv, -1, axis=0) - pv, np.roll(qv, -1, axis=0) - qv])
+    order = np.argsort(np.arctan2(edges[:, 1], edges[:, 0]) % (2.0 * math.pi), kind="stable")
+    start = pv[np.lexsort((pv[:, 0], pv[:, 1]))[0]] + qv[np.lexsort((qv[:, 0], qv[:, 1]))[0]]
+    return Polygon(np.cumsum(np.vstack([start, edges[order]]), axis=0)[:-1])

@@ -20,7 +20,6 @@ from covario.geometry import (
     SupportBody,
     convex_hull,
     curvature,
-    minkowski_sum_polygons,
     reflect,
     width,
 )
@@ -30,6 +29,7 @@ from covario.oracles import (
     random_spd,
 )
 from mc_oracle import paraboloid_volume
+from polygon_reference import minkowski_sum_polygons
 
 DISK = Disk((0.0, 0.0), 1.0)
 CW3 = SupportBody(1.0, ((0.0, 0.0), (0.0, 0.0), (0.05, 0.0)))

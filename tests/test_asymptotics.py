@@ -38,6 +38,7 @@ from covario.geometry import (
     translate,
     width,
 )
+from polygon_reference import minkowski_sum_polygons
 from strip_reference import loop_radial_table, walk_contiguous_regions
 
 E1 = Direction(0.0)
@@ -283,7 +284,7 @@ def test_determination_batches_evaluator_calls(cw3):
         return lambda points: np.array([g(x) for x in points])
 
     verdict = determination_experiment(*map(counted, evaluators), config=cfg)
-    assert len(calls) == 34
+    assert len(calls) == 18
     assert verdict.outcome == "identical-up-to-translation"
     assert verdict.region_relations == (1,)
     reference = determination_experiment(*map(per_point, evaluators), config=cfg)
@@ -308,10 +309,10 @@ def test_determination_counts_evaluator_calls_and_points(cw3):
     verdict = determination_experiment(g_a, g_b, config=cfg)
     assert verdict.details["g_calls"] == [len(sent[0]), len(sent[1])]
     assert verdict.details["g_points"] == [sum(sent[0]), sum(sent[1])]
-    # per evaluator: 14 radial calls (2 growing the brackets, 12 probing two
-    # bisection levels each), the ladders, the stencils and the line integrals
-    assert verdict.details["g_calls"] == [17, 17]
-    assert verdict.details["g_points"] == [2720, 2720]
+    # per evaluator: 6 radial calls (the origin and the rungs, then 5 cap-law
+    # rounds), the ladders, the stencils and the line integrals
+    assert verdict.details["g_calls"] == [9, 9]
+    assert verdict.details["g_points"] == [2465, 2465]
     # an early verdict counts too
     disks = determination_experiment(covariogram_evaluator(Disk((0.0, 0.0), 1.0)),
                                      covariogram_evaluator(Disk((0.0, 0.0), 1.05)),
@@ -320,23 +321,70 @@ def test_determination_counts_evaluator_calls_and_points(cw3):
     assert disks.details["g_calls"][0] > 0 and disks.details["g_points"][1] > 0
 
 
-@pytest.mark.parametrize("name", ["cw3", "reflected-cw3", "disk"])
-def test_radial_table_matches_plain_bisection(name, cw3):
-    # two bisection levels per call give plain bisection's brackets in half the calls
-    body = {"cw3": cw3, "reflected-cw3": reflect(cw3), "disk": Disk((0.3, -0.2), 0.8)}[name]
-    g = covariogram_evaluator(body)
+def _ray_exit(poly, thetas):
+    """Distance from the origin, inside the convex polygon poly, to its
+    boundary along each direction."""
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    normals = np.stack([e[:, 1], -e[:, 0]], axis=1)  # outer normals of a CCW polygon
+    offsets = np.sum(normals * v, axis=1)
+    dots = np.stack([np.cos(thetas), np.sin(thetas)], axis=1) @ normals.T
+    return np.where(dots > 0, offsets / np.where(dots > 0, dots, 1.0), np.inf).min(axis=1)
+
+
+def _counted(g, log):
+    def evaluate(points):
+        log.append(len(points))
+        return g(points)
+    return evaluate
+
+
+@pytest.mark.parametrize("name", ["cw3", "reflected-cw3", "disk", "polygon"])
+def test_radial_table_meets_the_exact_radius(name, cw3, make_polygon):
+    # the bound that plain bisection's midpoint meets; cw3 has constant width
+    # 2, and the polygon's supp g = K + (-K) gives its radius as a ray exit
     thetas = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+    if name == "polygon":
+        body = make_polygon(np.random.default_rng(7), 9)
+        exact = _ray_exit(minkowski_sum_polygons(body, reflect(body)), thetas)
+    else:
+        body, exact = {"cw3": (cw3, 2.0), "reflected-cw3": (reflect(cw3), 2.0),
+                       "disk": (Disk((0.3, -0.2), 0.8), 1.6)}[name]
+    g = covariogram_evaluator(body)
     calls, plain = [], []
+    radial = _radial_table(_counted(g, calls), thetas)
+    assert np.all(np.abs(radial - exact) <= 5e-8 * np.maximum(exact, 1.0))
+    loop_radial_table(_counted(g, plain), thetas)
+    # the cap law holds at a smooth boundary: a quarter of plain bisection's calls
+    assert len(calls) <= (len(plain) // 2 + 2 if name == "polygon" else len(plain) // 4)
 
-    def counted(log):
-        def evaluate(points):
-            log.append(len(points))
-            return g(points)
-        return evaluate
 
-    assert np.array_equal(_radial_table(counted(calls), thetas),
-                          loop_radial_table(counted(plain), thetas))
-    assert len(calls) <= len(plain) // 2 + 2
+@pytest.mark.parametrize("n_dirs", [32, 128])
+@pytest.mark.parametrize("name", ["unit-square", "step"])
+def test_radial_table_where_the_cap_law_fails(name, n_dirs, unit_square):
+    # g is linear in depth on most of the square's rays, and a step jumps to
+    # 0; the bisection probes keep the calls within the 14 that two bisection
+    # levels a call took
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
+    if name == "unit-square":
+        g = covariogram_evaluator(unit_square)
+        exact = 1.0 / np.maximum(np.abs(np.cos(thetas)), np.abs(np.sin(thetas)))
+    else:
+        def g(points):
+            return (np.hypot(points[:, 0], points[:, 1]) < 1.7).astype(float)
+        exact = np.full(n_dirs, 1.7)
+    calls = []
+    radial = _radial_table(_counted(g, calls), thetas)
+    assert np.all(np.abs(radial - exact) <= 5e-8 * np.maximum(exact, 1.0))
+    assert len(calls) <= 14
+
+
+def test_radial_table_rejects_an_unbounded_support():
+    calls = []
+    with pytest.raises(Inconclusive, match="covariogram support appears unbounded"):
+        _radial_table(_counted(lambda points: np.ones(len(points)), calls),
+                      np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False))
+    assert len(calls) <= 60
 
 
 def test_determination_fails_a_direction_on_either_fit(cw3):

@@ -36,7 +36,6 @@ from covario.geometry import (
     convex_hull,
     curvature,
     example_pair,
-    minkowski_sum_polygons,
     polygonal_approximation,
     reflect,
     slice_table,
@@ -45,6 +44,7 @@ from covario.geometry import (
     zonogon,
 )
 from mc_oracle import mc_area
+from polygon_reference import minkowski_sum_polygons
 from slice_reference import _chunked_areas as point_chunked_areas
 from strip_reference import loop_cap_pair, loop_caps
 

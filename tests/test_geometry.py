@@ -29,7 +29,6 @@ from covario.geometry import (
     convex_hull,
     curvature,
     example_pair,
-    minkowski_sum_polygons,
     polygonal_approximation,
     reflect,
     sorted_distinct,
@@ -39,7 +38,13 @@ from covario.geometry import (
     width,
     zonogon,
 )
-from polygon_reference import loop_convex_hull, loop_minkowski_sum, loop_zonogon
+from polygon_reference import (
+    half_vector,
+    loop_convex_hull,
+    loop_minkowski_sum,
+    loop_zonogon,
+    minkowski_sum_polygons,
+)
 from series_reference import loop_boundary, loop_h, loop_h1, loop_rho
 
 SQ2 = math.sqrt(2.0)
@@ -265,7 +270,7 @@ def test_zonogon_area_formula(seed, n_gen):
         q = rng.uniform(-1, 1, 2)
         if np.linalg.norm(q - p) > 1e-3:
             gens.append(Segment(tuple(p), tuple(q)))
-    halves = np.array([g.half_vector for g in gens])
+    halves = np.array([half_vector(g) for g in gens])
     angles = np.arctan2(halves[:, 1], halves[:, 0]) % math.pi
     if len(gens) < 2 or np.min(np.abs(np.subtract.outer(angles, angles))
                                + np.eye(len(gens))) < 1e-6:
