@@ -32,7 +32,6 @@ from covario.geometry import (
     body_hash,
     curvature,
     example_pair,
-    reflect,
     slice_table,
     steiner_point,
     width,
@@ -189,10 +188,14 @@ def zero_union_check(body, u: Direction, m_range):
 
 
 def _best_cyclic_distance(va, vb):
+    """Least, over the cyclic shifts of vb's rows, of the largest coordinate
+    difference from va, every shift taken in one gather; inf when the vertex
+    counts differ."""
     if va.shape != vb.shape:
         return math.inf
     n = va.shape[0]
-    return min(np.abs(np.roll(vb, k, axis=0) - va).max() for k in range(n))
+    shifts = (np.arange(n) - np.arange(n)[:, None]) % n
+    return np.abs(vb[shifts] - va).max(axis=(1, 2)).min()
 
 
 ASSOCIATE_TOL = 1e-9          # largest vertex distance of trivially associated pairs
@@ -205,11 +208,15 @@ def trivial_associates(pair_a, pair_b):
     combined with the swap (H,K) -> (-K,-H)."""
     h1, k1 = pair_a
     h2, k2 = pair_b
-    # the same-order form (H,K) = (H'+x, K'+x), then the swapped form (-K'+x, -H'+x)
-    for h, k in ((h2, k2), (reflect(k2), reflect(h2))):
-        x = steiner_point(h1) - steiner_point(h)
-        if (_best_cyclic_distance(h1.vertices, h.vertices + x) <= ASSOCIATE_TOL
-                and _best_cyclic_distance(k1.vertices, k.vertices + x) <= ASSOCIATE_TOL):
+    s1 = steiner_point(h1)
+    # the same-order form (H,K) = (H'+x, K'+x), then the swapped form
+    # (-K'+x, -H'+x) on the negated vertices: a point reflection keeps them
+    # counterclockwise and moves only their cyclic start, which the shift
+    # search covers
+    for h, k, sign in ((h2, k2, 1.0), (k2, h2, -1.0)):
+        x = s1 - sign * steiner_point(h)
+        if (_best_cyclic_distance(h1.vertices, sign * h.vertices + x) <= ASSOCIATE_TOL
+                and _best_cyclic_distance(k1.vertices, sign * k.vertices + x) <= ASSOCIATE_TOL):
             return True
     return False
 

@@ -29,7 +29,7 @@ from covario.geometry import (
 
 # inscribed n-gon standing in for a smooth body met by another body
 APPROX_BOUNDARY_POINTS = 4096
-# a slicing call holds about 8 floats per knot and shift and 17 per knot and
+# a slicing call holds about 10 floats per knot and shift and 21 per knot and
 # column; it takes about this many knot x shift elements at most
 CHUNK_KNOTS = 2 ** 16
 
@@ -53,6 +53,9 @@ def _slice_areas(table_a, table_b, dx, dy):
     of A and B + x its length is linear except where the lower or the upper
     boundaries cross, so its positive part integrates exactly piece by piece.
     The knots and lines depend on dx alone, so they are merged once a column.
+    Only the (column, interval) pairs of each column's run of intervals of
+    positive width reach the row stage: the lines, + dy, the crossing test
+    and the split.
     """
     (knots_a, lines_a), (knots_b, lines_b) = table_a, table_b
     dx = np.asarray(dx, dtype=float)[:, None]
@@ -76,20 +79,33 @@ def _slice_areas(table_a, table_b, dx, dy):
     # onto one point when the ranges are disjoint
     knots = np.minimum(np.maximum(knots, np.maximum(knots_a[0], shifted[:, :1])),
                        np.minimum(knots_a[-1], shifted[:, -1:]))
-    # so an interval outside it has no width and adds an exact 0 to the
-    # area: only the run of intervals of positive width in some column is read
+    # so the intervals of positive width of a column lie in one run, from its
+    # first to its last one, and every other interval adds an exact 0 to the
+    # area: the row stage reads the run's (column, interval) pairs alone
     areas = np.zeros((dy.shape[0], dy.shape[1], n_a.shape[1]))
-    wide = np.flatnonzero((knots[:, 1:] > knots[:, :-1]).any(axis=0))
-    if not wide.size:
+    wide = knots[:, 1:] > knots[:, :-1]
+    window = np.flatnonzero(wide.any(axis=0))
+    if not window.size:
         return areas.sum(axis=2)
-    lo, hi = wide[0], wide[-1] + 1
-    knots, ka, kb, live = knots[:, lo:hi + 1], ka[:, lo:hi], kb[:, lo:hi], areas[:, :, lo:hi]
+    lo, hi = window[0], window[-1] + 1
+    if (wide[:, lo] & wide[:, hi - 1]).all():
+        # every column's run fills the window [lo, hi): a slice costs nothing
+        pick = (slice(None), slice(lo, hi))
+    else:
+        # else gather the pairs, their column's y-shifts along with them
+        start = wide.argmax(axis=1)
+        size = np.where(wide.any(axis=1), wide.shape[1] - wide[:, ::-1].argmax(axis=1) - start, 0)
+        col = np.repeat(np.arange(size.size), size)
+        pick = (col, np.arange(col.size) + np.repeat(start - size.cumsum() + size, size))
+        dy = dy[col, :, 0]
+    ka, kb, dx = ka[pick], kb[pick], np.broadcast_to(dx, ka.shape)[pick]
     # (lower, upper) x (left, right end) of every interval, for A and for B + x,
     # each read on the interval's own line: a near-vertical edge is a line too
-    # steep to read anywhere but on its own ulp-wide interval; a column's
-    # values of A and of B before + dy have a shift axis of length 1
-    ends = np.array([knots[:, :-1], knots[:, 1:]])
-    la, lb = lines_a[:, ka], lines_b[:, kb]
+    # steep to read anywhere but on its own ulp-wide interval; the values of A,
+    # and of B before + dy, have a shift axis of length 1 after the column (or
+    # pair) axis
+    ends = np.array([knots[:, :-1][pick], knots[:, 1:][pick]])
+    la, lb = lines_a.take(ka, axis=1), lines_b.take(kb, axis=1)
     va = (la[0::2, None] + la[1::2, None] * (ends - knots_a[ka]))[:, :, :, None]
     vb = (lb[0::2, None] + lb[1::2, None] * (ends - dx - knots_b[kb]))[:, :, :, None] + dy
     width = (ends[1] - ends[0])[:, None]
@@ -98,20 +114,22 @@ def _slice_areas(table_a, table_b, dx, dy):
     turns = (va - vb).prod(axis=1) < 0.0
     pq = np.minimum(va[1], vb[1])
     pq -= np.maximum(va[0], vb[0])
-    live[...] = width * _positive_mean(*pq)
-    i, j, l = ((turns[0] | turns[1]) & (width > 0.0)).nonzero()
-    if i.size:
-        va, vb = va[:, :, i, 0, l], vb[:, :, i, j, l]
+    live = width * _positive_mean(*pq)
+    hit = ((turns[0] | turns[1]) & (width > 0.0)).nonzero()
+    if hit[0].size:
+        hit_a = (hit[0], 0) + hit[2:]  # the same intervals on A's shift axis
+        va, vb = va[(...,) + hit_a], vb[(...,) + hit]
         d = va - vb
-        s = np.zeros((4, i.size))
-        np.divide(d[:, 0], d[:, 0] - d[:, 1], out=s[1:3], where=turns[:, i, j, l])
+        s = np.zeros((4, hit[0].size))
+        np.divide(d[:, 0], d[:, 0] - d[:, 1], out=s[1:3], where=turns[(slice(None),) + hit])
         s[1:3].sort(axis=0)
         s[3] = 1.0
         fa = va[:, :1] + s * (va[:, 1:] - va[:, :1])
         fb = vb[:, :1] + s * (vb[:, 1:] - vb[:, :1])
         cut = np.minimum(fa[1], fb[1]) - np.maximum(fa[0], fb[0])
         pieces = (s[1:] - s[:-1]) * _positive_mean(cut[:-1], cut[1:])
-        live[i, j, l] = width[i, 0, l] * pieces.sum(axis=0)
+        live[hit] = width[hit_a] * pieces.sum(axis=0)
+    areas[pick[:1] + (slice(None),) + pick[1:]] = live
     return areas.sum(axis=2)
 
 

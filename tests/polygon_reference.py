@@ -1,11 +1,14 @@
 """Vertex loops for the convex hull, the zonogon and the Minkowski sum of
 convex polygons, which the constructions in `geometry` replace by leaving the
-collinear and reflex bookkeeping to `Polygon`; and the sorted-edge Minkowski
-sum and the segment half-vector and midpoint, which only the tests use.
+collinear and reflex bookkeeping to `Polygon`; the sorted-edge Minkowski
+sum and the segment half-vector and midpoint, which only the tests use; and
+the cyclic vertex distance as `asymptotics` took it, one `np.roll` a shift.
 
 Each `loop_` function returns what the loop returned: hull vertices as an array, the
 zonogon and the sum as a `Polygon`. The tests require the `geometry`
-constructions, and `minkowski_sum_polygons`, to give the same `Polygon`s.
+constructions, and `minkowski_sum_polygons`, to give the same `Polygon`s, and
+`asymptotics._best_cyclic_distance` to give the distances of
+`roll_best_cyclic_distance`.
 """
 
 import math
@@ -126,3 +129,10 @@ def minkowski_sum_polygons(p, q):
     order = np.argsort(np.arctan2(edges[:, 1], edges[:, 0]) % (2.0 * math.pi), kind="stable")
     start = pv[np.lexsort((pv[:, 0], pv[:, 1]))[0]] + qv[np.lexsort((qv[:, 0], qv[:, 1]))[0]]
     return Polygon(np.cumsum(np.vstack([start, edges[order]]), axis=0)[:-1])
+
+
+def roll_best_cyclic_distance(va, vb):
+    if va.shape != vb.shape:
+        return math.inf
+    n = va.shape[0]
+    return min(np.abs(np.roll(vb, k, axis=0) - va).max() for k in range(n))

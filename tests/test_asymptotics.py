@@ -8,6 +8,7 @@ from covario.asymptotics import (
     MATCH_TOL,
     DeterminationConfig,
     Inconclusive,
+    _best_cyclic_distance,
     _contiguous_regions,
     _radial_table,
     crosscov_counterexample,
@@ -30,15 +31,17 @@ from covario.fourier_laplace import (
 from covario.geometry import (
     Direction,
     Disk,
+    Polygon,
     SupportBody,
     area,
+    convex_hull,
     curvature,
     example_pair,
     reflect,
     translate,
     width,
 )
-from polygon_reference import minkowski_sum_polygons
+from polygon_reference import minkowski_sum_polygons, roll_best_cyclic_distance
 from strip_reference import loop_radial_table, walk_contiguous_regions
 
 E1 = Direction(0.0)
@@ -249,8 +252,28 @@ def test_trivial_associates_detection(make_polygon):
     x = np.array([0.4, -0.9])
     assert trivial_associates((h, k), (translate(h, -x), translate(k, -x)))
     assert trivial_associates((h, k), (reflect(k), reflect(h)))
+    assert trivial_associates((h, k), (translate(reflect(k), x), translate(reflect(h), x)))
     assert not trivial_associates((h, k), (k, h))
     assert not trivial_associates((h, k), (translate(h, (0.1, 0.0)), k))
+
+
+def test_best_cyclic_distance_matches_the_roll_loop():
+    # integer vertices give vertical edges: their tied abscissae let a
+    # reflection move the lexicographic start of the vertex loop
+    rng = np.random.default_rng(17)
+    polygons = [Polygon(convex_hull(rng.integers(-3, 4, (8, 2)).astype(float)))
+                for _ in range(60)]
+    assert sum(np.any(p.vertices[0, 0] == p.vertices[1:, 0]) for p in polygons) >= 20
+    for p, q in zip(polygons, polygons[1:]):
+        x = rng.uniform(-1.0, 1.0, 2)
+        for va, vb in ((p.vertices, p.vertices + x), (reflect(p).vertices, -p.vertices + x),
+                       (reflect(p).vertices, -p.vertices), (p.vertices, q.vertices),
+                       (q.vertices, -q.vertices)):
+            assert _best_cyclic_distance(va, vb) == roll_best_cyclic_distance(va, vb)
+    square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]).vertices
+    pentagon = Polygon([(0, 0), (2, 0), (3, 1), (1, 3), (-1, 1)]).vertices
+    assert _best_cyclic_distance(square, pentagon) == math.inf
+    assert _best_cyclic_distance(pentagon, square) == math.inf
 
 
 def test_determination_same_and_reflected(cw3):

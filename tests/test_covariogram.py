@@ -423,6 +423,21 @@ def test_disjoint_grids_match_per_point_kernel(unit_square):
     assert np.all(grid.values == 0.0)
 
 
+def test_mixed_runs_and_4096_gon_calls_match_per_point_kernel(unit_square, cw3):
+    # one call whose columns read no interval of positive width (x <= -2 and
+    # x >= 1), a part of the window of intervals 1 and 2 (interval 2 for
+    # -2 < x <= -1, interval 1 for 0 <= x < 1) or all of it (x = -0.5)
+    tri = Polygon([(0, 0), (2, 0), (1, 2)])
+    _assert_grid_is_per_point(unit_square, tri, 9, 5, ((-2.5, 1.5), (-1.0, 1.0)))
+    # 4096-gons: a grid column fills a call of its own, a point batch puts a
+    # few points' columns into each call
+    disk = Disk((0.1, 0.0), 0.9)
+    _assert_grid_is_per_point(cw3, disk, 2, 5)
+    xs = np.random.default_rng(3).uniform(-1.9, 1.9, (40, 2))
+    ref = point_chunked_areas(_clip_fan(cw3), _clip_fan(disk), xs)
+    assert np.array_equal(covariogram_module._areas(cw3, disk, xs), ref)
+
+
 def test_point_batches_match_per_point_kernel(make_polygon):
     rng = np.random.default_rng(5)
     xs = rng.uniform(-2.5, 2.5, (3000, 2))
