@@ -11,7 +11,7 @@ import numpy as np
 
 from covario._parallel import parallel_map, thread_count
 from covario._quadrature import gauss_legendre, panel_table
-from covario.covariogram import FitFailed, cap_pairs, cross_covariogram_grid
+from covario.covariogram import FitFailed, cap_pairs, grid_deviations
 from covario.fourier_laplace import (
     CONTOUR_START,
     _multiple_zero,
@@ -31,7 +31,7 @@ from covario.geometry import (
     area,
     body_hash,
     curvature,
-    example_pair,
+    parallelogram_loops,
     slice_table,
     steiner_point,
     width,
@@ -189,13 +189,13 @@ def zero_union_check(body, u: Direction, m_range):
 
 def _best_cyclic_distance(va, vb):
     """Least, over the cyclic shifts of vb's rows, of the largest coordinate
-    difference from va, every shift taken in one gather; inf when the vertex
-    counts differ."""
+    difference from va, every shift taken in one gather, for each pair of
+    loops on the leading axes; inf when the vertex counts differ."""
     if va.shape != vb.shape:
         return math.inf
-    n = va.shape[0]
+    n = va.shape[-2]
     shifts = (np.arange(n) - np.arange(n)[:, None]) % n
-    return np.abs(vb[shifts] - va).max(axis=(1, 2)).min()
+    return np.abs(vb[..., shifts, :] - va[..., None, :, :]).max(axis=(-2, -1)).min(axis=-1)
 
 
 ASSOCIATE_TOL = 1e-9          # largest vertex distance of trivially associated pairs
@@ -205,20 +205,21 @@ COUNTEREXAMPLE_TOL = 1e-9     # largest grid deviation of a reproduced counterex
 
 def trivial_associates(pair_a, pair_b):
     """Whether (H,K) and (H',K') coincide after a common translation, possibly
-    combined with the swap (H,K) -> (-K,-H)."""
-    h1, k1 = pair_a
-    h2, k2 = pair_b
-    s1 = steiner_point(h1)
-    # the same-order form (H,K) = (H'+x, K'+x), then the swapped form
-    # (-K'+x, -H'+x) on the negated vertices: a point reflection keeps them
-    # counterclockwise and moves only their cyclic start, which the shift
-    # search covers
+    combined with the swap (H,K) -> (-K,-H).  The bodies are Polygons, or
+    vertex loops of shape (n, v, 2) in Polygon's order, one answer a row.
+
+    x matches the Steiner points.  The swapped form is taken on negated
+    vertices: a point reflection keeps them counterclockwise and moves only
+    their cyclic start, which the shift search covers.
+    """
+    (h1, k1), (h2, k2) = ([getattr(b, "vertices", b) for b in pair] for pair in (pair_a, pair_b))
+    s1 = steiner_point(h1)[..., None, :]
+    found = np.zeros(h1.shape[:-2], dtype=bool)
     for h, k, sign in ((h2, k2, 1.0), (k2, h2, -1.0)):
-        x = s1 - sign * steiner_point(h)
-        if (_best_cyclic_distance(h1.vertices, sign * h.vertices + x) <= ASSOCIATE_TOL
-                and _best_cyclic_distance(k1.vertices, sign * k.vertices + x) <= ASSOCIATE_TOL):
-            return True
-    return False
+        x = s1 - sign * steiner_point(h)[..., None, :]
+        found |= ((_best_cyclic_distance(h1, sign * h + x) <= ASSOCIATE_TOL)
+                  & (_best_cyclic_distance(k1, sign * k + x) <= ASSOCIATE_TOL))
+    return found if found.ndim else bool(found)
 
 
 @dataclass(frozen=True)
@@ -233,22 +234,20 @@ class CounterexampleReport:
         return self.max_deviation <= self.tolerance and not self.trivial
 
 
-def crosscov_counterexample(family, params=None):
-    """Grid equality of the two cross-covariograms of a parallelogram family,
-    on the COUNTEREXAMPLE_GRID lattice of the first pair and to
-    COUNTEREXAMPLE_TOL, plus the check that the pairs are not trivial
-    associates."""
+def crosscov_counterexample(family, draws):
+    """A CounterexampleReport for each draw of parameters (a dict, see
+    parallelogram_loops): the largest deviation of the cross-covariograms of
+    the family's pair and of family + 1's on the COUNTEREXAMPLE_GRID lattice
+    of the first, and whether the pairs are trivial associates.  One pass:
+    the parallelograms of all draws come in closed form from one array pass,
+    the grids from their vertex loops, and no Polygon is built."""
     if family not in (1, 3):
         raise ValueError("family must be 1 or 3 (compared against family+1)")
-    params = dict(params or {})
-    h1, k1 = example_pair(family, **params)
-    h2, k2 = example_pair(family + 1, **params)
-    nx, ny = COUNTEREXAMPLE_GRID
-    g1 = cross_covariogram_grid(h1, k1, nx=nx, ny=ny)
-    g2 = cross_covariogram_grid(h2, k2, nx=nx, ny=ny, bbox=g1.bbox)
-    dev = float(np.abs(g1.values - g2.values).max())
-    triv = trivial_associates((h1, k1), (h2, k2))
-    return CounterexampleReport(family, dev, COUNTEREXAMPLE_TOL, triv)
+    loops = parallelogram_loops((family, family + 1), draws)
+    deviations = grid_deviations(loops, *COUNTEREXAMPLE_GRID)
+    trivial = trivial_associates(loops[:, :2].swapaxes(0, 1), loops[:, 2:].swapaxes(0, 1))
+    return [CounterexampleReport(family, float(d), COUNTEREXAMPLE_TOL, bool(t))
+            for d, t in zip(deviations, trivial)]
 
 
 # determination_experiment's decision thresholds

@@ -463,13 +463,23 @@ class CovariogramGrid:
         }
 
 
-def _support_bbox(bodyH, bodyK):
-    """Bounding box of supp g_{H,K} = H + (-K)."""
-    hx = support(bodyH, Direction(0.0)) + support(bodyK, Direction(math.pi))
-    lx = support(bodyH, Direction(math.pi)) + support(bodyK, Direction(0.0))
-    hy = support(bodyH, Direction(math.pi / 2)) + support(bodyK, Direction(3 * math.pi / 2))
-    ly = support(bodyH, Direction(3 * math.pi / 2)) + support(bodyK, Direction(math.pi / 2))
-    return (-lx, hx), (-ly, hy)
+# +x, -x, +y, -y
+_BOX_DIRECTIONS = tuple(Direction(t) for t in (0.0, math.pi, math.pi / 2, 3 * math.pi / 2))
+
+
+def _support_bbox(h, k):
+    """Bounding box of supp g_{H,K} = H + (-K), from the support numbers of H
+    and of K along _BOX_DIRECTIONS; they may be arrays, one box an entry."""
+    return (-(h[1] + k[0]), h[0] + k[1]), (-(h[3] + k[2]), h[2] + k[3])
+
+
+def _lattice(bbox, nx, ny):
+    """Origin, spacing and the x and y points of the nx x ny lattice spanning
+    bbox, whose ends may be arrays: a lattice an entry, its points on a last axis."""
+    (x0, x1), (y0, y1) = bbox
+    dx, dy = (x1 - x0) / (nx - 1), (y1 - y0) / (ny - 1)
+    return ((x0, y0), (dx, dy), np.asarray(x0)[..., None] + np.multiply.outer(dx, np.arange(nx)),
+            np.asarray(y0)[..., None] + np.multiply.outer(dy, np.arange(ny)))
 
 
 def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
@@ -481,13 +491,8 @@ def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
     serve every y-shift of the column (_slice_areas).
     """
     if bbox is None:
-        (x0, x1), (y0, y1) = _support_bbox(bodyH, bodyK)
-    else:
-        (x0, x1), (y0, y1) = bbox
-    dx = (x1 - x0) / (nx - 1)
-    dy = (y1 - y0) / (ny - 1)
-    xg = x0 + dx * np.arange(nx)
-    yg = y0 + dy * np.arange(ny)
+        bbox = _support_bbox(*([support(b, u) for u in _BOX_DIRECTIONS] for b in (bodyH, bodyK)))
+    (x0, y0), (dx, dy), xg, yg = _lattice(bbox, nx, ny)
     method = _method(bodyH, bodyK)
     if method == "exact-strip":
         xsv, ysv = np.meshgrid(xg, yg)
@@ -498,6 +503,24 @@ def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
                                 np.broadcast_to(yg, (nx, ny))).T
     return CovariogramGrid((float(x0), float(y0)), (float(dx), float(dy)), nx, ny, values,
                            method, (body_hash(bodyH), body_hash(bodyK)))
+
+
+def grid_deviations(loops, nx, ny):
+    """max |g_{H,K} - g_{H',K'}| over cross_covariogram_grid(H, K, nx, ny)'s
+    lattice, bit for bit, for each row (H, K, H', K') of vertex loops of shape
+    (n, 4, v, 2) in Polygon's order: all lattices in one array pass, then one
+    _chunked_areas call a grid on the loops' slice tables."""
+    sup = np.array([(loops @ u.u).max(axis=-1) for u in _BOX_DIRECTIONS])  # as support() reads it
+    (x0, y0), _, xg, yg = _lattice(_support_bbox(sup[:, :, 0], sup[:, :, 1]), nx, ny)
+    # (H', K') on the first grid's bbox, its first and last x and y
+    _, _, xg2, yg2 = _lattice(((x0, xg[:, -1]), (y0, yg[:, -1])), nx, ny)
+    yg, yg2 = (np.broadcast_to(y[:, None], (len(loops), nx, ny)) for y in (yg, yg2))
+    out = np.empty(len(loops))
+    for i, polygons in enumerate(loops):
+        h, k, h2, k2 = map(slice_table, polygons)
+        out[i] = np.abs(_chunked_areas(h, k, xg[i], yg[i])
+                        - _chunked_areas(h2, k2, xg2[i], yg2[i])).max()
+    return out
 
 
 def covariogram_grid(body, nx=41, ny=41, bbox=None):

@@ -85,10 +85,6 @@ class Segment:
         if np.array_equal(self.p, self.q):
             raise ValueError("segment endpoints coincide")
 
-    def scaled(self, factor):
-        return Segment(tuple(factor * np.asarray(self.p, dtype=float)),
-                       tuple(factor * np.asarray(self.q, dtype=float)))
-
 
 def _canonicalize_vertices(vertices):
     """CCW orientation, reflex and collinear vertices removed, start at lexicographic minimum."""
@@ -103,12 +99,7 @@ def _canonicalize_vertices(vertices):
     while True:
         if v.shape[0] < 3:
             raise ValueError("polygon degenerates after collinear removal")
-        prev = v[np.arange(v.shape[0]) - 1]
-        nxt = v[np.arange(1 - v.shape[0], 1)]
-        e1 = v - prev
-        e2 = nxt - v
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        tol = COLLINEAR_TOL * (np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1))
+        cross, tol = _turns(v)
         keep = cross >= -tol
         if keep.all():
             keep = cross > tol
@@ -119,6 +110,15 @@ def _canonicalize_vertices(vertices):
         raise ValueError("vertices do not form a convex polygon with positive area")
     start = np.lexsort((v[:, 1], v[:, 0]))[0]
     return v[(np.arange(v.shape[0]) + start) % v.shape[0]]
+
+
+def _turns(v):
+    """The cross product of the edges into and out of each vertex of the
+    loops v, shape (..., n, 2), and COLLINEAR_TOL of their length product."""
+    e1 = v - np.roll(v, 1, axis=-2)
+    e2 = np.roll(e1, -1, axis=-2)
+    return (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0],
+            COLLINEAR_TOL * (np.linalg.norm(e1, axis=-1) * np.linalg.norm(e2, axis=-1)))
 
 
 def _shoelace(v):
@@ -434,69 +434,101 @@ def zonogon(center, generators):
     ang = np.arctan2(s[:, 1], s[:, 0])
     s = np.where(((ang < 0.0) | (ang >= math.pi))[:, None], -s, s)
     s = s[np.argsort(np.arctan2(s[:, 1], s[:, 0]), kind="stable")]
-    lower = np.cumsum(np.vstack([c - np.sum(s, axis=0), 2.0 * s]), axis=0)[:-1]
     try:
-        return Polygon(np.vstack([lower, 2.0 * c - lower]))
+        return Polygon(_zonogon_loops(c, s))
     except ValueError as exc:
         raise DegenerateZonogon("all generators are parallel") from exc
 
 
-_SQ2 = math.sqrt(2.0)
-_I1 = Segment((-1.0, 0.0), (1.0, 0.0))
-_I2 = Segment((-1.0 / _SQ2, -1.0 / _SQ2), (1.0 / _SQ2, 1.0 / _SQ2))
-_I3 = Segment((0.0, -1.0), (0.0, 1.0))
-_I4 = Segment((1.0 / _SQ2, -1.0 / _SQ2), (-1.0 / _SQ2, 1.0 / _SQ2))
+def _zonogon_loops(c, s):
+    """Vertex loops of the zonogons c + sum [-s_i, s_i], c of shape (..., 2)
+    and s of shape (..., g, 2), s sorted by angle in [0, pi): the chain from
+    c - sum s adding the doubled s, then its reflection in c."""
+    lower = np.cumsum(np.concatenate([(c - s.sum(axis=-2))[..., None, :], 2.0 * s], axis=-2),
+                      axis=-2)[..., :-1, :]
+    return np.concatenate([lower, 2.0 * c[..., None, :] - lower], axis=-2)
 
 
-def _I5(m):
-    r = math.sqrt(1.0 + m * m)
-    return Segment((-m / r, -1.0 / r), (m / r, 1.0 / r))
+# the unit directions of the parallelogram generators, at angles 0, pi/4,
+# pi/2 and 3 pi/4, then (m, 1) / |(m, 1)|, which each draw fills in
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_UNITS = ((1.0, 0.0), (_INV_SQRT2, _INV_SQRT2), (0.0, 1.0), (-_INV_SQRT2, _INV_SQRT2),
+          (0.0, 0.0))
+# (direction, half-length) of the generators of H, then of K, each two by
+# angle, and the center of K; H is about the origin
+_FAMILIES = {
+    1: ((0, "alpha"), (1, "beta"), (2, "gamma"), (3, "delta"), "y"),
+    2: ((0, "alpha"), (3, "delta"), (1, "beta"), (2, "gamma"), "y"),
+    3: ((0, "alpha_p"), (2, "beta_p"), (0, "gamma_p"), (4, "delta_p"), "y_p"),
+    4: ((0, "gamma_p"), (2, "beta_p"), (0, "alpha_p"), (4, "delta_p"), "y_p"),
+}
+FAMILY_DEFAULTS = {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "delta": 1.0, "alpha_p": 1.0,
+                   "beta_p": 1.0, "gamma_p": 2.0, "delta_p": 1.0, "m": 0.0,
+                   "y": (0.0, 0.0), "y_p": (0.0, 0.0)}
 
 
-def example_pair(family, alpha=1.0, beta=1.0, gamma=1.0, delta=1.0,
-                 alpha_p=1.0, beta_p=1.0, gamma_p=2.0, delta_p=1.0,
-                 m=0.0, y=(0.0, 0.0), y_p=(0.0, 0.0)):
-    """One of the four parallelogram pairs (H_i, K_i) with matching cross-covariograms.
+def parallelogram_loops(families, draws):
+    """Vertex loops of the pairs (H, K) of each family at every draw, a dict of
+    FAMILY_DEFAULTS names, from one array pass: shape (n, 2 len(families), 4,
+    2).  Each is zonogon's chain c +- s1 +- s2 with a leading draw axis from
+    its lexicographic minimum, Polygon(zonogon(...)).vertices bit for bit.  A
+    parameter that is not finite or breaks its family's constraints raises
+    InvalidFamilyParams, naming it and the first draw that holds it."""
+    if not set(families) <= _FAMILIES.keys():
+        raise InvalidFamilyParams(f"family must be 1..4, got {families}")
+    if isinstance(draws, dict):
+        raise TypeError("draws must be a sequence of parameter dicts, not one dict")
+    unknown = set().union(*draws) - FAMILY_DEFAULTS.keys()
+    if unknown:
+        raise TypeError(f"unknown family parameter {min(unknown)!r}")
+    p = {k: np.array([d.get(k, v) for d in draws], dtype=float).reshape(len(draws), np.size(v))
+         for k, v in FAMILY_DEFAULTS.items()}
+    half = sorted({k for f in families for _, k in _FAMILIES[f][:4]}, key=list(p).index)
+    ap, bp, gp, dp, m = (p[k] for k in ("alpha_p", "beta_p", "gamma_p", "delta_p", "m"))
+    rules = [(~np.isfinite(v).all(axis=1), f"{k} must be finite") for k, v in p.items()]
+    rules.append((np.hstack([p[k] for k in half]).min(axis=1) <= 0,
+                  f"{', '.join(half)} must be positive"))
+    if {3, 4} & set(families):
+        rules.append((((ap == gp) | (m == 0.0) & (bp == dp))[:, 0],
+                      "alpha' != gamma' is required, and beta' != delta' where m = 0"))
+    bad = np.any([rule for rule, _ in rules], axis=0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise InvalidFamilyParams(f"draw {i}: " + next(text for rule, text in rules if rule[i]))
+    units = np.tile(_UNITS, (len(draws), 1, 1))
+    with np.errstate(over="ignore"):  # |m| > 1e154: r = inf, a degenerate loop below
+        r = np.sqrt(1.0 + m * m)
+    units[:, 4] = np.hstack([m / r, 1.0 / r])
+    s = np.stack([p[k] * units[:, i] for f in families for i, k in _FAMILIES[f][:4]], axis=1)
+    # the center plus the generators' midpoints, 0.0, as zonogon sums them
+    c = np.stack([z for f in families for z in (np.zeros((len(draws), 2)), p[_FAMILIES[f][4]])],
+                 axis=1) + 0.0
+    loops = _zonogon_loops(c, s.reshape(len(draws), 2 * len(families), 2, 2))
+    turn, tol = _turns(loops)  # Polygon keeps a vertex that turns left by more than tol
+    if not (turn > tol).all():
+        raise DegenerateZonogon(f"draw {np.argwhere(turn <= tol)[0, 0]}: "
+                                "all generators are parallel")
+    start = np.lexsort((loops[..., 1], loops[..., 0]), axis=-1)[..., :1]
+    return np.take_along_axis(loops, ((start + np.arange(4)) % 4)[..., None], axis=-2)
 
-    Families 1 and 2 share g_{H,K}; so do families 3 and 4.
-    """
-    o = (0.0, 0.0)
-    if family in (1, 2):
-        if min(alpha, beta, gamma, delta) <= 0:
-            raise InvalidFamilyParams("alpha, beta, gamma, delta must be positive")
-        if family == 1:
-            h = zonogon(o, [_I1.scaled(alpha), _I2.scaled(beta)])
-            k = zonogon(y, [_I3.scaled(gamma), _I4.scaled(delta)])
-        else:
-            h = zonogon(o, [_I1.scaled(alpha), _I4.scaled(delta)])
-            k = zonogon(y, [_I2.scaled(beta), _I3.scaled(gamma)])
-        return h, k
-    if family in (3, 4):
-        if min(alpha_p, beta_p, gamma_p, delta_p) <= 0:
-            raise InvalidFamilyParams("primed parameters must be positive")
-        if m == 0.0 and not (alpha_p != gamma_p and beta_p != delta_p):
-            raise InvalidFamilyParams("m = 0 requires alpha' != gamma' and beta' != delta'")
-        if m != 0.0 and alpha_p == gamma_p:
-            raise InvalidFamilyParams("m != 0 requires alpha' != gamma'")
-        i5 = _I5(m)
-        if family == 3:
-            h = zonogon(o, [_I1.scaled(alpha_p), _I3.scaled(beta_p)])
-            k = zonogon(y_p, [_I1.scaled(gamma_p), i5.scaled(delta_p)])
-        else:
-            h = zonogon(o, [_I1.scaled(gamma_p), _I3.scaled(beta_p)])
-            k = zonogon(y_p, [_I1.scaled(alpha_p), i5.scaled(delta_p)])
-        return h, k
-    raise InvalidFamilyParams(f"family must be 1..4, got {family}")
+
+def example_pair(family, **params):
+    """One of the four parallelogram pairs (H_i, K_i) with matching
+    cross-covariograms, as Polygons: parallelogram_loops at the one draw
+    params.  Families 1 and 2 share g_{H,K}; so do families 3 and 4."""
+    h, k = parallelogram_loops((family,), [params])[0]
+    return Polygon(h), Polygon(k)
 
 
-def steiner_point(poly: Polygon):
+def steiner_point(poly):
     """Steiner point (1/pi) * integral of h(u) u over the circle, exact for polygons:
-    the vertices weighted by their exterior angles over 2 pi."""
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v  # e[i] leaves v[i], e[i - 1] enters it
-    p = np.roll(e, 1, axis=0)
-    turn = np.arctan2(p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0], np.sum(p * e, axis=1))
-    return turn @ v / (2.0 * math.pi)
+    the vertices weighted by their exterior angles over 2 pi.  poly is a
+    Polygon or vertex loops of shape (..., n, 2), one point a loop."""
+    v = poly.vertices if isinstance(poly, Polygon) else poly
+    e = np.roll(v, -1, axis=-2) - v  # e[i] leaves v[i], e[i - 1] enters it
+    p = np.roll(e, 1, axis=-2)
+    turn = np.arctan2(p[..., 0] * e[..., 1] - p[..., 1] * e[..., 0], np.sum(p * e, axis=-1))
+    return (turn[..., None, :] @ v)[..., 0, :] / (2.0 * math.pi)
 
 
 def polygonal_approximation(body, n=4096):

@@ -2,20 +2,31 @@
 convex polygons, which the constructions in `geometry` replace by leaving the
 collinear and reflex bookkeeping to `Polygon`; the sorted-edge Minkowski
 sum and the segment half-vector and midpoint, which only the tests use; and
-the cyclic vertex distance as `asymptotics` took it, one `np.roll` a shift.
+the cyclic vertex distance as `asymptotics` took it, one `np.roll` a shift;
+the parallelogram pairs built through `zonogon` from scaled unit segments,
+and the counterexample check on them as `Polygon`s, one draw at a time.
 
 Each `loop_` function returns what the loop returned: hull vertices as an array, the
 zonogon and the sum as a `Polygon`. The tests require the `geometry`
 constructions, and `minkowski_sum_polygons`, to give the same `Polygon`s, and
 `asymptotics._best_cyclic_distance` to give the distances of
-`roll_best_cyclic_distance`.
+`roll_best_cyclic_distance`, and `geometry.parallelogram_loops` and
+`asymptotics.crosscov_counterexample` to give the vertices of `zonogon_pair`
+and the reports of `polygon_counterexample`, bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from covario.geometry import DegenerateZonogon, Polygon
+from covario.asymptotics import (
+    COUNTEREXAMPLE_GRID,
+    COUNTEREXAMPLE_TOL,
+    CounterexampleReport,
+    trivial_associates,
+)
+from covario.covariogram import cross_covariogram_grid
+from covario.geometry import DegenerateZonogon, Polygon, Segment, zonogon
 
 
 def half_vector(seg):
@@ -136,3 +147,47 @@ def roll_best_cyclic_distance(va, vb):
         return math.inf
     n = va.shape[0]
     return min(np.abs(np.roll(vb, k, axis=0) - va).max() for k in range(n))
+
+
+_SQ2 = math.sqrt(2.0)
+_I1 = Segment((-1.0, 0.0), (1.0, 0.0))
+_I2 = Segment((-1.0 / _SQ2, -1.0 / _SQ2), (1.0 / _SQ2, 1.0 / _SQ2))
+_I3 = Segment((0.0, -1.0), (0.0, 1.0))
+_I4 = Segment((1.0 / _SQ2, -1.0 / _SQ2), (-1.0 / _SQ2, 1.0 / _SQ2))
+
+
+def _i5(m):
+    r = math.sqrt(1.0 + m * m)
+    return Segment((-m / r, -1.0 / r), (m / r, 1.0 / r))
+
+
+def _scaled(seg, factor):
+    return Segment(tuple(factor * np.asarray(seg.p, dtype=float)),
+                   tuple(factor * np.asarray(seg.q, dtype=float)))
+
+
+def zonogon_pair(family, alpha=1.0, beta=1.0, gamma=1.0, delta=1.0, alpha_p=1.0, beta_p=1.0,
+                 gamma_p=2.0, delta_p=1.0, m=0.0, y=(0.0, 0.0), y_p=(0.0, 0.0)):
+    """The family's pair (H, K) as zonogons of the scaled unit segments I1..I5
+    (no parameter checks)."""
+    o = (0.0, 0.0)
+    if family == 1:
+        return (zonogon(o, [_scaled(_I1, alpha), _scaled(_I2, beta)]),
+                zonogon(y, [_scaled(_I3, gamma), _scaled(_I4, delta)]))
+    if family == 2:
+        return (zonogon(o, [_scaled(_I1, alpha), _scaled(_I4, delta)]),
+                zonogon(y, [_scaled(_I2, beta), _scaled(_I3, gamma)]))
+    first, second = (alpha_p, gamma_p) if family == 3 else (gamma_p, alpha_p)
+    return (zonogon(o, [_scaled(_I1, first), _scaled(_I3, beta_p)]),
+            zonogon(y_p, [_scaled(_I1, second), _scaled(_i5(m), delta_p)]))
+
+
+def polygon_counterexample(family, params):
+    """One draw's CounterexampleReport from the Polygons of zonogon_pair: the
+    grid of (H, K), the grid of (H', K') on its bbox, and trivial_associates."""
+    h1, k1 = zonogon_pair(family, **params)
+    h2, k2 = zonogon_pair(family + 1, **params)
+    g1 = cross_covariogram_grid(h1, k1, *COUNTEREXAMPLE_GRID)
+    g2 = cross_covariogram_grid(h2, k2, *COUNTEREXAMPLE_GRID, bbox=g1.bbox)
+    return CounterexampleReport(family, float(np.abs(g1.values - g2.values).max()),
+                                COUNTEREXAMPLE_TOL, trivial_associates((h1, k1), (h2, k2)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covario import asymptotics, fourier_laplace
+from covario import asymptotics, cli, fourier_laplace
 from covario.asymptotics import (
     MATCH_TOL,
     DeterminationConfig,
@@ -31,6 +31,7 @@ from covario.fourier_laplace import (
 from covario.geometry import (
     Direction,
     Disk,
+    InvalidFamilyParams,
     Polygon,
     SupportBody,
     area,
@@ -41,7 +42,11 @@ from covario.geometry import (
     translate,
     width,
 )
-from polygon_reference import minkowski_sum_polygons, roll_best_cyclic_distance
+from polygon_reference import (
+    minkowski_sum_polygons,
+    polygon_counterexample,
+    roll_best_cyclic_distance,
+)
 from strip_reference import loop_radial_table, walk_contiguous_regions
 
 E1 = Direction(0.0)
@@ -217,11 +222,39 @@ def test_zero_union_one_pass_equals_branch_loop(body, theta, m_range, monkeypatc
 
 
 def test_counterexample_families():
-    rep1 = crosscov_counterexample(1, dict(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0))
+    (rep1,) = crosscov_counterexample(1, [dict(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0)])
     assert rep1.passed and rep1.max_deviation <= 1e-9
-    rep3 = crosscov_counterexample(3, dict(alpha_p=1.0, gamma_p=2.0, beta_p=1.0,
-                                           delta_p=1.0, m=1.0))
+    (rep3,) = crosscov_counterexample(3, [dict(alpha_p=1.0, gamma_p=2.0, beta_p=1.0,
+                                               delta_p=1.0, m=1.0)])
     assert rep3.passed and rep3.max_deviation <= 1e-9
+    assert crosscov_counterexample(1, []) == []
+    with pytest.raises(TypeError, match="sequence of parameter dicts"):
+        crosscov_counterexample(1, dict(alpha=1.0))
+
+
+@pytest.mark.parametrize("seed", [39, 55, 109, 129, 133, 191, 268])
+def test_family_pass_matches_the_polygon_reports(seed):
+    # every draw of the counterexample suite at the seeds the benchmark's
+    # verify-all draws: the same deviation bit for bit and the same verdict
+    # as the grids and the associate check on zonogon Polygons
+    for family in (1, 3):
+        rng = np.random.default_rng(seed + family)
+        draws = [cli._random_family_params(family, rng) for _ in range(cli.COUNTEREXAMPLE_DRAWS)]
+        reports = crosscov_counterexample(family, draws)
+        expected = [polygon_counterexample(family, params) for params in draws]
+        assert [(r.family, r.max_deviation.hex(), r.tolerance, r.trivial) for r in reports] == [
+            (r.family, r.max_deviation.hex(), r.tolerance, r.trivial) for r in expected]
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "delta", "alpha_p", "beta_p",
+                                  "gamma_p", "delta_p", "m", "y", "y_p"])
+def test_counterexample_names_a_non_finite_parameter_and_its_draw(name):
+    family = 3 if name.endswith("_p") or name == "m" else 1
+    bad = (0.0, math.nan) if name.startswith("y") else math.inf
+    draws = [cli._random_family_params(family, np.random.default_rng(i)) for i in range(3)]
+    draws[2][name] = bad
+    with pytest.raises(InvalidFamilyParams, match=f"^draw 2: {name} must be finite$"):
+        crosscov_counterexample(family, draws)
 
 
 def test_counterexample_negative_control():

@@ -591,12 +591,20 @@ def test_flt_box_too_wide_for_any_rule_exits_2(tmp_path, square_file, xi_max):
     assert run.stderr.startswith("error: ") and len(run.stderr.splitlines()) == 1
 
 
+VERIFY_ALL_DIGESTS = {
+    39: "4bd27f42bf254e9611498b03d3212f8a3353537dd898a8fa62cd818eb3c59ead",
+    133: "dbff4a6548336f011242e88f895b2ea72d69502e3693bcadce0d5cee88d5201d",
+}
+
+
 def test_verify_all_json_is_pinned():
-    # every suite's report at seed 39, byte for byte, with one or two BLAS threads
-    digests = {hashlib.sha256(_cli_run(["verify", "all", "--seed", "39", "--json"],
-                                       OPENBLAS_NUM_THREADS=blas)).hexdigest()
-               for blas in ("1", "2")}
-    assert digests == {"4bd27f42bf254e9611498b03d3212f8a3353537dd898a8fa62cd818eb3c59ead"}
+    # every suite's report at seeds 39 and 133, byte for byte, with one or two
+    # BLAS threads
+    for seed, digest in VERIFY_ALL_DIGESTS.items():
+        digests = {hashlib.sha256(_cli_run(["verify", "all", "--seed", str(seed), "--json"],
+                                           OPENBLAS_NUM_THREADS=blas)).hexdigest()
+                   for blas in ("1", "2")}
+        assert digests == {digest}, seed
 
 
 def test_verify_all_text_is_pinned():

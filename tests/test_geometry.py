@@ -29,6 +29,7 @@ from covario.geometry import (
     convex_hull,
     curvature,
     example_pair,
+    parallelogram_loops,
     polygonal_approximation,
     reflect,
     sorted_distinct,
@@ -44,6 +45,7 @@ from polygon_reference import (
     loop_minkowski_sum,
     loop_zonogon,
     minkowski_sum_polygons,
+    zonogon_pair,
 )
 from series_reference import loop_boundary, loop_h, loop_h1, loop_rho
 
@@ -298,6 +300,23 @@ def test_example_pair_invalid_params():
         example_pair(4, alpha_p=1.0, gamma_p=2.0, beta_p=1.0, delta_p=1.0, m=0.0)
     with pytest.raises(InvalidFamilyParams):
         example_pair(7)
+    with pytest.raises(TypeError, match="unknown family parameter 'alpha_prime'"):
+        example_pair(3, alpha_prime=2.0)
+    # the fifth generator turns parallel to the first as |m| grows
+    for m in (1e15, -1e200, 1e300):
+        with pytest.raises(DegenerateZonogon, match="^draw 0: all generators are parallel$"):
+            example_pair(3, alpha_p=1.5, m=m)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "delta", "alpha_p", "beta_p",
+                                  "gamma_p", "delta_p", "m", "y", "y_p"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_example_pair_rejects_a_non_finite_parameter(name, bad):
+    # a nan alpha once raised "all generators are parallel", a nan alpha'
+    # the m = 0 message
+    for family in (1, 2, 3, 4):
+        with pytest.raises(InvalidFamilyParams, match=f"^draw 0: {name} must be finite$"):
+            example_pair(family, **{name: (0.0, bad) if name.startswith("y") else bad})
 
 
 def test_transform_examples(unit_square):
@@ -592,17 +611,30 @@ def test_minkowski_sum_of_shared_edge_directions():
         assert np.abs(new.vertices - old.vertices).max() <= 4e-15
 
 
-def test_zonogon_is_the_merged_loop(monkeypatch):
+def test_zonogon_is_the_merged_loop():
     for seed in range(300):
         rng = np.random.default_rng(seed)
         gens, c = _random_generators(rng, int(rng.integers(2, 7))), rng.uniform(-1.0, 1.0, 2)
         assert zonogon(c, gens) == loop_zonogon(c, gens)
-    draws = np.random.default_rng(0).uniform(0.5, 1.5, (25, 5))
-    params = [dict(alpha=a, beta=b, gamma=g, delta=d, beta_p=b, delta_p=d, m=e - 1.0,
-                   y=(a - 1.0, e), y_p=(e, b - 1.0)) for a, b, g, d, e in draws]
-    pairs = [example_pair(f, **p) for f in (1, 2, 3, 4) for p in params]
-    monkeypatch.setattr("covario.geometry.zonogon", loop_zonogon)
-    assert pairs == [example_pair(f, **p) for f in (1, 2, 3, 4) for p in params]
+    # the closed-form parallelograms are the vertices of the zonogons of the
+    # scaled unit segments, bit for bit, in all four families; m = 0 in a
+    # third of the draws, -0.0 in some
+    draws = []
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        a, b, g, d, ap, bp = rng.uniform(0.05, 5.0, 6)
+        m = [0.0, -0.0 if seed % 2 else 0.0, rng.uniform(-3.0, 3.0)][seed % 3]
+        draws.append(dict(alpha=a, beta=b, gamma=g, delta=d, alpha_p=ap, beta_p=bp,
+                          gamma_p=ap * rng.uniform(1.1, 2.0), delta_p=bp * rng.uniform(0.5, 0.9),
+                          m=m, y=tuple(rng.uniform(-3.0, 3.0, 2)),
+                          y_p=tuple(rng.uniform(-3.0, 3.0, 2))))
+    loops = parallelogram_loops((1, 2, 3, 4), draws)
+    assert loops.shape == (240, 8, 4, 2)
+    for draw, row in zip(draws, loops):
+        polygons = [p for f in (1, 2, 3, 4) for p in zonogon_pair(f, **draw)]
+        assert [v.tobytes() for v in row] == [p.vertices.tobytes() for p in polygons]
+        assert [p.vertices.tobytes() for f in (1, 2, 3, 4) for p in example_pair(f, **draw)] == [
+            v.tobytes() for v in row]
 
 
 def test_zonogon_with_parallel_generators():
