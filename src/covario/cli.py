@@ -295,14 +295,13 @@ def suite_paraboloid(seed=0):
 
 def suite_factorization(seed=0):
     rows = []
-    xi = np.linspace(0.0, 50.0, 512)
     rep = fourier_laplace.verify_factorization(geometry.Disk((0.0, 0.0), 1.0),
-                                               Direction(0.0), xi)
+                                               Direction(0.0), 50.0, 512)
     rows.append(("factorization-disk", rep.passed, f"sup deviation {rep.max_deviation:.3e} * area^2"))
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(9, 2))
     poly = geometry.Polygon(geometry.convex_hull(pts))
-    rep2 = fourier_laplace.verify_factorization(poly, Direction(0.7), xi)
+    rep2 = fourier_laplace.verify_factorization(poly, Direction(0.7), 50.0, 512)
     rows.append(("factorization-polygon", rep2.passed,
                  f"sup deviation {rep2.max_deviation:.3e} * area^2"))
     return rows

@@ -14,6 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from covario.geometry import (
+    _RESIDUAL_TOL,
+    _SQRT_EPS,
     Direction,
     Harmonics,
     Polygon,
@@ -23,6 +25,7 @@ from covario.geometry import (
     boundary_point,
     polygonal_approximation,
     slice_table,
+    slice_tables,
     support,
     width,
 )
@@ -216,10 +219,8 @@ def _chunked_areas(table_a, table_b, dx, dy):
     return out
 
 
-# the Newton iterations below stop on residuals of this size relative to the
-# body; a chord still unsettled after MAX_STEPS steps is bisected instead
-_RESIDUAL_TOL = 64.0 * np.finfo(float).eps
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# the Newton iterations below stop on residuals of _RESIDUAL_TOL relative to
+# the body; a chord still unsettled after _MAX_STEPS steps is bisected instead
 _MAX_STEPS = 64
 
 
@@ -508,16 +509,17 @@ def cross_covariogram_grid(bodyH, bodyK, nx=41, ny=41, bbox=None):
 def grid_deviations(loops, nx, ny):
     """max |g_{H,K} - g_{H',K'}| over cross_covariogram_grid(H, K, nx, ny)'s
     lattice, bit for bit, for each row (H, K, H', K') of vertex loops of shape
-    (n, 4, v, 2) in Polygon's order: all lattices in one array pass, then one
-    _chunked_areas call a grid on the loops' slice tables."""
+    (n, 4, v, 2) in Polygon's order: all lattices and all the loops' slice
+    tables in one array pass each, then one _chunked_areas call a grid."""
     sup = np.array([(loops @ u.u).max(axis=-1) for u in _BOX_DIRECTIONS])  # as support() reads it
     (x0, y0), _, xg, yg = _lattice(_support_bbox(sup[:, :, 0], sup[:, :, 1]), nx, ny)
     # (H', K') on the first grid's bbox, its first and last x and y
     _, _, xg2, yg2 = _lattice(((x0, xg[:, -1]), (y0, yg[:, -1])), nx, ny)
     yg, yg2 = (np.broadcast_to(y[:, None], (len(loops), nx, ny)) for y in (yg, yg2))
+    tables = slice_tables(loops.reshape(-1, *loops.shape[2:]))
     out = np.empty(len(loops))
-    for i, polygons in enumerate(loops):
-        h, k, h2, k2 = map(slice_table, polygons)
+    for i in range(len(loops)):
+        h, k, h2, k2 = tables[4 * i:4 * i + 4]
         out[i] = np.abs(_chunked_areas(h, k, xg[i], yg[i])
                         - _chunked_areas(h2, k2, xg2[i], yg2[i])).max()
     return out

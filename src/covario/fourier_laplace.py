@@ -670,23 +670,40 @@ def autocorr_transform_table(body, u: Direction, max_freq):
     return nodes, weights * chord_autocorrelation_batch(body, u, nodes)
 
 
-def verify_factorization(body, u: Direction, xi_grid):
-    """Check FT(autocorrelation)(xi) = |flt_ray(xi)|^2 on a real xi grid.
-
-    The two sides are independent formulations: the left one is the cosine
-    sum of the half-line autocorrelation table, built for at most
-    KERNEL_BLOCK node-xi products at a time and summed by numpy, not BLAS, so
-    its bits do not follow the thread count; the right one sums the boundary
-    rule of build_context, which never evaluates a chord.
+def _cosine_sum(nodes, amplitudes, xi_max, count):
+    """2 sum_j a_j cos(t_j xi) at every xi of linspace(0, xi_max, count), by
+    angle addition: with xi = (Q a + b) h, h the grid step and Q about
+    sqrt(count), cos(t xi) = cos(t Q a h) cos(t b h) - sin(t Q a h) sin(t b h),
+    so about 2 sqrt(count) rows of cosines and sines serve the whole grid.
+    The products are summed as fourier_sum sums, by np.vecdot over at most
+    NODE_CHUNK nodes at a time, so the bits do not follow the BLAS thread
+    count; the node chunks keep each row block within KERNEL_BLOCK elements.
     """
-    xi = np.asarray(xi_grid, dtype=float)
-    max_xi = float(np.abs(xi).max())
-    nodes, amplitudes = autocorr_transform_table(body, u, max_xi)
-    step = max(1, KERNEL_BLOCK // nodes.size)
-    lhs = 2.0 * np.concatenate([np.sum(amplitudes * np.cos(xi[i:i + step, None] * nodes), axis=1)
-                                for i in range(0, xi.size, step)])
-    ctx = build_context(body, u, max_abs_zeta=max_xi)
-    rhs = np.abs(flt_ray_many(ctx, xi)) ** 2
+    step = xi_max / (count - 1) if count > 1 else 0.0
+    q = math.isqrt(count - 1) + 1
+    fine, coarse = np.arange(q) * step, (np.arange(-(-count // q)) * q) * step
+    out = np.zeros((coarse.size, q))
+    chunk = min(NODE_CHUNK, max(1, KERNEL_BLOCK // (fine.size + coarse.size)))
+    for j in range(0, nodes.size, chunk):
+        t, a = nodes[j:j + chunk], amplitudes[j:j + chunk]
+        big, small = np.outer(coarse, t), np.outer(fine, t)
+        out += np.vecdot((a * np.cos(big))[:, None], np.cos(small))
+        out -= np.vecdot((a * np.sin(big))[:, None], np.sin(small))
+    return 2.0 * out.ravel()[:count]
+
+
+def verify_factorization(body, u: Direction, xi_max, count):
+    """Check FT(autocorrelation)(xi) = |flt_ray(xi)|^2 at every xi of
+    linspace(0, xi_max, count).
+
+    The two sides are independent formulations: the left one is the
+    _cosine_sum of the half-line autocorrelation table; the right one sums the
+    boundary rule of build_context, which never evaluates a chord.
+    """
+    nodes, amplitudes = autocorr_transform_table(body, u, xi_max)
+    lhs = _cosine_sum(nodes, amplitudes, xi_max, count)
+    ctx = build_context(body, u, max_abs_zeta=xi_max)
+    rhs = np.abs(flt_ray_many(ctx, np.linspace(0.0, xi_max, count))) ** 2
     dev = float(np.abs(lhs - rhs).max())
     scale = area(body) ** 2
     return IdentityReport(dev / scale, FACTORIZATION_TOL)

@@ -155,8 +155,13 @@ class Polygon:
         return f"Polygon({self.vertices.shape[0]} vertices)"
 
 
-# halvings of a bisection bracket: 60 take a bracket of length pi to 3e-18
+# steps of a chord end's safeguarded Newton iteration at most: 60 bisections
+# alone take a bracket of length pi to 3e-18
 BISECTION_STEPS = 60
+# Newton iterations for chord ends stop on residuals of this size relative to
+# the body
+_RESIDUAL_TOL = 64.0 * np.finfo(float).eps
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,16 +230,53 @@ class Harmonics:
 
         <p(phi), e> must be monotone on each bracket [a[i], b[i]] and s lie
         between its values at the ends; every argument broadcasts, so one call
-        bisects many chords together.
+        solves many chords together.  Each end is a safeguarded Newton
+        iteration (rtsafe) on g(phi) = <p(phi), e> - s, whose derivative
+        -rho(phi) sin(phi - e) comes from the same terms call as g.  It starts
+        where the cosine through the bracket's end values crosses 0, the root
+        itself for a disk on a half-turn bracket.  A Newton step that leaves
+        the bracket, or that follows one which did not halve |g|, bisects it
+        instead.  An end settles where its Newton step or |g| is at rounding
+        level, at that step unless it is long (an iterate with g = 0 stays as
+        it is), or after BISECTION_STEPS steps; settled ends leave the arrays.
         """
-        fa = self.offsets(a, e)[0] - s
+        s, e, a, b = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (s, e, a, b)))
+        shape, angle = s.shape, e
+        s, e, a, b = (z.ravel() for z in (s, e, a, b))
+        fa, fb = self.offsets(np.stack([a, b]), e)[0] - s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            seed = np.arccos(np.clip(np.nan_to_num((fa + fb) / (fb - fa)), -1.0, 1.0)) / math.pi
+        # from the nearer end, so that a root at either end is the seed exactly
+        x = np.where(seed < 0.5, a + seed * (b - a), b - (1.0 - seed) * (b - a))
+        phi = np.empty_like(x)
+        todo, last = np.arange(x.size), np.full(x.size, np.inf)
         for _ in range(BISECTION_STEPS):
-            mid = 0.5 * (a + b)
-            fm = self.offsets(mid, e)[0] - s
-            left = fa * fm <= 0.0
-            a, b, fa = np.where(left, a, mid), np.where(left, mid, b), np.where(left, fa, fm)
-        phi = 0.5 * (a + b)
-        along = self.offsets(phi, e)[1]
+            f, f1, rho = self.terms(x)
+            c, sn = np.cos(x - e), np.sin(x - e)
+            g = f * c - f1 * sn - s
+            # the root lies between x and whichever end has g of the other sign
+            same = np.signbit(g) == np.signbit(fa)
+            a, fa, b = np.where(same, x, a), np.where(same, g, fa), np.where(same, b, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = x + g / (rho * sn)
+            inside = (np.minimum(a, b) <= newton) & (newton <= np.maximum(a, b))
+            step = np.abs(newton - x)
+            # next to a tip, where g' nears 0, a step from a root at rounding
+            # level can still be long: such an end settles where it is
+            phi[todo] = np.where(inside & (step <= _SQRT_EPS), newton, x)
+            done = ((inside & (step <= _RESIDUAL_TOL * (1.0 + np.abs(x))))
+                    | (np.abs(g) <= _RESIDUAL_TOL * (np.abs(f) + np.abs(f1))))
+            take = inside & (np.abs(g) <= 0.5 * last)
+            x = np.where(take, newton, 0.5 * (a + b))
+            # a bisection is always followed by a Newton step
+            last = np.where(take, np.abs(g), np.inf)
+            if done.any():
+                todo, x, last, s, e, a, b, fa = (
+                    z[~done] for z in (todo, x, last, s, e, a, b, fa))
+                if not todo.size:
+                    break
+        phi = phi.reshape(shape)
+        along = self.offsets(phi, angle)[1]
         return phi, along[0] - along[1]
 
 
@@ -565,6 +607,41 @@ def slice_table(vertices):
         slope = (y[k + 1] - y[k]) / np.where(dx > 0.0, dx, np.inf)
         lines += [y[k] + slope * (knots[:-1] - x[k]), slope]
     return knots, np.array(lines)
+
+
+def slice_tables(loops):
+    """slice_table of each convex CCW loop of loops, shape (n, v, 2), bit for
+    bit, from one array pass: a list of n (knots, lines).
+
+    Along each chain of a convex loop the abscissae run monotone, so the
+    count of a chain's inner abscissae at or left of an interval's midpoint
+    is the searchsorted index slice_table takes; the counts compare every
+    midpoint with every vertex, v^2 a loop, which suits small loops.
+    """
+    v = np.asarray(loops, dtype=float)
+    n, size = v.shape[:2]
+    x = v[..., 0]
+    xs = np.sort(x, axis=1)
+    new = np.ones(xs.shape, dtype=bool)
+    new[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    # each row's distinct abscissae first, in order, as sorted_distinct keeps them
+    knots = np.take_along_axis(xs, np.argsort(~new, axis=1, kind="stable"), axis=1)
+    mid = 0.5 * (knots[:, :-1] + knots[:, 1:])
+    lo, hi = x.argmin(axis=1)[:, None], x.argmax(axis=1)[:, None]
+    steps = np.arange(size)
+    lines = []
+    for chain, length in (((lo + steps) % size, (hi - lo) % size + 1),   # lower
+                          ((lo - steps) % size, (lo - hi) % size + 1)):  # upper
+        cx, cy = (np.take_along_axis(v[..., i], chain, axis=1) for i in (0, 1))
+        inner = (steps >= 1) & (steps < length - 1)
+        k = ((cx[:, None, :] <= mid[:, :, None]) & inner[:, None, :]).sum(axis=2)
+        x0, x1, y0, y1 = (np.take_along_axis(c, i, axis=1) for c in (cx, cy)
+                          for i in (k, k + 1))
+        dx = x1 - x0
+        slope = (y1 - y0) / np.where(dx > 0.0, dx, np.inf)
+        lines += [y0 + slope * (knots[:, :-1] - x0), slope]
+    lines, m = np.stack(lines, axis=1), new.sum(axis=1)
+    return [(knots[i, :m[i]], lines[i, :, :m[i] - 1]) for i in range(n)]
 
 
 def body_to_spec(body):

@@ -216,22 +216,26 @@ def bessel_j1(x):
 
 
 def bessel_j1_zero(m):
-    """m-th positive zero of J1, by bisection to 1e-12."""
+    """m-th positive zero of J1: the Illinois variant of regula falsi on the
+    bracket [beta - 0.3, beta + 0.05] about beta = (m + 1/4) pi.  It stops
+    where J1 is 0 or a step moves the iterate by at most 1e-13, and returns
+    that iterate."""
     if m < 1:
         raise ValueError("m must be >= 1")
     beta = (m + 0.25) * math.pi
-    lo, hi = beta - 0.3, beta + 0.05
-    flo = bessel_j1(lo)
-    fhi = bessel_j1(hi)
-    if flo * fhi >= 0:
-        raise RuntimeError(f"bisection bracket failed for m={m}")
+    a, b = beta - 0.3, beta + 0.05
+    fa, fb = bessel_j1(a), bessel_j1(b)
+    if fa * fb >= 0:
+        raise RuntimeError(f"bracket failed for m={m}")
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = bessel_j1(mid)
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
+        x = b - fb * (b - a) / (fb - fa)
+        fx = bessel_j1(x)
+        if fx * fb < 0.0:
+            a, fa = b, fb
         else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-13:
+            # the end kept twice in a row has its value halved (Illinois)
+            fa *= 0.5
+        step, b, fb = abs(x - b), x, fx
+        if fx == 0.0 or step <= 1e-13:
             break
-    return 0.5 * (lo + hi)
+    return b

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covario.covariogram as covariogram_module
+from chord_reference import bisected_chord_at_offset
 from clip_oracle import oracle_area
 from covario.cli import _random_family_params, main
 from covario.covariogram import (
@@ -27,6 +28,7 @@ from covario.covariogram import (
 from covario.geometry import (
     Direction,
     Disk,
+    Harmonics,
     Polygon,
     Segment,
     SupportBody,
@@ -224,6 +226,26 @@ def test_compacted_newton_matches_index_loop(name, cw3, monkeypatch):
         assert sum(bisected) > 0
     monkeypatch.setattr(covariogram_module, "_caps", loop_caps)
     assert np.array_equal(values, covariogram_evaluator(body)(xs))
+
+
+def test_bisected_chords_match_on_bisected_chord_ends(monkeypatch):
+    # next to NEAR_CORNERS' near-corners some chords end in _bisected_chords,
+    # each of whose 64 probes solves its chord ends by chord_at_offset: the
+    # Newton ends give g within 1e-12 of the area of the 60-step bisection's
+    xs = _rim_points(NEAR_CORNERS, np.random.default_rng(19), 20_000)
+    bisected = []
+    bisect = covariogram_module._bisected_chords
+
+    def counted(support, alpha, *args):
+        bisected.append(alpha.size)
+        return bisect(support, alpha, *args)
+
+    monkeypatch.setattr(covariogram_module, "_bisected_chords", counted)
+    values = covariogram_evaluator(NEAR_CORNERS)(xs)
+    assert sum(bisected) > 0
+    monkeypatch.setattr(Harmonics, "chord_at_offset", bisected_chord_at_offset)
+    ref = covariogram_evaluator(NEAR_CORNERS)(xs)
+    assert np.abs(values - ref).max() <= 1e-12 * area(NEAR_CORNERS)
 
 
 def _counted(g, log):

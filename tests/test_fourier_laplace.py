@@ -919,16 +919,35 @@ def test_paley_wiener_growth(cw3, unit_square):
 
 def test_factorization_identity(unit_disk, centered_square):
     # xi = 0: both sides equal area^2
-    xi = np.array([0.0])
-    rep = verify_factorization(unit_disk, E1, xi)
+    rep = verify_factorization(unit_disk, E1, 0.0, 1)
     assert rep.passed
     # the autocorrelation at 0 is the integral of S^2 = 4 (1 - t^2) over [-1, 1]
     assert abs(chord_autocorrelation_batch(unit_disk, E1, [0.0])[0] - 16.0 / 3.0) < 1e-12
     ctx = build_context(centered_square, E1, max_abs_zeta=10.0)
     assert abs(abs(flt_ray(ctx, 2 * math.pi)) ** 2) < 1e-20
-    xi = np.linspace(0.0, 50.0, 256)
-    rep = verify_factorization(unit_disk, E1, xi)
+    rep = verify_factorization(unit_disk, E1, 50.0, 256)
     assert rep.max_deviation <= 1e-6
+
+
+def _direct_cosine_sum(nodes, amplitudes, xi_max, count):
+    """2 sum_j a_j cos(t_j xi) at every xi of linspace(0, xi_max, count), one
+    cosine a node and xi, as verify_factorization summed it before its
+    angle addition."""
+    xi = np.linspace(0.0, xi_max, count)
+    return 2.0 * np.sum(amplitudes * np.cos(xi[:, None] * nodes), axis=1)
+
+
+@pytest.mark.parametrize("grid", [(50.0, 512), (20.0, 201), (0.0, 1)])
+def test_angle_addition_cosine_sum_is_the_direct_sum(grid, unit_disk, cw3, make_polygon):
+    # the left side of the factorization from about 2 sqrt(count) rows of
+    # cosines and sines, against one cosine a node and xi
+    poly = make_polygon(np.random.default_rng(39), n_points=9)
+    for body, u in ((unit_disk, E1), (cw3, Direction(0.2)), (poly, Direction(0.7))):
+        nodes, amplitudes = autocorr_transform_table(body, u, grid[0])
+        lhs = fourier_laplace._cosine_sum(nodes, amplitudes, *grid)
+        assert lhs.shape == (grid[1],)
+        ref = _direct_cosine_sum(nodes, amplitudes, *grid)
+        assert np.abs(lhs - ref).max() <= 1e-15 * area(body) ** 2
 
 
 def test_half_line_table_mirrors_full_line(unit_disk, cw3, make_polygon):

@@ -32,6 +32,8 @@ from covario.geometry import (
     parallelogram_loops,
     polygonal_approximation,
     reflect,
+    slice_table,
+    slice_tables,
     sorted_distinct,
     steiner_point,
     support,
@@ -611,14 +613,9 @@ def test_minkowski_sum_of_shared_edge_directions():
         assert np.abs(new.vertices - old.vertices).max() <= 4e-15
 
 
-def test_zonogon_is_the_merged_loop():
-    for seed in range(300):
-        rng = np.random.default_rng(seed)
-        gens, c = _random_generators(rng, int(rng.integers(2, 7))), rng.uniform(-1.0, 1.0, 2)
-        assert zonogon(c, gens) == loop_zonogon(c, gens)
-    # the closed-form parallelograms are the vertices of the zonogons of the
-    # scaled unit segments, bit for bit, in all four families; m = 0 in a
-    # third of the draws, -0.0 in some
+def _family_draws():
+    """240 seeded draws of every family's parameters: m = 0 in a third of
+    them, -0.0 in some."""
     draws = []
     for seed in range(240):
         rng = np.random.default_rng(seed)
@@ -628,6 +625,33 @@ def test_zonogon_is_the_merged_loop():
                           gamma_p=ap * rng.uniform(1.1, 2.0), delta_p=bp * rng.uniform(0.5, 0.9),
                           m=m, y=tuple(rng.uniform(-3.0, 3.0, 2)),
                           y_p=tuple(rng.uniform(-3.0, 3.0, 2))))
+    return draws
+
+
+def test_slice_tables_are_per_loop_slice_tables():
+    # one array pass gives each loop's slice_table bit for bit, shapes
+    # included: 1,920 parallelograms of all four families, among them loops
+    # with a vertical edge (three knots) or two (two knots)
+    loops = parallelogram_loops((1, 2, 3, 4), _family_draws()).reshape(-1, 4, 2)
+    tables = slice_tables(loops)
+    assert len(tables) == len(loops)
+    sizes = set()
+    for loop, (knots, lines) in zip(loops, tables):
+        ref_knots, ref_lines = slice_table(loop)
+        assert (knots.shape, lines.shape) == (ref_knots.shape, ref_lines.shape)
+        assert knots.tobytes() == ref_knots.tobytes() and lines.tobytes() == ref_lines.tobytes()
+        sizes.add(knots.size)
+    assert sizes == {2, 3, 4}
+
+
+def test_zonogon_is_the_merged_loop():
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        gens, c = _random_generators(rng, int(rng.integers(2, 7))), rng.uniform(-1.0, 1.0, 2)
+        assert zonogon(c, gens) == loop_zonogon(c, gens)
+    # the closed-form parallelograms are the vertices of the zonogons of the
+    # scaled unit segments, bit for bit, in all four families
+    draws = _family_draws()
     loops = parallelogram_loops((1, 2, 3, 4), draws)
     assert loops.shape == (240, 8, 4, 2)
     for draw, row in zip(draws, loops):

@@ -222,6 +222,35 @@ def test_bessel_j1_value_and_zeros():
         assert abs(bessel_j1_zero(m) - target) < 1e-12
 
 
+def test_bessel_j1_matches_scipy():
+    # the oracle against scipy's J1 on a 0.05 grid over [0.5, 140]; the bound
+    # is the error measured there, largest at x = 12.05, just past the switch
+    special = pytest.importorskip("scipy.special")
+    xs = np.linspace(0.5, 140.0, 2791)
+    err = np.abs(np.array([bessel_j1(x) for x in xs]) - special.j1(xs))
+    assert err.max() <= 8.01e-13
+
+
+def test_bessel_j1_zeros_match_scipy_in_few_calls(monkeypatch):
+    # the Illinois zeros for m = 1..40 against scipy's, at most 12 J1 calls
+    # each; the bound is the error measured, that of m = 4
+    special = pytest.importorskip("scipy.special")
+    from covario import oracles
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return bessel_j1(x)
+
+    monkeypatch.setattr(oracles, "bessel_j1", counted)
+    zeros = []
+    for m in range(1, 41):
+        calls.clear()
+        zeros.append(bessel_j1_zero(m))
+        assert len(calls) <= 12, m
+    assert np.abs(np.array(zeros) - special.jn_zeros(1, 40)).max() <= 2.17e-13
+
+
 def test_bessel_switchover_overlap():
     # Taylor and asymptotic branches agree around the split point
     from covario import oracles

@@ -2,6 +2,8 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
+from chord_reference import bisected_chord_at_offset
 from quadrature_reference import loop_chord_autocorrelation_batch
 
 from covario._quadrature import panel_table
@@ -10,6 +12,7 @@ from covario.fourier_laplace import OSC_BUDGET
 from covario.geometry import (
     Direction,
     Disk,
+    Harmonics,
     Polygon,
     SupportBody,
     area,
@@ -218,3 +221,90 @@ def test_translated_support_body_chords(cw3):
     off = float(shift @ u.u)
     for t in (-0.5, 0.0, 0.4):
         assert abs(chord_function(moved, u)(t + off) - chord_function(cw3, u)(t)) < 1e-10
+
+
+FOUR_HARMONICS = SupportBody(1.0, ((0.0, 0.0), (0.04, -0.03), (0.02, 0.01), (-0.008, 0.006),
+                                   (0.003, -0.002)), center=(0.7, -1.3))
+# rho = 1 - 0.99992 cos 3 theta falls to 8e-5 at three near-corners
+NEAR_CORNER = SupportBody(1.0, ((0.0, 0.0), (0.0, 0.0), (0.99992 / 8.0, 0.0)))
+
+
+def _half_turn_brackets(theta):
+    """The brackets of chord_function's two chord ends for the direction theta."""
+    return np.array([[theta], [theta - math.pi]]), np.array([[theta + math.pi], [theta]])
+
+
+def _counted_terms(monkeypatch):
+    calls = []
+    terms = Harmonics.terms
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return terms(self, t)
+
+    monkeypatch.setattr(Harmonics, "terms", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["cw3", "four-harmonics", "near-corner"])
+def test_newton_chords_match_bisection(name, cw3):
+    # every chord strictly inside within 1e-12 of the 60-step bisection's,
+    # relative; at the two tips the chord is 0: exactly at s = h(u), where
+    # the seed is the bracket's end and g = 0 there, and to about sqrt(eps)
+    # at s = -h(-u), where g at the end is a rounding error of the length's
+    # size and either solver resolves the root only to sqrt(eps)
+    body = {"cw3": cw3, "four-harmonics": FOUR_HARMONICS, "near-corner": NEAR_CORNER}[name]
+    for theta in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
+        hu, hmu = float(body.h(theta)), float(body.h(theta + math.pi))
+        s = np.linspace(-hmu, hu, 401)[1:-1]
+        a, b = _half_turn_brackets(theta)
+        length = body.series.chord_at_offset(s, theta, a, b)[1]
+        ref = bisected_chord_at_offset(body.series, s, theta, a, b)[1]
+        assert np.all(np.abs(length - ref) <= 1e-12 * ref), theta
+        tips = body.series.chord_at_offset(np.array([hu, -hmu]), theta, a, b)[1]
+        assert tips[0] == 0.0 and abs(tips[1]) <= 4.0 * math.sqrt(np.finfo(float).eps), theta
+
+
+def test_chord_at_its_seed_is_returned_as_it_is(monkeypatch):
+    # on a disk the seed, where the cosine through the bracket's end values
+    # crosses 0, is the root: each end settles on the first iteration (one
+    # terms call for the bracket ends, one for it, one for the lengths), some
+    # with g = 0 exactly, which no step may move off
+    disk = Disk((0.0, 0.0), 1.0).series
+    theta = 0.9
+    s = np.linspace(-1.0, 1.0, 257)
+    a, b = _half_turn_brackets(theta)
+    calls = _counted_terms(monkeypatch)
+    phi, length = disk.chord_at_offset(s, theta, a, b)
+    assert len(calls) == 3
+    g = disk.offsets(phi, theta)[0] - s
+    assert np.count_nonzero(g == 0.0) > 100
+    assert np.abs(length - 2.0 * np.sqrt(1.0 - s * s)).max() <= 1e-15
+
+
+def test_chord_ends_settle_on_the_newton_step(monkeypatch, cw3):
+    # near a tip the iterates close on the root from one side, so the far end
+    # of the bracket stays where it was: an end settles on its Newton step at
+    # rounding level instead of bisecting that wide bracket (which took 54
+    # steps and ended 0.3 rad off in a prototype)
+    theta = 0.4
+    hu, hmu = float(cw3.h(theta)), float(cw3.h(theta + math.pi))
+    depth = (hu + hmu) * 10.0 ** -np.arange(3.0, 14.0)
+    s = np.concatenate([hu - depth, depth - hmu])
+    a, b = _half_turn_brackets(theta)
+    calls = _counted_terms(monkeypatch)
+    phi = cw3.series.chord_at_offset(s, theta, a, b)[0]
+    assert len(calls) <= 8
+    monkeypatch.undo()
+    g = cw3.series.offsets(phi, theta)[0] - s
+    assert np.abs(g).max() <= 8.0 * np.finfo(float).eps * max(hu, hmu)
+    assert np.all((np.minimum(a, b) <= phi) & (phi <= np.maximum(a, b)))
+
+
+def test_radon_table_takes_few_terms_calls(monkeypatch, cw3):
+    # the 128 chords of cw3's default radon table in 8 terms calls, where the
+    # bisection took 62
+    cf = chord_function(cw3, Direction(0.3))
+    calls = _counted_terms(monkeypatch)
+    cf(np.linspace(cf.lo, cf.hi, 128))
+    assert len(calls) <= 8
