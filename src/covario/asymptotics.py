@@ -32,7 +32,7 @@ from covario.geometry import (
     body_hash,
     curvature,
     parallelogram_loops,
-    slice_table,
+    slice_tables,
     steiner_point,
     width,
 )
@@ -368,8 +368,8 @@ def _segment_extents(radial, thetas, u, ts):
     """Padded extents (smin, smax) of supp g along the lines <x, u> = t, t in ts,
     from the (convex) radial polygon, and the mask of lines that miss it."""
     pts = radial[:, None] * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    knots, (a, da, b, db) = slice_table(np.stack([pts @ u, pts @ np.array([-u[1], u[0]])],
-                                                 axis=1))
+    loop = np.stack([pts @ u, pts @ np.array([-u[1], u[0]])], axis=1)
+    knots, (a, da, b, db) = slice_tables([loop])[0]
     k = np.searchsorted(knots[1:-1], ts, side="right")
     smin = a[k] + da[k] * (ts - knots[k])
     smax = b[k] + db[k] * (ts - knots[k])

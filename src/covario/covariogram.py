@@ -24,7 +24,6 @@ from covario.geometry import (
     body_hash,
     boundary_point,
     polygonal_approximation,
-    slice_table,
     slice_tables,
     support,
     width,
@@ -43,8 +42,8 @@ class FitFailed(Exception):
 
 @lru_cache(maxsize=64)
 def _clip_fan(body):
-    """slice_table of the body's (approximating) polygon."""
-    return slice_table(polygonal_approximation(body, APPROX_BOUNDARY_POINTS).vertices)
+    """The slice table, by slice_tables, of the body's (approximating) polygon."""
+    return slice_tables([polygonal_approximation(body, APPROX_BOUNDARY_POINTS).vertices])[0]
 
 
 def _slice_areas(table_a, table_b, dx, dy):
@@ -194,7 +193,7 @@ def covariogram_evaluator(body, n=None):
 
 def clip_areas_batch(subject_vertices, clip_vertices, xs):
     """Areas of subject intersect (clip + x) for every row x of xs, in vectorized chunks."""
-    return _point_areas(slice_table(subject_vertices), slice_table(clip_vertices), xs)
+    return _point_areas(slice_tables([subject_vertices])[0], slice_tables([clip_vertices])[0], xs)
 
 
 def _point_areas(table_a, table_b, xs):

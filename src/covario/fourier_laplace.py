@@ -9,7 +9,16 @@ from functools import partial
 import numpy as np
 
 from covario._quadrature import gauss_legendre, panel_table
-from covario.geometry import Direction, Polygon, area, curvature, reflect, support, width
+from covario.geometry import (
+    Direction,
+    Polygon,
+    area,
+    curvature,
+    reflect,
+    sorted_distinct,
+    support,
+    width,
+)
 from covario.radon import chord_autocorrelation_batch, chord_function
 
 IM_CAP_FACTOR = 12.0
@@ -83,7 +92,7 @@ def _part_sums(rows, nodes, z, part):
     if len(nodes) == 1:
         return fourier_sum(rows[0], nodes[0], z)
     out = np.empty(rows[0].shape[:-1] + z.shape, complex)
-    for d in np.unique(part):
+    for d in sorted_distinct(part):
         at = part == d
         out[..., at] = fourier_sum(rows[d], nodes[d], z[at])
     return out

@@ -582,63 +582,40 @@ def polygonal_approximation(body, n=4096):
     raise TypeError(f"not a body: {body!r}")
 
 
-def slice_table(vertices):
-    """Lower and upper boundary of a convex CCW polygon, as lines between x-knots.
+def slice_tables(loops):
+    """Lower and upper boundary of each convex CCW loop of loops, shape
+    (n, v, 2), as lines between x-knots: a list of n (knots, lines).
 
-    Returns the sorted distinct vertex abscissae x, shape (m,), and rows
-    (a, a', b, b'), shape (4, m - 1): on [x[k], x[k+1]] the polygon is
-    a[k] + a'[k] (t - x[k]) <= y <= b[k] + b'[k] (t - x[k]).  The chains run
+    knots holds a loop's sorted distinct vertex abscissae x, shape (m,), and
+    lines the rows (a, a', b, b'), shape (4, m - 1): on [x[k], x[k+1]] the loop
+    is a[k] + a'[k] (t - x[k]) <= y <= b[k] + b'[k] (t - x[k]).  The chains run
     between the vertices of least and greatest x by argmin/argmax, not from the
     canonical start, which can be the top end of a near-vertical edge.  Each
     chain's edge is read at the interval's midpoint, never at a knot, so a
-    chain that jumps at a vertical edge gives its limits from inside.
-    """
-    v = np.asarray(vertices, dtype=float)
-    n = v.shape[0]
-    lo, hi = int(np.argmin(v[:, 0])), int(np.argmax(v[:, 0]))
-    knots = sorted_distinct(v[:, 0])
-    mid = 0.5 * (knots[:-1] + knots[1:])
-    lines = []
-    for chain in (v[(lo + np.arange((hi - lo) % n + 1)) % n],   # lower: counterclockwise
-                  v[(lo - np.arange((lo - hi) % n + 1)) % n]):  # upper: clockwise
-        x, y = chain[:, 0], chain[:, 1]
-        k = np.searchsorted(x[1:-1], mid, side="right")
-        dx = x[k + 1] - x[k]
-        slope = (y[k + 1] - y[k]) / np.where(dx > 0.0, dx, np.inf)
-        lines += [y[k] + slope * (knots[:-1] - x[k]), slope]
-    return knots, np.array(lines)
-
-
-def slice_tables(loops):
-    """slice_table of each convex CCW loop of loops, shape (n, v, 2), bit for
-    bit, from one array pass: a list of n (knots, lines).
-
-    Along each chain of a convex loop the abscissae run monotone, so the
-    count of a chain's inner abscissae at or left of an interval's midpoint
-    is the searchsorted index slice_table takes; the counts compare every
-    midpoint with every vertex, v^2 a loop, which suits small loops.
+    chain that jumps at a vertical edge gives its limits from inside.  x runs
+    up each chain from the least; with the last x and those past it set to inf,
+    one searchsorted among (loop, x) keys, complex in numpy's lexicographic
+    order, counts the x at or left of each midpoint: its edge's index + 1.
     """
     v = np.asarray(loops, dtype=float)
     n, size = v.shape[:2]
-    x = v[..., 0]
-    xs = np.sort(x, axis=1)
-    new = np.ones(xs.shape, dtype=bool)
-    new[:, 1:] = xs[:, 1:] != xs[:, :-1]
+    rows, steps = np.arange(n)[:, None], np.arange(size)
+    xs = np.sort(v[..., 0], axis=1)
+    new = np.concatenate([np.ones((n, 1), dtype=bool), xs[:, 1:] != xs[:, :-1]], axis=1)
     # each row's distinct abscissae first, in order, as sorted_distinct keeps them
-    knots = np.take_along_axis(xs, np.argsort(~new, axis=1, kind="stable"), axis=1)
-    mid = 0.5 * (knots[:, :-1] + knots[:, 1:])
-    lo, hi = x.argmin(axis=1)[:, None], x.argmax(axis=1)[:, None]
-    steps = np.arange(size)
+    knots = xs.copy()
+    knots[new.nonzero()[0], new.cumsum(axis=1)[new] - 1] = xs[new]
+    mid, keys = np.empty((n, size - 1), dtype=complex), np.empty((n, size), dtype=complex)
+    mid.real, mid.imag, keys.real = rows, 0.5 * (knots[:, :-1] + knots[:, 1:]), rows
+    lo, hi = v[..., 0].argmin(axis=1)[:, None], v[..., 0].argmax(axis=1)[:, None]
     lines = []
     for chain, length in (((lo + steps) % size, (hi - lo) % size + 1),   # lower
                           ((lo - steps) % size, (lo - hi) % size + 1)):  # upper
-        cx, cy = (np.take_along_axis(v[..., i], chain, axis=1) for i in (0, 1))
-        inner = (steps >= 1) & (steps < length - 1)
-        k = ((cx[:, None, :] <= mid[:, :, None]) & inner[:, None, :]).sum(axis=2)
-        x0, x1, y0, y1 = (np.take_along_axis(c, i, axis=1) for c in (cx, cy)
-                          for i in (k, k + 1))
-        dx = x1 - x0
-        slope = (y1 - y0) / np.where(dx > 0.0, dx, np.inf)
+        cx, cy = v[..., 0][rows, chain], v[..., 1][rows, chain]
+        keys.imag = np.where(steps < length - 1, cx, np.inf)  # set by part: 1j * inf is nan
+        k = keys.ravel().searchsorted(mid, side="right") - size * rows - 1
+        x0, x1, y0, y1 = cx[rows, k], cx[rows, k + 1], cy[rows, k], cy[rows, k + 1]
+        slope = (y1 - y0) / np.where(x1 > x0, x1 - x0, np.inf)
         lines += [y0 + slope * (knots[:, :-1] - x0), slope]
     lines, m = np.stack(lines, axis=1), new.sum(axis=1)
     return [(knots[i, :m[i]], lines[i, :, :m[i] - 1]) for i in range(n)]

@@ -4,13 +4,45 @@ in chunks of about CHUNK_KNOTS knots.
 
 `_slice_areas` and `_chunked_areas` are copied verbatim; the tests require the
 column kernel of `covariogram` to return the same floats.
+
+`slice_table`, the per-loop builder of the slice tables, is copied verbatim
+too: one Python pass per chain with searchsorted.  The tests require
+`geometry.slice_tables` to return its arrays bit for bit.
 """
 
 import numpy as np
 
 from covario.covariogram import _positive_mean
+from covario.geometry import sorted_distinct
 
 CHUNK_KNOTS = 2 ** 11
+
+
+def slice_table(vertices):
+    """Lower and upper boundary of a convex CCW polygon, as lines between x-knots.
+
+    Returns the sorted distinct vertex abscissae x, shape (m,), and rows
+    (a, a', b, b'), shape (4, m - 1): on [x[k], x[k+1]] the polygon is
+    a[k] + a'[k] (t - x[k]) <= y <= b[k] + b'[k] (t - x[k]).  The chains run
+    between the vertices of least and greatest x by argmin/argmax, not from the
+    canonical start, which can be the top end of a near-vertical edge.  Each
+    chain's edge is read at the interval's midpoint, never at a knot, so a
+    chain that jumps at a vertical edge gives its limits from inside.
+    """
+    v = np.asarray(vertices, dtype=float)
+    n = v.shape[0]
+    lo, hi = int(np.argmin(v[:, 0])), int(np.argmax(v[:, 0]))
+    knots = sorted_distinct(v[:, 0])
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    lines = []
+    for chain in (v[(lo + np.arange((hi - lo) % n + 1)) % n],   # lower: counterclockwise
+                  v[(lo - np.arange((lo - hi) % n + 1)) % n]):  # upper: clockwise
+        x, y = chain[:, 0], chain[:, 1]
+        k = np.searchsorted(x[1:-1], mid, side="right")
+        dx = x[k + 1] - x[k]
+        slope = (y[k + 1] - y[k]) / np.where(dx > 0.0, dx, np.inf)
+        lines += [y[k] + slope * (knots[:-1] - x[k]), slope]
+    return knots, np.array(lines)
 
 
 def _slice_areas(table_a, table_b, xs):

@@ -40,7 +40,6 @@ from covario.geometry import (
     example_pair,
     polygonal_approximation,
     reflect,
-    slice_table,
     translate,
     width,
     zonogon,
@@ -48,6 +47,7 @@ from covario.geometry import (
 from mc_oracle import mc_area
 from polygon_reference import minkowski_sum_polygons
 from slice_reference import _chunked_areas as point_chunked_areas
+from slice_reference import slice_table
 from strip_reference import loop_cap_pair, loop_caps
 
 E1 = Direction(0.0)

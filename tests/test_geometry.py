@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covario import geometry
+from covario.asymptotics import _radial_table
+from covario.covariogram import covariogram_evaluator
 from covario.geometry import (
     KMAX,
     DegenerateZonogon,
@@ -32,7 +34,6 @@ from covario.geometry import (
     parallelogram_loops,
     polygonal_approximation,
     reflect,
-    slice_table,
     slice_tables,
     sorted_distinct,
     steiner_point,
@@ -50,6 +51,7 @@ from polygon_reference import (
     zonogon_pair,
 )
 from series_reference import loop_boundary, loop_h, loop_h1, loop_rho
+from slice_reference import slice_table
 
 SQ2 = math.sqrt(2.0)
 
@@ -562,8 +564,10 @@ def test_convex_hull_edge_cases():
 
 
 def test_sorted_distinct_gives_np_unique_bytes(monkeypatch):
-    # panel_table, slice_table and convex_hull drop np.unique, which imports
-    # numpy.ma; their sort-and-mask steps keep its bytes, -0.0 and 0.0 included
+    # panel_table, convex_hull and fourier_laplace's part sums drop np.unique,
+    # which imports numpy.ma, for sorted_distinct, and slice_tables takes the
+    # same sort-and-mask steps a row at once; they keep np.unique's bytes,
+    # -0.0 and 0.0 included
     seen = []
 
     def spy(x):
@@ -628,20 +632,59 @@ def _family_draws():
     return draws
 
 
-def test_slice_tables_are_per_loop_slice_tables():
-    # one array pass gives each loop's slice_table bit for bit, shapes
-    # included: 1,920 parallelograms of all four families, among them loops
-    # with a vertical edge (three knots) or two (two knots)
-    loops = parallelogram_loops((1, 2, 3, 4), _family_draws()).reshape(-1, 4, 2)
+def _assert_slice_tables(loops):
+    """slice_tables(loops), checked against the per-loop reference by bytes
+    and shape; the number of loops with a midpoint on one of its knots."""
     tables = slice_tables(loops)
     assert len(tables) == len(loops)
-    sizes = set()
+    on_knot = 0
     for loop, (knots, lines) in zip(loops, tables):
         ref_knots, ref_lines = slice_table(loop)
         assert (knots.shape, lines.shape) == (ref_knots.shape, ref_lines.shape)
         assert knots.tobytes() == ref_knots.tobytes() and lines.tobytes() == ref_lines.tobytes()
-        sizes.add(knots.size)
-    assert sizes == {2, 3, 4}
+        mid = 0.5 * (knots[:-1] + knots[1:])
+        on_knot += bool(np.any((mid == knots[:-1]) | (mid == knots[1:])))
+    return on_knot
+
+
+def test_slice_tables_are_per_loop_slice_tables(cw3):
+    # one builder gives the per-loop reference's tables bit for bit, shapes
+    # included, where two knots one ulp apart put a midpoint on one of them
+    # too: 1,920 parallelograms of all four families in one call, -0.0 and
+    # loops with a vertical edge (three knots) or two (two knots) among them
+    loops = parallelogram_loops((1, 2, 3, 4), _family_draws()).reshape(-1, 4, 2)
+    assert _assert_slice_tables(loops) > 0
+    assert {knots.size for knots, _ in slice_tables(loops)} == {2, 3, 4}
+    # the 4096-gons that stand in for smooth bodies
+    four_harmonics = SupportBody(1.0, ((0.0, 0.0), (0.04, -0.03), (0.02, 0.01),
+                                       (-0.008, 0.006), (0.003, -0.002)), center=(0.7, -1.3))
+    assert [_assert_slice_tables(polygonal_approximation(body, 4096).vertices[None])
+            for body in (cw3, Disk((0.1, 0.0), 0.9), four_harmonics)] == [1, 1, 0]
+    # the radial polygons of supp g that _segment_extents reads, in 16 directions
+    g = covariogram_evaluator(cw3)
+    for count in (32, 128):
+        thetas = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+        pts = _radial_table(g, thetas)[:, None] * np.stack([np.cos(thetas), np.sin(thetas)],
+                                                           axis=1)
+        for t in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+            u = np.array([math.cos(t), math.sin(t)])
+            _assert_slice_tables(np.stack([pts @ u, pts @ np.array([-u[1], u[0]])], axis=1)[None])
+    # seeded hulls of 3 to 60 vertices, one call a hull and one call a size
+    by_size = {}
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        hull = convex_hull(rng.uniform(-1.0, 1.0, (int(rng.integers(3, 61)), 2)))
+        _assert_slice_tables(hull[None])
+        by_size.setdefault(len(hull), []).append(hull)
+    assert min(by_size) == 3 and len(by_size) > 10
+    for hulls in by_size.values():
+        _assert_slice_tables(np.array(hulls))
+    # one vertical edge at either end, or two, from every start vertex
+    for loop in ([(0, 0), (2, 0), (2, 1), (1, 2)], [(0, 0), (2, -1), (3, 1), (0, 2)],
+                 [(0, 0), (1, -1), (2, 0), (2, 1), (0, 1)], [(0, 1), (0, 0), (1, 0), (1, 1)],
+                 [(-0.0, 0), (1, -1), (1, 2), (0.0, 3)]):
+        for shift in range(len(loop)):
+            _assert_slice_tables(np.roll(np.array(loop, dtype=float), shift, axis=0)[None])
 
 
 def test_zonogon_is_the_merged_loop():
